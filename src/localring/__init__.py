@@ -14,6 +14,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     FormMismatch,
+    InvariantViolation,
     LocalRingError,
     MissingAxisVertex,
     NotRegular,

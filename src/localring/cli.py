@@ -62,6 +62,16 @@ def _load(path: str) -> IdealFile:
     return load_ideal_file(Path(path).read_text(encoding="utf-8"))
 
 
+def _mu(args, f: IdealFile) -> Fraction:
+    """The --mu override, or else the file's precision."""
+    if not args.mu:
+        return f.mu
+    try:
+        return Fraction(args.mu)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"argument --mu: invalid rational value: {args.mu!r}")
+
+
 def _window(form, mu) -> dict:
     return {"form": form_label(form), "mu": str(Fraction(mu))}
 
@@ -76,7 +86,7 @@ def _form_of(args, f: IdealFile) -> "LinearForm":
 def _cmd_divide(args) -> tuple[int, dict]:
     f = _load(args.file)
     form = _form_of(args, f)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     gens = f.generators(form, mu)
     dividend = parse_expression(args.dividend, f.var_names, form, mu)
     result = hironaka_divide(dividend, gens, form, mu)
@@ -97,7 +107,7 @@ def _cmd_divide(args) -> tuple[int, dict]:
 def _cmd_sbasis(args) -> tuple[int, dict]:
     f = _load(args.file)
     form = _form_of(args, f)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     skip = not args.no_coprime_skip
     if args.action == "check":
         basis = stdbasis.becker_check(f.generators(form, mu), form, mu,
@@ -129,7 +139,7 @@ def _cmd_sbasis(args) -> tuple[int, dict]:
 def _cmd_diagram(args) -> tuple[int, dict]:
     f = _load(args.file)
     form = _form_of(args, f)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
     D = diagram.diagram_of(basis)
     return 0, {
@@ -141,7 +151,7 @@ def _cmd_diagram(args) -> tuple[int, dict]:
 
 def _cmd_hs(args) -> tuple[int, dict]:
     f = _load(args.file)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     form = std_form(f.n)
     eta = int(args.eta)
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
@@ -171,7 +181,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 
 def _cmd_flat(args) -> tuple[int, dict]:
     f = _load(args.file)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     extra = tuple(int(w) for w in args.weights.split(",")) if args.weights else ()
     I = f.presentation(std_form(f.n), mu)
     rep = diagram.flatness_weight_search(I, args.k, mu,
@@ -195,7 +205,7 @@ def _cmd_flat(args) -> tuple[int, dict]:
 
 def _cmd_dim(args) -> tuple[int, dict]:
     f = _load(args.file)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     I = f.presentation(std_form(f.n), mu)
     rep = diagram.axis_vertex_dimension(I, mu, trials=args.trials, seed=args.seed)
     return 0, {
@@ -212,7 +222,7 @@ def _cmd_dim(args) -> tuple[int, dict]:
 
 def _cmd_reduction(args) -> tuple[int, dict]:
     f = _load(args.file)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     I = f.presentation(std_form(f.n), mu)
     rep = diagram.reduction_exponent(I, args.k, mu)
     code = 0 if rep.all_ok else 2
@@ -230,7 +240,7 @@ def _cmd_reduction(args) -> tuple[int, dict]:
 
 def _cmd_perturb(args) -> tuple[int, dict]:
     f = _load(args.file)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     form = std_form(f.n)
     I = f.presentation(form, f.mu)
     deltas = tuple(parse_expression(src, f.var_names, form, 2 * mu)
@@ -248,7 +258,7 @@ def _cmd_perturb(args) -> tuple[int, dict]:
 
 def _cmd_ci(args) -> tuple[int, dict]:
     f = _load(args.file)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     form = std_form(f.n)
     I = f.presentation(form, mu)
     deltas = tuple(parse_expression(src, f.var_names, form, mu * 2)
@@ -276,7 +286,7 @@ def _cmd_example82(args) -> tuple[int, dict]:
 
 def _cmd_tower(args) -> tuple[int, dict]:
     f = _load(args.file)
-    mu = Fraction(args.mu) if args.mu else f.mu
+    mu = _mu(args, f)
     gens = f.generators(std_form(f.n), mu)
     tower = equising.build_tower(gens, mu, seed=args.seed)
     levels = []
@@ -391,10 +401,9 @@ def run(argv) -> tuple[int, dict]:
     """Dispatch a command line; returns (exit code, JSON-ready report)."""
     try:
         args = _build_argparser().parse_args(argv)
+        return args.fn(args)
     except UsageError as exc:
         return 1, {"error": "usage", "detail": str(exc)}
-    try:
-        return args.fn(args)
     except UndecidedAtPrecision as exc:
         return 2, {"error": "UNDECIDED-AT-MU", "detail": str(exc)}
     except ParseError as exc:

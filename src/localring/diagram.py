@@ -336,10 +336,6 @@ class ExactRowReducer:
         return not self.reduce(row)
 
 
-def _series_order(g: PrecisionSeries) -> int:
-    return min(sum(e) for e in g.terms)
-
-
 def ideal_span_rows(gens: Sequence[PrecisionSeries], eta,
                     L: Optional[LinearForm] = None):
     """Rows spanning the image of the ideal in the L-sublevel jet space.

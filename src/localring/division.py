@@ -22,7 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DimensionMismatch, PrecisionShortfall, ZeroUpToPrecision
+from .errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    PrecisionShortfall,
+    ZeroUpToPrecision,
+)
 from .kernel import EXACT, PrecisionSeries, prec_at_least
 from .order import Exponent, LinearForm, initial_term, lvalue, sort_key
 
@@ -119,7 +124,8 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
             continue  # stale entry: the term cancelled meanwhile
         if key[0] > mu:
             break
-        assert last_key is None or key > last_key  # strict progress in the order
+        if last_key is not None and key <= last_key:
+            raise InvariantViolation("division made no strict progress in the order")
         last_key = key
         coeff = work.pop(beta)
         i = partition.region_of(beta)
@@ -142,13 +148,15 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
     for i, qterms in enumerate(quotients):
         alpha = partition.alphas[i]
         for e in qterms:  # support certification at emission time
-            assert partition.region_of(tuple(x + y for x, y in zip(e, alpha))) == i
+            if partition.region_of(tuple(x + y for x, y in zip(e, alpha))) != i:
+                raise InvariantViolation(f"quotient {i} left its region")
         if exact:
             out_q.append(PrecisionSeries(n, qterms))
         else:
             out_q.append(PrecisionSeries(n, qterms, mu - lvalue(L, alpha), L))
     for e in remainder:
-        assert partition.region_of(e) is COMPLEMENT
+        if partition.region_of(e) is not COMPLEMENT:
+            raise InvariantViolation("remainder term outside the complement")
     if exact:
         rem = PrecisionSeries(n, remainder)
     else:

@@ -1,17 +1,28 @@
 """Generalized discriminants, Weierstrass preparation, and discriminant
 towers of distinguished polynomials.
 
-The j-th generalized discriminant of a monic degree-p polynomial is the
-symmetric function
+The j-th generalized discriminant of a monic degree-p polynomial
+X^p + a_{p-1} X^{p-1} + ... + a_0 with roots T_1..T_p is the symmetric
+function
 
     D_j = sum over (j-1)-subsets R of the root indices of
-          prod over ordered pairs (k, l), k != l, k, l not in R, of (T_k - T_l),
+          prod over ordered pairs (k, l), k != l, k, l not in R, of (T_k - T_l).
 
-reduced to a polynomial in the elementary symmetric values A_0 = T_1...T_p,
-..., A_{p-1} = T_1 + ... + T_p by leading-term elimination.  Evaluated at
-the coefficient vector (a_0, ..., a_{p-1}) of X^p + a_{p-1} X^{p-1} + ... +
-a_0, the pattern D_1 = ... = D_j = 0, D_{j+1} != 0 says the polynomial has
-exactly p - j distinct roots.
+The pattern D_1 = ... = D_j = 0, D_{j+1} != 0 says the polynomial has
+exactly p - j distinct roots.  With m = p - j + 1 and the power sums
+s_k = T_1^k + ... + T_p^k, Cauchy-Binet on the Vandermonde matrix gives
+
+    D_j = (-1)^(m(m-1)/2) det[s_{a+b}]_{0 <= a, b < m},
+
+a signed leading principal minor of one Hankel matrix.  The tower path
+evaluates every D_j this way: Newton's identities give the power sums from
+the coefficients, and one Berkowitz pass gives all the minors.  Both steps
+are division-free, so they run unchanged over rationals and over truncated
+power series, with no degree cap.
+
+The classical leading-term reduction of D_j to a polynomial in the
+elementary symmetric values (`generalized_discriminant`) is kept as an
+independent, degree-capped oracle for the tests.
 
 The tower construction iterates: prepare the input list to distinguished
 form in the last variable, take the product, locate the first discriminant
@@ -22,6 +33,7 @@ a surviving unit discriminant ends the tower with constant levels.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +45,7 @@ from .errors import (
     BudgetExceeded,
     DimensionMismatch,
     FormMismatch,
+    InvariantViolation,
     NotRegular,
     PrecisionShortfall,
     PresentationError,
@@ -45,20 +58,16 @@ from .kernel import (
     agrees_up_to,
     monomial,
     mul,
-    one,
-    power,
     prec_at_least,
-    scale,
     series,
     substitute_linear,
     truncate,
     zero,
 )
-from .order import LinearForm, is_standard, std_form
+from .order import is_standard, std_form
 
-#: Expansion cost grows fast with the degree: p = 4 reduces in well under a
-#: second, p = 5 in a few seconds, p = 6 in many minutes.  The default cap
-#: keeps interactive use sane; pass `max_degree` explicitly to raise it.
+#: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
+#: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
 MAX_DISCRIMINANT_DEGREE = 5
 
 TPoly = dict  # exponent tuple (length p, in the roots T) -> Fraction
@@ -199,16 +208,18 @@ def symmetric_roundtrip_ok(red: SymmetricReduction, raw: TPoly) -> bool:
 _disc_cache: dict = {}
 
 
-def generalized_discriminant(p: int, j: int,
-                             max_degree: int = None) -> SymmetricReduction:
-    """The reduced j-th generalized discriminant for degree p (cached)."""
+def generalized_discriminant(p: int, j: int) -> SymmetricReduction:
+    """The reduced j-th generalized discriminant for degree p (cached).
+
+    This symbolic route is the test oracle; towers and root counts use the
+    Hankel minors of `_hankel_discriminants`, which have no degree cap.
+    """
     if not 1 <= j <= p:
         raise PresentationError(f"index j={j} out of range for degree {p}")
-    cap = MAX_DISCRIMINANT_DEGREE if max_degree is None else max_degree
-    if p > cap:
+    if p > MAX_DISCRIMINANT_DEGREE:
         raise BudgetExceeded(
-            f"discriminant degree {p} exceeds the cap {cap}; pass max_degree "
-            "to raise it (expansion cost grows steeply)")
+            f"discriminant degree {p} exceeds the symbolic reduction cap "
+            f"{MAX_DISCRIMINANT_DEGREE} (expansion cost grows steeply)")
     key = (p, j)
     if key not in _disc_cache:
         _disc_cache[key] = reduce_symmetric(p, _raw_discriminant(p, j))
@@ -233,40 +244,89 @@ def evaluate_at_rationals(red: SymmetricReduction, coeffs: Sequence) -> Fraction
     return total
 
 
-def evaluate_at_series(red: SymmetricReduction, coeffs: Sequence[PrecisionSeries],
-                       L: LinearForm, mu) -> PrecisionSeries:
-    """Evaluate at series coefficients, truncating to the window (L, mu)."""
-    if len(coeffs) != red.p:
-        raise DimensionMismatch(f"expected {red.p} coefficient series")
-    n = coeffs[0].n
-    mu = Fraction(mu)
-    cache: dict = {}
+def _jet_dot(pairs, top: int) -> dict:
+    """Sum of the products a * b over pairs of jets {exponent: coefficient},
+    keeping only the terms of total degree <= top."""
+    out: dict = {}
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            room = top - sum(e1)
+            for e2, c2 in b.items():
+                if sum(e2) <= room:
+                    e = tuple(x + y for x, y in zip(e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
-    def coeff_power(m: int, k: int) -> PrecisionSeries:
-        key = (m, k)
-        if key not in cache:
-            acc = one(n)
-            for _ in range(k):
-                acc = truncate(mul(acc, coeffs[m]), L, mu)
-            cache[key] = acc
-        return cache[key]
 
-    total = zero(n)
-    for a_exp, coeff in red.expr.items():
-        term = one(n)
-        for m, k in enumerate(a_exp):
+def _negated(jet: dict) -> dict:
+    return {e: -c for e, c in jet.items()}
+
+
+def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
+    """D_1, ..., D_p at the monic coefficient vector (a_0, ..., a_{p-1}).
+
+    Each value is a jet {exponent: coefficient} in n_vars variables holding
+    the terms of total degree <= mu.  Numbers are jets in zero variables;
+    series must certify at least mu under the standard form.  The power
+    sums s_0..s_{2p-2} come from Newton's identities, and D_j is the signed
+    leading m x m minor of the Hankel matrix [s_{a+b}], m = p - j + 1.  One
+    Berkowitz pass yields the characteristic polynomials of all leading
+    principal submatrices, whose constant terms are (-1)^m times the minors.
+    Every sum of products is one truncated `_jet_dot`, and nothing divides.
+    """
+    p = len(coeffs)
+    if n_vars == 0:
+        jets = [{(): c} if c else {} for c in map(Fraction, coeffs)]
+        top = 0
+    else:
+        L = std_form(n_vars)
+        jets = [truncate(c, L, mu).terms for c in coeffs]
+        top = math.floor(mu)
+    origin = (0,) * n_vars
+
+    def const(k: int) -> dict:
+        return {origin: Fraction(k)} if k else {}
+
+    # Newton: s_k = -(c_1 s_{k-1} + ... + c_{k-1} s_1 + k c_k) with
+    # c_i = a_{p-i}, and c_i = 0 for i > p
+    s = [const(p)]
+    for k in range(1, 2 * p - 1):
+        pairs = [(jets[p - i], s[k - i]) for i in range(1, min(k - 1, p) + 1)]
+        if k <= p:
+            pairs.append((jets[p - k], const(k)))
+        s.append(_negated(_jet_dot(pairs, top)))
+
+    # Berkowitz: with H_r the leading r x r block, c its next column (also
+    # its next row, by symmetry) and h the new diagonal entry, the
+    # characteristic polynomial of H_{r+1} is the Toeplitz product of
+    # (1, -h, -c.c, -c.H_r c, ..., -c.H_r^{r-1} c) with that of H_r.
+    char = [const(1)]                   # highest degree first
+    minors = []
+    for r in range(p):
+        col = s[r:2 * r]
+        t = [const(1), _negated(s[2 * r])]
+        v = col
+        for k in range(r):
             if k:
-                term = truncate(mul(term, coeff_power(m, k)), L, mu)
-        total = add(total, scale(term, coeff))
-    return truncate(total, L, mu)
+                v = [_jet_dot(zip(s[a:a + r], v), top) for a in range(r)]
+            t.append(_negated(_jet_dot(zip(col, v), top)))
+        char = [_jet_dot(((t[k], char[i - k])
+                          for k in range(max(0, i - r), min(i, r + 1) + 1)), top)
+                for i in range(r + 2)]
+        m = r + 1
+        minors.append(char[-1] if m * (m + 1) // 2 % 2 == 0
+                      else _negated(char[-1]))
+    return minors[::-1]
 
 
 def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
     """The j with D_1 = ... = D_j = 0 and D_{j+1} != 0 (so p - j distinct
     roots); cross-checkable against gcd-based squarefree degree."""
-    for j in range(1, p + 1):
-        if evaluate_at_rationals(generalized_discriminant(p, j), coeffs):
-            return j - 1
+    if len(coeffs) != p:
+        raise DimensionMismatch(f"expected {p} coefficients")
+    for j, d in enumerate(_hankel_discriminants(coeffs, 0, 0)):
+        if d:
+            return j
     raise UndecidedAtPrecision("every discriminant vanished; impossible for D_p")
 
 
@@ -399,7 +459,9 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
             residue = c_d
         u_terms = {}
         for e, c in residue.terms.items():
-            assert e[i] >= p, "lift residue not divisible by the pivot power"
+            if e[i] < p:
+                raise InvariantViolation(
+                    "lift residue not divisible by the pivot power")
             shifted = list(e)
             shifted[i] -= p
             u_terms[tuple(shifted)] = c
@@ -471,32 +533,29 @@ class Tower:
     coordinate_changes: tuple       # (ambient_level, matrix) pairs
 
 
-def _first_nonvanishing(p: int, coeffs, n_vars: int, mu) -> tuple:
+def _first_nonvanishing(coeffs, n_vars: int, mu) -> tuple:
     """(j, value, certificates): minimal j with D_j not zero up to mu.
 
-    Numeric coefficient vectors of degree beyond the reduction cap fall
-    back to the gcd characterization (the first non-vanishing index is
-    deg gcd(f, f') + 1); the surviving value is then not produced.
+    The value is a rational for numeric coefficients (n_vars == 0) and a
+    series certified to mu under the standard form otherwise.
     """
-    certs = []
-    if n_vars == 0 and p > MAX_DISCRIMINANT_DEGREE:
-        j = squarefree_defect(coeffs, p) + 1
-        return j, None, ("exact-zero-via-gcd",) * (j - 1)
-    L = std_form(n_vars) if n_vars >= 1 else None
-    for j in range(1, p + 1):
-        red = generalized_discriminant(p, j)
-        if n_vars == 0:
-            val = evaluate_at_rationals(red, coeffs)
-            if val:
-                return j, val, tuple(certs)
-            certs.append("exact-zero")
-        else:
-            val = evaluate_at_series(red, coeffs, L, mu)
-            if not val.is_zero_up_to_prec:
-                return j, val, tuple(certs)
-            certs.append("exact-zero" if val.is_exact else "zero-up-to-mu")
+    # a series value is known only on the window, a number exactly
+    cert = "zero-up-to-mu" if n_vars else "exact-zero"
+    for j, d in enumerate(_hankel_discriminants(coeffs, n_vars, mu), start=1):
+        if d:
+            val = d[()] if n_vars == 0 else PrecisionSeries(
+                n_vars, d, Fraction(mu), std_form(n_vars))
+            return j, val, (cert,) * (j - 1)
     raise UndecidedAtPrecision(
         "every generalized discriminant vanished up to the working precision")
+
+
+def _embed_change(M, n: int) -> tuple:
+    """The k x k coordinate change M acting on the first k of n variables."""
+    k = len(M)
+    return tuple(tuple(M[r][c] if r < k and c < k else (1 if r == c else 0)
+                       for c in range(n))
+                 for r in range(n))
 
 
 def _ensure_regular(polys: list, i: int, mu, rng: random.Random,
@@ -508,11 +567,7 @@ def _ensure_regular(polys: list, i: int, mu, rng: random.Random,
            for f in polys):
         return None
     for _ in range(retries):
-        M = linalg.seeded_unimodular(rng, i + 1)
-        full = tuple(
-            tuple(M[r][c] if r <= i and c <= i else (1 if r == c else 0)
-                  for c in range(n))
-            for r in range(n))
+        full = _embed_change(linalg.seeded_unimodular(rng, i + 1), n)
         candidate = [substitute_linear(f, full) for f in polys]
         if all(regular_order(truncate(f, std_form(n), mu), i) is not None
                for f in candidate):
@@ -569,12 +624,11 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0,
     while True:
         p = regular_order(truncate(current, std_form(dim), mu), dim - 1)
         coeffs = coefficient_vector(current, dim - 1, p)
-        j, disc_val, certs = _first_nonvanishing(p, coeffs, dim - 1, mu)
+        j, disc_val, certs = _first_nonvanishing(coeffs, dim - 1, mu)
         if dim == 1:
             # discriminants of a univariate polynomial are constants
-            unit_const = None if disc_val is None else Fraction(disc_val)
             levels.append(TowerLevel(dim, False, current, p, j, certs,
-                                     None, unit_const))
+                                     None, disc_val))
             break
         const = disc_val.coefficient((0,) * (dim - 1))
         if const:
@@ -587,20 +641,10 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0,
         disc_val = polys[0]
         if M is not None:
             changes.append((dim - 1, M))
-            full = tuple(
-                tuple(M[r][c] if r < dim - 1 and c < dim - 1
-                      else (1 if r == c else 0) for c in range(dim))
-                for r in range(dim))
-            current = substitute_linear(current, full)
-            rebuilt = []
+            current = substitute_linear(current, _embed_change(M, dim))
             for lvl in levels:
-                ext = tuple(
-                    tuple(M[r][c] if r < dim - 1 and c < dim - 1
-                          else (1 if r == c else 0) for c in range(lvl.index))
-                    for r in range(lvl.index))
-                lvl.poly = substitute_linear(lvl.poly, ext)
-                rebuilt.append(lvl)
-            levels = rebuilt
+                lvl.poly = substitute_linear(lvl.poly,
+                                             _embed_change(M, lvl.index))
         P, u = weierstrass_prepare(disc_val, dim - 2, mu)
         levels.append(TowerLevel(dim, False, current, p, j, certs, u,
                                  u.coefficient((0,) * (dim - 1))))
@@ -662,8 +706,7 @@ def validate_tower(T: Tower) -> dict:
         unit_ok = True
         if coeffs is not None:
             try:
-                j, disc_val, certs = _first_nonvanishing(
-                    lvl.degree, coeffs, idx - 1, T.mu)
+                j, disc_val, certs = _first_nonvanishing(coeffs, idx - 1, T.mu)
                 cert_ok = (j == lvl.disc_index and len(certs) == j - 1)
                 below = levels.get(idx - 1)
                 if lvl.unit_below is not None and below is not None \
@@ -675,7 +718,7 @@ def validate_tower(T: Tower) -> dict:
                                                 std_form(idx - 1), window))
                 elif idx >= 2 and (below is None or below.is_one):
                     unit_ok = bool(lvl.unit_constant)
-            except (UndecidedAtPrecision, BudgetExceeded):
+            except UndecidedAtPrecision:
                 cert_ok = False
         entry["discriminant_certificates"] = cert_ok
         entry["unit_factorization"] = unit_ok

@@ -52,6 +52,10 @@ class UndecidedAtPrecision(LocalRingError):
     """A zero-test could not be decided within the certified window."""
 
 
+class InvariantViolation(LocalRingError):
+    """An internal invariant of an algorithm failed; this is a bug."""
+
+
 class BudgetExceeded(LocalRingError):
     """A retry or completion budget ran out before the computation settled."""
 

@@ -132,6 +132,9 @@ class _Parser:
             if self.peek()[:2] == ("op", "/"):
                 self.take("op", "/")
                 den = self.take("num")
+                if not int(den[1]):
+                    raise ParseError("zero denominator in a rational literal",
+                                     den[2])
                 value /= int(den[1])
             return monomial(self.n, (0,) * self.n, value)
         if tok[0] == "name":
@@ -239,7 +242,11 @@ def load_ideal_file(text: str) -> IdealFile:
             if len(set(var_names)) != len(var_names) or not var_names:
                 raise ParseError("variables must be distinct and nonempty", lineno)
         elif key == "prec":
-            mu = Fraction(value)
+            try:
+                mu = Fraction(value)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"prec is not a rational number: {value!r}",
+                                 lineno)
             if mu < 1:
                 raise ParseError("prec must be at least 1", lineno)
         elif key == "order":

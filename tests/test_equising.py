@@ -9,6 +9,7 @@ from localring import order as O
 from localring.errors import (
     BudgetExceeded,
     NotRegular,
+    PrecisionShortfall,
     PresentationError,
 )
 
@@ -48,6 +49,83 @@ class TestGeneralizedDiscriminant:
             assert E.distinct_root_count_check(coeffs, 3) == 2
 
 
+def _eval_reduction(red, coeffs, L, mu):
+    """Evaluate a symbolic reduction at series coefficients with kernel
+    products, truncating every product to the window (L, mu)."""
+    n = coeffs[0].n
+    total = K.zero(n)
+    for a_exp, c in red.expr.items():
+        term = K.monomial(n, (0,) * n, c)
+        for m, k in enumerate(a_exp):
+            for _ in range(k):
+                term = K.truncate(K.mul(term, coeffs[m]), L, mu)
+        total = K.add(total, term)
+    return K.truncate(total, L, mu)
+
+
+def _monic_with_roots(roots):
+    """(a_0, ..., a_{p-1}) of prod (X - r)^m over (r, m) pairs."""
+    coeffs = [F(1)]
+    for r, m in roots:
+        for _ in range(m):
+            coeffs = [F(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+    return tuple(coeffs[:-1])
+
+
+class TestHankelDiscriminants:
+    def test_equal_symbolic_reduction_on_rationals(self):
+        rng = random.Random(7)
+        for p in range(1, 6):
+            for _ in range(15):
+                vec = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p)]
+                hankel = E._hankel_discriminants(vec, 0, 0)
+                for j in range(1, p + 1):
+                    expected = E.evaluate_at_rationals(
+                        E.generalized_discriminant(p, j), vec)
+                    assert hankel[j - 1].get((), 0) == expected, (p, j, vec)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equal_symbolic_reduction_on_series(self, n):
+        from conftest import rand_poly
+        rng = random.Random(100 + n)
+        L = O.std_form(n)
+        for _ in range(12):
+            p = rng.randint(1, 5)
+            mu = rng.randint(3, 7)
+            coeffs = [K.truncate(rand_poly(rng, n, max_terms=4, max_exp=3,
+                                           min_order=1), L, mu)
+                      for _ in range(p)]
+            hankel = E._hankel_discriminants(coeffs, n, mu)
+            for j in range(1, p + 1):
+                expected = _eval_reduction(E.generalized_discriminant(p, j),
+                                           coeffs, L, mu)
+                assert hankel[j - 1] == expected.terms, (p, j, mu)
+
+    def test_shortfall_refused(self):
+        coarse = K.truncate(K.series(1, {(1,): 1, (4,): 2}), std1, 3)
+        with pytest.raises(PrecisionShortfall):
+            E._hankel_discriminants([coarse, coarse], 1, 5)
+
+    def test_first_nonvanishing_is_gcd_defect_plus_one(self):
+        rng = random.Random(11)
+        for _ in range(80):
+            p = rng.randint(1, 10)
+            roots, left = [], p
+            while left:
+                m = rng.randint(1, left)
+                r = F(rng.randint(-6, 6), rng.randint(1, 3))
+                if any(r == prev for prev, _ in roots):
+                    continue
+                roots.append((r, m))
+                left -= m
+            vec = _monic_with_roots(roots)
+            j, value, certs = E._first_nonvanishing(vec, 0, 0)
+            assert j == E.squarefree_defect(vec, p) + 1 == p - len(roots) + 1
+            assert value and certs == ("exact-zero",) * (j - 1)
+
+
 class TestDistinctRootCount:
     def test_double_root(self):
         assert E.distinct_root_count_check((1, -2), 2) == 1  # (X-1)^2
@@ -74,14 +152,7 @@ class TestDistinctRootCount:
                     continue
                 roots.append((r, m))
                 remaining -= m
-            coeffs = [F(1)]
-            for r, m in roots:
-                for _ in range(m):
-                    coeffs = [F(0)] + coeffs
-                    for i in range(len(coeffs) - 1):
-                        coeffs[i] -= r * coeffs[i + 1]
-            assert coeffs[-1] == 1
-            vec = tuple(coeffs[:-1])
+            vec = _monic_with_roots(roots)
             expected = p - len(roots)
             assert E.distinct_root_count_check(vec, p) == expected
             assert E.squarefree_defect(vec, p) == expected
@@ -198,14 +269,25 @@ class TestTower:
 
     def test_three_lines_bottom_degree_six(self):
         # three distinct lines: the bottom collision polynomial is x^6, past
-        # the symbolic reduction cap; the gcd fallback certifies j = 6
+        # the symbolic reduction cap; the Hankel minors certify j = 6 and
+        # give the surviving value D_6 = 6
         g1 = K.series(2, {(0, 1): 1, (1, 0): -1})   # y - x
         g2 = K.monomial(2, (1, 1))                   # xy
         T = E.build_tower([g1, g2], 8, seed=1)
         top, bottom = T.levels
         assert (top.degree, top.disc_index) == (3, 1)
         assert (bottom.degree, bottom.disc_index) == (6, 6)
-        assert bottom.vanish_certificates == ("exact-zero-via-gcd",) * 5
+        assert bottom.vanish_certificates == ("exact-zero",) * 5
+        assert bottom.unit_constant == 6
+        assert E.validate_tower(T)["all_pass"]
+
+    def test_surface_pair_beyond_the_symbolic_cap(self):
+        # x^2 + y^3 + z^3 and xyz: the top level has degree 5 in z and the
+        # discriminant levels below it degree 6
+        g1 = K.series(3, {(2, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1})
+        g2 = K.monomial(3, (1, 1, 1))
+        T = E.build_tower([g1, g2], 8, seed=0)
+        assert [lvl.degree for lvl in T.levels] == [5, 6, 6]
         assert E.validate_tower(T)["all_pass"]
 
     def test_vanish_certificates_recorded(self):

@@ -64,6 +64,11 @@ class TestParseExpression:
         with pytest.raises(ParseError):
             parse_expression("x y", NAMES, std3, 8)
 
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError) as err:
+            parse_expression("x + 3/0", NAMES, std3, 8)
+        assert err.value.pos == 6
+
 
 def test_print_parse_roundtrip_seeded():
     rng = random.Random(13)
@@ -115,6 +120,12 @@ class TestIdealFile:
         with pytest.raises(ParseError):
             load_ideal_file("vars: x\nprec: 0\ngen: x\n")
 
+    @pytest.mark.parametrize("prec", ["abc", "1/0"])
+    def test_prec_malformed(self, prec):
+        with pytest.raises(ParseError) as err:
+            load_ideal_file(f"vars: x\nprec: {prec}\ngen: x\n")
+        assert err.value.pos == 2
+
 
 @pytest.fixture
 def ideal_file(tmp_path):
@@ -154,6 +165,25 @@ class TestCli:
         code, rep = cli.run(["divide", "--file", str(path), "--dividend", "x"])
         assert code == 1
         assert rep["error"] == "parse"
+
+    @pytest.mark.parametrize("mu", ["abc", "1/0"])
+    def test_malformed_mu_is_usage_error(self, monomial_file, mu, capsys,
+                                         monkeypatch):
+        argv = ["hs", "--file", monomial_file, "--eta", "4", "--mu", mu]
+        code, rep = cli.run(argv)
+        assert code == 1
+        assert rep["error"] == "usage" and "--mu" in rep["detail"]
+        monkeypatch.setattr("sys.argv", ["localring"] + argv)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 1
+        assert json.loads(capsys.readouterr().out) == rep
+
+    def test_zero_denominator_is_parse_error(self, monomial_file):
+        code, rep = cli.run(["divide", "--file", monomial_file,
+                             "--dividend", "1/0"])
+        assert code == 1
+        assert rep["error"] == "parse" and rep["position"] == 2
 
     def test_unknown_command_is_usage_error(self):
         code, rep = cli.run(["frobnicate"])
@@ -232,6 +262,14 @@ class TestCli:
         assert rep["validation"]["all_pass"] is True
         degrees = [lvl["degree"] for lvl in rep["levels"]]
         assert degrees == [2, 3]
+
+    def test_tower_beyond_the_symbolic_cap(self, tmp_path):
+        path = tmp_path / "xyz.ideal"
+        path.write_text("vars: x y z\nprec: 8\n"
+                        "gen: x^2 + y^3 + z^3\ngen: x*y*z\n", encoding="utf-8")
+        code, rep = cli.run(["tower", "validate", "--file", str(path)])
+        assert code == 0
+        assert rep["validation"]["all_pass"] is True
 
     def test_reports_are_byte_reproducible(self, ideal_file):
         outs = set()
