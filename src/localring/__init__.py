@@ -60,7 +60,7 @@ from .order import (
     std_form,
     weighted_split_form,
 )
-from .division import COMPLEMENT, DivisionResult, RegionPartition, hironaka_divide, region_of
+from .division import COMPLEMENT, DivisionResult, RegionPartition, hironaka_divide
 from .stdbasis import CertifiedBasis, becker_check, complete, has_standard_representation, s_series
 from .diagram import (
     Diagram,

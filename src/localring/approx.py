@@ -32,6 +32,7 @@ from .kernel import (
     EXACT,
     IdealPresentation,
     PrecisionSeries,
+    _window,
     add,
     agrees_up_to,
     embed,
@@ -60,8 +61,7 @@ def jet(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
         raise FormMismatch("jet under a form the series is not certified for")
     if not prec_at_least(f.prec, mu):
         raise PrecisionShortfall(f"series certified to {f.prec}, asked jet {mu}")
-    return PrecisionSeries(f.n, {e: c for e, c in f.terms.items()
-                                 if lvalue(L, e) <= mu})
+    return PrecisionSeries(f.n, _window(f.terms, L, mu))
 
 
 def _builtin_jet(u: PrecisionSeries, L: LinearForm, mu, coeff_of_k) -> PrecisionSeries:
@@ -111,11 +111,12 @@ class PerturbationSpec:
         for d in deltas:
             if d.n != self.base.n:
                 raise PresentationError("delta dimension differs from base")
-            for e in d.terms:
-                if lvalue(self.form, e) <= self.mu:
-                    raise PrecisionShortfall(
-                        f"delta term {e} has L-value <= {self.mu}; "
-                        "the jet would change")
+            inside = _window(d.terms, self.form, self.mu)
+            if inside:
+                e = next(iter(inside))
+                raise PrecisionShortfall(
+                    f"delta term {e} has L-value <= {self.mu}; "
+                    "the jet would change")
         self.deltas = deltas
 
 

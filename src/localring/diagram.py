@@ -12,9 +12,11 @@ it.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -31,6 +33,7 @@ from .kernel import (
     EXACT,
     IdealPresentation,
     PrecisionSeries,
+    _window,
     evaluate_tail_zero,
     prec_at_least,
     reweight,
@@ -43,6 +46,7 @@ from .order import (
     is_standard,
     iter_sublevel,
     lvalue,
+    sort_key,
     std_form,
     weighted_split_form,
 )
@@ -61,8 +65,7 @@ class Diagram:
     def contains(self, beta: Exponent) -> bool:
         if len(beta) != self.n:
             raise DimensionMismatch(f"{beta} in dimension {self.n}")
-        return any(all(b >= v for b, v in zip(beta, vertex))
-                   for vertex in self.vertices)
+        return any(all(map(operator.ge, beta, vertex)) for vertex in self.vertices)
 
 
 @dataclass(frozen=True)
@@ -285,17 +288,15 @@ def axis_vertex_dimension(I: IdealPresentation, mu, trials: int = 5,
 class ExactRowReducer:
     """Incremental Gaussian elimination over Q with sparse dict rows.
 
-    Columns are exponents, ordered by (degree, reversed tuple); rows are
-    reduced against the stored pivots on insertion.  Monomial rows become
-    pivots in O(1) and immediately shorten later rows.
+    Columns are exponents in n variables, ordered by the standard order
+    (degree, reversed tuple); rows are reduced against the stored pivots on
+    insertion.  Monomial rows become pivots in O(1) and immediately shorten
+    later rows.
     """
 
-    def __init__(self):
+    def __init__(self, n: int):
         self.pivots: dict = {}
-
-    @staticmethod
-    def _col_key(e: Exponent):
-        return (sum(e), tuple(reversed(e)))
+        self._col_key = partial(sort_key, std_form(n))
 
     @property
     def rank(self) -> int:
@@ -357,11 +358,8 @@ def ideal_span_rows(gens: Sequence[PrecisionSeries], eta,
             continue
         o = min(lvalue(form, e) for e in g.terms)
         for gamma in iter_sublevel(form, eta - o):
-            row = {}
-            for e, c in g.terms.items():
-                s = tuple(x + y for x, y in zip(e, gamma))
-                if lvalue(form, s) <= eta:
-                    row[s] = c
+            row = _window({tuple(x + y for x, y in zip(e, gamma)): c
+                           for e, c in g.terms.items()}, form, eta)
             if row:
                 yield row
 
@@ -376,7 +374,7 @@ def oracle_jet_quotient_dim(I: IdealPresentation, eta: int) -> int:
     Independent oracle for the staircase-complement count: no division, no
     standard bases, just exact linear algebra over the monomial basis.
     """
-    reducer = ExactRowReducer()
+    reducer = ExactRowReducer(I.n)
     for row in ideal_span_rows(I.gens, eta):
         reducer.add(row)
     return jet_space_dim(I.n, eta) - reducer.rank
@@ -386,7 +384,7 @@ def oracle_sublevel_quotient_dim(I: IdealPresentation, L: LinearForm,
                                  eta) -> int:
     """The weighted analogue: dim of the span of {L <= eta} monomials modulo
     the ideal image, cross-checking complement counts under any form."""
-    reducer = ExactRowReducer()
+    reducer = ExactRowReducer(I.n)
     for row in ideal_span_rows(I.gens, eta, L):
         reducer.add(row)
     total = sum(1 for _ in iter_sublevel(L, eta))
@@ -429,7 +427,7 @@ def reduction_exponent(I: IdealPresentation, k: int, mu) -> ReductionReport:
         degrees.append(axes[j])
     d = sum(dj - 1 for dj in degrees)
     eta = d + 1
-    reducer = ExactRowReducer()
+    reducer = ExactRowReducer(I.n)
     reducer.add_monomials(tail_monomials(I.n, k, eta, d + 1, 1))
     for row in ideal_span_rows(I.gens, eta):
         reducer.add(row)
@@ -456,10 +454,10 @@ def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
     """
     if eta is None:
         eta = d + m + 1
-    lhs = ExactRowReducer()
+    lhs = ExactRowReducer(I.n)
     lhs.add_monomials(e for e in iter_sublevel(std_form(I.n), eta)
                       if sum(e) >= d + m)
-    rhs = ExactRowReducer()
+    rhs = ExactRowReducer(I.n)
     rhs.add_monomials(tail_monomials(I.n, k, eta, d + m, m))
     for row in ideal_span_rows(I.gens, eta):
         lhs.add(row)
@@ -472,7 +470,7 @@ def oracle_quotient_dim_mod_tail_power(I: IdealPresentation, k: int, m: int,
                                        eta: int) -> int:
     """dim of jet space / (I + (tail)^m) at order eta (stabilizes when the
     true quotient is finite-dimensional)."""
-    reducer = ExactRowReducer()
+    reducer = ExactRowReducer(I.n)
     reducer.add_monomials(tail_monomials(I.n, k, eta, 0, m))
     for row in ideal_span_rows(I.gens, eta):
         reducer.add(row)

@@ -13,11 +13,24 @@ unprocessed level exceeds the requested bound mu.
 
 Quotients and remainder are unique (the greedy routing is forced), and the
 listing order of the divisors is significant: the API never re-sorts it.
+
+The loop is fraction-free.  The running series is held as Python integers
+over one common denominator, and each divisor once as a primitive integer
+multiple with a positive integer head a.  Processing a term w (over the
+denominator) scales the running series by a / gcd(w, a) when that is not 1,
+then subtracts w / gcd(w, a) times the shifted integer tail.  Exponents are
+ordered by integer levels (see `order`), and a term above the window is
+dropped at once unless the division may still turn out exact.  Rationals
+are built only for what is emitted: one quotient coefficient per processed
+term and one coefficient per remainder term.  By uniqueness the results
+equal those of the plain rational loop.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,7 +42,7 @@ from .errors import (
     ZeroUpToPrecision,
 )
 from .kernel import EXACT, PrecisionSeries, prec_at_least
-from .order import Exponent, LinearForm, initial_term, lvalue, sort_key
+from .order import Exponent, LinearForm, initial_term, lvalue
 
 #: Region index returned for exponents outside every divisor cone.
 COMPLEMENT = None
@@ -45,14 +58,22 @@ class RegionPartition:
         for i, alpha in enumerate(self.alphas):
             if len(alpha) != len(beta):
                 raise DimensionMismatch(f"{beta} against head {alpha}")
-            if all(b >= a for b, a in zip(beta, alpha)):
+            if all(map(operator.ge, beta, alpha)):
                 return i
         return COMPLEMENT
 
 
-def region_of(partition: RegionPartition, beta: Exponent) -> Optional[int]:
-    """Index of the unique region containing beta, or COMPLEMENT."""
-    return partition.region_of(beta)
+def _integer_divisor(g: PrecisionSeries, alpha: Exponent, level) -> tuple:
+    """(level of the head, integer head a > 0, tail) for a primitive integer
+    multiple of g; the tail lists (level, exponent, integer coefficient) of
+    the non-head terms by increasing level."""
+    m = math.lcm(*(c.denominator for c in g.terms.values()))
+    ints = {e: c.numerator * (m // c.denominator) for e, c in g.terms.items()}
+    content = math.gcd(*ints.values())
+    if ints[alpha] < 0:
+        content = -content
+    tail = sorted((level(e), e, c // content) for e, c in ints.items() if e != alpha)
+    return level(alpha), ints[alpha] // content, tail
 
 
 @dataclass
@@ -98,48 +119,75 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
         heads.append(initial_term(L, g))
     partition = RegionPartition(tuple(alpha for alpha, _ in heads))
 
+    level, cap = L.level, L.level_cap(mu)
+    # A term above the window only ever feeds terms above it.  Such terms are
+    # kept only in an exact division, to tell whether anything is left over.
+    all_exact = F.prec is EXACT and all(g.prec is EXACT for g in divisors)
+    reducers: list = [None] * len(divisors)  # built on first use
+
+    # the working series is {e: work[e] / den} with integer work[e]
+    den = math.lcm(*(c.denominator for c in F.terms.values()))
     work: dict = {}
-    heap: list = []
-
-    def put(exp: Exponent, coeff: Fraction):
-        s = work.get(exp, Fraction(0)) + coeff
-        if s:
-            if exp not in work:
-                heapq.heappush(heap, (sort_key(L, exp), exp))
-            work[exp] = s
-        else:
-            work.pop(exp, None)
-
+    heap: list = []  # (sort_key(L, e), e) for the terms inside the window
     for e, c in F.terms.items():
-        put(e, c)
+        if not c:
+            continue
+        lev = level(e)
+        if lev <= cap:
+            heap.append(((lev,) + e[::-1], e))
+        elif not all_exact:
+            continue
+        work[e] = c.numerator * (den // c.denominator)
+    heapq.heapify(heap)
 
     quotients: list[dict] = [dict() for _ in divisors]
     remainder: dict = {}
-    all_exact = F.prec is EXACT and all(g.prec is EXACT for g in divisors)
     last_key = None
 
     while heap:
         key, beta = heapq.heappop(heap)
-        if beta not in work:
+        w = work.pop(beta, None)
+        if w is None:
             continue  # stale entry: the term cancelled meanwhile
-        if key[0] > mu:
-            break
         if last_key is not None and key <= last_key:
             raise InvariantViolation("division made no strict progress in the order")
         last_key = key
-        coeff = work.pop(beta)
         i = partition.region_of(beta)
         if i is COMPLEMENT:
-            remainder[beta] = coeff
+            remainder[beta] = Fraction(w, den)
             continue
         alpha, lead = heads[i]
-        shift = tuple(b - a for b, a in zip(beta, alpha))
-        q = coeff / lead
-        quotients[i][shift] = quotients[i].get(shift, Fraction(0)) + q
-        for e, c in divisors[i].terms.items():
-            if e == alpha:
-                continue  # the head term cancels the popped one exactly
-            put(tuple(x + y for x, y in zip(shift, e)), -q * c)
+        if reducers[i] is None:
+            reducers[i] = _integer_divisor(divisors[i], alpha, level)
+        alpha_level, a, tail = reducers[i]
+        shift = tuple(map(operator.sub, beta, alpha))
+        quotients[i][shift] = Fraction(w * lead.denominator, den * lead.numerator)
+        # subtract w / (den * a) times x^shift times the integer divisor,
+        # over the new denominator den * a / g
+        g = math.gcd(w, a)
+        if g != a:
+            factor = a // g
+            for e in work:
+                work[e] *= factor
+            den *= factor
+        w //= g
+        base = key[0] - alpha_level
+        for lev, e, c in tail:
+            lev += base
+            if lev > cap and not all_exact:
+                break  # the tail is sorted by level
+            t = tuple(map(operator.add, shift, e))
+            v = work.get(t)
+            if v is None:
+                work[t] = -w * c
+                if lev <= cap:
+                    heapq.heappush(heap, ((lev,) + t[::-1], t))
+            else:
+                v -= w * c
+                if v:
+                    work[t] = v
+                else:
+                    del work[t]
 
     leftovers = bool(work)
     exact = all_exact and not leftovers

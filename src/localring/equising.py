@@ -623,6 +623,10 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0,
     ones_from = None
     while True:
         p = regular_order(truncate(current, std_form(dim), mu), dim - 1)
+        if p is None:
+            raise PrecisionShortfall(
+                f"the level in {dim} variables has no pure power of its last "
+                f"variable on the window {mu}: its degree lies beyond the window")
         coeffs = coefficient_vector(current, dim - 1, p)
         j, disc_val, certs = _first_nonvanishing(coeffs, dim - 1, mu)
         if dim == 1:

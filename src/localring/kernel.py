@@ -61,6 +61,16 @@ def prec_at_least(p: Prec, mu) -> bool:
     return p is EXACT or p >= mu
 
 
+def _window(terms: Mapping, L: LinearForm, bound) -> dict:
+    """The terms with L <= bound, in their stored order."""
+    e = next(iter(terms), None)  # all exponents of a series have one length
+    if e is not None and len(e) != L.n:
+        raise DimensionMismatch(f"exponent {e} vs form on {L.n} variables")
+    cap = L.level_cap(bound)
+    level = L.level
+    return {e: c for e, c in terms.items() if level(e) <= cap}
+
+
 @dataclass(eq=True)
 class PrecisionSeries:
     """Sparse truncated power series with a certified precision bound.
@@ -145,9 +155,10 @@ def series(n: int, terms: Mapping, prec: Prec = EXACT,
         prec = Fraction(prec)
         if form is None:
             raise FormMismatch("a finite precision bound needs a linear form")
-        for e in clean:
-            if lvalue(form, e) > prec:
-                raise PrecisionShortfall(f"term {e} lies beyond the bound {prec}")
+        inside = _window(clean, form, prec)
+        if len(inside) < len(clean):
+            e = next(e for e in clean if e not in inside)
+            raise PrecisionShortfall(f"term {e} lies beyond the bound {prec}")
     return PrecisionSeries(n, clean, prec, form if prec is not EXACT else None)
 
 
@@ -190,7 +201,7 @@ def add(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
         else:
             out.pop(e, None)
     if prec is not EXACT:
-        out = {e: c for e, c in out.items() if lvalue(form, e) <= prec}
+        out = _window(out, form, prec)
     return PrecisionSeries(a.n, out, prec, form if prec is not EXACT else None)
 
 
@@ -220,12 +231,17 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
         if b.prec is not EXACT:
             bounds.append(b.prec + min_lvalue(form, a))
         prec = min(bounds)
+    if prec is not EXACT:
+        # a product term is in the window when level(e1) + level(e2) <= cap
+        cap, level = form.level_cap(prec), form.level
+        b_levels = {e2: level(e2) for e2 in b.terms}
     out: dict = {}
     for e1, c1 in a.terms.items():
+        room = None if prec is EXACT else cap - level(e1)
         for e2, c2 in b.terms.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            if prec is not EXACT and lvalue(form, e) > prec:
+            if room is not None and b_levels[e2] > room:
                 continue
+            e = tuple(x + y for x, y in zip(e1, e2))
             s = out.get(e, Fraction(0)) + c1 * c2
             if s:
                 out[e] = s
@@ -276,8 +292,7 @@ def truncate(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
             raise FormMismatch("cannot truncate across different forms")
         if f.prec < mu:
             raise PrecisionShortfall(f"certified to {f.prec}, asked {mu}")
-    out = {e: c for e, c in f.terms.items() if lvalue(L, e) <= mu}
-    return PrecisionSeries(f.n, out, mu, L)
+    return PrecisionSeries(f.n, _window(f.terms, L, mu), mu, L)
 
 
 def reweight(f: PrecisionSeries, new_form: LinearForm) -> PrecisionSeries:
@@ -293,8 +308,8 @@ def reweight(f: PrecisionSeries, new_form: LinearForm) -> PrecisionSeries:
         raise DimensionMismatch("form dimension differs from series dimension")
     c = min(nw / ow for nw, ow in zip(new_form.weights, f.form_ctx.weights))
     new_prec = c * f.prec
-    out = {e: v for e, v in f.terms.items() if lvalue(new_form, e) <= new_prec}
-    return PrecisionSeries(f.n, out, new_prec, new_form)
+    return PrecisionSeries(f.n, _window(f.terms, new_form, new_prec), new_prec,
+                           new_form)
 
 
 def embed(f: PrecisionSeries, n_new: int, var_map: tuple[int, ...],
@@ -411,9 +426,7 @@ def agrees_up_to(a: PrecisionSeries, b: PrecisionSeries, L: LinearForm, mu) -> b
             raise FormMismatch("window comparison under a foreign form")
         if not prec_at_least(f.prec, mu):
             raise PrecisionShortfall(f"operand certified to {f.prec}, asked {mu}")
-    ja = {e: c for e, c in a.terms.items() if lvalue(L, e) <= mu}
-    jb = {e: c for e, c in b.terms.items() if lvalue(L, e) <= mu}
-    return ja == jb
+    return _window(a.terms, L, mu) == _window(b.terms, L, mu)
 
 
 @dataclass(eq=True)

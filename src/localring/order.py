@@ -5,12 +5,22 @@ exponents are compared through the lexicographic order of the tuples
 (L(b), b_n, ..., b_1).  The tie-break reads coordinates from the last one
 down to the first; this is a frozen compatibility contract (axis-vertex
 diagnostics depend on it).
+
+Internally L-values are integer levels.  A form keeps the lcm `den` of its
+weight denominators and the integer weights w_j * den, so the level
+den * L(b) is a sum of machine-size integer products.  Levels order
+exponents exactly as L-values do (den > 0), and a window {L <= mu} is the
+set {level <= floor(mu * den)}.  `lvalue` still returns the rational
+L(b) = level / den; the hot loops compare levels and never build it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import DimensionMismatch, FormMismatch, ZeroUpToPrecision
@@ -23,7 +33,12 @@ Exponent = tuple[int, ...]
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Positive rational weight vector defining the order on exponents."""
+    """Positive rational weight vector defining the order on exponents.
+
+    `den` (the lcm of the weight denominators) and `int_weights` (the
+    weights times `den`) are plain attributes, not fields: equality, hash
+    and repr depend on `weights` alone.
+    """
 
     weights: tuple[Fraction, ...]
 
@@ -34,6 +49,18 @@ class LinearForm:
         if any(w <= 0 for w in ws):
             raise FormMismatch(f"weights must be strictly positive: {ws}")
         object.__setattr__(self, "weights", ws)
+        den = math.lcm(*(w.denominator for w in ws))
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "int_weights",
+                           tuple(w.numerator * (den // w.denominator) for w in ws))
+
+    def level(self, beta: Exponent) -> int:
+        """The integer den * L(beta); the caller checks the dimension."""
+        return sum(map(mul, self.int_weights, beta))
+
+    def level_cap(self, bound) -> int:
+        """The largest level inside the window {L <= bound}."""
+        return math.floor(Fraction(bound) * self.den)
 
     @property
     def n(self) -> int:
@@ -71,12 +98,12 @@ def is_isotropic(L: LinearForm) -> bool:
 def lvalue(L: LinearForm, beta: Exponent) -> Fraction:
     if len(beta) != L.n:
         raise DimensionMismatch(f"exponent {beta} vs form on {L.n} variables")
-    return sum((w * b for w, b in zip(L.weights, beta)), Fraction(0))
+    return Fraction(L.level(beta), L.den)
 
 
 def sort_key(L: LinearForm, beta: Exponent):
-    """Key realizing the total order: (L(b), b_n, ..., b_1)."""
-    return (lvalue(L, beta),) + tuple(reversed(beta))
+    """Key realizing the total order: (den * L(b), b_n, ..., b_1)."""
+    return (L.level(beta),) + tuple(reversed(beta))
 
 
 def compare(L: LinearForm, a: Exponent, b: Exponent) -> int:
@@ -102,7 +129,7 @@ def initial_exponent(L: LinearForm, f: "PrecisionSeries") -> Exponent:
         raise FormMismatch(f"series certified under {f.form_ctx}, asked under {L}")
     if not f.terms:
         raise ZeroUpToPrecision("no certified initial exponent for a zero series")
-    return min(f.terms, key=lambda e: sort_key(L, e))
+    return min(f.terms, key=partial(sort_key, L))
 
 
 def initial_term(L: LinearForm, f: "PrecisionSeries") -> tuple[Exponent, Fraction]:
@@ -117,7 +144,7 @@ def min_lvalue(L: LinearForm, f: "PrecisionSeries") -> Fraction:
     zero up to its bound it is the bound itself.
     """
     if f.terms:
-        return min(lvalue(L, e) for e in f.terms)
+        return Fraction(min(map(L.level, f.terms)), L.den)
     if f.prec is None:
         raise ZeroUpToPrecision("exact zero has no L-order")
     return f.prec
@@ -128,21 +155,20 @@ def iter_sublevel(L: LinearForm, eta) -> Iterator[Exponent]:
 
     Finite because every weight is positive.
     """
-    eta = Fraction(eta)
+    cap = L.level_cap(eta)
     n = L.n
 
-    def rec(i: int, budget: Fraction, prefix: tuple[int, ...]):
+    def rec(i: int, budget: int, prefix: tuple[int, ...]):
         if i == n:
             yield prefix
             return
-        w = L.weights[i]
-        top = int(budget / w)
-        for b in range(top + 1):
+        w = L.int_weights[i]
+        for b in range(budget // w + 1):
             yield from rec(i + 1, budget - w * b, prefix + (b,))
 
-    if eta < 0:
+    if cap < 0:
         return
-    yield from rec(0, eta, ())
+    yield from rec(0, cap, ())
 
 
 def parse_form(text: str, n: int) -> LinearForm:

@@ -46,6 +46,9 @@ _TOKEN = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*^/])")
 
 _BUILTINS = {"exp": exp_jet, "geom": geom_jet}
 
+#: deepest accepted nesting of parentheses (each level recurses in Python)
+MAX_NESTING = 100
+
 
 def _tokenize(src: str):
     tokens = []
@@ -73,6 +76,7 @@ class _Parser:
         self.src = src
         self.tokens = _tokenize(src)
         self.k = 0
+        self.depth = 0
         self.vars = {name: idx for idx, name in enumerate(var_names)}
         self.n = len(var_names)
         self.form = form
@@ -111,10 +115,12 @@ class _Parser:
         return acc
 
     def factor(self) -> PrecisionSeries:
-        if self.peek()[:2] == ("op", "-"):
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.take("op", "-")
-            return -self.factor()
-        return self.power()
+            negate = not negate
+        base = self.power()
+        return -base if negate else base
 
     def power(self) -> PrecisionSeries:
         base = self.atom()
@@ -142,9 +148,7 @@ class _Parser:
             if tok[1] in self.vars:
                 return variable(self.n, self.vars[tok[1]])
             if tok[1] in _BUILTINS:
-                self.take("op", "(")
-                arg = self.expr()
-                self.take("op", ")")
+                arg = self.parenthesized()
                 if arg.coefficient((0,) * self.n):
                     raise ParseError(
                         f"{tok[1]} needs an argument with zero constant term",
@@ -152,11 +156,19 @@ class _Parser:
                 return _BUILTINS[tok[1]](arg, self.form, self.mu)
             raise ParseError(f"unknown name {tok[1]!r}", tok[2])
         if tok[:2] == ("op", "("):
-            self.take("op", "(")
-            inner = self.expr()
-            self.take("op", ")")
-            return inner
+            return self.parenthesized()
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
+
+    def parenthesized(self) -> PrecisionSeries:
+        pos = self.take("op", "(")[2]
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"parentheses nested deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        inner = self.expr()
+        self.take("op", ")")
+        self.depth -= 1
+        return inner
 
 
 def parse_expression(src: str, var_names: Sequence[str], form: LinearForm,

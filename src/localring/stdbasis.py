@@ -163,15 +163,14 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     """
     mu = Fraction(mu)
     basis = list(I.gens)
-    _check_ready(basis, L, mu)
+    heads = _check_ready(basis, L, mu)
     steps = []
     queue: list = []
 
     def push_pairs(j: int):
-        hj, _ = initial_term(L, basis[j])
+        hj = heads[j]
         for i in range(j):
-            hi, _ = initial_term(L, basis[i])
-            lcm = tuple(max(a, b) for a, b in zip(hi, hj))
+            lcm = tuple(max(a, b) for a, b in zip(heads[i], hj))
             heapq.heappush(queue, (sort_key(L, lcm), i, j))
 
     for j in range(len(basis)):
@@ -180,9 +179,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     adjoined = 0
     while queue:
         _, i, j = heapq.heappop(queue)
-        hi, _ = initial_term(L, basis[i])
-        hj, _ = initial_term(L, basis[j])
-        if use_coprime_skip and heads_coprime(hi, hj):
+        if use_coprime_skip and heads_coprime(heads[i], heads[j]):
             continue
         s = s_series(basis[i], basis[j], L)
         if s.is_zero_up_to_prec:
@@ -199,6 +196,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
                                          completion_steps=tuple(steps))
             raise exc
         basis.append(_monic(division.remainder, L))
+        heads.append(initial_term(L, basis[-1])[0])
         steps.append(CompletionStep(i, j, s, division, len(basis) - 1,
                                     len(basis) - 1))
         push_pairs(len(basis) - 1)

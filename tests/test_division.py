@@ -17,15 +17,15 @@ std3 = O.std_form(3)
 class TestRegions:
     def test_translate_of_single_vertex(self):
         part = DIV.RegionPartition(((2, 0),))
-        assert DIV.region_of(part, (3, 1)) == 0
+        assert part.region_of((3, 1)) == 0
 
     def test_complement(self):
         part = DIV.RegionPartition(((2, 0), (0, 3)))
-        assert DIV.region_of(part, (1, 1)) is DIV.COMPLEMENT
+        assert part.region_of((1, 1)) is DIV.COMPLEMENT
 
     def test_first_region_wins(self):
         part = DIV.RegionPartition(((2, 0), (0, 3)))
-        assert DIV.region_of(part, (2, 3)) == 0
+        assert part.region_of((2, 3)) == 0
 
     def test_explicit_partition_of_small_box(self):
         # brute-force oracle: region by definition D_i = cone_i minus earlier

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from localring import kernel as K
 from localring import order as O
 from localring.errors import ParseError
 from localring.parser import (
+    MAX_NESTING,
     IdealFile,
     load_ideal_file,
     parse_expression,
@@ -19,6 +21,8 @@ std1 = O.std_form(1)
 std3 = O.std_form(3)
 
 NAMES = ("x", "y", "z")
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_ideals"
 
 
 class TestParseExpression:
@@ -63,6 +67,18 @@ class TestParseExpression:
     def test_trailing_junk(self):
         with pytest.raises(ParseError):
             parse_expression("x y", NAMES, std3, 8)
+
+    def test_nesting_cap(self):
+        deep = "(" * 1200 + "x" + ")" * 1200
+        with pytest.raises(ParseError) as err:
+            parse_expression(deep, NAMES, std3, 8)
+        assert err.value.pos == MAX_NESTING
+        ok = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_expression(ok, NAMES, std3, 8).terms == {(1, 0, 0): 1}
+
+    def test_long_unary_minus_chain(self):
+        f = parse_expression("-" * 1201 + "x", NAMES, std3, 8)
+        assert f.terms == {(1, 0, 0): -1}
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError) as err:
@@ -270,6 +286,28 @@ class TestCli:
         code, rep = cli.run(["tower", "validate", "--file", str(path)])
         assert code == 0
         assert rep["validation"]["all_pass"] is True
+
+    @pytest.mark.parametrize("action", ["build", "validate"])
+    def test_tower_beyond_the_window_is_refused(self, action, capsys,
+                                                monkeypatch):
+        # the product of the prepared generators has degree beyond prec 8
+        path = SAMPLES / "cm_family.ideal"
+        monkeypatch.setattr("sys.argv", ["localring", "tower", action,
+                                         "--file", str(path)])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "PrecisionShortfall"
+        assert "window 8" in rep["detail"]
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "deep.ideal"
+        path.write_text("vars: x y\nprec: 4\ngen: " + "(" * 1200 + "x"
+                        + ")" * 1200 + "\n", encoding="utf-8")
+        code, rep = cli.run(["hs", "--file", str(path), "--eta", "3"])
+        assert code == 1
+        assert rep["error"] == "parse" and rep["position"] == MAX_NESTING
 
     def test_reports_are_byte_reproducible(self, ideal_file):
         outs = set()
