@@ -63,13 +63,31 @@ def _load(path: str) -> IdealFile:
 
 
 def _mu(args, f: IdealFile) -> Fraction:
-    """The --mu override, or else the file's precision."""
+    """The --mu override, or else the file's precision; like the `prec:`
+    line, it must be at least 1."""
     if not args.mu:
         return f.mu
     try:
-        return Fraction(args.mu)
+        mu = Fraction(args.mu)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"argument --mu: invalid rational value: {args.mu!r}")
+    if mu < 1:
+        raise UsageError(f"argument --mu: must be at least 1: {args.mu!r}")
+    return mu
+
+
+def _trials(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"argument --trials: must be at least 1: {args.trials}")
+    return args.trials
+
+
+def _deltas(args, f: IdealFile, form, mu, count: int) -> tuple:
+    """The --delta series, parsed at window 2*mu and padded with zeros to
+    one per generator."""
+    deltas = tuple(parse_expression(src, f.var_names, form, 2 * mu)
+                   for src in args.delta or [])
+    return deltas + (PrecisionSeries(f.n, {}),) * (count - len(deltas))
 
 
 def _window(form, mu) -> dict:
@@ -207,7 +225,8 @@ def _cmd_dim(args) -> tuple[int, dict]:
     f = _load(args.file)
     mu = _mu(args, f)
     I = f.presentation(std_form(f.n), mu)
-    rep = diagram.axis_vertex_dimension(I, mu, trials=args.trials, seed=args.seed)
+    rep = diagram.axis_vertex_dimension(I, mu, trials=_trials(args),
+                                        seed=args.seed)
     return 0, {
         "command": "dim",
         "window": _window(std_form(f.n), mu),
@@ -243,10 +262,7 @@ def _cmd_perturb(args) -> tuple[int, dict]:
     mu = _mu(args, f)
     form = std_form(f.n)
     I = f.presentation(form, f.mu)
-    deltas = tuple(parse_expression(src, f.var_names, form, 2 * mu)
-                   for src in args.delta or [])
-    while len(deltas) < len(I.gens):
-        deltas = deltas + (PrecisionSeries(f.n, {}),)
+    deltas = _deltas(args, f, form, mu, len(I.gens))
     spec = approx.PerturbationSpec(I, mu, form, deltas)
     out = approx.perturb(spec)
     return 0, {
@@ -261,12 +277,9 @@ def _cmd_ci(args) -> tuple[int, dict]:
     mu = _mu(args, f)
     form = std_form(f.n)
     I = f.presentation(form, mu)
-    deltas = tuple(parse_expression(src, f.var_names, form, mu * 2)
-                   for src in args.delta or [])
-    while len(deltas) < len(I.gens):
-        deltas = deltas + (PrecisionSeries(f.n, {}),)
+    deltas = _deltas(args, f, form, mu, len(I.gens))
     rep = approx.ci_stability_experiment(I, mu, deltas, seed=args.seed,
-                                         trials=args.trials)
+                                         trials=_trials(args))
     rep["command"] = "ci-experiment"
     rep["window"] = _window(form, mu)
     code = 0 if rep.get("all_equal") else 2

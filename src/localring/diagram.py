@@ -16,7 +16,6 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations_with_replacement
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -46,8 +45,8 @@ from .order import (
     is_standard,
     iter_sublevel,
     lvalue,
-    sort_key,
     std_form,
+    std_key,
     weighted_split_form,
 )
 from .stdbasis import CertifiedBasis, complete
@@ -294,9 +293,8 @@ class ExactRowReducer:
     later rows.
     """
 
-    def __init__(self, n: int):
+    def __init__(self):
         self.pivots: dict = {}
-        self._col_key = partial(sort_key, std_form(n))
 
     @property
     def rank(self) -> int:
@@ -305,7 +303,7 @@ class ExactRowReducer:
     def reduce(self, row: dict) -> dict:
         row = {e: Fraction(c) for e, c in row.items() if c}
         while row:
-            col = min(row, key=self._col_key)
+            col = min(row, key=std_key)
             pivot = self.pivots.get(col)
             if pivot is None:
                 return row
@@ -323,7 +321,7 @@ class ExactRowReducer:
         row = self.reduce(row)
         if not row:
             return False
-        col = min(row, key=self._col_key)
+        col = min(row, key=std_key)
         lead = row[col]
         self.pivots[col] = {e: c / lead for e, c in row.items()}
         return True
@@ -374,7 +372,7 @@ def oracle_jet_quotient_dim(I: IdealPresentation, eta: int) -> int:
     Independent oracle for the staircase-complement count: no division, no
     standard bases, just exact linear algebra over the monomial basis.
     """
-    reducer = ExactRowReducer(I.n)
+    reducer = ExactRowReducer()
     for row in ideal_span_rows(I.gens, eta):
         reducer.add(row)
     return jet_space_dim(I.n, eta) - reducer.rank
@@ -384,7 +382,7 @@ def oracle_sublevel_quotient_dim(I: IdealPresentation, L: LinearForm,
                                  eta) -> int:
     """The weighted analogue: dim of the span of {L <= eta} monomials modulo
     the ideal image, cross-checking complement counts under any form."""
-    reducer = ExactRowReducer(I.n)
+    reducer = ExactRowReducer()
     for row in ideal_span_rows(I.gens, eta, L):
         reducer.add(row)
     total = sum(1 for _ in iter_sublevel(L, eta))
@@ -427,7 +425,7 @@ def reduction_exponent(I: IdealPresentation, k: int, mu) -> ReductionReport:
         degrees.append(axes[j])
     d = sum(dj - 1 for dj in degrees)
     eta = d + 1
-    reducer = ExactRowReducer(I.n)
+    reducer = ExactRowReducer()
     reducer.add_monomials(tail_monomials(I.n, k, eta, d + 1, 1))
     for row in ideal_span_rows(I.gens, eta):
         reducer.add(row)
@@ -454,10 +452,10 @@ def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
     """
     if eta is None:
         eta = d + m + 1
-    lhs = ExactRowReducer(I.n)
+    lhs = ExactRowReducer()
     lhs.add_monomials(e for e in iter_sublevel(std_form(I.n), eta)
                       if sum(e) >= d + m)
-    rhs = ExactRowReducer(I.n)
+    rhs = ExactRowReducer()
     rhs.add_monomials(tail_monomials(I.n, k, eta, d + m, m))
     for row in ideal_span_rows(I.gens, eta):
         lhs.add(row)
@@ -470,7 +468,7 @@ def oracle_quotient_dim_mod_tail_power(I: IdealPresentation, k: int, m: int,
                                        eta: int) -> int:
     """dim of jet space / (I + (tail)^m) at order eta (stabilizes when the
     true quotient is finite-dimensional)."""
-    reducer = ExactRowReducer(I.n)
+    reducer = ExactRowReducer()
     reducer.add_monomials(tail_monomials(I.n, k, eta, 0, m))
     for row in ideal_span_rows(I.gens, eta):
         reducer.add(row)

@@ -17,8 +17,15 @@ s_k = T_1^k + ... + T_p^k, Cauchy-Binet on the Vandermonde matrix gives
 a signed leading principal minor of one Hankel matrix.  The tower path
 evaluates every D_j this way: Newton's identities give the power sums from
 the coefficients, and one Berkowitz pass gives all the minors.  Both steps
-are division-free, so they run unchanged over rationals and over truncated
-power series, with no degree cap.
+are division-free, so they run on integers: scaling the roots by the lcm d
+of the coefficient denominators makes the coefficients integral and
+multiplies the m x m minor by d^(m(m-1)), which is divided out at the end.
+Numbers and truncated power series take the same route, with no degree cap.
+
+Weierstrass preparation lifts on plain jets {exponent: coefficient}
+truncated to the window.  Both it and the discriminants multiply jets with
+one degree-truncated product, `_jet_dot`; the kernel only checks the
+prepared identity u * P = f on the window.
 
 The classical leading-term reduction of D_j to a polynomial in the
 elementary symmetric values (`generalized_discriminant`) is kept as an
@@ -34,6 +41,7 @@ a surviving unit discriminant ends the tower with constant levels.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,15 +62,11 @@ from .errors import (
 from .kernel import (
     EXACT,
     PrecisionSeries,
-    add,
     agrees_up_to,
-    monomial,
     mul,
     prec_at_least,
-    series,
     substitute_linear,
     truncate,
-    zero,
 )
 from .order import is_standard, std_form
 
@@ -246,16 +250,42 @@ def evaluate_at_rationals(red: SymmetricReduction, coeffs: Sequence) -> Fraction
 
 def _jet_dot(pairs, top: int) -> dict:
     """Sum of the products a * b over pairs of jets {exponent: coefficient},
-    keeping only the terms of total degree <= top."""
+    keeping only the terms of total degree <= top.
+
+    The terms of each b are grouped by total degree in increasing order, so
+    the inner loop stops at the first degree beyond the room a term of a
+    leaves.
+    """
+    plus = operator.add
     out: dict = {}
     for a, b in pairs:
+        if not a or not b:
+            continue
+        by_degree: dict = {}
+        for e2, c2 in b.items():
+            by_degree.setdefault(sum(e2), {})[e2] = c2
+        groups = sorted(by_degree.items())
         for e1, c1 in a.items():
             room = top - sum(e1)
-            for e2, c2 in b.items():
-                if sum(e2) <= room:
-                    e = tuple(x + y for x, y in zip(e1, e2))
+            for degree, terms in groups:
+                if degree > room:
+                    break
+                for e2, c2 in terms.items():
+                    e = tuple(map(plus, e1, e2))
                     out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
+
+
+def _jet_sub(a: dict, b: dict) -> dict:
+    """a - b, dropping the coefficients that cancel."""
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) - c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
+    return out
 
 
 def _negated(jet: dict) -> dict:
@@ -265,7 +295,7 @@ def _negated(jet: dict) -> dict:
 def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     """D_1, ..., D_p at the monic coefficient vector (a_0, ..., a_{p-1}).
 
-    Each value is a jet {exponent: coefficient} in n_vars variables holding
+    Each value is a jet {exponent: Fraction} in n_vars variables holding
     the terms of total degree <= mu.  Numbers are jets in zero variables;
     series must certify at least mu under the standard form.  The power
     sums s_0..s_{2p-2} come from Newton's identities, and D_j is the signed
@@ -273,6 +303,16 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     Berkowitz pass yields the characteristic polynomials of all leading
     principal submatrices, whose constant terms are (-1)^m times the minors.
     Every sum of products is one truncated `_jet_dot`, and nothing divides.
+
+    The pass runs on integers by scaling the roots.  Let d be the lcm of
+    the denominators of every coefficient in the truncated jets.  Then
+    A_i = a_i * d^(p-i) are integer jets, and X^p + A_{p-1} X^{p-1} + ...
+    + A_0 = d^p f(X/d) is the monic polynomial whose roots are d*T_k.  Its
+    power sums are d^k s_k, so its Hankel entry (a, b) is d^(a+b) s_{a+b},
+    and its leading m x m minor is d^(0+1+...+(m-1)) twice over, that is
+    d^(m(m-1)), times the original one.  Scaling commutes with truncation
+    by degree, so each returned minor is the integer one divided by
+    d^(m(m-1)); that division is the only place a `Fraction` is built.
     """
     p = len(coeffs)
     if n_vars == 0:
@@ -282,13 +322,18 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         L = std_form(n_vars)
         jets = [truncate(c, L, mu).terms for c in coeffs]
         top = math.floor(mu)
+    d = math.lcm(*{c.denominator for jet in jets for c in jet.values()})
+    # A_i = (a_i * d) * d^(p-1-i): both factors are integers
+    jets = [{e: c.numerator * (d // c.denominator) * d ** (p - 1 - i)
+             for e, c in jet.items()}
+            for i, jet in enumerate(jets)]
     origin = (0,) * n_vars
 
     def const(k: int) -> dict:
-        return {origin: Fraction(k)} if k else {}
+        return {origin: k} if k else {}
 
     # Newton: s_k = -(c_1 s_{k-1} + ... + c_{k-1} s_1 + k c_k) with
-    # c_i = a_{p-i}, and c_i = 0 for i > p
+    # c_i = A_{p-i}, and c_i = 0 for i > p
     s = [const(p)]
     for k in range(1, 2 * p - 1):
         pairs = [(jets[p - i], s[k - i]) for i in range(1, min(k - 1, p) + 1)]
@@ -314,8 +359,8 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
                           for k in range(max(0, i - r), min(i, r + 1) + 1)), top)
                 for i in range(r + 2)]
         m = r + 1
-        minors.append(char[-1] if m * (m + 1) // 2 % 2 == 0
-                      else _negated(char[-1]))
+        scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
+        minors.append({e: Fraction(c, scale) for e, c in char[-1].items()})
     return minors[::-1]
 
 
@@ -406,6 +451,11 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     of f may differ below mu; no refinement stability is claimed, only the
     verified identity u * P = j(f) on the window.  Tower levels are defined
     from this computed data and re-validated on it.
+
+    The lifting works on jets {exponent: coefficient} of total degree
+    <= floor(mu), every product being one truncated `_jet_dot`.  Truncating
+    w^-1 * c_d to the window keeps P_d on the window: a term above it only
+    ever reached a truncated sum.  The final identity check uses the kernel.
     """
     mu = Fraction(mu)
     n = f.n
@@ -423,59 +473,46 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     parts = _split_by_codegree(ft, i)
     top = int(mu)
 
+    def axis(m: int) -> tuple:
+        e = [0] * n
+        e[i] = m
+        return tuple(e)
+
     w = {e[i] - p: c for e, c in parts.get(0, {}).items()}
-    w_inv = _univariate_inverse(w, top)
-
-    def axis_series(univ: dict) -> PrecisionSeries:
-        terms = {}
-        for m, c in univ.items():
-            if m <= top:
-                e = [0] * n
-                e[i] = m
-                terms[tuple(e)] = c
-        return series(n, terms)
-
-    u_parts = {0: axis_series(w)}
+    w_inv = {axis(m): c for m, c in _univariate_inverse(w, top).items()}
+    u_parts = {0: {axis(m): c for m, c in w.items()}}
     p_parts: dict = {}
-    x_pow_p = [0] * n
-    x_pow_p[i] = p
-    P = monomial(n, tuple(x_pow_p))
 
-    for d in sorted(k for k in range(1, top + 1)):
-        c_d = series(n, parts.get(d, {}))
-        correction = zero(n)
-        for a, ua in u_parts.items():
-            if 0 < a and (d - a) in p_parts:
-                correction = add(correction, mul(ua, p_parts[d - a]))
-        c_d = truncate(add(c_d, -correction), L, mu)
+    for d in range(1, top + 1):
+        correction = _jet_dot(((ua, p_parts[d - a]) for a, ua in u_parts.items()
+                               if 0 < a and (d - a) in p_parts), top)
+        c_d = _jet_sub(parts.get(d, {}), correction)
         # solve u_d * x_i^p + u_0 * P_d = c_d
-        scaled = mul(axis_series(w_inv), c_d)
-        pd_terms = {e: c for e, c in scaled.terms.items() if e[i] < p}
-        P_d = series(n, pd_terms) if pd_terms else None
-        if P_d is not None:
+        P_d = {e: c for e, c in _jet_dot([(w_inv, c_d)], top).items()
+               if e[i] < p}
+        if P_d:
             p_parts[d] = P_d
-            residue = truncate(add(c_d, -mul(u_parts[0], P_d)), L, mu)
-        else:
-            residue = c_d
-        u_terms = {}
-        for e, c in residue.terms.items():
+        residue = _jet_sub(c_d, _jet_dot([(u_parts[0], P_d)], top))
+        u_d = {}
+        for e, c in residue.items():
             if e[i] < p:
                 raise InvariantViolation(
                     "lift residue not divisible by the pivot power")
             shifted = list(e)
             shifted[i] -= p
-            u_terms[tuple(shifted)] = c
-        if u_terms:
-            u_parts[d] = series(n, u_terms)
+            u_d[tuple(shifted)] = c
+        if u_d:
+            u_parts[d] = u_d
 
-    P_total = P
-    for d, pd in sorted(p_parts.items()):
-        P_total = add(P_total, pd)
-    u_total = zero(n)
-    for d, ud in sorted(u_parts.items()):
-        u_total = add(u_total, ud)
-    P_out = truncate(P_total, L, mu)
-    u_out = truncate(u_total, L, mu)
+    # the parts have pairwise distinct codegrees, so their supports are disjoint
+    P_terms = {axis(p): Fraction(1)}
+    for pd in p_parts.values():
+        P_terms.update(pd)
+    u_terms = {}
+    for ud in u_parts.values():
+        u_terms.update(ud)
+    P_out = PrecisionSeries(n, P_terms, mu, L)
+    u_out = PrecisionSeries(n, u_terms, mu, L)
     check = mul(u_out, P_out)
     window = min(mu, check.prec) if check.prec is not EXACT else mu
     if not agrees_up_to(check, ft, L, window):
@@ -504,10 +541,13 @@ def coefficient_vector(f: PrecisionSeries, i: int, p: int):
         if m >= p:
             raise PresentationError("terms above the distinguished degree")
         slots[m][e[:i]] = c
+    # tuple() of a list: of a generator it would build a 10-slot tuple and
+    # shrink it, and the shrunk tuples pile up in the interpreter's tuple
+    # free lists of every size p
     if n == 1:
-        return tuple(s.get((), Fraction(0)) for s in slots)
+        return tuple([s.get((), Fraction(0)) for s in slots])
     form = f.form_ctx.restrict(n - 1) if f.form_ctx is not None else None
-    return tuple(PrecisionSeries(n - 1, s, f.prec, form) for s in slots)
+    return tuple([PrecisionSeries(n - 1, s, f.prec, form) for s in slots])
 
 
 @dataclass

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Optional
 
 from . import linalg
@@ -40,7 +41,15 @@ from .errors import (
     SingularMatrix,
     ZeroUpToPrecision,
 )
-from .order import Exponent, LinearForm, is_isotropic, lvalue, min_lvalue, sort_key
+from .order import (
+    Exponent,
+    LinearForm,
+    is_isotropic,
+    lvalue,
+    min_lvalue,
+    sort_key,
+    std_key,
+)
 
 #: Sentinel precision of an honest polynomial.  Internally it is `None`;
 #: use `f.prec is EXACT` to test for it.
@@ -108,10 +117,8 @@ class PrecisionSeries:
         return self.terms.get(tuple(exp), Fraction(0))
 
     def sorted_terms(self, L: Optional[LinearForm] = None):
-        if L is None:
-            key = lambda e: (sum(e), tuple(reversed(e)))
-        else:
-            key = lambda e: sort_key(L, e)
+        """The terms in the order of L, by default the standard order."""
+        key = std_key if L is None else partial(sort_key, L)
         return [(e, self.terms[e]) for e in sorted(self.terms, key=key)]
 
     def __neg__(self):

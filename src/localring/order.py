@@ -106,6 +106,15 @@ def sort_key(L: LinearForm, beta: Exponent):
     return (L.level(beta),) + tuple(reversed(beta))
 
 
+def std_key(beta: Exponent):
+    """The key of the standard order, (|b|, b_n, ..., b_1).
+
+    It equals `sort_key(std_form(n), b)` and also serves exponents in zero
+    variables, for which there is no form.
+    """
+    return (sum(beta),) + tuple(reversed(beta))
+
+
 def compare(L: LinearForm, a: Exponent, b: Exponent) -> int:
     """-1, 0 or +1 as a is below, equal to or above b in the order."""
     if len(a) != len(b):

@@ -23,6 +23,7 @@ Ideal files are line-based and diff-friendly:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,14 @@ _BUILTINS = {"exp": exp_jet, "geom": geom_jet}
 
 #: deepest accepted nesting of parentheses (each level recurses in Python)
 MAX_NESTING = 100
+
+#: budget of a power f^k, checked before it is expanded: a bound on the
+#: number of terms of f^k times the bits of its largest coefficient.  If f
+#: has t terms whose coefficients take at most b bits (numerator and
+#: denominator), f^k has at most C(k + t - 1, t - 1) terms, one per
+#: multiset of k terms of f, and coefficients of at most k * (b + bits(t))
+#: bits.
+MAX_POWER_BITS = 100_000
 
 
 def _tokenize(src: str):
@@ -122,26 +131,41 @@ class _Parser:
         base = self.power()
         return -base if negate else base
 
+    def number(self) -> int:
+        tok = self.take("num")
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError("integer literal too long", tok[2])
+
     def power(self) -> PrecisionSeries:
         base = self.atom()
         if self.peek()[:2] == ("op", "^"):
-            self.take("op", "^")
-            tok = self.take("num")
-            return power(base, int(tok[1]))
+            pos = self.take("op", "^")[2]
+            k = self.number()
+            t = max(len(base.terms), 1)
+            b = max((c.numerator.bit_length() + c.denominator.bit_length()
+                     for c in base.terms.values()), default=0)
+            size = math.comb(k + t - 1, t - 1) * k * (b + t.bit_length())
+            if size > MAX_POWER_BITS:
+                raise ParseError(
+                    f"a power of a {t}-term base beyond the expansion "
+                    f"budget of {MAX_POWER_BITS} bits", pos)
+            return power(base, k)
         return base
 
     def atom(self) -> PrecisionSeries:
         tok = self.peek()
         if tok[0] == "num":
-            self.take("num")
-            value = Fraction(int(tok[1]))
+            value = Fraction(self.number())
             if self.peek()[:2] == ("op", "/"):
                 self.take("op", "/")
-                den = self.take("num")
-                if not int(den[1]):
+                pos = self.peek()[2]
+                den = self.number()
+                if not den:
                     raise ParseError("zero denominator in a rational literal",
-                                     den[2])
-                value /= int(den[1])
+                                     pos)
+                value /= den
             return monomial(self.n, (0,) * self.n, value)
         if tok[0] == "name":
             self.take("name")

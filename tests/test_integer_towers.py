@@ -1,0 +1,246 @@
+"""Differential tests for the fraction-free tower path.
+
+`_hankel_discriminants` scales the roots by the lcm d of the coefficient
+denominators and runs Newton and Berkowitz on integers; it is compared
+with the symbolic oracle `generalized_discriminant`, evaluated with
+`Fraction` arithmetic or with kernel products of series.
+`weierstrass_prepare` lifts on raw jets; it is compared with a copy of the
+kernel-based lifting it replaced, kept here as the reference.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from localring import equising as E
+from localring import kernel as K
+from localring import order as O
+from localring.errors import InvariantViolation, NotRegular
+
+#: mixed denominators, so that d is a genuine lcm
+COEFFS = [F(7, 12), F(-5, 9), F(1, 2), F(-2, 3), F(3, 4), F(5, 6), F(-1, 8),
+          F(9, 10), F(1), F(-1), F(2), F(-3)]
+
+coefficient = st.sampled_from(COEFFS)
+
+
+def _is_fraction_jet(jet) -> bool:
+    return all(type(c) is F and c for c in jet.values())
+
+
+def _eval_reduction(red, coeffs, L, mu):
+    """Evaluate a symbolic reduction at series coefficients with kernel
+    products, truncating every product to the window (L, mu)."""
+    n = coeffs[0].n
+    total = K.zero(n)
+    for a_exp, c in red.expr.items():
+        term = K.monomial(n, (0,) * n, c)
+        for m, k in enumerate(a_exp):
+            for _ in range(k):
+                term = K.truncate(K.mul(term, coeffs[m]), L, mu)
+        total = K.add(total, term)
+    return K.truncate(total, L, mu)
+
+
+def _check_numbers(vec):
+    p = len(vec)
+    hankel = E._hankel_discriminants(vec, 0, 0)
+    assert len(hankel) == p
+    for j, jet in enumerate(hankel, start=1):
+        want = E.evaluate_at_rationals(E.generalized_discriminant(p, j), vec)
+        assert jet == ({(): want} if want else {})
+        assert _is_fraction_jet(jet)
+
+
+def _check_series(coeffs, mu):
+    n = coeffs[0].n
+    L = O.std_form(n)
+    hankel = E._hankel_discriminants(coeffs, n, mu)
+    for j, jet in enumerate(hankel, start=1):
+        want = _eval_reduction(E.generalized_discriminant(len(coeffs), j),
+                               coeffs, L, mu)
+        assert jet == want.terms
+        assert _is_fraction_jet(jet)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda p: st.lists(coefficient | st.just(F(0)), min_size=p, max_size=p)))
+def test_numbers_match_the_symbolic_oracle(vec):
+    _check_numbers(vec)
+
+
+@st.composite
+def series_vectors(draw):
+    """(coefficient series a_0..a_{p-1}, mu): p <= 5 in 1..3 variables,
+    exact polynomials or jets certified to a bound >= mu."""
+    n = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 5 if n == 1 else 4))
+    mu = draw(st.integers(1, 4 if n < 3 else 3))
+    L = O.std_form(n)
+    degree = st.integers(0, mu)
+    coeffs = []
+    for _ in range(p):
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            e = tuple(draw(st.integers(0, mu)) for _ in range(n))
+            if sum(e) <= mu:
+                terms[e] = draw(coefficient)
+        if draw(st.booleans()):
+            coeffs.append(K.series(n, terms))
+        else:
+            bound = mu + draw(degree)
+            coeffs.append(K.series(n, terms, prec=bound, form=L))
+    return coeffs, mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_vectors())
+def test_series_match_the_symbolic_oracle(case):
+    _check_series(*case)
+
+
+def test_large_denominators_seeded():
+    rng = random.Random(2024)
+    primes = [10 ** 12 + 39, 10 ** 9 + 7, 998244353, 2 ** 61 - 1]
+    for _ in range(12):
+        p = rng.randint(2, 5)
+        vec = [F(rng.randint(-10 ** 6, 10 ** 6), rng.choice(primes))
+               for _ in range(p)]
+        _check_numbers(vec)
+    L = O.std_form(1)
+    for _ in range(4):
+        p = rng.randint(2, 4)
+        coeffs = [K.series(1, {(k,): F(rng.randint(-99, 99), rng.choice(primes))
+                               for k in range(rng.randint(0, 3))},
+                           prec=4, form=L)
+                  for _ in range(p)]
+        _check_series(coeffs, 4)
+
+
+def test_repeated_roots_with_denominators():
+    # (X - 7/12)^2 (X + 5/9)^3: two distinct roots, D_1..D_3 vanish
+    coeffs = [F(1)]
+    for r, m in ((F(7, 12), 2), (F(-5, 9), 3)):
+        for _ in range(m):
+            coeffs = [F(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+    vec = coeffs[:-1]
+    assert E.distinct_root_count_check(vec, 5) == 3
+    _check_numbers(vec)
+
+
+# -- Weierstrass preparation against the kernel-based lifting ------------------
+
+def reference_prepare(f, i, mu):
+    """The kernel-based lifting that `weierstrass_prepare` replaced: every
+    step is kernel `mul`, `add`, `series` and `truncate` on series."""
+    mu = F(mu)
+    n = f.n
+    L = O.std_form(n)
+    ft = K.truncate(f, L, mu)
+    p = E.regular_order(ft, i)
+    if p is None or p > mu:
+        raise NotRegular("not regular")
+    parts = E._split_by_codegree(ft, i)
+    top = int(mu)
+    w = {e[i] - p: c for e, c in parts.get(0, {}).items()}
+    w_inv = E._univariate_inverse(w, top)
+
+    def axis_series(univ):
+        terms = {}
+        for m, c in univ.items():
+            if m <= top:
+                e = [0] * n
+                e[i] = m
+                terms[tuple(e)] = c
+        return K.series(n, terms)
+
+    u_parts = {0: axis_series(w)}
+    p_parts = {}
+    x_pow_p = [0] * n
+    x_pow_p[i] = p
+    P = K.monomial(n, tuple(x_pow_p))
+    for d in range(1, top + 1):
+        c_d = K.series(n, parts.get(d, {}))
+        correction = K.zero(n)
+        for a, ua in u_parts.items():
+            if 0 < a and (d - a) in p_parts:
+                correction = K.add(correction, K.mul(ua, p_parts[d - a]))
+        c_d = K.truncate(K.add(c_d, -correction), L, mu)
+        scaled = K.mul(axis_series(w_inv), c_d)
+        pd_terms = {e: c for e, c in scaled.terms.items() if e[i] < p}
+        P_d = K.series(n, pd_terms) if pd_terms else None
+        if P_d is not None:
+            p_parts[d] = P_d
+            residue = K.truncate(K.add(c_d, -K.mul(u_parts[0], P_d)), L, mu)
+        else:
+            residue = c_d
+        u_terms = {}
+        for e, c in residue.terms.items():
+            if e[i] < p:
+                raise InvariantViolation("residue not divisible")
+            shifted = list(e)
+            shifted[i] -= p
+            u_terms[tuple(shifted)] = c
+        if u_terms:
+            u_parts[d] = K.series(n, u_terms)
+    P_total = P
+    for d, pd in sorted(p_parts.items()):
+        P_total = K.add(P_total, pd)
+    u_total = K.zero(n)
+    for d, ud in sorted(u_parts.items()):
+        u_total = K.add(u_total, ud)
+    return K.truncate(P_total, L, mu), K.truncate(u_total, L, mu)
+
+
+@st.composite
+def unit_times_branch(draw):
+    """(f, mu): a unit with a rational constant times a branch whose lowest
+    pure power of the last variable is x_n^a, a <= mu, in n = 1..3."""
+    n = draw(st.integers(1, 3))
+    mu = draw(st.integers(2, 7 if n < 3 else 5))
+    a = draw(st.integers(1, min(mu, 4)))
+    i = n - 1
+
+    def exponent():
+        return tuple(draw(st.integers(0, 3)) for _ in range(n))
+
+    unit = {(0,) * n: draw(coefficient)}
+    for _ in range(draw(st.integers(0, 3))):
+        e = exponent()
+        if any(e):
+            unit[e] = draw(coefficient)
+    branch = {(0,) * i + (a,): draw(coefficient)}
+    for _ in range(draw(st.integers(0, 4))):
+        e = exponent()
+        if any(e[:i]) or e[i] > a:
+            branch[e] = draw(coefficient)
+    f = K.mul(K.series(n, unit), K.series(n, branch))
+    if draw(st.booleans()):
+        f = K.truncate(f, O.std_form(n), mu + draw(st.integers(0, 2)))
+    return f, mu
+
+
+@settings(max_examples=120, deadline=None)
+@given(unit_times_branch())
+# (1 + y)(y^2 + x^3) at mu 3: w^-1 * c_3 has the term -x^3*y above the window
+@example((K.mul(K.series(2, {(0, 0): 1, (0, 1): 1}),
+                K.series(2, {(0, 2): 1, (3, 0): 1})), 3))
+def test_prepare_matches_the_kernel_lifting(case):
+    f, mu = case
+    i = f.n - 1
+    P, u = E.weierstrass_prepare(f, i, mu)
+    P_ref, u_ref = reference_prepare(f, i, mu)
+    assert P == P_ref and u == u_ref
+    assert all(type(c) is F for c in (*P.terms.values(), *u.terms.values()))
+
+
+def test_prepare_refuses_what_the_reference_refuses():
+    for prepare in (E.weierstrass_prepare, reference_prepare):
+        with pytest.raises(NotRegular):
+            prepare(K.monomial(2, (1, 1)), 1, 6)

@@ -121,3 +121,18 @@ def test_parse_form_round_trips():
     assert O.form_label(O.weighted_split_form(3, 2, 7)) == "w:1,1,7"
     with pytest.raises(FormMismatch):
         O.parse_form("w:1,1", 3)
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(*[st.integers(0, 6)] * n)))
+def test_std_key_is_the_standard_sort_key(e):
+    assert O.std_key(e) == O.sort_key(O.std_form(len(e)), e)
+
+
+def test_sorted_terms_in_zero_and_more_variables():
+    assert O.std_key(()) == (0,)
+    assert K.series(0, {(): 3}).sorted_terms() == [((), 3)]
+    f = K.series(2, {(0, 2): 1, (1, 1): 2, (2, 0): 3, (1, 0): 4})
+    assert [e for e, _ in f.sorted_terms()] == [(1, 0), (2, 0), (1, 1), (0, 2)]
+    assert f.sorted_terms() == f.sorted_terms(std2)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 from fractions import Fraction as F
 
@@ -84,6 +85,26 @@ class TestParseExpression:
         with pytest.raises(ParseError) as err:
             parse_expression("x + 3/0", NAMES, std3, 8)
         assert err.value.pos == 6
+
+    def test_power_budget(self):
+        # (x+y)^k has k + 1 terms, (x+y+z)^k has C(k+2, 2)
+        assert len(parse_expression("(x+y)^100", NAMES, std3, 8).terms) == 101
+        assert len(parse_expression("(x+y+z)^9", NAMES, std3, 8).terms) == 55
+        for src, caret in (("y + (x+y)^5000", 9), ("(x+y+z)^44", 7),
+                           ("((2*x)^1000)^1000", 12), ("x^" + "9" * 40, 1)):
+            with pytest.raises(ParseError) as err:
+                parse_expression(src, NAMES, std3, 8)
+            assert err.value.pos == caret and "budget" in str(err.value)
+
+    def test_power_of_a_monomial_is_one_term(self):
+        f = parse_expression("(2*x)^300 + y^5000", NAMES, std3, 8)
+        assert f.terms == {(300, 0, 0): 2 ** 300, (0, 5000, 0): 1}
+
+    def test_overlong_literal(self):
+        for src in ("7" * 5000 + "*x", "x^" + "9" * 5000, "1/" + "3" * 5000):
+            with pytest.raises(ParseError) as err:
+                parse_expression(src, NAMES, std3, 8)
+            assert "too long" in str(err.value)
 
 
 def test_print_parse_roundtrip_seeded():
@@ -194,6 +215,32 @@ class TestCli:
             cli.main()
         assert exit_.value.code == 1
         assert json.loads(capsys.readouterr().out) == rep
+
+    @pytest.mark.parametrize("mu", ["0", "-2", "1/2"])
+    def test_mu_below_one_is_usage_error(self, monomial_file, mu):
+        for argv in (["hs", "--file", monomial_file, "--eta", "4"],
+                     ["tower", "validate", "--file", monomial_file]):
+            code, rep = cli.run(argv + ["--mu", mu])
+            assert code == 1
+            assert rep["error"] == "usage" and "at least 1" in rep["detail"]
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, monomial_file, trials):
+        for argv in (["dim", "--file", monomial_file],
+                     ["ci-experiment", "--file", monomial_file, "--mu", "6"]):
+            code, rep = cli.run(argv + ["--trials", trials])
+            assert code == 1
+            assert rep["error"] == "usage" and "--trials" in rep["detail"]
+
+    def test_power_beyond_the_budget_is_a_fast_parse_error(self, tmp_path):
+        path = tmp_path / "power.ideal"
+        path.write_text("vars: x y\nprec: 6\ngen: (x+y)^5000 + y^2\n",
+                        encoding="utf-8")
+        start = time.perf_counter()
+        code, rep = cli.run(["hs", "--file", str(path), "--eta", "3"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert rep["error"] == "parse" and rep["position"] == 5
 
     def test_zero_denominator_is_parse_error(self, monomial_file):
         code, rep = cli.run(["divide", "--file", monomial_file,
