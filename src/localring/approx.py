@@ -10,11 +10,14 @@ never hard-coded.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from .diagram import (
+    _axis_degrees,
     axis_vertex_dimension,
     diagram_of,
     flatness_weight_search,
@@ -40,6 +43,7 @@ from .kernel import (
     mul,
     one,
     prec_at_least,
+    prec_min,
     reweight,
     scale,
     substitute_linear,
@@ -138,30 +142,15 @@ def _base_staircase_threshold(base_vertices: tuple) -> Optional[int]:
     staircase (None when the complement is infinite)."""
     if not base_vertices:
         return None
+    caps = _axis_degrees(base_vertices)
     k = len(base_vertices[0])
-    axis_caps = {}
-    for v in base_vertices:
-        nz = [i for i, b in enumerate(v) if b]
-        if len(nz) == 1:
-            axis_caps[nz[0]] = v[nz[0]]
-    if set(axis_caps) != set(range(k)):
+    if len(caps) != k:
         return None
-    best = 0
-
-    def outside(beta):
-        return not any(all(b >= x for b, x in zip(beta, v)) for v in base_vertices)
-
-    def rec(i, prefix):
-        nonlocal best
-        if i == k:
-            if outside(prefix):
-                best = max(best, sum(prefix))
-            return
-        for b in range(axis_caps[i]):
-            rec(i + 1, prefix + (b,))
-
-    rec(0, ())
-    return best
+    # every complement point lies in the box below the axis vertices
+    box = product(*(range(caps[i]) for i in range(k)))
+    return max((sum(beta) for beta in box
+                if not any(all(map(operator.ge, beta, v)) for v in base_vertices)),
+               default=0)
 
 
 def ci_stability_experiment(I: IdealPresentation, mu,
@@ -348,7 +337,7 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
         else:
             h3 = embed(truncate(h, LinearForm((Fraction(1),)), W), 3, (2,), std3)
         expected = mul(monomial(3, (2, 2, mu - 2)), h3)
-    window = min_window(S, W)
+    window = prec_min(S.prec, Fraction(W))
     identity_ok = agrees_up_to(S, expected, std3, window)
     claims["s_series_identity"] = {
         "pass": identity_ok,
@@ -380,7 +369,3 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
         "claims": claims,
         "all_pass": all(c["pass"] for c in claims.values()),
     }
-
-
-def min_window(S: PrecisionSeries, fallback) -> Fraction:
-    return Fraction(fallback) if S.prec is EXACT else min(S.prec, Fraction(fallback))

@@ -239,10 +239,10 @@ class DimensionReport:
     per_trial: tuple
 
 
-def _axis_degrees(D: Diagram) -> dict:
+def _axis_degrees(vertices: tuple) -> dict:
     """axis index -> degree of its axis vertex, for vertices on axes."""
     out = {}
-    for v in D.vertices:
+    for v in vertices:
         nz = [i for i, b in enumerate(v) if b]
         if len(nz) == 1:
             out[nz[0]] = v[nz[0]]
@@ -269,7 +269,7 @@ def axis_vertex_dimension(I: IdealPresentation, mu, trials: int = 5,
         M = linalg.identity_matrix(n) if t == 0 else linalg.seeded_unimodular(rng, n)
         gens_t = tuple(substitute_linear(g, M) for g in I.gens)
         basis = complete(IdealPresentation(n, gens_t, I.var_names), std_form(n), mu)
-        axes = _axis_degrees(diagram_of(basis))
+        axes = _axis_degrees(diagram_of(basis).vertices)
         k = 0
         while k < n and k in axes:
             k += 1
@@ -362,6 +362,17 @@ def ideal_span_rows(gens: Sequence[PrecisionSeries], eta,
                 yield row
 
 
+def _span(gens: Sequence[PrecisionSeries], eta, L: Optional[LinearForm] = None,
+          monomials: Iterable[Exponent] = ()) -> ExactRowReducer:
+    """A reducer holding the given monomials and the ideal image rows of
+    `ideal_span_rows(gens, eta, L)`."""
+    reducer = ExactRowReducer()
+    reducer.add_monomials(monomials)
+    for row in ideal_span_rows(gens, eta, L):
+        reducer.add(row)
+    return reducer
+
+
 def jet_space_dim(n: int, eta: int) -> int:
     return math.comb(n + eta, n)
 
@@ -372,21 +383,15 @@ def oracle_jet_quotient_dim(I: IdealPresentation, eta: int) -> int:
     Independent oracle for the staircase-complement count: no division, no
     standard bases, just exact linear algebra over the monomial basis.
     """
-    reducer = ExactRowReducer()
-    for row in ideal_span_rows(I.gens, eta):
-        reducer.add(row)
-    return jet_space_dim(I.n, eta) - reducer.rank
+    return jet_space_dim(I.n, eta) - _span(I.gens, eta).rank
 
 
 def oracle_sublevel_quotient_dim(I: IdealPresentation, L: LinearForm,
                                  eta) -> int:
     """The weighted analogue: dim of the span of {L <= eta} monomials modulo
     the ideal image, cross-checking complement counts under any form."""
-    reducer = ExactRowReducer()
-    for row in ideal_span_rows(I.gens, eta, L):
-        reducer.add(row)
     total = sum(1 for _ in iter_sublevel(L, eta))
-    return total - reducer.rank
+    return total - _span(I.gens, eta, L).rank
 
 
 def tail_monomials(n: int, k: int, eta: int, min_total: int, min_tail: int):
@@ -417,7 +422,7 @@ def reduction_exponent(I: IdealPresentation, k: int, mu) -> ReductionReport:
     mu = Fraction(mu)
     basis = complete(I, std_form(I.n), mu)
     D = diagram_of(basis)
-    axes = _axis_degrees(D)
+    axes = _axis_degrees(D.vertices)
     degrees = []
     for j in range(k):
         if j not in axes:
@@ -425,10 +430,7 @@ def reduction_exponent(I: IdealPresentation, k: int, mu) -> ReductionReport:
         degrees.append(axes[j])
     d = sum(dj - 1 for dj in degrees)
     eta = d + 1
-    reducer = ExactRowReducer()
-    reducer.add_monomials(tail_monomials(I.n, k, eta, d + 1, 1))
-    for row in ideal_span_rows(I.gens, eta):
-        reducer.add(row)
+    reducer = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + 1, 1))
     checks = []
     all_ok = True
     for combo in combinations_with_replacement(range(k), d + 1):
@@ -452,14 +454,8 @@ def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
     """
     if eta is None:
         eta = d + m + 1
-    lhs = ExactRowReducer()
-    lhs.add_monomials(e for e in iter_sublevel(std_form(I.n), eta)
-                      if sum(e) >= d + m)
-    rhs = ExactRowReducer()
-    rhs.add_monomials(tail_monomials(I.n, k, eta, d + m, m))
-    for row in ideal_span_rows(I.gens, eta):
-        lhs.add(row)
-        rhs.add(row)
+    lhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, 0))
+    rhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, m))
     return {"eta": eta, "m": m, "lhs_rank": lhs.rank, "rhs_rank": rhs.rank,
             "equal": lhs.rank == rhs.rank}
 
@@ -468,8 +464,5 @@ def oracle_quotient_dim_mod_tail_power(I: IdealPresentation, k: int, m: int,
                                        eta: int) -> int:
     """dim of jet space / (I + (tail)^m) at order eta (stabilizes when the
     true quotient is finite-dimensional)."""
-    reducer = ExactRowReducer()
-    reducer.add_monomials(tail_monomials(I.n, k, eta, 0, m))
-    for row in ideal_span_rows(I.gens, eta):
-        reducer.add(row)
-    return jet_space_dim(I.n, eta) - reducer.rank
+    tail = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, 0, m))
+    return jet_space_dim(I.n, eta) - tail.rank

@@ -29,7 +29,8 @@ prepared identity u * P = f on the window.
 
 The classical leading-term reduction of D_j to a polynomial in the
 elementary symmetric values (`generalized_discriminant`) is kept as an
-independent, degree-capped oracle for the tests.
+independent, degree-capped oracle for the tests.  It runs on exact kernel
+series (`mul`, `power`, `add`), which the Hankel route never calls.
 
 The tower construction iterates: prepare the input list to distinguished
 form in the last variable, take the product, locate the first discriminant
@@ -40,6 +41,7 @@ a surviving unit discriminant ends the tower with constant levels.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -60,13 +62,21 @@ from .errors import (
     UndecidedAtPrecision,
 )
 from .kernel import (
-    EXACT,
     PrecisionSeries,
+    add,
     agrees_up_to,
+    monomial,
     mul,
+    one,
+    power,
     prec_at_least,
+    prec_min,
+    series,
+    sub,
     substitute_linear,
     truncate,
+    variable,
+    zero,
 )
 from .order import is_standard, std_form
 
@@ -74,70 +84,31 @@ from .order import is_standard, std_form
 #: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
 MAX_DISCRIMINANT_DEGREE = 5
 
-TPoly = dict  # exponent tuple (length p, in the roots T) -> Fraction
+#: Seeded coordinate changes `_ensure_regular` samples before giving up.
+COORDINATE_CHANGE_RETRIES = 25
 
 
-def _tp_mul(a: TPoly, b: TPoly) -> TPoly:
-    out: TPoly = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return out
+def _elementary_symmetric(p: int) -> list:
+    """[e_0, e_1, ..., e_p] of the roots T_1..T_p as exact series."""
+    return [series(p, {tuple(int(v in subset) for v in range(p)): 1
+                       for subset in combinations(range(p), i)})
+            for i in range(p + 1)]
 
 
-def _tp_sub(a: TPoly, b: TPoly) -> TPoly:
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, Fraction(0)) - c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _elementary_symmetric(p: int, i: int) -> TPoly:
-    """e_i(T_1..T_p) as a sparse polynomial."""
-    out: TPoly = {}
-    for subset in combinations(range(p), i):
-        e = [0] * p
-        for v in subset:
-            e[v] = 1
-        out[tuple(e)] = Fraction(1)
-    return out
-
-
-def _raw_discriminant(p: int, j: int) -> TPoly:
-    """The unreduced symmetric sum of squared Vandermonde products."""
-    total: TPoly = {}
+def raw_discriminant(p: int, j: int) -> PrecisionSeries:
+    """The unreduced symmetric sum of squared Vandermonde products, an exact
+    series in the roots T_1..T_p."""
+    total = zero(p)
     for removed in combinations(range(p), j - 1):
         rest = [v for v in range(p) if v not in removed]
+        half = one(p)
+        for a, b in combinations(rest, 2):
+            half = mul(half, sub(variable(p, a), variable(p, b)))
         m = len(rest)
-        prod: TPoly = {(0,) * p: Fraction(1)}
-        for a in range(m):
-            for b in range(a + 1, m):
-                factor = {}
-                ek = [0] * p
-                ek[rest[a]] = 1
-                factor[tuple(ek)] = Fraction(1)
-                el = [0] * p
-                el[rest[b]] = 1
-                factor[tuple(el)] = Fraction(-1)
-                prod = _tp_mul(prod, factor)
-        prod = _tp_mul(prod, prod)  # ordered pairs = square of the half-product
-        if (m * (m - 1) // 2) % 2:
-            prod = {e: -c for e, c in prod.items()}
-        for e, c in prod.items():
-            s = total.get(e, Fraction(0)) + c
-            if s:
-                total[e] = s
-            else:
-                del total[e]
+        # ordered pairs = square of the half-product, negated when the
+        # number m(m-1)/2 of unordered pairs is odd
+        square = mul(half, half)
+        total = sub(total, square) if m * (m - 1) // 2 % 2 else add(total, square)
     return total
 
 
@@ -154,64 +125,51 @@ class SymmetricReduction:
     expr: dict
 
 
-def reduce_symmetric(p: int, poly: TPoly) -> SymmetricReduction:
-    """Classical leading-term elimination into elementary symmetric values."""
-    elem = [None] + [_elementary_symmetric(p, i) for i in range(1, p + 1)]
-    power_cache: dict = {}
+def reduce_symmetric(p: int, poly: PrecisionSeries) -> SymmetricReduction:
+    """Classical leading-term elimination into elementary symmetric values.
 
-    def elem_power(i: int, k: int) -> TPoly:
-        key = (i, k)
-        if key not in power_cache:
-            acc = {(0,) * p: Fraction(1)}
-            for _ in range(k):
-                acc = _tp_mul(acc, elem[i])
-            power_cache[key] = acc
-        return power_cache[key]
-
-    work = dict(poly)
+    The lex-leading term coeff * T^lam of the remainder is cancelled by
+    adding -coeff * e_1^(lam_1 - lam_2) ... e_p^(lam_p), whose leading term
+    is -coeff * T^lam, so the leading exponents strictly decrease and each
+    A-exponent occurs once.
+    """
+    elem = _elementary_symmetric(p)
+    powers: dict = {}
+    work = poly
     expr: dict = {}
-    while work:
-        lam = max(work)  # lex-max; symmetry makes it weakly decreasing
+    while work.terms:
+        lam = max(work.terms)  # lex-max; symmetry makes it weakly decreasing
         if list(lam) != sorted(lam, reverse=True):
             raise PresentationError("reduction applied to a non-symmetric input")
-        coeff = work[lam]
-        candidate: TPoly = {(0,) * p: Fraction(1)}
+        coeff = work.terms[lam]
+        candidate = monomial(p, (0,) * p, -coeff)
         a_exp = [0] * p
         for i in range(1, p + 1):
             ci = lam[i - 1] - (lam[i] if i < p else 0)
             if ci:
-                candidate = _tp_mul(candidate, elem_power(i, ci))
+                if (i, ci) not in powers:
+                    powers[i, ci] = power(elem[i], ci)
+                candidate = mul(candidate, powers[i, ci])
                 a_exp[p - i] += ci
-        expr_key = tuple(a_exp)
-        expr[expr_key] = expr.get(expr_key, Fraction(0)) + coeff
-        if not expr[expr_key]:
-            del expr[expr_key]
-        work = _tp_sub(work, {e: coeff * c for e, c in candidate.items()})
+        expr[tuple(a_exp)] = coeff
+        work = add(work, candidate)
     return SymmetricReduction(p, expr)
 
 
-def symmetric_roundtrip_ok(red: SymmetricReduction, raw: TPoly) -> bool:
+def symmetric_roundtrip_ok(red: SymmetricReduction, raw: PrecisionSeries) -> bool:
     """Substitute A_m = e_{p-m}(T) back and compare with the raw polynomial."""
     p = red.p
-    elem = [None] + [_elementary_symmetric(p, i) for i in range(1, p + 1)]
-    total: TPoly = {}
+    elem = _elementary_symmetric(p)
+    total = zero(p)
     for a_exp, coeff in red.expr.items():
-        prod: TPoly = {(0,) * p: Fraction(1)}
+        prod = monomial(p, (0,) * p, coeff)
         for m, k in enumerate(a_exp):
-            for _ in range(k):
-                prod = _tp_mul(prod, elem[p - m])
-        for e, c in prod.items():
-            s = total.get(e, Fraction(0)) + coeff * c
-            if s:
-                total[e] = s
-            else:
-                del total[e]
+            prod = mul(prod, power(elem[p - m], k))
+        total = add(total, prod)
     return total == raw
 
 
-_disc_cache: dict = {}
-
-
+@functools.cache
 def generalized_discriminant(p: int, j: int) -> SymmetricReduction:
     """The reduced j-th generalized discriminant for degree p (cached).
 
@@ -224,14 +182,7 @@ def generalized_discriminant(p: int, j: int) -> SymmetricReduction:
         raise BudgetExceeded(
             f"discriminant degree {p} exceeds the symbolic reduction cap "
             f"{MAX_DISCRIMINANT_DEGREE} (expansion cost grows steeply)")
-    key = (p, j)
-    if key not in _disc_cache:
-        _disc_cache[key] = reduce_symmetric(p, _raw_discriminant(p, j))
-    return _disc_cache[key]
-
-
-def raw_discriminant(p: int, j: int) -> TPoly:
-    return _raw_discriminant(p, j)
+    return reduce_symmetric(p, raw_discriminant(p, j))
 
 
 def evaluate_at_rationals(red: SymmetricReduction, coeffs: Sequence) -> Fraction:
@@ -514,8 +465,7 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     P_out = PrecisionSeries(n, P_terms, mu, L)
     u_out = PrecisionSeries(n, u_terms, mu, L)
     check = mul(u_out, P_out)
-    window = min(mu, check.prec) if check.prec is not EXACT else mu
-    if not agrees_up_to(check, ft, L, window):
+    if not agrees_up_to(check, ft, L, prec_min(mu, check.prec)):
         raise PresentationError("preparation identity failed; this is a bug")
     return P_out, u_out
 
@@ -598,15 +548,14 @@ def _embed_change(M, n: int) -> tuple:
                  for r in range(n))
 
 
-def _ensure_regular(polys: list, i: int, mu, rng: random.Random,
-                    retries: int) -> Optional[tuple]:
+def _ensure_regular(polys: list, i: int, mu, rng: random.Random) -> Optional[tuple]:
     """Make every listed series regular in variable i, changing coordinates
     in the first i+1 variables if needed.  Returns the matrix used, if any."""
     n = polys[0].n
     if all(regular_order(truncate(f, std_form(n), mu), i) is not None
            for f in polys):
         return None
-    for _ in range(retries):
+    for _ in range(COORDINATE_CHANGE_RETRIES):
         full = _embed_change(linalg.seeded_unimodular(rng, i + 1), n)
         candidate = [substitute_linear(f, full) for f in polys]
         if all(regular_order(truncate(f, std_form(n), mu), i) is not None
@@ -616,8 +565,7 @@ def _ensure_regular(polys: list, i: int, mu, rng: random.Random,
     raise NotRegular(f"no sampled change made the series regular in x_{i + 1}")
 
 
-def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0,
-                max_retries: int = 25) -> Tower:
+def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
     """Construct the discriminant tower of the product of the inputs.
 
     Prepares every generator to distinguished form in the last variable
@@ -644,7 +592,7 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0,
         if g.coefficient((0,) * n):
             raise PresentationError("unit generator: the germ is empty")
 
-    M = _ensure_regular(gens, n - 1, mu, rng, max_retries)
+    M = _ensure_regular(gens, n - 1, mu, rng)
     if M is not None:
         changes.append((n, M))
     prepared, units = [], []
@@ -681,7 +629,7 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0,
             ones_from = dim - 1
             break
         polys = [disc_val]
-        M = _ensure_regular(polys, dim - 2, mu, rng, max_retries)
+        M = _ensure_regular(polys, dim - 2, mu, rng)
         disc_val = polys[0]
         if M is not None:
             changes.append((dim - 1, M))
@@ -756,10 +704,9 @@ def validate_tower(T: Tower) -> dict:
                 if lvl.unit_below is not None and below is not None \
                         and not below.is_one:
                     prod = mul(lvl.unit_below, below.poly)
-                    window = min(T.mu, prod.prec) if prod.prec is not EXACT else T.mu
                     unit_ok = (lvl.unit_below.coefficient((0,) * (idx - 1)) != 0
-                               and agrees_up_to(disc_val, prod,
-                                                std_form(idx - 1), window))
+                               and agrees_up_to(disc_val, prod, std_form(idx - 1),
+                                                prec_min(T.mu, prod.prec)))
                 elif idx >= 2 and (below is None or below.is_one):
                     unit_ok = bool(lvl.unit_constant)
             except UndecidedAtPrecision:

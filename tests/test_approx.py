@@ -206,3 +206,11 @@ class TestCmRunner:
     def test_unit_h_rejected(self):
         with pytest.raises(PresentationError):
             AP.cm_counterexample_runner(8, K.one(1))
+
+
+def test_base_staircase_threshold():
+    # the complement of ((2,0),(0,3)) is the box {0,1} x {0,1,2}
+    assert AP._base_staircase_threshold(((2, 0), (0, 3))) == 3
+    assert AP._base_staircase_threshold(((0, 3), (1, 1), (2, 0))) == 2
+    assert AP._base_staircase_threshold(((1, 1), (2, 0))) is None
+    assert AP._base_staircase_threshold(()) is None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -345,3 +346,31 @@ class TestTower:
         assert [lvl.disc_index for lvl in T.levels] == [1, 1, 2]
         assert T.coordinate_changes and T.coordinate_changes[0][0] == 2
         assert E.validate_tower(T)["all_pass"]
+
+
+# sha256 of repr(sorted(expr.items())) for every reduction within the degree
+# cap (p <= 5); a change in any coefficient or A-exponent changes its digest
+ORACLE_DIGESTS = {
+    (1, 1): "4557181fcc952289451be5afb831672898aa51c576b7b14d43a2edb4ea10cb95",
+    (2, 1): "2ea8f4deaa5e9a0f3a4ff4e40ea123cb96b469059e2873a8cccd372529a63b32",
+    (2, 2): "9b1ee6363fcf79e2b7ba7a813224c0856eb3cd569a29d8041f0edb12aed241d7",
+    (3, 1): "18e1a90f33b84049fb6c3d2e07f056b4de20343ebcb502842dfd74fc94bba785",
+    (3, 2): "a858df8569321f47d87612a02e3414e2f563193a7e310c3fc00c956e03741373",
+    (3, 3): "ede43a03f9917022600eb414a51c8f3c52df3f791f02b46aa1d052f1782cb17b",
+    (4, 1): "4c04608e03c4b9b5e53c9e27b8c7797f1a4059790eb9306b972a6495f756ec76",
+    (4, 2): "40ebca5284da7d2f040c90b77b9e744eaa275b467d7a194153fb569af039b9c0",
+    (4, 3): "05b6e70f594c5028317f01019a276b70759dab462f687bcd1d529aa89b7c289f",
+    (4, 4): "725a0a86a02d97b6a8d4b8a7f0286069d3b9303e2e0278900bd9ff8305814246",
+    (5, 1): "821eb461c457f7097d1fe891a6fd6302a5b8ff2c336339e393234ac9effdd781",
+    (5, 2): "ab0fce8a7436f2f7fde85dd6777699a4188473f9af2eb28de71cdf865fb99d9c",
+    (5, 3): "596a5f68379d44b87d83f0410b0cb2ae02dee6b00985a0fdd5d4f0da34e740aa",
+    (5, 4): "a40fc23296f687bc482c50e7bc8381a7fd33d09ee96c437584ec4053189d6f22",
+    (5, 5): "49acb46532d2def20029a635977305fa64825716f74b962517c8d99fef8d37e1",
+}
+
+
+def test_generalized_discriminants_are_pinned():
+    for (p, j), digest in ORACLE_DIGESTS.items():
+        expr = E.generalized_discriminant(p, j).expr
+        text = repr(sorted(expr.items())).encode()
+        assert hashlib.sha256(text).hexdigest() == digest, (p, j)
