@@ -15,7 +15,7 @@ from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import approx, diagram, equising, parser, stdbasis
+from . import approx, diagram, equising, stdbasis
 from .division import hironaka_divide
 from .errors import LocalRingError, ParseError, UndecidedAtPrecision
 from .kernel import EXACT, PrecisionSeries
@@ -82,6 +82,12 @@ def _trials(args) -> int:
     return args.trials
 
 
+def _eta(args) -> int:
+    if args.eta < 0:
+        raise UsageError(f"argument --eta: must be at least 0: {args.eta}")
+    return args.eta
+
+
 def _deltas(args, f: IdealFile, form, mu, count: int) -> tuple:
     """The --delta series, parsed at window 2*mu and padded with zeros to
     one per generator."""
@@ -141,7 +147,8 @@ def _cmd_sbasis(args) -> tuple[int, dict]:
         }
         return code, report
     basis = stdbasis.complete(f.presentation(form, mu), form, mu,
-                              use_coprime_skip=skip)
+                              use_coprime_skip=skip,
+                              use_chain_criterion=False)
     adjoined = basis.gens[len(f.gen_sources):]
     report = {
         "command": "sbasis complete",
@@ -171,7 +178,7 @@ def _cmd_hs(args) -> tuple[int, dict]:
     f = _load(args.file)
     mu = _mu(args, f)
     form = std_form(f.n)
-    eta = int(args.eta)
+    eta = _eta(args)
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
     table = diagram.hilbert_samuel(basis, eta)
     return 0, {
@@ -185,7 +192,7 @@ def _cmd_hs(args) -> tuple[int, dict]:
 def _cmd_oracle(args) -> tuple[int, dict]:
     f = _load(args.file)
     form = std_form(f.n)
-    eta = int(args.eta)
+    eta = _eta(args)
     mu = max(f.mu, eta)
     I = f.presentation(form, mu)
     values = [diagram.oracle_jet_quotient_dim(I, e) for e in range(eta + 1)]

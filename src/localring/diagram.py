@@ -16,7 +16,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import linalg
@@ -41,7 +41,6 @@ from .kernel import (
 from .order import (
     Exponent,
     LinearForm,
-    initial_term,
     is_standard,
     iter_sublevel,
     lvalue,
@@ -92,30 +91,64 @@ def diagram_of(B: CertifiedBasis) -> Diagram:
     return Diagram(B.gens[0].n, minimal_antichain(B.heads), B.form, B.mu)
 
 
+def _complement_levels(D: Diagram, L: LinearForm, cap: int) -> list:
+    """How many staircase-complement points lie at each level 0..cap.
+
+    The complement is an order ideal (every divisor of a non-member is a
+    non-member), so it is walked once from 0 by unit steps: a point's
+    children raise one coordinate at or after the last one raised on the
+    way to it, which reaches each point exactly once, along the path that
+    lowers its last nonzero coordinate first.  A child in the staircase or
+    above the cap is not entered, and neither is anything above it.
+    """
+    counts = [0] * (cap + 1)
+    n, weights, vertices = D.n, L.int_weights, D.vertices
+    if cap < 0 or D.contains((0,) * n):
+        return counts
+    stack = [((0,) * n, 0, 0)]  # point, its level, first coordinate to raise
+    while stack:
+        beta, level, first = stack.pop()
+        counts[level] += 1
+        for i in range(first, n):
+            up = level + weights[i]
+            if up > cap:
+                continue
+            child = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            if not any(all(map(operator.ge, child, v)) for v in vertices):
+                stack.append((child, up, i))
+    return counts
+
+
 def complement_count(D: Diagram, L: LinearForm, eta) -> int:
-    """#{b outside the staircase with L(b) <= eta}."""
+    """#{b outside the staircase with L(b) <= eta}.
+
+    The size of one walk of the complement from 0 by unit steps inside the
+    window {level <= L.level_cap(eta)}: only complement points and the
+    steps out of the complement are looked at, not the whole sub-level ball.
+    """
     if L != D.form:
         raise FormMismatch("counting under a form the diagram was not built for")
     eta = Fraction(eta)
     if eta > D.certified_to:
         raise PrecisionShortfall(
             f"level {eta} beyond the certified window {D.certified_to}")
-    return sum(1 for beta in iter_sublevel(L, eta) if not D.contains(beta))
+    return sum(_complement_levels(D, L, L.level_cap(eta)))
 
 
 def hilbert_samuel(B: CertifiedBasis, eta_max: int) -> HSTable:
     """H(eta) = staircase-complement count per level, 0 <= eta <= eta_max.
 
     Requires the standard form (all weights 1), where the sub-level sets are
-    total-degree balls and the count equals the jet-quotient dimension.
+    total-degree balls and the count equals the jet-quotient dimension.  The
+    complement is walked once up to degree eta_max (as in
+    `complement_count`), bucketed by degree and accumulated.
     """
     if not is_standard(B.form):
         raise FormMismatch("Hilbert-Samuel tables use the standard form")
     if not prec_at_least(B.mu, eta_max):
         raise PrecisionShortfall(f"eta_max {eta_max} beyond certification {B.mu}")
     D = diagram_of(B)
-    values = tuple(complement_count(D, B.form, eta) for eta in range(eta_max + 1))
-    return HSTable(values)
+    return HSTable(tuple(accumulate(_complement_levels(D, B.form, eta_max))))
 
 
 def evaluated_ideal(I: IdealPresentation, k: int) -> IdealPresentation:

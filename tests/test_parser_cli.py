@@ -232,6 +232,16 @@ class TestCli:
             assert code == 1
             assert rep["error"] == "usage" and "--trials" in rep["detail"]
 
+    @pytest.mark.parametrize("eta", ["-1", "-2"])
+    def test_eta_below_zero_is_usage_error(self, monomial_file, eta):
+        for argv in (["hs", "--file", monomial_file],
+                     ["oracle", "hs", "--file", monomial_file]):
+            code, rep = cli.run(argv + ["--eta", eta])
+            assert code == 1
+            assert rep["error"] == "usage" and "--eta" in rep["detail"]
+            code, rep = cli.run(argv + ["--eta", "0"])
+            assert code == 0 and rep["values"] == [1]
+
     def test_power_beyond_the_budget_is_a_fast_parse_error(self, tmp_path):
         path = tmp_path / "power.ideal"
         path.write_text("vars: x y\nprec: 6\ngen: (x+y)^5000 + y^2\n",
