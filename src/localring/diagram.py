@@ -389,7 +389,7 @@ def ideal_span_rows(gens: Sequence[PrecisionSeries], eta,
             continue
         o = min(lvalue(form, e) for e in g.terms)
         for gamma in iter_sublevel(form, eta - o):
-            row = _window({tuple(x + y for x, y in zip(e, gamma)): c
+            row = _window({(*map(operator.add, e, gamma),): c
                            for e, c in g.terms.items()}, form, eta)
             if row:
                 yield row

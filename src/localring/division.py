@@ -14,16 +14,21 @@ unprocessed level exceeds the requested bound mu.
 Quotients and remainder are unique (the greedy routing is forced), and the
 listing order of the divisors is significant: the API never re-sorts it.
 
-The loop is fraction-free.  The running series is held as Python integers
-over one common denominator, and each divisor once as a primitive integer
-multiple with a positive integer head a.  Processing a term w (over the
-denominator) scales the running series by a / gcd(w, a) when that is not 1,
-then subtracts w / gcd(w, a) times the shifted integer tail.  Exponents are
-ordered by integer levels (see `order`), and a term above the window is
-dropped at once unless the division may still turn out exact.  Rationals
-are built only for what is emitted: one quotient coefficient per processed
-term and one coefficient per remainder term.  By uniqueness the results
-equal those of the plain rational loop.
+There is one division loop, and it is fraction-free.  It runs on member
+records: each divisor converted once to a primitive integer multiple with a
+positive integer head a, its tail sorted by integer level (see `order`).
+`hironaka_divide` builds the records and the integer dividend; standard-basis
+completion builds a record once per basis member and hands its integer
+s-series to the same loop.  The running series is held as Python integers
+over one common denominator.  Processing a term w (over the denominator)
+scales the running series by a / gcd(w, a) when that is not 1, then
+subtracts w / gcd(w, a) times the shifted integer tail.  A term above the
+window is dropped at once unless the division may still turn out exact.
+Rationals are built only for what is emitted: one quotient coefficient per
+processed term and one coefficient per remainder term.  By uniqueness the
+results equal those of the plain rational loop, and dividing a rational
+multiple of a series gives the same multiple of its quotients and
+remainder.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -42,7 +47,7 @@ from .errors import (
     ZeroUpToPrecision,
 )
 from .kernel import EXACT, PrecisionSeries, prec_at_least
-from .order import Exponent, LinearForm, initial_term, lvalue
+from .order import Exponent, LinearForm, lvalue
 
 #: Region index returned for exponents outside every divisor cone.
 COMPLEMENT = None
@@ -63,17 +68,36 @@ class RegionPartition:
         return COMPLEMENT
 
 
-def _integer_divisor(g: PrecisionSeries, alpha: Exponent, level) -> tuple:
-    """(level of the head, integer head a > 0, tail) for a primitive integer
-    multiple of g; the tail lists (level, exponent, integer coefficient) of
-    the non-head terms by increasing level."""
+class _Member(NamedTuple):
+    """A divisor g in integer form: g = (lead / a) * (a x^alpha + tail)."""
+
+    alpha: Exponent  # the head exponent
+    level: int  # its integer level
+    lead: Fraction  # the head coefficient of g
+    a: int  # the positive integer head
+    tail: list  # (level, exponent, integer coefficient) by increasing level
+
+
+def _member(g: PrecisionSeries, L: LinearForm) -> _Member:
+    """The record of a nonzero series g under L, in its primitive integer
+    multiple with a positive head; every exponent must have L's length."""
+    n, level = L.n, L.level
     m = math.lcm(*(c.denominator for c in g.terms.values()))
-    ints = {e: c.numerator * (m // c.denominator) for e, c in g.terms.items()}
-    content = math.gcd(*ints.values())
-    if ints[alpha] < 0:
+    terms = []
+    for e, c in g.terms.items():
+        if len(e) != n:
+            raise DimensionMismatch(f"exponent {e} vs form on {n} variables")
+        lev = level(e)
+        terms.append(((lev,) + e[::-1], lev, e, c))
+    terms.sort()  # by the order of L, whose keys are distinct
+    _, alpha_level, alpha, lead = terms[0]
+    ints = [c.numerator * (m // c.denominator) for *_, c in terms]
+    content = math.gcd(*ints)
+    if ints[0] < 0:
         content = -content
-    tail = sorted((level(e), e, c // content) for e, c in ints.items() if e != alpha)
-    return level(alpha), ints[alpha] // content, tail
+    tail = [(lev, e, c // content)
+            for (_, lev, e, _), c in zip(terms[1:], ints[1:])]
+    return _Member(alpha, alpha_level, lead, ints[0] // content, tail)
 
 
 @dataclass
@@ -106,7 +130,6 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
         raise PrecisionShortfall(f"dividend certified to {F.prec}, asked {mu}")
     if F.form_ctx is not None and F.form_ctx != L:
         raise PrecisionShortfall("dividend certified under a different form")
-    heads = []
     for g in divisors:
         if g.n != n:
             raise DimensionMismatch("divisor dimension differs from dividend")
@@ -116,33 +139,56 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
             raise PrecisionShortfall(f"divisor certified to {g.prec}, asked {mu}")
         if g.form_ctx is not None and g.form_ctx != L:
             raise PrecisionShortfall("divisor certified under a different form")
-        heads.append(initial_term(L, g))
-    partition = RegionPartition(tuple(alpha for alpha, _ in heads))
+    if L.n != n:
+        raise DimensionMismatch(f"form on {L.n} variables, dividend in {n}")
+    members = [_member(g, L) for g in divisors]
+    den = math.lcm(*(c.denominator for c in F.terms.values()))
+    terms = {e: c.numerator * (den // c.denominator) for e, c in F.terms.items()}
+    exact = F.prec is EXACT and all(g.prec is EXACT for g in divisors)
+    return _divide(terms, den, members, L, mu, exact)
+
+
+def _divide(terms: dict, den: int, members: Sequence[_Member], L: LinearForm,
+            mu: Fraction, exact: bool) -> DivisionResult:
+    """The division loop: divide {e: terms[e] / den}, with integer
+    terms[e], by the member records.
+
+    `exact` says that the dividend and every member are exact.  The
+    exponents of the dividend are checked against L here; the members were
+    checked when their records were built.
+    """
+    n = L.n
+    alphas = tuple([m.alpha for m in members])
+    ge = operator.ge
+
+    def region(beta: Exponent) -> Optional[int]:
+        for i, alpha in enumerate(alphas):
+            if all(map(ge, beta, alpha)):
+                return i
+        return COMPLEMENT
 
     level, cap = L.level, L.level_cap(mu)
     # A term above the window only ever feeds terms above it.  Such terms are
     # kept only in an exact division, to tell whether anything is left over.
-    all_exact = F.prec is EXACT and all(g.prec is EXACT for g in divisors)
-    reducers: list = [None] * len(divisors)  # built on first use
-
-    # the working series is {e: work[e] / den} with integer work[e]
-    den = math.lcm(*(c.denominator for c in F.terms.values()))
-    work: dict = {}
+    work: dict = {}  # the running series is {e: work[e] / den}
     heap: list = []  # (sort_key(L, e), e) for the terms inside the window
-    for e, c in F.terms.items():
+    for e, c in terms.items():
+        if len(e) != n:
+            raise DimensionMismatch(f"exponent {e} vs form on {n} variables")
         if not c:
             continue
         lev = level(e)
         if lev <= cap:
             heap.append(((lev,) + e[::-1], e))
-        elif not all_exact:
+        elif not exact:
             continue
-        work[e] = c.numerator * (den // c.denominator)
+        work[e] = c
     heapq.heapify(heap)
 
-    quotients: list[dict] = [dict() for _ in divisors]
+    quotients: list[dict] = [dict() for _ in members]
     remainder: dict = {}
     last_key = None
+    sub, add = operator.sub, operator.add
 
     while heap:
         key, beta = heapq.heappop(heap)
@@ -152,15 +198,12 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
         if last_key is not None and key <= last_key:
             raise InvariantViolation("division made no strict progress in the order")
         last_key = key
-        i = partition.region_of(beta)
+        i = region(beta)
         if i is COMPLEMENT:
             remainder[beta] = Fraction(w, den)
             continue
-        alpha, lead = heads[i]
-        if reducers[i] is None:
-            reducers[i] = _integer_divisor(divisors[i], alpha, level)
-        alpha_level, a, tail = reducers[i]
-        shift = tuple(map(operator.sub, beta, alpha))
+        alpha, alpha_level, lead, a, tail = members[i]
+        shift = (*map(sub, beta, alpha),)
         quotients[i][shift] = Fraction(w * lead.denominator, den * lead.numerator)
         # subtract w / (den * a) times x^shift times the integer divisor,
         # over the new denominator den * a / g
@@ -174,9 +217,9 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
         base = key[0] - alpha_level
         for lev, e, c in tail:
             lev += base
-            if lev > cap and not all_exact:
+            if lev > cap and not exact:
                 break  # the tail is sorted by level
-            t = tuple(map(operator.add, shift, e))
+            t = (*map(add, shift, e),)
             v = work.get(t)
             if v is None:
                 work[t] = -w * c
@@ -189,24 +232,23 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
                 else:
                     del work[t]
 
-    leftovers = bool(work)
-    exact = all_exact and not leftovers
+    exact = exact and not work
 
     out_q = []
     for i, qterms in enumerate(quotients):
-        alpha = partition.alphas[i]
+        alpha = alphas[i]
         for e in qterms:  # support certification at emission time
-            if partition.region_of(tuple(x + y for x, y in zip(e, alpha))) != i:
+            if region((*map(add, e, alpha),)) != i:
                 raise InvariantViolation(f"quotient {i} left its region")
         if exact:
             out_q.append(PrecisionSeries(n, qterms))
         else:
             out_q.append(PrecisionSeries(n, qterms, mu - lvalue(L, alpha), L))
     for e in remainder:
-        if partition.region_of(e) is not COMPLEMENT:
+        if region(e) is not COMPLEMENT:
             raise InvariantViolation("remainder term outside the complement")
     if exact:
         rem = PrecisionSeries(n, remainder)
     else:
         rem = PrecisionSeries(n, remainder, mu, L)
-    return DivisionResult(tuple(out_q), rem, mu, partition)
+    return DivisionResult(tuple(out_q), rem, mu, RegionPartition(alphas))

@@ -27,6 +27,7 @@ consumer of zero-tests states which notion it relies on.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -148,7 +149,7 @@ def series(n: int, terms: Mapping, prec: Prec = EXACT,
     """Sanitizing constructor: coerces coefficients, drops zeros."""
     clean: dict = {}
     for exp, coeff in terms.items():
-        e = tuple(int(b) for b in exp)
+        e = (*map(int, exp),)
         if len(e) != n:
             raise DimensionMismatch(f"exponent {e} in ambient dimension {n}")
         if any(b < 0 for b in e):
@@ -182,7 +183,8 @@ def monomial(n: int, exp: Exponent, coeff=1) -> PrecisionSeries:
 
 
 def variable(n: int, i: int) -> PrecisionSeries:
-    exp = tuple(1 if j == i else 0 for j in range(n))
+    exp = [0] * n
+    exp[i] = 1
     return monomial(n, exp)
 
 
@@ -242,13 +244,14 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
         # a product term is in the window when level(e1) + level(e2) <= cap
         cap, level = form.level_cap(prec), form.level
         b_levels = {e2: level(e2) for e2 in b.terms}
+    plus = operator.add
     out: dict = {}
     for e1, c1 in a.terms.items():
         room = None if prec is EXACT else cap - level(e1)
         for e2, c2 in b.terms.items():
             if room is not None and b_levels[e2] > room:
                 continue
-            e = tuple(x + y for x, y in zip(e1, e2))
+            e = (*map(plus, e1, e2),)
             s = out.get(e, Fraction(0)) + c1 * c2
             if s:
                 out[e] = s
@@ -265,8 +268,8 @@ def mul_monomial(f: PrecisionSeries, exp: Exponent, coeff=1) -> PrecisionSeries:
     exp = tuple(exp)
     if len(exp) != f.n:
         raise DimensionMismatch(f"monomial {exp} in dimension {f.n}")
-    out = {tuple(x + y for x, y in zip(e, exp)): coeff * c
-           for e, c in f.terms.items()}
+    plus = operator.add
+    out = {(*map(plus, e, exp),): coeff * c for e, c in f.terms.items()}
     prec = f.prec
     if prec is not EXACT:
         prec = prec + lvalue(f.form_ctx, exp)
@@ -386,16 +389,16 @@ def substitute_linear(f: PrecisionSeries, M) -> PrecisionSeries:
     if f.prec is not EXACT and not is_isotropic(f.form_ctx):
         raise FormMismatch(
             "linear substitution keeps precision only for equal-weight forms")
-    rows = [series(n, {tuple(1 if t == j else 0 for t in range(n)): M[i][j]
-                       for j in range(n) if M[i][j]})
+    units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+    rows = [series(n, {units[j]: M[i][j] for j in range(n) if M[i][j]})
             for i in range(n)]
-    powers: dict[tuple[int, int], PrecisionSeries] = {}
+    powers = [[one(n)] for _ in range(n)]  # powers[i][k] = rows[i]^k
 
     def row_power(i: int, k: int) -> PrecisionSeries:
-        key = (i, k)
-        if key not in powers:
-            powers[key] = power(rows[i], k)
-        return powers[key]
+        known = powers[i]
+        while len(known) <= k:  # each power from the one below it
+            known.append(mul(known[-1], rows[i]))
+        return known[k]
 
     total: dict = {}
     for e, c in f.terms.items():
@@ -455,7 +458,7 @@ class IdealPresentation:
                 raise PresentationError(
                     "generators must be nonzero (up to their certified bound)")
         object.__setattr__(self, "gens", gens)
-        names = tuple(self.var_names) or tuple(f"x{i+1}" for i in range(self.n))
+        names = tuple(self.var_names) or tuple([f"x{i+1}" for i in range(self.n)])
         if len(names) != self.n:
             raise PresentationError("variable name count differs from ambient")
         object.__setattr__(self, "var_names", names)
@@ -465,6 +468,6 @@ class IdealPresentation:
                  var_names: Optional[tuple] = None) -> "IdealPresentation":
         return IdealPresentation(
             self.n if n is None else n,
-            tuple(fn(g) for g in self.gens),
+            tuple([fn(g) for g in self.gens]),
             self.var_names if var_names is None else var_names,
         )

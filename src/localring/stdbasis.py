@@ -12,6 +12,20 @@ terminates, since every adjoined head is a remainder term, hence lies both
 in the window and outside all earlier head cones, and only finitely many
 exponents qualify.
 
+Completion and `becker_check` convert each member once, when it enters the
+basis, into the integer record of `division` (head, level, primitive integer
+head a and level-sorted integer tail), and read heads from the records.  The
+s-series of members i and j is formed on integers,
+
+    a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j,
+
+windowed to the same bound as `s_series(g_i, g_j)`, and divided by the one
+division loop over denominator 1.  It is a nonzero rational multiple of
+`s_series(g_i, g_j)`, so by linearity and uniqueness of division its
+remainder is the same multiple of that s-series' remainder: the pair
+statuses, the adjoined head-monic members and the staircases are those of
+the rational computation.
+
 Completion prunes pairs by Buchberger's chain criterion in the form of
 Gebauer and Moeller (1988): the pair (i, j) is skipped when another head h_k
 divides m_ij = lcm(h_i, h_j) and the pairs (i, k) and (j, k) have both left
@@ -50,13 +64,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .division import DivisionResult, hironaka_divide
-from .errors import BudgetExceeded, PrecisionShortfall, ZeroUpToPrecision
+from .division import DivisionResult, _divide, _member, hironaka_divide
+from .errors import BudgetExceeded, FormMismatch, PrecisionShortfall, ZeroUpToPrecision
 from .kernel import (
+    EXACT,
     IdealPresentation,
     PrecisionSeries,
     mul_monomial,
     prec_at_least,
+    prec_min,
     scale,
     sub,
 )
@@ -74,8 +90,11 @@ class PairCheck:
 class CompletionStep:
     """One s-series reduction performed during completion.
 
-    Keeps enough data to re-verify that the adjoined element is an explicit
-    ideal combination: s = sum(quotients * basis) + remainder, and the
+    `s` is the integer s-series of members i and j (module docstring), with
+    `Fraction` coefficients: a nonzero rational multiple of
+    `s_series(basis[i], basis[j])`, certified to the same bound.  It keeps
+    enough data to re-verify that the adjoined element is an explicit ideal
+    combination: s = sum(quotients * basis) + remainder up to mu, and the
     adjoined element is the remainder made head-monic.
     """
 
@@ -98,7 +117,7 @@ class CertifiedBasis:
 
     @property
     def heads(self) -> tuple:
-        return tuple(initial_term(self.form, g)[0] for g in self.gens)
+        return tuple([initial_term(self.form, g)[0] for g in self.gens])
 
 
 def s_series(F: PrecisionSeries, G: PrecisionSeries, L: LinearForm) -> PrecisionSeries:
@@ -136,18 +155,55 @@ def has_standard_representation(F: PrecisionSeries, basis: Sequence[PrecisionSer
 
 
 def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> list:
-    heads = []
+    """The integer records of the members, once they pass the checks."""
+    members = []
+    cap = L.level_cap(mu)
     for g in gens:
         if g.is_zero_up_to_prec:
             raise ZeroUpToPrecision("basis members must be nonzero")
         if not prec_at_least(g.prec, mu):
             raise PrecisionShortfall(f"member certified to {g.prec}, asked {mu}")
-        head, _ = initial_term(L, g)
-        if lvalue(L, head) > mu:
+        if g.form_ctx is not None and g.form_ctx != L:
+            raise FormMismatch(f"series certified under {g.form_ctx}, asked under {L}")
+        member = _member(g, L)
+        if member.level > cap:
             raise PrecisionShortfall(
-                f"head {head} lies beyond the verification window {mu}")
-        heads.append(head)
-    return heads
+                f"head {member.alpha} lies beyond the verification window {mu}")
+        members.append(member)
+    return members
+
+
+def _integer_s_series(gi: PrecisionSeries, gj: PrecisionSeries, ri, rj,
+                      L: LinearForm) -> tuple:
+    """(terms, prec): the s-series of two members from their records.
+
+    terms maps exponents to the integer coefficients of
+    a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j, kept up to
+    prec, the bound of `s_series(gi, gj, L)`.
+    """
+    lcm = (*map(max, ri.alpha, rj.alpha),)
+    lcm_level = L.level(lcm)
+    prec = EXACT
+    parts = []
+    for g, r, c in ((gi, ri, rj.a), (gj, rj, -ri.a)):
+        shift = (*map(operator.sub, lcm, r.alpha),)
+        if g.prec is not EXACT:
+            prec = prec_min(prec, g.prec + lvalue(L, shift))
+        parts.append((shift, lcm_level - r.level, r.tail, c))
+    cap = None if prec is EXACT else L.level_cap(prec)
+    add = operator.add
+    terms: dict = {}
+    for shift, base, tail, c in parts:
+        for lev, e, v in tail:
+            if cap is not None and lev + base > cap:
+                break  # the tail is sorted by level
+            t = (*map(add, shift, e),)
+            v = terms.get(t, 0) + c * v
+            if v:
+                terms[t] = v
+            else:
+                terms.pop(t, None)
+    return terms, prec
 
 
 def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
@@ -159,24 +215,23 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
     """
     mu = Fraction(mu)
     gens = tuple(gens)
-    heads = _check_ready(gens, L, mu)
+    members = _check_ready(gens, L, mu)
+    exact = all(g.prec is EXACT for g in gens)
     checks = []
     verified = True
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if use_coprime_skip and heads_coprime(heads[i], heads[j]):
+            if use_coprime_skip and heads_coprime(members[i].alpha,
+                                                  members[j].alpha):
                 checks.append(PairCheck(i, j, "skipped-coprime"))
                 continue
-            ok, _ = has_standard_representation(
-                s_series(gens[i], gens[j], L), gens, L, mu)
+            terms, _ = _integer_s_series(gens[i], gens[j], members[i],
+                                         members[j], L)
+            ok = not terms or _divide(terms, 1, members, L, mu,
+                                      exact).remainder_is_zero
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
     return CertifiedBasis(gens, L, mu, verified, tuple(checks))
-
-
-def _monic(f: PrecisionSeries, L: LinearForm) -> PrecisionSeries:
-    _, lead = initial_term(L, f)
-    return scale(f, Fraction(1) / lead)
 
 
 def complete(I: IdealPresentation, L: LinearForm, mu,
@@ -195,21 +250,22 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     """
     mu = Fraction(mu)
     basis = list(I.gens)
-    heads = _check_ready(basis, L, mu)
+    members = _check_ready(basis, L, mu)
+    exact = all(g.prec is EXACT for g in basis)
     steps = []
     queue: list = []
     left_queue: set = set()  # popped pairs, in both orders
 
     def push_pairs(j: int):
-        hj = heads[j]
+        hj = members[j].alpha
         for i in range(j):
-            lcm = (*map(max, heads[i], hj),)
+            lcm = (*map(max, members[i].alpha, hj),)
             heapq.heappush(queue, (sort_key(L, lcm), i, j, lcm))
 
     def chain_skips(i: int, j: int, lcm) -> bool:
-        return any(k != i and k != j and all(map(operator.le, hk, lcm))
+        return any(k != i and k != j and all(map(operator.le, mk.alpha, lcm))
                    and (i, k) in left_queue and (j, k) in left_queue
-                   for k, hk in enumerate(heads))
+                   for k, mk in enumerate(members))
 
     for j in range(len(basis)):
         push_pairs(j)
@@ -219,14 +275,18 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
         _, i, j, lcm = heapq.heappop(queue)
         left_queue.add((i, j))
         left_queue.add((j, i))
-        if use_coprime_skip and heads_coprime(heads[i], heads[j]):
+        if use_coprime_skip and heads_coprime(members[i].alpha,
+                                              members[j].alpha):
             continue
         if use_chain_criterion and chain_skips(i, j, lcm):
             continue
-        s = s_series(basis[i], basis[j], L)
-        if s.is_zero_up_to_prec:
+        terms, prec = _integer_s_series(basis[i], basis[j], members[i],
+                                        members[j], L)
+        if not terms:
             continue
-        division = hironaka_divide(s, basis, L, mu)
+        s = PrecisionSeries(L.n, {e: Fraction(c) for e, c in terms.items()},
+                            prec, None if prec is EXACT else L)
+        division = _divide(terms, 1, members, L, mu, exact)
         if division.remainder_is_zero:
             steps.append(CompletionStep(i, j, s, division, len(basis), None))
             continue
@@ -237,8 +297,11 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
             exc.partial = CertifiedBasis(tuple(basis), L, mu, False,
                                          completion_steps=tuple(steps))
             raise exc
-        basis.append(_monic(division.remainder, L))
-        heads.append(initial_term(L, basis[-1])[0])
+        # the record of the remainder is that of its head-monic multiple
+        member = _member(division.remainder, L)
+        basis.append(scale(division.remainder, Fraction(1) / member.lead))
+        members.append(member._replace(lead=Fraction(1)))
+        exact = exact and division.remainder.prec is EXACT
         steps.append(CompletionStep(i, j, s, division, len(basis) - 1,
                                     len(basis) - 1))
         push_pairs(len(basis) - 1)

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localring import kernel as K
+from localring import linalg
 from localring import order as O
 from localring.errors import (
     DimensionMismatch,
@@ -149,6 +150,35 @@ class TestSubstituteLinear:
         f = K.series(2, {(1, 0): 1}, prec=5, form=O.LinearForm((F(1), F(2))))
         with pytest.raises(FormMismatch):
             K.substitute_linear(f, ((1, 1), (0, 1)))
+
+
+@st.composite
+def linear_changes(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(linalg.det(M) != 0)
+    terms = draw(st.dictionaries(st.tuples(*([st.integers(0, 5)] * n)),
+                                 st.integers(-4, 4), max_size=5))
+    return K.series(n, terms), M
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_changes())
+def test_substitute_linear_matches_powers_of_rows(problem):
+    # x_i -> row_i, with every power of a row taken by `power`
+    f, M = problem
+    n = f.n
+    rows = [K.series(n, {tuple(int(t == j) for t in range(n)): M[i][j]
+                         for j in range(n)}) for i in range(n)]
+    want = K.zero(n)
+    for e, c in f.terms.items():
+        term = K.monomial(n, (0,) * n, c)
+        for i, b in enumerate(e):
+            term = K.mul(term, K.power(rows[i], b))
+        want = K.add(want, term)
+    assert K.substitute_linear(f, M) == want
 
 
 class TestEvaluateTailZero:

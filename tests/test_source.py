@@ -42,3 +42,30 @@ def test_no_unused_imports():
         if path.name != "__init__.py":
             found += _unused_imports(path)
     assert not found, found
+
+
+def _tuples_from_iterators(path: Path) -> list:
+    """Calls tuple(<generator expression>) and tuple(map/zip/filter(...))."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple" and len(node.args) == 1):
+            continue
+        arg = node.args[0]
+        if isinstance(arg, ast.GeneratorExp) or (
+                isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                and arg.func.id in ("map", "zip", "filter")):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_tuple_of_iterator_in_hot_modules():
+    # tuple() over an iterator with no length allocates 10 slots and shrinks
+    # the tuple; the shrunk tuples collect in CPython's per-size free lists
+    # and keep the resident memory of a long process growing.  Build from a
+    # list, or as (*map(...),), instead.
+    found = []
+    for name in ("kernel.py", "division.py", "stdbasis.py"):
+        found += _tuples_from_iterators(SOURCE / name)
+    assert not found, found
