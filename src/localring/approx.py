@@ -10,14 +10,14 @@ never hard-coded.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence, Union
 
 from .diagram import (
+    Diagram,
     _axis_degrees,
+    _complement_levels,
     axis_vertex_dimension,
     diagram_of,
     flatness_weight_search,
@@ -26,7 +26,6 @@ from .diagram import (
     reduction_exponent,
 )
 from .errors import (
-    FormMismatch,
     PrecisionShortfall,
     PresentationError,
     ZeroUpToPrecision,
@@ -60,12 +59,7 @@ def jet(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
     The result is EXACT as a polynomial.  Idempotent, commutes with sums,
     and preserves the initial exponent whenever mu >= L(inexp f).
     """
-    mu = Fraction(mu)
-    if f.form_ctx is not None and f.form_ctx != L:
-        raise FormMismatch("jet under a form the series is not certified for")
-    if not prec_at_least(f.prec, mu):
-        raise PrecisionShortfall(f"series certified to {f.prec}, asked jet {mu}")
-    return PrecisionSeries(f.n, _window(f.terms, L, mu))
+    return PrecisionSeries(f.n, truncate(f, L, mu).terms)
 
 
 def _builtin_jet(u: PrecisionSeries, L: LinearForm, mu, coeff_of_k) -> PrecisionSeries:
@@ -147,10 +141,11 @@ def _base_staircase_threshold(base_vertices: tuple) -> Optional[int]:
     if len(caps) != k:
         return None
     # every complement point lies in the box below the axis vertices
-    box = product(*(range(caps[i]) for i in range(k)))
-    return max((sum(beta) for beta in box
-                if not any(all(map(operator.ge, beta, v)) for v in base_vertices)),
-               default=0)
+    L = std_form(k)
+    top = sum(caps.values()) - k
+    counts = _complement_levels(Diagram(k, base_vertices, L, Fraction(top)),
+                                L, top)
+    return max((level for level, c in enumerate(counts) if c), default=0)
 
 
 def ci_stability_experiment(I: IdealPresentation, mu,

@@ -32,6 +32,7 @@ from .kernel import (
     EXACT,
     IdealPresentation,
     PrecisionSeries,
+    _admit,
     _window,
     evaluate_tail_zero,
     prec_at_least,
@@ -379,12 +380,7 @@ def ideal_span_rows(gens: Sequence[PrecisionSeries], eta,
     """
     for g in gens:
         form = std_form(g.n) if L is None else L
-        if not prec_at_least(g.prec, eta):
-            raise PrecisionShortfall(
-                f"oracle needs terms to level {eta}, generator stops at {g.prec}")
-        if g.form_ctx is not None and g.form_ctx != form:
-            raise FormMismatch("oracle asked under a form the generator "
-                               "is not certified for")
+        _admit(g, form, eta)
         if g.is_zero_up_to_prec:
             continue
         o = min(lvalue(form, e) for e in g.terms)

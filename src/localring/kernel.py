@@ -290,18 +290,28 @@ def power(f: PrecisionSeries, k: int) -> PrecisionSeries:
     return result
 
 
+def _admit(f: PrecisionSeries, L: LinearForm, mu) -> None:
+    """The admission rule: f may enter a computation on the window
+    {L <= mu} only if it is EXACT or certified under L to at least mu.
+
+    Every operation that takes a certified operand on a window checks it
+    here and nowhere else.
+    """
+    if f.prec is EXACT:
+        return
+    if f.form_ctx != L:
+        raise FormMismatch(f"series certified under {f.form_ctx}, asked under {L}")
+    if f.prec < mu:
+        raise PrecisionShortfall(f"series certified to {f.prec}, asked {mu}")
+
+
 def truncate(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
     """Re-certify f under (L, mu), dropping terms beyond the window.
 
-    Sound whenever f already certifies at least mu under L (EXACT always
-    qualifies).
+    Sound whenever f is admitted on the window (`_admit`).
     """
     mu = Fraction(mu)
-    if f.form_ctx is not None:
-        if f.form_ctx != L:
-            raise FormMismatch("cannot truncate across different forms")
-        if f.prec < mu:
-            raise PrecisionShortfall(f"certified to {f.prec}, asked {mu}")
+    _admit(f, L, mu)
     return PrecisionSeries(f.n, _window(f.terms, L, mu), mu, L)
 
 
@@ -431,11 +441,8 @@ def evaluate_tail_zero(f: PrecisionSeries, k: int) -> PrecisionSeries:
 def agrees_up_to(a: PrecisionSeries, b: PrecisionSeries, L: LinearForm, mu) -> bool:
     """Do a and b have identical terms on the window {L <= mu}?"""
     mu = Fraction(mu)
-    for f in (a, b):
-        if f.form_ctx is not None and f.form_ctx != L:
-            raise FormMismatch("window comparison under a foreign form")
-        if not prec_at_least(f.prec, mu):
-            raise PrecisionShortfall(f"operand certified to {f.prec}, asked {mu}")
+    _admit(a, L, mu)
+    _admit(b, L, mu)
     return _window(a.terms, L, mu) == _window(b.terms, L, mu)
 
 

@@ -12,10 +12,11 @@ terminates, since every adjoined head is a remainder term, hence lies both
 in the window and outside all earlier head cones, and only finitely many
 exponents qualify.
 
-Completion and `becker_check` convert each member once, when it enters the
-basis, into the integer record of `division` (head, level, primitive integer
-head a and level-sorted integer tail), and read heads from the records.  The
-s-series of members i and j is formed on integers,
+Completion and `becker_check` admit and convert each member once, when it
+enters the basis, into the integer record of `division` (head, level,
+primitive integer head a, level-sorted integer tail and certified bound),
+and read heads, bounds and exactness from the records.  The s-series of
+members i and j is formed on integers,
 
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j,
 
@@ -64,14 +65,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .division import DivisionResult, _divide, _member, hironaka_divide
-from .errors import BudgetExceeded, FormMismatch, PrecisionShortfall, ZeroUpToPrecision
+from .division import DivisionResult, _divide, _member, _members, hironaka_divide
+from .errors import BudgetExceeded, PrecisionShortfall
 from .kernel import (
     EXACT,
     IdealPresentation,
     PrecisionSeries,
     mul_monomial,
-    prec_at_least,
     prec_min,
     scale,
     sub,
@@ -108,16 +108,20 @@ class CompletionStep:
 
 @dataclass
 class CertifiedBasis:
+    """`heads` are the members' head exponents under `form`: completion
+    passes them from its records; otherwise they are computed once here."""
+
     gens: tuple
     form: LinearForm
     mu: Fraction
     verified: bool
     pair_checks: tuple = ()
     completion_steps: tuple = ()
+    heads: Optional[tuple] = None
 
-    @property
-    def heads(self) -> tuple:
-        return tuple([initial_term(self.form, g)[0] for g in self.gens])
+    def __post_init__(self):
+        if self.heads is None:
+            self.heads = tuple([initial_term(self.form, g)[0] for g in self.gens])
 
 
 def s_series(F: PrecisionSeries, G: PrecisionSeries, L: LinearForm) -> PrecisionSeries:
@@ -155,40 +159,32 @@ def has_standard_representation(F: PrecisionSeries, basis: Sequence[PrecisionSer
 
 
 def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> list:
-    """The integer records of the members, once they pass the checks."""
-    members = []
+    """The integer records of the members, once they are admitted and their
+    heads lie in the window."""
+    members = _members(gens, L, mu)
     cap = L.level_cap(mu)
-    for g in gens:
-        if g.is_zero_up_to_prec:
-            raise ZeroUpToPrecision("basis members must be nonzero")
-        if not prec_at_least(g.prec, mu):
-            raise PrecisionShortfall(f"member certified to {g.prec}, asked {mu}")
-        if g.form_ctx is not None and g.form_ctx != L:
-            raise FormMismatch(f"series certified under {g.form_ctx}, asked under {L}")
-        member = _member(g, L)
-        if member.level > cap:
+    for m in members:
+        if m.level > cap:
             raise PrecisionShortfall(
-                f"head {member.alpha} lies beyond the verification window {mu}")
-        members.append(member)
+                f"head {m.alpha} lies beyond the verification window {mu}")
     return members
 
 
-def _integer_s_series(gi: PrecisionSeries, gj: PrecisionSeries, ri, rj,
-                      L: LinearForm) -> tuple:
+def _integer_s_series(ri, rj, L: LinearForm) -> tuple:
     """(terms, prec): the s-series of two members from their records.
 
     terms maps exponents to the integer coefficients of
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j, kept up to
-    prec, the bound of `s_series(gi, gj, L)`.
+    prec, the bound of `s_series(g_i, g_j, L)`.
     """
     lcm = (*map(max, ri.alpha, rj.alpha),)
     lcm_level = L.level(lcm)
     prec = EXACT
     parts = []
-    for g, r, c in ((gi, ri, rj.a), (gj, rj, -ri.a)):
+    for r, c in ((ri, rj.a), (rj, -ri.a)):
         shift = (*map(operator.sub, lcm, r.alpha),)
-        if g.prec is not EXACT:
-            prec = prec_min(prec, g.prec + lvalue(L, shift))
+        if r.prec is not EXACT:
+            prec = prec_min(prec, r.prec + lvalue(L, shift))
         parts.append((shift, lcm_level - r.level, r.tail, c))
     cap = None if prec is EXACT else L.level_cap(prec)
     add = operator.add
@@ -216,7 +212,7 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
     mu = Fraction(mu)
     gens = tuple(gens)
     members = _check_ready(gens, L, mu)
-    exact = all(g.prec is EXACT for g in gens)
+    exact = all(m.prec is EXACT for m in members)
     checks = []
     verified = True
     for i in range(len(gens)):
@@ -225,13 +221,13 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
                                                   members[j].alpha):
                 checks.append(PairCheck(i, j, "skipped-coprime"))
                 continue
-            terms, _ = _integer_s_series(gens[i], gens[j], members[i],
-                                         members[j], L)
+            terms, _ = _integer_s_series(members[i], members[j], L)
             ok = not terms or _divide(terms, 1, members, L, mu,
                                       exact).remainder_is_zero
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
-    return CertifiedBasis(gens, L, mu, verified, tuple(checks))
+    return CertifiedBasis(gens, L, mu, verified, tuple(checks),
+                          heads=tuple([m.alpha for m in members]))
 
 
 def complete(I: IdealPresentation, L: LinearForm, mu,
@@ -251,7 +247,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     mu = Fraction(mu)
     basis = list(I.gens)
     members = _check_ready(basis, L, mu)
-    exact = all(g.prec is EXACT for g in basis)
+    exact = all(m.prec is EXACT for m in members)
     steps = []
     queue: list = []
     left_queue: set = set()  # popped pairs, in both orders
@@ -280,8 +276,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
             continue
         if use_chain_criterion and chain_skips(i, j, lcm):
             continue
-        terms, prec = _integer_s_series(basis[i], basis[j], members[i],
-                                        members[j], L)
+        terms, prec = _integer_s_series(members[i], members[j], L)
         if not terms:
             continue
         s = PrecisionSeries(L.n, {e: Fraction(c) for e, c in terms.items()},
@@ -294,17 +289,19 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
         if adjoined > max_adjoined:
             exc = BudgetExceeded(
                 f"completion adjoined more than {max_adjoined} elements")
-            exc.partial = CertifiedBasis(tuple(basis), L, mu, False,
-                                         completion_steps=tuple(steps))
+            exc.partial = CertifiedBasis(
+                tuple(basis), L, mu, False, completion_steps=tuple(steps),
+                heads=tuple([m.alpha for m in members]))
             raise exc
         # the record of the remainder is that of its head-monic multiple
         member = _member(division.remainder, L)
         basis.append(scale(division.remainder, Fraction(1) / member.lead))
         members.append(member._replace(lead=Fraction(1)))
-        exact = exact and division.remainder.prec is EXACT
+        exact = exact and member.prec is EXACT
         steps.append(CompletionStep(i, j, s, division, len(basis) - 1,
                                     len(basis) - 1))
         push_pairs(len(basis) - 1)
 
     return CertifiedBasis(tuple(basis), L, mu, True,
-                          completion_steps=tuple(steps))
+                          completion_steps=tuple(steps),
+                          heads=tuple([m.alpha for m in members]))

@@ -66,6 +66,33 @@ def test_no_tuple_of_iterator_in_hot_modules():
     # and keep the resident memory of a long process growing.  Build from a
     # list, or as (*map(...),), instead.
     found = []
-    for name in ("kernel.py", "division.py", "stdbasis.py"):
+    for name in ("kernel.py", "division.py", "stdbasis.py", "equising.py"):
         found += _tuples_from_iterators(SOURCE / name)
+    assert not found, found
+
+
+def _form_ctx_comparisons(path: Path) -> list:
+    """Comparisons of a `.form_ctx` attribute with anything but None."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Compare):
+            continue
+        sides = [node.left, *node.comparators]
+        if any(isinstance(x, ast.Attribute) and x.attr == "form_ctx"
+               for x in sides) and not any(
+                   isinstance(x, ast.Constant) and x.value is None
+                   for x in sides):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_forms_compared_only_by_the_admission_rule():
+    # whether a series may enter a computation on a window is decided by
+    # kernel._admit alone; order.initial_exponent, below kernel, keeps its
+    # own check
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name not in ("kernel.py", "order.py"):
+            found += _form_ctx_comparisons(path)
     assert not found, found
