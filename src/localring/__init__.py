@@ -35,6 +35,8 @@ from .kernel import (
     agrees_up_to,
     embed,
     evaluate_tail_zero,
+    exp_jet,
+    geom_jet,
     invert_unit,
     monomial,
     mul,
@@ -80,8 +82,6 @@ from .approx import (
     PerturbationSpec,
     ci_stability_experiment,
     cm_counterexample_runner,
-    exp_jet,
-    geom_jet,
     jet,
     perturb,
 )

@@ -9,7 +9,6 @@ never hard-coded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -25,11 +24,7 @@ from .diagram import (
     oracle_quotient_dim_mod_tail_power,
     reduction_exponent,
 )
-from .errors import (
-    PrecisionShortfall,
-    PresentationError,
-    ZeroUpToPrecision,
-)
+from .errors import PrecisionShortfall, PresentationError
 from .kernel import (
     EXACT,
     IdealPresentation,
@@ -38,18 +33,17 @@ from .kernel import (
     add,
     agrees_up_to,
     embed,
+    exp_jet,
     monomial,
     mul,
-    one,
     prec_at_least,
     prec_min,
     reweight,
-    scale,
     substitute_linear,
     truncate,
     variable,
 )
-from .order import LinearForm, lvalue, min_lvalue, std_form
+from .order import LinearForm, lvalue, std_form
 from .stdbasis import complete, becker_check, s_series
 
 
@@ -60,35 +54,6 @@ def jet(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
     and preserves the initial exponent whenever mu >= L(inexp f).
     """
     return PrecisionSeries(f.n, truncate(f, L, mu).terms)
-
-
-def _builtin_jet(u: PrecisionSeries, L: LinearForm, mu, coeff_of_k) -> PrecisionSeries:
-    mu = Fraction(mu)
-    if u.coefficient((0,) * u.n):
-        raise ZeroUpToPrecision("builtin argument must have zero constant term")
-    ut = truncate(u, L, mu)
-    acc = one(u.n)
-    term = one(u.n)
-    if ut.terms:
-        o = min_lvalue(L, ut)
-        k = 1
-        while o * k <= mu:
-            term = truncate(mul(term, ut), L, mu)
-            if term.is_zero_up_to_prec:
-                break
-            acc = add(acc, scale(term, coeff_of_k(k)))
-            k += 1
-    return truncate(acc, L, mu)
-
-
-def exp_jet(u: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
-    """Jet of exp(u) = sum u^k / k!, for u with zero constant term."""
-    return _builtin_jet(u, L, mu, lambda k: Fraction(1, math.factorial(k)))
-
-
-def geom_jet(u: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
-    """Jet of 1/(1-u) = sum u^k, for u with zero constant term."""
-    return _builtin_jet(u, L, mu, lambda k: Fraction(1))
 
 
 @dataclass

@@ -19,7 +19,7 @@ from . import approx, diagram, equising, stdbasis
 from .division import hironaka_divide
 from .errors import LocalRingError, ParseError, UndecidedAtPrecision
 from .kernel import EXACT, PrecisionSeries
-from .order import LinearForm, form_label, std_form
+from .order import LinearForm, form_label, parse_form, std_form
 from .parser import IdealFile, load_ideal_file, parse_expression
 
 
@@ -102,7 +102,6 @@ def _window(form, mu) -> dict:
 
 def _form_of(args, f: IdealFile) -> "LinearForm":
     if getattr(args, "order", None):
-        from .order import parse_form
         return parse_form(args.order, f.n)
     return f.form()
 
@@ -210,7 +209,7 @@ def _cmd_flat(args) -> tuple[int, dict]:
     extra = tuple(int(w) for w in args.weights.split(",")) if args.weights else ()
     I = f.presentation(std_form(f.n), mu)
     rep = diagram.flatness_weight_search(I, args.k, mu,
-                                         regenerate=f.regenerator(),
+                                         regenerate=f.generators,
                                          extra_weights=extra)
     code = 0 if rep.verdict == "FLAT" else 2
     return code, {

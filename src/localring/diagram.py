@@ -201,7 +201,6 @@ class FlatnessReport:
     vertices: tuple
     offending: tuple
     base_matches_evaluated: bool
-    basis: CertifiedBasis
 
 
 def _gens_under(I: IdealPresentation, Lw: LinearForm, window: Fraction,
@@ -254,8 +253,7 @@ def flatness_weight_search(I: IdealPresentation, k: int, mu,
             k=k, l0=l0, l_used=Fraction(l), window=window,
             base_vertices=base_D.vertices, vertices=D.vertices,
             offending=offending,
-            base_matches_evaluated=(base == base_D.vertices),
-            basis=basis)
+            base_matches_evaluated=(base == base_D.vertices))
         if ok:
             return report
     return report
@@ -270,7 +268,6 @@ class DimensionReport:
     matrix: tuple
     seed: int
     trials: int
-    per_trial: tuple
 
 
 def _axis_degrees(vertices: tuple) -> dict:
@@ -298,7 +295,6 @@ def axis_vertex_dimension(I: IdealPresentation, mu, trials: int = 5,
     rng = random.Random(seed)
     n = I.n
     best_k, best_M = -1, None
-    per_trial = []
     for t in range(max(1, trials)):
         M = linalg.identity_matrix(n) if t == 0 else linalg.seeded_unimodular(rng, n)
         gens_t = tuple(substitute_linear(g, M) for g in I.gens)
@@ -307,13 +303,11 @@ def axis_vertex_dimension(I: IdealPresentation, mu, trials: int = 5,
         k = 0
         while k < n and k in axes:
             k += 1
-        per_trial.append((M, k))
         if k > best_k:
             best_k, best_M = k, M
         if best_k == n:
             break
-    return DimensionReport(best_k, n - best_k, best_M, seed, len(per_trial),
-                           tuple(per_trial))
+    return DimensionReport(best_k, n - best_k, best_M, seed, t + 1)
 
 
 # -- exact row-reduction oracle --------------------------------------------

@@ -27,6 +27,7 @@ consumer of zero-tests states which notion it relies on.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -100,10 +101,6 @@ class PrecisionSeries:
             self.form_ctx = None
 
     # -- convenience ------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.prec is EXACT
 
     @property
     def is_exact_zero(self) -> bool:
@@ -360,28 +357,48 @@ def embed(f: PrecisionSeries, n_new: int, var_map: tuple[int, ...],
     return PrecisionSeries(n_new, out, f.prec, new_form)
 
 
-def invert_unit(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
-    """Inverse of a unit (nonzero constant term) as a jet to L-value mu."""
+def _builtin_jet(u: PrecisionSeries, L: LinearForm, mu, coeff_of_k) -> PrecisionSeries:
+    """sum coeff_of_k(k) u^k on the window {L <= mu}: the one windowed
+    power-series loop, for u with zero constant term."""
     mu = Fraction(mu)
+    if u.coefficient((0,) * u.n):
+        raise ZeroUpToPrecision("builtin argument must have zero constant term")
+    ut = truncate(u, L, mu)
+    acc = one(u.n)
+    term = one(u.n)
+    if ut.terms:
+        o = min_lvalue(L, ut)
+        k = 1
+        while o * k <= mu:
+            term = truncate(mul(term, ut), L, mu)
+            if term.is_zero_up_to_prec:
+                break
+            acc = add(acc, scale(term, coeff_of_k(k)))
+            k += 1
+    return truncate(acc, L, mu)
+
+
+def exp_jet(u: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
+    """Jet of exp(u) = sum u^k / k!, for u with zero constant term."""
+    return _builtin_jet(u, L, mu, lambda k: Fraction(1, math.factorial(k)))
+
+
+def geom_jet(u: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
+    """Jet of 1/(1-u) = sum u^k, for u with zero constant term."""
+    return _builtin_jet(u, L, mu, lambda k: Fraction(1))
+
+
+def invert_unit(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
+    """Inverse of a unit (nonzero constant term) as a jet to L-value mu.
+
+    With f = c0 (1 - u), 1/f = geom(u) / c0.  u is admitted on the window
+    exactly when f is; `geom_jet` admits it and truncates it.
+    """
     c0 = f.coefficient((0,) * f.n)
     if not c0:
         raise ZeroUpToPrecision("cannot invert: constant term is zero")
-    ft = truncate(f, L, mu)
-    g = sub(monomial(f.n, (0,) * f.n, c0), ft)  # f = c0 - g with ord(g) > 0
-    if g.terms:
-        o_g = min_lvalue(L, g)
-    else:
-        o_g = mu + 1
-    acc = one(f.n)
-    term = one(f.n)
-    k, level = 1, o_g
-    while level <= mu and not (k > 1 and term.is_zero_up_to_prec):
-        term = scale(truncate(mul(term, g), L, mu), Fraction(1) / c0)
-        acc = add(acc, term)
-        k += 1
-        level = o_g * k
-    acc = scale(acc, Fraction(1) / c0)
-    return truncate(acc, L, mu)
+    u = scale(sub(monomial(f.n, (0,) * f.n, c0), f), 1 / c0)
+    return scale(geom_jet(u, L, mu), 1 / c0)
 
 
 def substitute_linear(f: PrecisionSeries, M) -> PrecisionSeries:
@@ -470,11 +487,7 @@ class IdealPresentation:
             raise PresentationError("variable name count differs from ambient")
         object.__setattr__(self, "var_names", names)
 
-    def map_gens(self, fn: Callable[[PrecisionSeries], PrecisionSeries],
-                 n: Optional[int] = None,
-                 var_names: Optional[tuple] = None) -> "IdealPresentation":
-        return IdealPresentation(
-            self.n if n is None else n,
-            tuple([fn(g) for g in self.gens]),
-            self.var_names if var_names is None else var_names,
-        )
+    def map_gens(self, fn: Callable[[PrecisionSeries], PrecisionSeries]
+                 ) -> "IdealPresentation":
+        return IdealPresentation(self.n, tuple([fn(g) for g in self.gens]),
+                                 self.var_names)

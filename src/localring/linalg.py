@@ -36,10 +36,14 @@ def det(M) -> Fraction:
     return result
 
 
-def seeded_unimodular(rng: random.Random, n: int, spread: int = 3, attempts: int = 5000) -> Matrix:
-    """Random integer matrix with entries in {-spread..spread} and det +-1."""
-    for _ in range(attempts):
-        M = tuple(tuple(rng.randint(-spread, spread) for _ in range(n)) for _ in range(n))
+_SPREAD = 3
+_ATTEMPTS = 5000  # samples drawn before giving up
+
+
+def seeded_unimodular(rng: random.Random, n: int) -> Matrix:
+    """Random integer matrix with entries in {-3..3} and det +-1."""
+    for _ in range(_ATTEMPTS):
+        M = tuple(tuple(rng.randint(-_SPREAD, _SPREAD) for _ in range(n)) for _ in range(n))
         if abs(det(M)) == 1:
             return M
     raise RuntimeError("failed to sample a unimodular matrix")

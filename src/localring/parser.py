@@ -27,14 +27,15 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .approx import exp_jet, geom_jet
 from .errors import ParseError
 from .kernel import (
     IdealPresentation,
     PrecisionSeries,
     add,
+    exp_jet,
+    geom_jet,
     monomial,
     mul,
     power,
@@ -255,10 +256,6 @@ class IdealFile:
                      mu=None) -> IdealPresentation:
         return IdealPresentation(self.n, self.generators(form, mu),
                                  self.var_names)
-
-    def regenerator(self) -> Callable:
-        """(form, window) -> generators, for precision-flexible pipelines."""
-        return lambda form, window: self.generators(form, window)
 
 
 def load_ideal_file(text: str) -> IdealFile:

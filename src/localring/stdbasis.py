@@ -76,7 +76,7 @@ from .kernel import (
     scale,
     sub,
 )
-from .order import LinearForm, initial_term, lvalue, sort_key
+from .order import LinearForm, initial_term, sort_key
 
 
 @dataclass(frozen=True)
@@ -183,9 +183,10 @@ def _integer_s_series(ri, rj, L: LinearForm) -> tuple:
     parts = []
     for r, c in ((ri, rj.a), (rj, -ri.a)):
         shift = (*map(operator.sub, lcm, r.alpha),)
+        base = lcm_level - r.level  # the level of the shift
         if r.prec is not EXACT:
-            prec = prec_min(prec, r.prec + lvalue(L, shift))
-        parts.append((shift, lcm_level - r.level, r.tail, c))
+            prec = prec_min(prec, r.prec + Fraction(base, L.den))
+        parts.append((shift, base, r.tail, c))
     cap = None if prec is EXACT else L.level_cap(prec)
     add = operator.add
     terms: dict = {}

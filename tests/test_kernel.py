@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -239,6 +240,49 @@ class TestPrecisionHousekeeping:
         assert prod.terms == {(0,): F(1)}
         with pytest.raises(ZeroUpToPrecision):
             K.invert_unit(K.variable(1, 0), std1, 3)
+
+
+# -- builtin jets and unit inversion against a reference built from powers --
+
+wt12 = O.LinearForm((F(1), F(2)))
+
+
+@st.composite
+def builtin_problems(draw):
+    L = draw(st.sampled_from([std2, wt12]))
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    terms = draw(st.dictionaries(exponents(2), coeffs, max_size=4))
+    terms.pop((0, 0), None)
+    return K.series(2, terms), L, draw(st.integers(0, 6))
+
+
+def _reference_jet(u, L, mu, coeff_of_k):
+    ut = K.truncate(u, L, mu)
+    top = mu // O.min_lvalue(L, ut) if ut.terms else 0
+    acc = K.truncate(K.one(2), L, mu)
+    for k in range(1, top + 1):
+        acc = K.add(acc, K.scale(K.truncate(K.power(ut, k), L, mu),
+                                 coeff_of_k(k)))
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(builtin_problems())
+def test_builtin_jets_match_sums_of_powers(problem):
+    u, L, mu = problem
+    assert K.exp_jet(u, L, mu) == _reference_jet(
+        u, L, mu, lambda k: F(1, math.factorial(k)))
+    assert K.geom_jet(u, L, mu) == _reference_jet(u, L, mu, lambda k: F(1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(builtin_problems(), st.sampled_from([F(1), F(-2), F(3, 5)]))
+def test_invert_unit_is_an_inverse_on_the_window(problem, c0):
+    u, L, mu = problem
+    f = K.add(K.monomial(2, (0, 0), c0), u)
+    inv = K.invert_unit(f, L, mu)
+    assert inv.prec == mu and inv.form_ctx == L
+    assert K.agrees_up_to(K.mul(inv, f), K.one(2), L, mu)
 
 
 def test_serialization_roundtrip_bit_exact():

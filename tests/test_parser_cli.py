@@ -140,9 +140,8 @@ class TestIdealFile:
         f = load_ideal_file(IDEAL_TEXT)
         I = f.presentation()
         assert I.n == 3
-        regen = f.regenerator()
         w = O.weighted_split_form(3, 2, 9)
-        gens = regen(w, 72)
+        gens = f.generators(w, 72)
         assert all(g.prec is K.EXACT or g.prec >= 72 for g in gens)
 
     def test_vars_before_gens(self):

@@ -96,3 +96,45 @@ def test_forms_compared_only_by_the_admission_rule():
         if path.name not in ("kernel.py", "order.py"):
             found += _form_ctx_comparisons(path)
     assert not found, found
+
+
+def _package_imports(path: Path) -> set:
+    """The package modules a module imports, by relative import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_parser_imports_only_the_arithmetic_layers():
+    # the expression language sits on kernel and order; reading an ideal
+    # file must not load the experiment and completion modules
+    assert _package_imports(SOURCE / "parser.py") <= {"errors", "kernel", "order"}
+
+
+def _nested_imports(path: Path) -> list:
+    """Imports outside the module's top level and its TYPE_CHECKING block."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    allowed = set()
+    for node in tree.body:
+        allowed.add(id(node))
+        if (isinstance(node, ast.If) and isinstance(node.test, ast.Name)
+                and node.test.id == "TYPE_CHECKING"):
+            allowed.update(id(inner) for inner in node.body)
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and id(node) not in allowed]
+
+
+def test_no_function_level_imports():
+    # what a module needs shows in its imports, and the layering lint
+    # above sees all of it
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += _nested_imports(path)
+    assert not found, found
