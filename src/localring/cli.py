@@ -88,6 +88,16 @@ def _eta(args) -> int:
     return args.eta
 
 
+def _weights(args) -> tuple:
+    if not args.weights:
+        return ()
+    try:
+        return tuple(int(w) for w in args.weights.split(","))
+    except ValueError:
+        raise UsageError(
+            f"argument --weights: invalid integer list: {args.weights!r}")
+
+
 def _deltas(args, f: IdealFile, form, mu, count: int) -> tuple:
     """The --delta series, parsed at window 2*mu and padded with zeros to
     one per generator."""
@@ -206,7 +216,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
 def _cmd_flat(args) -> tuple[int, dict]:
     f = _load(args.file)
     mu = _mu(args, f)
-    extra = tuple(int(w) for w in args.weights.split(",")) if args.weights else ()
+    extra = _weights(args)
     I = f.presentation(std_form(f.n), mu)
     rep = diagram.flatness_weight_search(I, args.k, mu,
                                          regenerate=f.generators,

@@ -442,6 +442,8 @@ def reduction_exponent(I: IdealPresentation, k: int, mu) -> ReductionReport:
     every degree-(d+1) monomial in the first k variables lies in
     I + (tail) * m^d.
     """
+    if not 1 <= k <= I.n:
+        raise DimensionMismatch(f"reduction index {k} out of range for n={I.n}")
     mu = Fraction(mu)
     basis = complete(I, std_form(I.n), mu)
     D = diagram_of(basis)

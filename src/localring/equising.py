@@ -47,7 +47,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 from . import linalg
@@ -512,8 +512,6 @@ class Tower:
     mu: Fraction
     seed: int
     levels: tuple                   # TowerLevel for index n down to 1
-    prepared_inputs: tuple
-    input_units: tuple
     coordinate_changes: tuple       # (ambient_level, matrix) pairs
 
 
@@ -534,6 +532,13 @@ def _first_nonvanishing(coeffs, n_vars: int, mu) -> tuple:
         "every generalized discriminant vanished up to the working precision")
 
 
+def _at_origin(value):
+    """The constant term of a series; a number is its own constant term."""
+    if isinstance(value, PrecisionSeries):
+        return value.coefficient((0,) * value.n)
+    return value
+
+
 def _embed_change(M, n: int) -> tuple:
     """The k x k coordinate change M acting on the first k of n variables."""
     k = len(M)
@@ -542,20 +547,19 @@ def _embed_change(M, n: int) -> tuple:
                   for r in range(n)])
 
 
-def _ensure_regular(polys: list, i: int, mu, rng: random.Random) -> Optional[tuple]:
-    """Make every listed series regular in variable i, changing coordinates
-    in the first i+1 variables if needed.  Returns the matrix used, if any."""
+def _ensure_regular(polys: Sequence[PrecisionSeries], i: int, mu,
+                    rng: random.Random) -> tuple:
+    """(series, matrix): the listed series, all regular in variable i, and
+    the change of the first i+1 variables that made them so (None when they
+    already were).  Draws up to COORDINATE_CHANGE_RETRIES seeded changes."""
     n = polys[0].n
-    if all(regular_order(truncate(f, std_form(n), mu), i) is not None
-           for f in polys):
-        return None
-    for _ in range(COORDINATE_CHANGE_RETRIES):
-        full = _embed_change(linalg.seeded_unimodular(rng, i + 1), n)
-        candidate = [substitute_linear(f, full) for f in polys]
+    draws = (_embed_change(linalg.seeded_unimodular(rng, i + 1), n)
+             for _ in range(COORDINATE_CHANGE_RETRIES))
+    for M in chain([None], draws):
+        candidate = [f if M is None else substitute_linear(f, M) for f in polys]
         if all(regular_order(truncate(f, std_form(n), mu), i) is not None
                for f in candidate):
-            polys[:] = candidate
-            return full
+            return candidate, M
     raise NotRegular(f"no sampled change made the series regular in x_{i + 1}")
 
 
@@ -566,8 +570,10 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
     (after a recorded coordinate change when regularity fails), multiplies
     them into the top polynomial, and then recursively takes the first
     non-vanishing generalized discriminant, prepared to distinguished form
-    one variable down.  A surviving unit discriminant ends the tower with
-    constant levels, and the bottom level is always the constant 1.
+    one variable down.  A change drawn at a lower level re-expresses every
+    earlier level, its unit included.  A unit discriminant ends the tower
+    with constant levels; a univariate level's discriminant is a nonzero
+    number, so the bottom level is always the constant 1.
     """
     mu = Fraction(mu)
     gens = list(gens)
@@ -586,24 +592,16 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
         if g.coefficient((0,) * n):
             raise PresentationError("unit generator: the germ is empty")
 
-    M = _ensure_regular(gens, n - 1, mu, rng)
+    gens, M = _ensure_regular(gens, n - 1, mu, rng)
     if M is not None:
         changes.append((n, M))
-    prepared, units = [], []
-    for g in gens:
-        P, u = weierstrass_prepare(g, n - 1, mu)
-        prepared.append(P)
-        units.append(u)
-
-    f_top = prepared[0]
+    prepared = [weierstrass_prepare(g, n - 1, mu)[0] for g in gens]
+    current = prepared[0]
     for P in prepared[1:]:
-        f_top = truncate(mul(f_top, P), std_form(n), mu)
+        current = truncate(mul(current, P), std_form(n), mu)
 
     levels = []
-    current = f_top
-    dim = n
-    ones_from = None
-    while True:
+    for dim in range(n, 0, -1):
         p = regular_order(truncate(current, std_form(dim), mu), dim - 1)
         if p is None:
             raise PrecisionShortfall(
@@ -611,104 +609,84 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
                 f"variable on the window {mu}: its degree lies beyond the window")
         coeffs = coefficient_vector(current, dim - 1, p)
         j, disc_val, certs = _first_nonvanishing(coeffs, dim - 1, mu)
-        if dim == 1:
-            # discriminants of a univariate polynomial are constants
-            levels.append(TowerLevel(dim, False, current, p, j, certs,
-                                     None, disc_val))
-            break
-        const = disc_val.coefficient((0,) * (dim - 1))
+        const = _at_origin(disc_val)
         if const:
             levels.append(TowerLevel(dim, False, current, p, j, certs,
                                      None, const))
-            ones_from = dim - 1
+            levels += [TowerLevel(i, True, None, None, None, (), None, None)
+                       for i in range(dim - 1, 0, -1)]
             break
-        polys = [disc_val]
-        M = _ensure_regular(polys, dim - 2, mu, rng)
-        disc_val = polys[0]
+        (disc_val,), M = _ensure_regular([disc_val], dim - 2, mu, rng)
         if M is not None:
             changes.append((dim - 1, M))
             current = substitute_linear(current, _embed_change(M, dim))
             for lvl in levels:
                 lvl.poly = substitute_linear(lvl.poly,
                                              _embed_change(M, lvl.index))
+                lvl.unit_below = substitute_linear(
+                    lvl.unit_below, _embed_change(M, lvl.index - 1))
         P, u = weierstrass_prepare(disc_val, dim - 2, mu)
         levels.append(TowerLevel(dim, False, current, p, j, certs, u,
-                                 u.coefficient((0,) * (dim - 1))))
+                                 _at_origin(u)))
         current = P
-        dim -= 1
+    return Tower(n, mu, seed, tuple(levels), tuple(changes))
 
-    if ones_from is not None:
-        for i in range(ones_from, 0, -1):
-            levels.append(TowerLevel(i, True, None, None, None, (), None, None))
 
-    return Tower(n, mu, seed, tuple(levels), tuple(prepared), tuple(units),
-                 tuple(changes))
+def _level_checks(lvl: TowerLevel, below: Optional[TowerLevel], mu) -> dict:
+    """The checks of one level that is not constant one."""
+    idx, f = lvl.index, lvl.poly
+    try:
+        coeffs = coefficient_vector(f, idx - 1, lvl.degree)
+    except PresentationError:
+        coeffs = None
+    monic = f.coefficient(tuple([0 if t < idx - 1 else lvl.degree
+                                 for t in range(idx)])) == 1
+    cert_ok = unit_ok = False
+    if coeffs is not None:
+        try:
+            j, disc_val, certs = _first_nonvanishing(coeffs, idx - 1, mu)
+        except UndecidedAtPrecision:
+            pass
+        else:
+            cert_ok = (j, certs) == (lvl.disc_index, lvl.vanish_certificates)
+            if below is None or below.is_one:
+                # the discriminant is the unit: its constant term is recorded
+                const = _at_origin(disc_val)
+                unit_ok = bool(const) and lvl.unit_constant == const
+            elif lvl.unit_below is not None:
+                u0 = _at_origin(lvl.unit_below)
+                prod = mul(lvl.unit_below, below.poly)
+                unit_ok = (bool(u0) and lvl.unit_constant == u0
+                           and agrees_up_to(disc_val, prod, std_form(idx - 1),
+                                            prec_min(mu, prod.prec)))
+    return {
+        "distinguished_form": f.n == idx and coeffs is not None and monic,
+        "coefficients_vanish": coeffs is None or not any(map(_at_origin, coeffs)),
+        "discriminant_certificates": cert_ok,
+        "unit_factorization": unit_ok,
+    }
 
 
 def validate_tower(T: Tower) -> dict:
     """Re-check the tower conditions level by level.
 
     Per level: monic distinguished form with coefficients vanishing at the
-    origin, the recorded discriminant-vanishing certificates, the unit
-    factorization D = u * F_below, and the once-one-always-one chain; the
-    bottom of the tower is the constant 1.
+    origin, the recorded discriminant index and vanishing certificates, the
+    unit factorization D = u * F_below with the recorded unit constant, and
+    the once-one-always-one chain; the bottom of the tower is the constant 1.
     """
     levels = {lvl.index: lvl for lvl in T.levels}
     report: dict = {"mu": T.mu, "levels": {}, "all_pass": True}
     seen_one = False
     for idx in sorted(levels, reverse=True):
         lvl = levels[idx]
-        entry: dict = {}
-        if lvl.is_one:
-            entry["one_propagation"] = True
-            seen_one = True
-            report["levels"][idx] = entry
-            continue
+        seen_one = seen_one or lvl.is_one
         if seen_one:
-            entry["one_propagation"] = False
-            report["all_pass"] = False
-            report["levels"][idx] = entry
-            continue
-        f = lvl.poly
-        ok_dim = f.n == idx
-        distinguished = True
-        try:
-            coeffs = coefficient_vector(f, idx - 1, lvl.degree)
-        except PresentationError:
-            distinguished = False
-            coeffs = None
-        monic = f.coefficient(tuple([0 if t < idx - 1 else lvl.degree
-                                     for t in range(idx)])) == 1
-        vanish_at_zero = True
-        if coeffs is not None and idx >= 2:
-            vanish_at_zero = all(not c.coefficient((0,) * (idx - 1))
-                                 for c in coeffs)
-        elif coeffs is not None and idx == 1:
-            vanish_at_zero = all(c == 0 for c in coeffs)
-        entry["distinguished_form"] = ok_dim and distinguished and monic
-        entry["coefficients_vanish"] = vanish_at_zero
-
-        cert_ok = False
-        unit_ok = True
-        if coeffs is not None:
-            try:
-                j, disc_val, certs = _first_nonvanishing(coeffs, idx - 1, T.mu)
-                cert_ok = (j == lvl.disc_index and len(certs) == j - 1)
-                below = levels.get(idx - 1)
-                if lvl.unit_below is not None and below is not None \
-                        and not below.is_one:
-                    prod = mul(lvl.unit_below, below.poly)
-                    unit_ok = (lvl.unit_below.coefficient((0,) * (idx - 1)) != 0
-                               and agrees_up_to(disc_val, prod, std_form(idx - 1),
-                                                prec_min(T.mu, prod.prec)))
-                elif idx >= 2 and (below is None or below.is_one):
-                    unit_ok = bool(lvl.unit_constant)
-            except UndecidedAtPrecision:
-                cert_ok = False
-        entry["discriminant_certificates"] = cert_ok
-        entry["unit_factorization"] = unit_ok
+            entry = {"one_propagation": lvl.is_one}
+        else:
+            entry = _level_checks(lvl, levels.get(idx - 1), T.mu)
         report["levels"][idx] = entry
-        if not all(v for v in entry.values()):
+        if not all(entry.values()):
             report["all_pass"] = False
     bottom = levels.get(1)
     report["base_is_one"] = bottom is not None and (

@@ -181,22 +181,26 @@ def iter_sublevel(L: LinearForm, eta) -> Iterator[Exponent]:
 
 
 def parse_form(text: str, n: int) -> LinearForm:
-    """Textual forms: `std`, `w:1,1,7`, or `split:k=2,l=7`."""
+    """Textual forms: `std`, `w:1,1,7`, or `split:k=2,l=7`.  Any other text,
+    a malformed number or field included, raises FormMismatch."""
     text = text.strip()
     if text == "std":
         return std_form(n)
-    if text.startswith("w:"):
-        parts = [p for p in text[2:].split(",") if p]
-        if len(parts) != n:
-            raise FormMismatch(f"form lists {len(parts)} weights for {n} variables")
-        return LinearForm(tuple(Fraction(p) for p in parts))
-    if text.startswith("split:"):
-        fields = dict(p.split("=", 1) for p in text[6:].split(",") if p)
-        try:
-            k, l = int(fields["k"]), Fraction(fields["l"])
-        except KeyError as exc:
-            raise FormMismatch(f"split form needs k= and l=: {text!r}") from exc
-        return weighted_split_form(n, k, l)
+    try:
+        if text.startswith("w:"):
+            parts = [p for p in text[2:].split(",") if p]
+            if len(parts) != n:
+                raise FormMismatch(
+                    f"form lists {len(parts)} weights for {n} variables")
+            return LinearForm(tuple(Fraction(p) for p in parts))
+        if text.startswith("split:"):
+            fields = dict(p.split("=", 1) for p in text[6:].split(",") if p)
+            if not {"k", "l"} <= fields.keys():
+                raise FormMismatch(f"split form needs k= and l=: {text!r}")
+            return weighted_split_form(n, int(fields["k"]), Fraction(fields["l"]))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise FormMismatch(
+            f"malformed number or field in order spec {text!r}") from exc
     raise FormMismatch(f"unrecognized order spec {text!r}")
 
 

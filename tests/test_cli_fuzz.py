@@ -1,8 +1,9 @@
 """The frozen CLI contract under fuzzed command lines and ideal files.
 
-Whatever the arguments and the file say, `hs`, `divide`, `sbasis complete`
-and `sbasis check` print exactly one JSON document on standard output and
-exit with code 0, 1 or 2.
+Whatever the arguments and the file say, `hs`, `divide`, `sbasis complete`,
+`sbasis check`, `diagram`, `reduction`, `tower build` and `tower validate`
+print exactly one JSON document on standard output and exit with code 0, 1
+or 2.  Every command is bounded by the fuzzed `prec` of at most 7.
 """
 
 import json
@@ -57,7 +58,8 @@ def ideal_files(draw):
     if draw(st.booleans()):
         lines.append(draw(header_line(
             "order", ["std", "w:1,2,3", "w:1/2,1,2", "split:k=1,l=2"],
-            ["w:1,2", "w:0,1,1", "split:k=9,l=2", "split:k=1", "bogus"])))
+            ["w:1,2", "w:0,1,1", "split:k=9,l=2", "split:k=1", "bogus",
+             "split:k=a,l=2", "split:k", "w:1,a", "w:1,1/0"])))
     lines += [f"gen: {draw(expressions())}"
               for _ in range(draw(st.sampled_from([2, 1, 3])))]
     if draw(st.integers(0, 3)) == 3:
@@ -72,16 +74,25 @@ def ideal_files(draw):
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(["hs", "divide", "sbasis complete",
-                                    "sbasis check"]))
+                                    "sbasis check", "diagram", "reduction",
+                                    "tower build", "tower validate"]))
     argv = command.split() + ["--file", "FILE"]
     if command == "hs":
         argv += ["--eta", draw(sometimes_malformed(["3", "0", "2", "6"],
                                                    ["-1", "x", ""]))]
     if command == "divide":
         argv += ["--dividend", draw(expressions())]
-    if command != "hs" and draw(st.integers(0, 3)) == 3:
+    if command == "reduction":
+        argv += ["--k", draw(sometimes_malformed(["1", "2", "3"],
+                                                 ["0", "-1", "9", "x"]))]
+    if command.startswith("tower") and draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["0", "1", "7"]))]
+    if command.split()[0] in ("divide", "sbasis", "diagram") \
+            and draw(st.integers(0, 3)) == 3:
         argv += ["--order", draw(sometimes_malformed(
-            ["w:1,2,3", "std", "split:k=2,l=3/2"], ["w:2,1", "nope"]))]
+            ["w:1,2,3", "std", "split:k=2,l=3/2"],
+            ["w:2,1", "nope", "split:k=a,l=2", "split:k", "w:1,a",
+             "w:1,1/0"]))]
     if command.startswith("sbasis") and draw(st.booleans()):
         argv.append("--no-coprime-skip")
     if draw(st.booleans()):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -12,6 +13,7 @@ from localring.errors import (
     NotRegular,
     PrecisionShortfall,
     PresentationError,
+    UndecidedAtPrecision,
 )
 
 std1 = O.std_form(1)
@@ -310,7 +312,6 @@ class TestTower:
             degree=3, disc_index=3, vanish_certificates=("exact-zero",) * 2,
             unit_below=None, unit_constant=F(3))
         tampered = E.Tower(good.n, good.mu, good.seed, tuple(tampered_levels),
-                           good.prepared_inputs, good.input_units,
                            good.coordinate_changes)
         report = E.validate_tower(tampered)
         assert not report["all_pass"]
@@ -336,6 +337,58 @@ class TestTower:
                 continue
             assert E.validate_tower(T)["all_pass"], dict(g.terms)
             built += 1
+
+    def test_seeded_four_variable_towers_all_validate(self):
+        # one or two generators x4^a + (1-3 terms, exponents 0..2): about
+        # half the towers need a change below the top level, which must
+        # re-express the levels above it together with their units
+        rng = random.Random(5)
+        built = changed_below = 0
+        for _ in range(100):
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                terms = {(0, 0, 0, rng.randint(1, 2)): 1}
+                for _ in range(rng.randint(1, 3)):
+                    e = tuple(rng.randint(0, 2) for _ in range(4))
+                    if any(e):
+                        terms[e] = terms.get(e, 0) + rng.choice([-2, -1, 1, 2])
+                gens.append(K.series(4, terms))
+            try:
+                T = E.build_tower(gens, 6, seed=rng.randrange(1000))
+            except (NotRegular, PrecisionShortfall, PresentationError,
+                    UndecidedAtPrecision):
+                continue
+            assert E.validate_tower(T)["all_pass"], [g.terms for g in gens]
+            built += 1
+            changed_below += any(k < 4 for k, _ in T.coordinate_changes)
+        assert built >= 90 and changed_below >= 30
+
+    def test_validation_rechecks_the_certificates(self):
+        good = E.build_tower([K.series(2, {(0, 2): 1, (3, 0): -1})], 10)
+        top, bottom = good.levels
+        assert bottom.vanish_certificates == ("exact-zero",) * 2
+        wrong = dataclasses.replace(
+            bottom, vanish_certificates=("zero-up-to-mu",) * 2)
+        report = E.validate_tower(dataclasses.replace(good, levels=(top, wrong)))
+        assert not report["all_pass"]
+        assert not report["levels"][1]["discriminant_certificates"]
+
+    @pytest.mark.parametrize("gens, index", [
+        # a level with a unit below it, and the univariate bottom level
+        ([K.series(3, {(0, 0, 2): 1, (1, 1, 0): -1})], 3),
+        ([K.series(3, {(0, 0, 2): 1, (1, 1, 0): -1})], 1),
+        # a unit discriminant above the constant-one levels
+        ([K.variable(3, 2)], 3),
+    ])
+    def test_validation_rechecks_the_unit_constant(self, gens, index):
+        good = E.build_tower(gens, 10)
+        levels = tuple(
+            dataclasses.replace(lvl, unit_constant=lvl.unit_constant + 1)
+            if lvl.index == index else lvl for lvl in good.levels)
+        report = E.validate_tower(dataclasses.replace(good, levels=levels))
+        assert E.validate_tower(good)["all_pass"]
+        assert not report["all_pass"]
+        assert not report["levels"][index]["unit_factorization"]
 
     def test_quadric_cone_three_levels(self):
         # z^2 - xy: the first discriminant -4xy needs a change in (x, y),

@@ -343,6 +343,47 @@ class TestCli:
         assert code == 0
         assert rep["validation"]["all_pass"] is True
 
+    def test_tower_change_below_keeps_the_units_valid(self, tmp_path):
+        # the change of (a, b) drawn below level 3 must re-express the
+        # levels above it, the unit of level 4 included
+        path = tmp_path / "four.ideal"
+        path.write_text("vars: a b c d\nprec: 6\n"
+                        "gen: d - a^2*b^2 + 2*a*b*d + c\n"
+                        "gen: d^2 + a^2*c^2*d^2 + 2*b*c*d + 2*a^2*b*d\n",
+                        encoding="utf-8")
+        code, rep = cli.run(["tower", "validate", "--file", str(path)])
+        assert [k for k, _ in rep["coordinate_changes"]] == [2]
+        assert code == 0
+        assert rep["validation"]["all_pass"] is True
+
+    @pytest.mark.parametrize("weights", ["a", "1,,2", "10,x"])
+    def test_malformed_weights_is_usage_error(self, ideal_file, weights):
+        code, rep = cli.run(["flat", "--file", ideal_file, "--k", "2",
+                             "--weights", weights])
+        assert code == 1
+        assert rep["error"] == "usage" and "--weights" in rep["detail"]
+
+    @pytest.mark.parametrize("spec", ["split:k=a,l=2", "split:k", "w:1,a",
+                                      "w:1,1/0"])
+    def test_malformed_order_spec_is_form_mismatch(self, monomial_file,
+                                                   tmp_path, spec):
+        path = tmp_path / "ordered.ideal"
+        path.write_text(f"vars: x y\nprec: 6\norder: {spec}\ngen: x^2\n",
+                        encoding="utf-8")
+        for argv in (["divide", "--file", monomial_file, "--dividend", "x",
+                      "--order", spec],
+                     ["sbasis", "complete", "--file", str(path)],
+                     ["diagram", "--file", str(path)]):
+            code, rep = cli.run(argv)
+            assert code == 1
+            assert rep["error"] == "FormMismatch" and spec in rep["detail"]
+
+    @pytest.mark.parametrize("k", ["0", "-1", "3"])
+    def test_reduction_index_out_of_range(self, monomial_file, k):
+        code, rep = cli.run(["reduction", "--file", monomial_file, "--k", k])
+        assert code == 1
+        assert rep["error"] == "DimensionMismatch" and "out of range" in rep["detail"]
+
     @pytest.mark.parametrize("action", ["build", "validate"])
     def test_tower_beyond_the_window_is_refused(self, action, capsys,
                                                 monkeypatch):
