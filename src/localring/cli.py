@@ -23,6 +23,11 @@ from .order import LinearForm, form_label, parse_form, std_form
 from .parser import IdealFile, load_ideal_file, parse_expression
 
 
+#: The largest split weight `flat --weights` accepts.  Completion runs on
+#: the window l * mu, so an unbounded weight would be an unbounded window.
+MAX_SPLIT_WEIGHT = 100
+
+
 class UsageError(Exception):
     pass
 
@@ -89,13 +94,20 @@ def _eta(args) -> int:
 
 
 def _weights(args) -> tuple:
+    """The --weights list, each entry checked before any search runs."""
     if not args.weights:
         return ()
     try:
-        return tuple(int(w) for w in args.weights.split(","))
+        weights = tuple(int(w) for w in args.weights.split(","))
     except ValueError:
         raise UsageError(
             f"argument --weights: invalid integer list: {args.weights!r}")
+    for w in weights:
+        if not 1 <= w <= MAX_SPLIT_WEIGHT:
+            raise UsageError(
+                f"argument --weights: each weight must lie in "
+                f"1..{MAX_SPLIT_WEIGHT}: {args.weights!r}")
+    return weights
 
 
 def _deltas(args, f: IdealFile, form, mu, count: int) -> tuple:
@@ -385,7 +397,8 @@ def _build_argparser() -> _Parser:
     common(p)
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--weights", default=None,
-                   help="extra split weights to try, comma separated")
+                   help="extra split weights to try, comma separated, "
+                   f"each in 1..{MAX_SPLIT_WEIGHT}")
     p.set_defaults(fn=_cmd_flat)
 
     p = sub.add_parser("dim")

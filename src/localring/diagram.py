@@ -149,7 +149,9 @@ def hilbert_samuel(B: CertifiedBasis, eta_max: int) -> HSTable:
     if not prec_at_least(B.mu, eta_max):
         raise PrecisionShortfall(f"eta_max {eta_max} beyond certification {B.mu}")
     D = diagram_of(B)
-    return HSTable(tuple(accumulate(_complement_levels(D, B.form, eta_max))))
+    # from a list: tuple() over an iterator of unknown length allocates ten
+    # slots and shrinks, and the shrunk tuples pile up in the free lists
+    return HSTable(tuple([*accumulate(_complement_levels(D, B.form, eta_max))]))
 
 
 def evaluated_ideal(I: IdealPresentation, k: int) -> IdealPresentation:

@@ -17,20 +17,56 @@ listing order of the divisors is significant: the API never re-sorts it.
 There is one division loop, and it is fraction-free.  It runs on member
 records: each divisor admitted once on the window (`kernel._admit`) and
 converted once to a primitive integer multiple with a positive integer head
-a, its tail sorted by integer level (see `order`).  A record also carries
-the divisor's certified bound, so nothing downstream reads head, level or
-bound from the series again.  `hironaka_divide` and standard-basis
-completion build the records through `_members`; completion hands each
-integer s-series to the same loop.  The running series is held as Python
-integers over one common denominator.  Processing a term w (over the
-denominator) scales the running series by a / gcd(w, a) when that is not
-1, then subtracts w / gcd(w, a) times the shifted integer tail.  A term
-above the window is dropped at once unless the division may still turn out
-exact.  Rationals are built only for what is emitted: one quotient
-coefficient per processed term and one coefficient per remainder term.  By
-uniqueness the results equal those of the plain rational loop, and dividing
-a rational multiple of a series gives the same multiple of its quotients
-and remainder.
+a, its tail sorted in the order of L.  A record also carries the divisor's
+certified bound, so nothing downstream reads head, level or bound from the
+series again.  `hironaka_divide` and standard-basis completion build the
+records through `_members`; completion hands each integer s-series to the
+same loop.  The running series is held as Python integers over one common
+denominator.  Processing a term w (over the denominator) scales the running
+series by a / gcd(w, a) when that is not 1, then subtracts w / gcd(w, a)
+times the shifted integer tail.  A term above the window is dropped at once
+unless the division may still turn out exact.  Rationals are built only for
+what is emitted.  By uniqueness the results equal those of the plain
+rational loop, and dividing a rational multiple of a series gives the same
+multiple of its quotients and remainder.
+
+Packed exponents (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Inside the loop an
+exponent e is one Python int,
+
+    level(e) << n*w  |  e[n-1] << (n-1)*w  |  ...  |  e[0],
+
+with slots of w bits whose top bit, the guard, is zero.  Since the level is
+linear in e and every slot holds its component without carry:
+
+- integers compare as `order.sort_key` does: level first, then the
+  components from the last one down;
+- adding two packed ints packs the sum of the exponents;
+- the window test level(e) <= cap is p < (cap + 1) << n*w.  It stays
+  exact for a sum whose slots overflowed: a term of level at most cap has
+  components that fit (see below), and a term of higher level packs to at
+  least (cap + 1) << n*w whatever its slots hold, so the loop may form a sum
+  first and drop it by this test;
+- beta lies in the cone of alpha exactly when (p_beta - p_alpha) & GUARD is
+  0: at the lowest slot where beta_k < alpha_k the subtraction borrows into
+  that slot's guard bit, and below it nothing borrows.
+
+The heap holds these ints, routing is a subtract-and-mask over the heads in
+list order (so the first dividing head still wins), and exponent tuples are
+built only for emitted terms, where the usual checks run on them.
+
+The slot width.  Let cap be the window's top level, capc = cap //
+min(int_weights) and B the largest component of the dividend and of the
+divisors as given.  A processed term lies in the window, so its components
+are at most capc, and so is every shift beta - alpha it produces.  A member
+is a divisor (components at most B) or a remainder adjoined by completion
+(its terms were processed, so at most capc); write M = max(B, capc).  Every
+term the loop creates is a shift plus a member term, at most capc + M; an
+s-series is the same kind of sum (the lcm of two heads in the window, minus
+a head, plus a member term).  So one packing with room for capc + M serves a
+whole `hironaka_divide`, `complete` or `becker_check` call, including every
+member completion adjoins.  `_pack` checks every component it packs against
+the slot and raises `InvariantViolation` if it does not fit.
 """
 
 from __future__ import annotations
@@ -40,6 +76,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, ZeroUpToPrecision
@@ -50,6 +87,16 @@ from .order import Exponent, LinearForm
 COMPLEMENT = None
 
 
+def _region(alphas: Sequence[Exponent], beta: Exponent) -> Optional[int]:
+    """The index of the first head whose cone holds beta, or COMPLEMENT."""
+    for i, alpha in enumerate(alphas):
+        if len(alpha) != len(beta):
+            raise DimensionMismatch(f"{beta} against head {alpha}")
+        if all(map(operator.ge, beta, alpha)):
+            return i
+    return COMPLEMENT
+
+
 @dataclass(frozen=True)
 class RegionPartition:
     """The translated-cone partition determined by an ordered head list."""
@@ -57,12 +104,52 @@ class RegionPartition:
     alphas: tuple
 
     def region_of(self, beta: Exponent) -> Optional[int]:
-        for i, alpha in enumerate(self.alphas):
-            if len(alpha) != len(beta):
-                raise DimensionMismatch(f"{beta} against head {alpha}")
-            if all(map(operator.ge, beta, alpha)):
-                return i
-        return COMPLEMENT
+        return _region(self.alphas, beta)
+
+
+class _Packing(NamedTuple):
+    """How exponents in n variables are packed into ints (module docstring)."""
+
+    n: int
+    width: int  # bits per slot, the guard bit included
+    weights: tuple  # the integer weights of the form
+    top: int  # the largest component a slot holds
+    guard: int  # the guard bit of every slot
+    shift: int  # n * width, the position of the level
+
+
+def _packing(L: LinearForm, mu, series: Sequence[PrecisionSeries]) -> _Packing:
+    """The packing for a computation on the window {L <= mu} whose dividend
+    and divisors are among `series`."""
+    n = L.n
+    capc = max(L.level_cap(mu), 0) // min(L.int_weights)
+    B = max([max(e, default=0) for f in series for e in f.terms], default=0)
+    width = (capc + max(B, capc)).bit_length() + 1
+    guard = 0
+    for k in range(n):
+        guard |= 1 << (k * width + width - 1)
+    return _Packing(n, width, L.int_weights, (1 << (width - 1)) - 1, guard,
+                    n * width)
+
+
+def _pack(pk: _Packing, e: Exponent) -> int:
+    """The packed exponent e; every component must fit its slot."""
+    if len(e) != pk.n:
+        raise DimensionMismatch(f"exponent {e} vs form on {pk.n} variables")
+    width, top = pk.width, pk.top
+    p = sum(map(operator.mul, pk.weights, e))
+    for c in reversed(e):
+        if not 0 <= c <= top:
+            raise InvariantViolation(
+                f"component {c} of {e} does not fit a {width}-bit slot")
+        p = p << width | c
+    return p
+
+
+def _unpack(pk: _Packing, p: int) -> Exponent:
+    """The exponent tuple of a packed exponent (its level is dropped)."""
+    width, mask = pk.width, (1 << pk.width) - 1
+    return (*[p >> (k * width) & mask for k in range(pk.n)],)
 
 
 class _Member(NamedTuple):
@@ -72,33 +159,31 @@ class _Member(NamedTuple):
     level: int  # its integer level
     lead: Fraction  # the head coefficient of g
     a: int  # the positive integer head
-    tail: list  # (level, exponent, integer coefficient) by increasing level
+    head: int  # the packed head exponent
+    tail: list  # (packed exponent, integer coefficient) in increasing order
     prec: Prec  # the certified bound of g
 
 
-def _member(g: PrecisionSeries, L: LinearForm) -> _Member:
-    """The record of a nonzero series g under L, in its primitive integer
-    multiple with a positive head; every exponent must have L's length."""
-    n, level = L.n, L.level
-    m = math.lcm(*(c.denominator for c in g.terms.values()))
-    terms = []
-    for e, c in g.terms.items():
-        if len(e) != n:
-            raise DimensionMismatch(f"exponent {e} vs form on {n} variables")
-        lev = level(e)
-        terms.append(((lev,) + e[::-1], lev, e, c))
-    terms.sort()  # by the order of L, whose keys are distinct
-    _, alpha_level, alpha, lead = terms[0]
-    ints = [c.numerator * (m // c.denominator) for *_, c in terms]
-    content = math.gcd(*ints)
+def _member(g: PrecisionSeries, pk: _Packing) -> _Member:
+    """The record of a nonzero series g, in its primitive integer multiple
+    with a positive head; every exponent must have the packing's length."""
+    # a fold, not lcm(*...): a star argument builds a tuple per call, and
+    # those tuples land in CPython's tuple free lists
+    m = reduce(math.lcm, [c.denominator for c in g.terms.values()], 1)
+    # packed exponents are distinct, so the sort never compares coefficients
+    terms = sorted([(_pack(pk, e), c) for e, c in g.terms.items()])
+    head, lead = terms[0]
+    ints = [c.numerator * (m // c.denominator) for _, c in terms]
+    content = reduce(math.gcd, ints)
     if ints[0] < 0:
         content = -content
-    tail = [(lev, e, c // content)
-            for (_, lev, e, _), c in zip(terms[1:], ints[1:])]
-    return _Member(alpha, alpha_level, lead, ints[0] // content, tail, g.prec)
+    tail = [(p, c // content) for (p, _), c in zip(terms[1:], ints[1:])]
+    return _Member(_unpack(pk, head), head >> pk.shift, lead,
+                   ints[0] // content, head, tail, g.prec)
 
 
-def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> list:
+def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
+             pk: _Packing) -> list:
     """The records of divisors or basis members, each admitted once on the
     window {L <= mu}."""
     members = []
@@ -107,7 +192,7 @@ def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> list:
             raise ZeroUpToPrecision(
                 "a divisor or basis member is zero up to its precision")
         _admit(g, L, mu)
-        members.append(_member(g, L))
+        members.append(_member(g, pk))
     return members
 
 
@@ -142,90 +227,147 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
         raise DimensionMismatch("divisor dimension differs from dividend")
     if L.n != n:
         raise DimensionMismatch(f"form on {L.n} variables, dividend in {n}")
-    members = _members(divisors, L, mu)
-    den = math.lcm(*(c.denominator for c in F.terms.values()))
-    terms = {e: c.numerator * (den // c.denominator) for e, c in F.terms.items()}
+    pk = _packing(L, mu, [F, *divisors])
+    members = _members(divisors, L, mu, pk)
+    den = reduce(math.lcm, [c.denominator for c in F.terms.values()], 1)
+    terms = {_pack(pk, e): c.numerator * (den // c.denominator)
+             for e, c in F.terms.items()}
     exact = F.prec is EXACT and all(m.prec is EXACT for m in members)
-    return _divide(terms, den, members, L, mu, exact)
+    return _division_result(terms, den, members, pk, L, mu, exact)
 
 
-def _divide(terms: dict, den: int, members: Sequence[_Member], L: LinearForm,
-            mu: Fraction, exact: bool) -> DivisionResult:
-    """The division loop: divide {e: terms[e] / den}, with integer
-    terms[e], by the member records.
+def _division_result(terms: dict, den: int, members: Sequence[_Member],
+                     pk: _Packing, L: LinearForm, mu: Fraction,
+                     exact: bool) -> DivisionResult:
+    """The full division of {p: terms[p] / den}, quotients included, with
+    every emitted exponent checked against its region."""
+    quotients: list[dict] = [dict() for _ in members]
+    rem, den, exact = _divide(terms, den, members, pk, L.level_cap(mu), exact,
+                              quotients)
+    n, add = L.n, operator.add
+    partition = RegionPartition(tuple([m.alpha for m in members]))
+    # quotient i is certified to mu - L(alpha_i) = (mu * den - level_i) / den
+    top, bottom = mu.numerator * L.den, mu.denominator * L.den
+    out_q = []
+    for i, (packed, m) in enumerate(zip(quotients, members)):
+        qterms = {}
+        for s, c in packed.items():
+            e = _unpack(pk, s)
+            if partition.region_of((*map(add, e, m.alpha),)) != i:
+                raise InvariantViolation(f"quotient {i} left its region")
+            qterms[e] = c
+        if exact:
+            out_q.append(PrecisionSeries(n, qterms))
+        else:
+            bound = Fraction(top - m.level * mu.denominator, bottom)
+            out_q.append(PrecisionSeries(n, qterms, bound, L))
+    remainder = {e: Fraction(w, den)
+                 for e, w in _remainder_terms(rem, pk, partition.alphas)}
+    if exact:
+        rem_series = PrecisionSeries(n, remainder)
+    else:
+        rem_series = PrecisionSeries(n, remainder, mu, L)
+    return DivisionResult(tuple(out_q), rem_series, mu, partition)
 
-    `exact` says that the dividend and every member are exact.  The
-    exponents of the dividend are checked against L here; the members were
-    checked when their records were built.
+
+def _remainder_terms(rem: dict, pk: _Packing, alphas: Sequence[Exponent]):
+    """(exponent, numerator) for each remainder term, checked to lie in the
+    complement of the heads' cones."""
+    for p, w in rem.items():
+        e = _unpack(pk, p)
+        if _region(alphas, e) is not COMPLEMENT:
+            raise InvariantViolation("remainder term outside the complement")
+        yield e, w
+
+
+def _adjoined(rem: dict, members: Sequence[_Member], pk: _Packing,
+              L: LinearForm, mu: Fraction, exact: bool) -> tuple:
+    """(series, record) of the head-monic multiple of a nonzero remainder
+    {p: rem[p] / den} returned by `_divide`; the denominator cancels."""
+    alphas = [m.alpha for m in members]
+    head, w0 = next(iter(rem.items()))  # `_divide` emits in increasing order
+    terms = {e: Fraction(w, w0) for e, w in _remainder_terms(rem, pk, alphas)}
+    content = reduce(math.gcd, rem.values())
+    if w0 < 0:
+        content = -content
+    tail = [(p, w // content) for p, w in rem.items() if p != head]
+    prec = EXACT if exact else mu
+    series = PrecisionSeries(L.n, terms, prec, None if exact else L)
+    return series, _Member(_unpack(pk, head), head >> pk.shift, Fraction(1),
+                           w0 // content, head, tail, prec)
+
+
+def _divide(terms: dict, den: int, members: Sequence[_Member], pk: _Packing,
+            cap: int, exact: bool, quotients: Optional[list] = None) -> tuple:
+    """The division loop: divide {p: terms[p] / den}, with packed exponents
+    p and integer terms[p], by the member records, on the levels <= cap.
+
+    Returns (remainder, den, exact): the remainder maps packed exponents, in
+    increasing order, to integer numerators over the returned den, and exact
+    says whether the division is exact.  `exact` on entry says that the
+    dividend and every member are exact.  With `quotients`, a list of one
+    dict per member, quotient i gets {packed shift: Fraction}; without it no
+    quotient is built.
     """
-    n = L.n
-    alphas = tuple([m.alpha for m in members])
-    ge = operator.ge
-
-    def region(beta: Exponent) -> Optional[int]:
-        for i, alpha in enumerate(alphas):
-            if all(map(ge, beta, alpha)):
-                return i
-        return COMPLEMENT
-
-    level, cap = L.level, L.level_cap(mu)
+    limit = (cap + 1) << pk.shift  # p < limit exactly when level(p) <= cap
+    guard = pk.guard
     # A term above the window only ever feeds terms above it.  Such terms are
     # kept only in an exact division, to tell whether anything is left over.
-    work: dict = {}  # the running series is {e: work[e] / den}
-    heap: list = []  # (sort_key(L, e), e) for the terms inside the window
-    for e, c in terms.items():
-        if len(e) != n:
-            raise DimensionMismatch(f"exponent {e} vs form on {n} variables")
+    work: dict = {}  # the running series is {p: work[p] / den}
+    heap: list = []  # the packed exponents of the terms inside the window
+    for p, c in terms.items():
         if not c:
             continue
-        lev = level(e)
-        if lev <= cap:
-            heap.append(((lev,) + e[::-1], e))
+        if p < limit:
+            heap.append(p)
         elif not exact:
             continue
-        work[e] = c
+        work[p] = c
     heapq.heapify(heap)
 
-    quotients: list[dict] = [dict() for _ in members]
     remainder: dict = {}
-    last_key = None
-    sub, add = operator.sub, operator.add
+    last = -1  # packed exponents are nonnegative
+    heappop, heappush, gcd = heapq.heappop, heapq.heappush, math.gcd
 
     while heap:
-        key, beta = heapq.heappop(heap)
+        beta = heappop(heap)
         w = work.pop(beta, None)
         if w is None:
             continue  # stale entry: the term cancelled meanwhile
-        if last_key is not None and key <= last_key:
+        if beta <= last:
             raise InvariantViolation("division made no strict progress in the order")
-        last_key = key
-        i = region(beta)
-        if i is COMPLEMENT:
-            remainder[beta] = Fraction(w, den)
+        last = beta
+        for i, m in enumerate(members):
+            if not (beta - m.head) & guard:
+                break
+        else:
+            remainder[beta] = w
             continue
-        alpha, alpha_level, lead, a, tail, _ = members[i]
-        shift = (*map(sub, beta, alpha),)
-        quotients[i][shift] = Fraction(w * lead.denominator, den * lead.numerator)
+        _, _, lead, a, head, tail, _ = m
+        shift = beta - head
+        if quotients is not None:
+            quotients[i][shift] = Fraction(w * lead.denominator,
+                                           den * lead.numerator)
         # subtract w / (den * a) times x^shift times the integer divisor,
         # over the new denominator den * a / g
-        g = math.gcd(w, a)
+        g = gcd(w, a)
         if g != a:
             factor = a // g
-            for e in work:
-                work[e] *= factor
+            for p in work:
+                work[p] *= factor
+            for p in remainder:
+                remainder[p] *= factor
             den *= factor
         w //= g
-        base = key[0] - alpha_level
-        for lev, e, c in tail:
-            lev += base
-            if lev > cap and not exact:
+        for e, c in tail:
+            t = shift + e
+            if t >= limit and not exact:
                 break  # the tail is sorted by level
-            t = (*map(add, shift, e),)
             v = work.get(t)
             if v is None:
                 work[t] = -w * c
-                if lev <= cap:
-                    heapq.heappush(heap, ((lev,) + t[::-1], t))
+                if t < limit:
+                    heappush(heap, t)
             else:
                 v -= w * c
                 if v:
@@ -233,26 +375,4 @@ def _divide(terms: dict, den: int, members: Sequence[_Member], L: LinearForm,
                 else:
                     del work[t]
 
-    exact = exact and not work
-
-    # quotient i is certified to mu - L(alpha_i) = (mu * den - level_i) / den
-    top, bottom = mu.numerator * L.den, mu.denominator * L.den
-    out_q = []
-    for i, qterms in enumerate(quotients):
-        alpha = alphas[i]
-        for e in qterms:  # support certification at emission time
-            if region((*map(add, e, alpha),)) != i:
-                raise InvariantViolation(f"quotient {i} left its region")
-        if exact:
-            out_q.append(PrecisionSeries(n, qterms))
-        else:
-            bound = Fraction(top - members[i].level * mu.denominator, bottom)
-            out_q.append(PrecisionSeries(n, qterms, bound, L))
-    for e in remainder:
-        if region(e) is not COMPLEMENT:
-            raise InvariantViolation("remainder term outside the complement")
-    if exact:
-        rem = PrecisionSeries(n, remainder)
-    else:
-        rem = PrecisionSeries(n, remainder, mu, L)
-    return DivisionResult(tuple(out_q), rem, mu, RegionPartition(alphas))
+    return remainder, den, exact and not work

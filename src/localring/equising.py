@@ -271,7 +271,10 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         L = std_form(n_vars)
         jets = [truncate(c, L, mu).terms for c in coeffs]
         top = math.floor(mu)
-    d = math.lcm(*{c.denominator for jet in jets for c in jet.values()})
+    # fold, not lcm(*...): a star argument builds a tuple per call that lands
+    # in CPython's tuple free lists
+    d = functools.reduce(math.lcm,
+                         {c.denominator for jet in jets for c in jet.values()}, 1)
     # A_i = (a_i * d) * d^(p-1-i): both factors are integers
     jets = [{e: c.numerator * (d // c.denominator) * d ** (p - 1 - i)
              for e, c in jet.items()}

@@ -12,11 +12,13 @@ terminates, since every adjoined head is a remainder term, hence lies both
 in the window and outside all earlier head cones, and only finitely many
 exponents qualify.
 
-Completion and `becker_check` admit and convert each member once, when it
-enters the basis, into the integer record of `division` (head, level,
-primitive integer head a, level-sorted integer tail and certified bound),
-and read heads, bounds and exactness from the records.  The s-series of
-members i and j is formed on integers,
+Completion and `becker_check` choose one exponent packing per call (see
+`division`: it has room for every member completion can adjoin), admit and
+convert each member once, when it enters the basis, into the integer record
+of `division` (head, level, primitive integer head a, packed head, packed
+integer tail in increasing order and certified bound), and read heads,
+bounds and exactness from the records.  The s-series of members i and j is
+formed on integers and packed exponents,
 
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j,
 
@@ -55,17 +57,36 @@ The criterion keeps the staircase but not the basis: a skipped pair might
 have adjoined a redundant member.  `sbasis complete` prints the heads, the
 adjoined members and the number of steps as frozen JSON, so the command
 line turns the criterion off there and nowhere else.
+
+Steps on read.  Completion asks the division loop for the remainder only:
+it builds no quotients and no `DivisionResult`.  A `CompletionStep` records
+the pair, the basis size and the adjoined index; its `s` and `division` are
+computed when first read, by replaying the step on the first `basis_size`
+member records with the same packing.  The integer division is
+deterministic, so the replay gives the remainder that completion used.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import NamedTuple, Optional, Sequence
 
-from .division import DivisionResult, _divide, _member, _members, hironaka_divide
+from .division import (
+    DivisionResult,
+    _adjoined,
+    _divide,
+    _division_result,
+    _members,
+    _pack,
+    _Packing,
+    _packing,
+    _unpack,
+    hironaka_divide,
+)
 from .errors import BudgetExceeded, PrecisionShortfall
 from .kernel import (
     EXACT,
@@ -73,10 +94,9 @@ from .kernel import (
     PrecisionSeries,
     mul_monomial,
     prec_min,
-    scale,
     sub,
 )
-from .order import LinearForm, initial_term, sort_key
+from .order import LinearForm, initial_term
 
 
 @dataclass(frozen=True)
@@ -86,24 +106,56 @@ class PairCheck:
     status: str  # "pass" | "fail" | "skipped-coprime"
 
 
+class _Run(NamedTuple):
+    """What a completion step needs to be replayed: the member records (a
+    list that completion only appends to), the packing and the window."""
+
+    members: list
+    pk: _Packing
+    form: LinearForm
+    mu: Fraction
+
+
 @dataclass(frozen=True)
 class CompletionStep:
     """One s-series reduction performed during completion.
 
     `s` is the integer s-series of members i and j (module docstring), with
     `Fraction` coefficients: a nonzero rational multiple of
-    `s_series(basis[i], basis[j])`, certified to the same bound.  It keeps
-    enough data to re-verify that the adjoined element is an explicit ideal
-    combination: s = sum(quotients * basis) + remainder up to mu, and the
-    adjoined element is the remainder made head-monic.
+    `s_series(basis[i], basis[j])`, certified to the same bound.  With
+    `division` it re-verifies that the adjoined element is an explicit
+    ideal combination: s = sum(quotients * basis) + remainder up to mu, and
+    the adjoined element is the remainder made head-monic.  Both are
+    computed on first read (module docstring).
     """
 
     i: int
     j: int
-    s: PrecisionSeries
-    division: DivisionResult
     basis_size: int
     adjoined_index: Optional[int]
+    _run: _Run = field(repr=False, compare=False)
+
+    @cached_property
+    def _s_terms(self) -> tuple:
+        members = self._run.members
+        return _integer_s_series(members[self.i], members[self.j],
+                                 self._run.pk, self._run.form)
+
+    @cached_property
+    def s(self) -> PrecisionSeries:
+        terms, prec = self._s_terms
+        pk, L = self._run.pk, self._run.form
+        return PrecisionSeries(
+            L.n, {_unpack(pk, p): Fraction(c) for p, c in terms.items()},
+            prec, None if prec is EXACT else L)
+
+    @cached_property
+    def division(self) -> DivisionResult:
+        members, pk, L, mu = self._run
+        members = members[:self.basis_size]
+        exact = all(m.prec is EXACT for m in members)
+        return _division_result(self._s_terms[0], 1, members, pk, L, mu,
+                                exact)
 
 
 @dataclass
@@ -158,43 +210,42 @@ def has_standard_representation(F: PrecisionSeries, basis: Sequence[PrecisionSer
     return result.remainder_is_zero, result
 
 
-def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> list:
-    """The integer records of the members, once they are admitted and their
+def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> tuple:
+    """(packing, records) of the members, once they are admitted and their
     heads lie in the window."""
-    members = _members(gens, L, mu)
+    pk = _packing(L, mu, gens)
+    members = _members(gens, L, mu, pk)
     cap = L.level_cap(mu)
     for m in members:
         if m.level > cap:
             raise PrecisionShortfall(
                 f"head {m.alpha} lies beyond the verification window {mu}")
-    return members
+    return pk, members
 
 
-def _integer_s_series(ri, rj, L: LinearForm) -> tuple:
+def _integer_s_series(ri, rj, pk: _Packing, L: LinearForm) -> tuple:
     """(terms, prec): the s-series of two members from their records.
 
-    terms maps exponents to the integer coefficients of
+    terms maps packed exponents to the integer coefficients of
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j, kept up to
     prec, the bound of `s_series(g_i, g_j, L)`.
     """
-    lcm = (*map(max, ri.alpha, rj.alpha),)
-    lcm_level = L.level(lcm)
+    lcm = _pack(pk, (*map(max, ri.alpha, rj.alpha),))
+    lcm_level = lcm >> pk.shift
     prec = EXACT
     parts = []
     for r, c in ((ri, rj.a), (rj, -ri.a)):
-        shift = (*map(operator.sub, lcm, r.alpha),)
-        base = lcm_level - r.level  # the level of the shift
         if r.prec is not EXACT:
-            prec = prec_min(prec, r.prec + Fraction(base, L.den))
-        parts.append((shift, base, r.tail, c))
-    cap = None if prec is EXACT else L.level_cap(prec)
-    add = operator.add
+            # the shift lcm - alpha has level lcm_level - r.level
+            prec = prec_min(prec, r.prec + Fraction(lcm_level - r.level, L.den))
+        parts.append((lcm - r.head, r.tail, c))
+    limit = None if prec is EXACT else (L.level_cap(prec) + 1) << pk.shift
     terms: dict = {}
-    for shift, base, tail, c in parts:
-        for lev, e, v in tail:
-            if cap is not None and lev + base > cap:
+    for shift, tail, c in parts:
+        for e, v in tail:
+            t = shift + e
+            if limit is not None and t >= limit:
                 break  # the tail is sorted by level
-            t = (*map(add, shift, e),)
             v = terms.get(t, 0) + c * v
             if v:
                 terms[t] = v
@@ -212,8 +263,9 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
     """
     mu = Fraction(mu)
     gens = tuple(gens)
-    members = _check_ready(gens, L, mu)
+    pk, members = _check_ready(gens, L, mu)
     exact = all(m.prec is EXACT for m in members)
+    cap = L.level_cap(mu)
     checks = []
     verified = True
     for i in range(len(gens)):
@@ -222,9 +274,8 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
                                                   members[j].alpha):
                 checks.append(PairCheck(i, j, "skipped-coprime"))
                 continue
-            terms, _ = _integer_s_series(members[i], members[j], L)
-            ok = not terms or _divide(terms, 1, members, L, mu,
-                                      exact).remainder_is_zero
+            terms, _ = _integer_s_series(members[i], members[j], pk, L)
+            ok = not terms or not _divide(terms, 1, members, pk, cap, exact)[0]
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
     return CertifiedBasis(gens, L, mu, verified, tuple(checks),
@@ -238,17 +289,20 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     """Close the generator list under the s-series criterion at precision mu.
 
     Adjoined elements are head-monic remainders, each an explicit ideal
-    combination of earlier members (recorded in `completion_steps`).  By the
-    low-level stability of staircases under jet truncation, the resulting
-    head set generates the true staircase of the ideal on {L <= mu}.
-    Monomial-ideal inputs come back unchanged.  `use_chain_criterion`
-    skips pairs by the chain criterion (module docstring); it keeps the
-    staircase, but may adjoin fewer members and record fewer steps.
+    combination of earlier members (recorded in `completion_steps`, whose
+    series and divisions are computed when read).  By the low-level
+    stability of staircases under jet truncation, the resulting head set
+    generates the true staircase of the ideal on {L <= mu}.  Monomial-ideal
+    inputs come back unchanged.  `use_chain_criterion` skips pairs by the
+    chain criterion (module docstring); it keeps the staircase, but may
+    adjoin fewer members and record fewer steps.
     """
     mu = Fraction(mu)
     basis = list(I.gens)
-    members = _check_ready(basis, L, mu)
+    pk, members = _check_ready(basis, L, mu)
+    run = _Run(members, pk, L, mu)
     exact = all(m.prec is EXACT for m in members)
+    cap, guard = L.level_cap(mu), pk.guard
     steps = []
     queue: list = []
     left_queue: set = set()  # popped pairs, in both orders
@@ -256,11 +310,13 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     def push_pairs(j: int):
         hj = members[j].alpha
         for i in range(j):
-            lcm = (*map(max, members[i].alpha, hj),)
-            heapq.heappush(queue, (sort_key(L, lcm), i, j, lcm))
+            # packed exponents sort as `order.sort_key` does
+            lcm = _pack(pk, (*map(max, members[i].alpha, hj),))
+            heapq.heappush(queue, (lcm, i, j))
 
-    def chain_skips(i: int, j: int, lcm) -> bool:
-        return any(k != i and k != j and all(map(operator.le, mk.alpha, lcm))
+    def chain_skips(i: int, j: int, lcm: int) -> bool:
+        # h_k divides the lcm when subtracting it borrows into no guard bit
+        return any(k != i and k != j and not (lcm - mk.head) & guard
                    and (i, k) in left_queue and (j, k) in left_queue
                    for k, mk in enumerate(members))
 
@@ -269,7 +325,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
 
     adjoined = 0
     while queue:
-        _, i, j, lcm = heapq.heappop(queue)
+        lcm, i, j = heapq.heappop(queue)
         left_queue.add((i, j))
         left_queue.add((j, i))
         if use_coprime_skip and heads_coprime(members[i].alpha,
@@ -277,14 +333,12 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
             continue
         if use_chain_criterion and chain_skips(i, j, lcm):
             continue
-        terms, prec = _integer_s_series(members[i], members[j], L)
+        terms, _ = _integer_s_series(members[i], members[j], pk, L)
         if not terms:
             continue
-        s = PrecisionSeries(L.n, {e: Fraction(c) for e, c in terms.items()},
-                            prec, None if prec is EXACT else L)
-        division = _divide(terms, 1, members, L, mu, exact)
-        if division.remainder_is_zero:
-            steps.append(CompletionStep(i, j, s, division, len(basis), None))
+        rem, _, rem_exact = _divide(terms, 1, members, pk, cap, exact)
+        if not rem:
+            steps.append(CompletionStep(i, j, len(basis), None, run))
             continue
         adjoined += 1
         if adjoined > max_adjoined:
@@ -294,13 +348,11 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
                 tuple(basis), L, mu, False, completion_steps=tuple(steps),
                 heads=tuple([m.alpha for m in members]))
             raise exc
-        # the record of the remainder is that of its head-monic multiple
-        member = _member(division.remainder, L)
-        basis.append(scale(division.remainder, Fraction(1) / member.lead))
-        members.append(member._replace(lead=Fraction(1)))
-        exact = exact and member.prec is EXACT
-        steps.append(CompletionStep(i, j, s, division, len(basis) - 1,
-                                    len(basis) - 1))
+        series, member = _adjoined(rem, members, pk, L, mu, rem_exact)
+        basis.append(series)
+        members.append(member)
+        exact = exact and rem_exact
+        steps.append(CompletionStep(i, j, len(basis) - 1, len(basis) - 1, run))
         push_pairs(len(basis) - 1)
 
     return CertifiedBasis(tuple(basis), L, mu, True,

@@ -363,6 +363,26 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "usage" and "--weights" in rep["detail"]
 
+    @pytest.mark.parametrize("weights", ["0", "-3", "10,0"])
+    def test_weight_below_one_is_usage_error(self, ideal_file, weights):
+        # refused before the search, which would reach it only after l0
+        code, rep = cli.run(["flat", "--file", ideal_file, "--k", "2",
+                             "--weights", weights])
+        assert code == 1
+        assert rep["error"] == "usage" and "--weights" in rep["detail"]
+
+    def test_weight_above_the_cap_is_usage_error(self, ideal_file):
+        for weights, ok in ((str(cli.MAX_SPLIT_WEIGHT), True),
+                            (str(cli.MAX_SPLIT_WEIGHT + 1), False),
+                            (f"10,{10 ** 9}", False)):
+            code, rep = cli.run(["flat", "--file", ideal_file, "--k", "2",
+                                 "--weights", weights])
+            if ok:
+                assert code == 0 and rep["verdict"] == "FLAT"
+            else:
+                assert code == 1
+                assert rep["error"] == "usage" and "--weights" in rep["detail"]
+
     @pytest.mark.parametrize("spec", ["split:k=a,l=2", "split:k", "w:1,a",
                                       "w:1,1/0"])
     def test_malformed_order_spec_is_form_mismatch(self, monomial_file,

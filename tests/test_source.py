@@ -6,6 +6,7 @@ from pathlib import Path
 import localring
 
 SOURCE = Path(localring.__file__).parent
+HOT_MODULES = ("kernel.py", "division.py", "stdbasis.py", "equising.py")
 
 
 def test_no_assert_statements():
@@ -66,8 +67,26 @@ def test_no_tuple_of_iterator_in_hot_modules():
     # and keep the resident memory of a long process growing.  Build from a
     # list, or as (*map(...),), instead.
     found = []
-    for name in ("kernel.py", "division.py", "stdbasis.py", "equising.py"):
+    for name in HOT_MODULES:
         found += _tuples_from_iterators(SOURCE / name)
+    assert not found, found
+
+
+def _star_arguments(path: Path) -> list:
+    """Calls with a star-unpacked positional argument, f(*xs)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and any(isinstance(arg, ast.Starred) for arg in node.args)]
+
+
+def test_no_star_arguments_in_hot_modules():
+    # f(*xs) packs its arguments into a fresh tuple, one per call, and those
+    # tuples land in the same free lists; pass an iterable, or fold with
+    # functools.reduce, instead
+    found = []
+    for name in HOT_MODULES:
+        found += _star_arguments(SOURCE / name)
     assert not found, found
 
 
