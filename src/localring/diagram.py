@@ -25,6 +25,7 @@ from .errors import (
     FormMismatch,
     MissingAxisVertex,
     PrecisionShortfall,
+    PresentationError,
     TrivialEvaluation,
     UnverifiedBasis,
 )
@@ -136,16 +137,22 @@ def complement_count(D: Diagram, L: LinearForm, eta) -> int:
     return sum(_complement_levels(D, L, L.level_cap(eta)))
 
 
-def hilbert_samuel(B: CertifiedBasis, eta_max: int) -> HSTable:
+def hilbert_samuel(B: CertifiedBasis, eta_max) -> HSTable:
     """H(eta) = staircase-complement count per level, 0 <= eta <= eta_max.
 
     Requires the standard form (all weights 1), where the sub-level sets are
     total-degree balls and the count equals the jet-quotient dimension.  The
     complement is walked once up to degree eta_max (as in
-    `complement_count`), bucketed by degree and accumulated.
+    `complement_count`), bucketed by degree and accumulated.  eta_max is an
+    integer degree, possibly given as an integral `Fraction`; any other
+    value raises PresentationError.
     """
     if not is_standard(B.form):
         raise FormMismatch("Hilbert-Samuel tables use the standard form")
+    degree = Fraction(eta_max)
+    if degree.denominator != 1:
+        raise PresentationError(f"eta_max {eta_max} is not an integer degree")
+    eta_max = degree.numerator
     if not prec_at_least(B.mu, eta_max):
         raise PrecisionShortfall(f"eta_max {eta_max} beyond certification {B.mu}")
     D = diagram_of(B)

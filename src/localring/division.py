@@ -55,6 +55,10 @@ The heap holds these ints, routing is a subtract-and-mask over the heads in
 list order (so the first dividing head still wins), and exponent tuples are
 built only for emitted terms, where the usual checks run on them.
 
+The packing has a second user: `equising` keys the jets of its discriminant
+towers and Weierstrass lifting by these ints, under the standard form, and
+relies on the sum and window-test properties above.
+
 The slot width.  Let cap be the window's top level, capc = cap //
 min(int_weights) and B the largest component of the dividend and of the
 divisors as given.  A processed term lies in the window, so its components

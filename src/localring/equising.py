@@ -20,12 +20,18 @@ the coefficients, and one Berkowitz pass gives all the minors.  Both steps
 are division-free, so they run on integers: scaling the roots by the lcm d
 of the coefficient denominators makes the coefficients integral and
 multiplies the m x m minor by d^(m(m-1)), which is divided out at the end.
-Numbers and truncated power series take the same route, with no degree cap.
+Numbers and truncated power series take the same loop, with no degree cap:
+numbers as plain ints, series as integer jets.
 
-Weierstrass preparation lifts on plain jets {exponent: coefficient}
-truncated to the window.  Both it and the discriminants multiply jets with
-one degree-truncated product, `_jet_dot`; the kernel only checks the
-prepared identity u * P = f on the window.
+Weierstrass preparation lifts on jets {packed exponent: coefficient}
+truncated to the window, and the series discriminants run on jets keyed
+the same way.  The exponents are packed into ints as `division` packs them
+(Monagan and Pearce), under the standard form, where the packed level is
+the total degree: a product term is the sum of two ints, and one compare
+with (top + 1) << shift tests its degree.  Both multiply jets with one
+degree-truncated product, `_jet_dot`, and unpack exponents only in what
+they return; the kernel only checks the prepared identity u * P = f on the
+window.
 
 The classical leading-term reduction of D_j to a polynomial in the
 elementary symmetric values (`generalized_discriminant`) is kept as an
@@ -47,10 +53,11 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, starmap
 from typing import Optional, Sequence
 
 from . import linalg
+from .division import _pack, _packing, _unpack
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -197,31 +204,30 @@ def evaluate_at_rationals(red: SymmetricReduction, coeffs: Sequence) -> Fraction
     return total
 
 
-def _jet_dot(pairs, top: int) -> dict:
-    """Sum of the products a * b over pairs of jets {exponent: coefficient},
-    keeping only the terms of total degree <= top.
+def _jet_dot(pairs, limit: int) -> dict:
+    """Sum of the products a * b over pairs of jets {packed exponent:
+    coefficient}, keeping only the terms packed below `limit`.
 
-    The terms of each b are grouped by total degree in increasing order, so
-    the inner loop stops at the first degree beyond the room a term of a
-    leaves.
+    The exponents are packed as in `division`, under the standard form, so
+    the packed level is the total degree: a product term packs to the sum
+    e1 + e2, and with limit = (top + 1) << shift the test e1 + e2 < limit
+    keeps exactly the terms of degree <= top, even when a slot of the sum
+    overflowed.  Each b is sorted once, so the inner loop stops at the
+    first term beyond the room a term of a leaves.
     """
-    plus = operator.add
     out: dict = {}
+    get = out.get
     for a, b in pairs:
         if not a or not b:
             continue
-        by_degree: dict = {}
-        for e2, c2 in b.items():
-            by_degree.setdefault(sum(e2), {})[e2] = c2
-        groups = sorted(by_degree.items())
+        terms = sorted(b.items())  # packed exponents are distinct ints
         for e1, c1 in a.items():
-            room = top - sum(e1)
-            for degree, terms in groups:
-                if degree > room:
+            room = limit - e1
+            for e2, c2 in terms:
+                if e2 >= room:
                     break
-                for e2, c2 in terms.items():
-                    e = (*map(plus, e1, e2),)
-                    out[e] = out.get(e, 0) + c1 * c2
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
@@ -251,7 +257,7 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     leading m x m minor of the Hankel matrix [s_{a+b}], m = p - j + 1.  One
     Berkowitz pass yields the characteristic polynomials of all leading
     principal submatrices, whose constant terms are (-1)^m times the minors.
-    Every sum of products is one truncated `_jet_dot`, and nothing divides.
+    Every sum of products is one `dot`, and nothing divides.
 
     The pass runs on integers by scaling the roots.  Let d be the lcm of
     the denominators of every coefficient in the truncated jets.  Then
@@ -262,15 +268,20 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     d^(m(m-1)), times the original one.  Scaling commutes with truncation
     by degree, so each returned minor is the integer one divided by
     d^(m(m-1)); that division is the only place a `Fraction` is built.
+
+    One loop serves both kinds of input; only its primitives differ.  Series
+    are jets keyed by exponents packed as in `division`, and `dot` is the
+    truncated `_jet_dot`; the keys are unpacked only in the returned minors.
+    Numbers are plain ints, and `dot` is a sum of products.
     """
     p = len(coeffs)
-    if n_vars == 0:
-        jets = [{(): c} if c else {} for c in map(Fraction, coeffs)]
-        top = 0
-    else:
+    if n_vars:
         L = std_form(n_vars)
-        jets = [truncate(c, L, mu).terms for c in coeffs]
-        top = math.floor(mu)
+        truncated = [truncate(c, L, mu) for c in coeffs]
+        pk = _packing(L, mu, truncated)
+        jets = [{_pack(pk, e): c for e, c in f.terms.items()} for f in truncated]
+    else:
+        jets = [{0: c} if c else {} for c in map(Fraction, coeffs)]
     # fold, not lcm(*...): a star argument builds a tuple per call that lands
     # in CPython's tuple free lists
     d = functools.reduce(math.lcm,
@@ -279,10 +290,33 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     jets = [{e: c.numerator * (d // c.denominator) * d ** (p - 1 - i)
              for e, c in jet.items()}
             for i, jet in enumerate(jets)]
-    origin = (0,) * n_vars
 
-    def const(k: int) -> dict:
-        return {origin: k} if k else {}
+    if n_vars:
+        limit = (L.level_cap(mu) + 1) << pk.shift
+
+        def dot(pairs) -> dict:
+            return _jet_dot(pairs, limit)
+
+        neg = _negated
+
+        def const(k: int) -> dict:
+            return {0: k} if k else {}  # 0 packs the origin
+
+        def minor(jet: dict, scale: int) -> dict:
+            return {_unpack(pk, e): Fraction(c, scale) for e, c in jet.items()}
+    else:
+        jets = [jet.get(0, 0) for jet in jets]
+
+        def dot(pairs) -> int:
+            return sum(starmap(operator.mul, pairs))
+
+        neg = operator.neg
+
+        def const(k: int) -> int:
+            return k
+
+        def minor(c: int, scale: int) -> dict:
+            return {(): Fraction(c, scale)} if c else {}
 
     # Newton: s_k = -(c_1 s_{k-1} + ... + c_{k-1} s_1 + k c_k) with
     # c_i = A_{p-i}, and c_i = 0 for i > p
@@ -291,7 +325,7 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         pairs = [(jets[p - i], s[k - i]) for i in range(1, min(k - 1, p) + 1)]
         if k <= p:
             pairs.append((jets[p - k], const(k)))
-        s.append(_negated(_jet_dot(pairs, top)))
+        s.append(neg(dot(pairs)))
 
     # Berkowitz: with H_r the leading r x r block, c its next column (also
     # its next row, by symmetry) and h the new diagonal entry, the
@@ -301,18 +335,18 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     minors = []
     for r in range(p):
         col = s[r:2 * r]
-        t = [const(1), _negated(s[2 * r])]
+        t = [const(1), neg(s[2 * r])]
         v = col
         for k in range(r):
             if k:
-                v = [_jet_dot(zip(s[a:a + r], v), top) for a in range(r)]
-            t.append(_negated(_jet_dot(zip(col, v), top)))
-        char = [_jet_dot(((t[k], char[i - k])
-                          for k in range(max(0, i - r), min(i, r + 1) + 1)), top)
+                v = [dot(zip(s[a:a + r], v)) for a in range(r)]
+            t.append(neg(dot(zip(col, v))))
+        char = [dot((t[k], char[i - k])
+                    for k in range(max(0, i - r), min(i, r + 1) + 1))
                 for i in range(r + 2)]
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
-        minors.append({e: Fraction(c, scale) for e, c in char[-1].items()})
+        minors.append(minor(char[-1], scale))
     return minors[::-1]
 
 
@@ -404,10 +438,13 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     verified identity u * P = j(f) on the window.  Tower levels are defined
     from this computed data and re-validated on it.
 
-    The lifting works on jets {exponent: coefficient} of total degree
-    <= floor(mu), every product being one truncated `_jet_dot`.  Truncating
-    w^-1 * c_d to the window keeps P_d on the window: a term above it only
-    ever reached a truncated sum.  The final identity check uses the kernel.
+    The lifting works on jets {packed exponent: coefficient} of total
+    degree <= floor(mu), packed as in `division`, every product being one
+    truncated `_jet_dot`.  The x_i-degree of a term is read from its slot,
+    and dividing by the pivot power x_i^p subtracts its packed exponent.
+    Truncating w^-1 * c_d to the window keeps P_d on the window: a term
+    above it only ever reached a truncated sum.  The exponents are unpacked
+    for P and u, and the final identity check uses the kernel.
     """
     mu = Fraction(mu)
     n = f.n
@@ -418,49 +455,53 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
         raise NotRegular(
             f"not regular in variable {i} at precision {mu}; "
             "apply a linear change of coordinates and retry")
-    parts = _split_by_codegree(ft, i)
     top = int(mu)
+    pk = _packing(L, mu, [ft])
+    limit = (top + 1) << pk.shift
+    slot, mask = i * pk.width, (1 << pk.width) - 1
 
-    def axis(m: int) -> tuple:
-        e = [0] * n
-        e[i] = m
-        return tuple(e)
+    def axis(m: int) -> int:
+        """The packed exponent of x_i^m, whose level is m."""
+        return m << pk.shift | m << slot
 
-    w = {e[i] - p: c for e, c in parts.get(0, {}).items()}
+    pivot = axis(p)
+    parts = {d: {_pack(pk, e): c for e, c in jet.items()}
+             for d, jet in _split_by_codegree(ft, i).items()}
+    w = {(e >> slot & mask) - p: c for e, c in parts.get(0, {}).items()}
     w_inv = {axis(m): c for m, c in _univariate_inverse(w, top).items()}
     u_parts = {0: {axis(m): c for m, c in w.items()}}
     p_parts: dict = {}
 
     for d in range(1, top + 1):
         correction = _jet_dot(((ua, p_parts[d - a]) for a, ua in u_parts.items()
-                               if 0 < a and (d - a) in p_parts), top)
+                               if 0 < a and (d - a) in p_parts), limit)
         c_d = _jet_sub(parts.get(d, {}), correction)
         # solve u_d * x_i^p + u_0 * P_d = c_d
-        P_d = {e: c for e, c in _jet_dot([(w_inv, c_d)], top).items()
-               if e[i] < p}
+        P_d = {e: c for e, c in _jet_dot([(w_inv, c_d)], limit).items()
+               if (e >> slot & mask) < p}
         if P_d:
             p_parts[d] = P_d
-        residue = _jet_sub(c_d, _jet_dot([(u_parts[0], P_d)], top))
+        residue = _jet_sub(c_d, _jet_dot([(u_parts[0], P_d)], limit))
         u_d = {}
         for e, c in residue.items():
-            if e[i] < p:
+            if (e >> slot & mask) < p:
                 raise InvariantViolation(
                     "lift residue not divisible by the pivot power")
-            shifted = list(e)
-            shifted[i] -= p
-            u_d[tuple(shifted)] = c
+            u_d[e - pivot] = c
         if u_d:
             u_parts[d] = u_d
 
     # the parts have pairwise distinct codegrees, so their supports are disjoint
-    P_terms = {axis(p): Fraction(1)}
+    P_terms = {pivot: Fraction(1)}
     for pd in p_parts.values():
         P_terms.update(pd)
     u_terms = {}
     for ud in u_parts.values():
         u_terms.update(ud)
-    P_out = PrecisionSeries(n, P_terms, mu, L)
-    u_out = PrecisionSeries(n, u_terms, mu, L)
+    P_out = PrecisionSeries(
+        n, {_unpack(pk, e): c for e, c in P_terms.items()}, mu, L)
+    u_out = PrecisionSeries(
+        n, {_unpack(pk, e): c for e, c in u_terms.items()}, mu, L)
     check = mul(u_out, P_out)
     if not agrees_up_to(check, ft, L, prec_min(mu, check.prec)):
         raise PresentationError("preparation identity failed; this is a bug")

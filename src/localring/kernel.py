@@ -31,7 +31,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Mapping, Optional
 
 from . import linalg
@@ -224,7 +224,12 @@ def scale(f: PrecisionSeries, c) -> PrecisionSeries:
 
 
 def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
-    """Convolution product under the documented precision rule."""
+    """Convolution product under the documented precision rule.
+
+    Fraction-free: with da and db the lcms of the denominators of a and b,
+    the integer numerators c * da and c * db are multiplied and summed, and
+    each surviving term is built once as a `Fraction` over da * db.
+    """
     form = _join_forms(a, b)
     if a.is_exact_zero or b.is_exact_zero:
         return zero(a.n)
@@ -241,19 +246,25 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
         # a product term is in the window when level(e1) + level(e2) <= cap
         cap, level = form.level_cap(prec), form.level
         b_levels = {e2: level(e2) for e2 in b.terms}
+    # folds, not lcm(*...): a star argument builds a tuple per call that
+    # lands in CPython's tuple free lists
+    da = reduce(math.lcm, [c.denominator for c in a.terms.values()], 1)
+    db = reduce(math.lcm, [c.denominator for c in b.terms.values()], 1)
+    b_ints = [(e2, c2.numerator * (db // c2.denominator))
+              for e2, c2 in b.terms.items()]
     plus = operator.add
     out: dict = {}
+    get = out.get
     for e1, c1 in a.terms.items():
+        n1 = c1.numerator * (da // c1.denominator)
         room = None if prec is EXACT else cap - level(e1)
-        for e2, c2 in b.terms.items():
+        for e2, n2 in b_ints:
             if room is not None and b_levels[e2] > room:
                 continue
             e = (*map(plus, e1, e2),)
-            s = out.get(e, Fraction(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+            out[e] = get(e, 0) + n1 * n2
+    den = da * db
+    out = {e: Fraction(c, den) for e, c in out.items() if c}
     return PrecisionSeries(a.n, out, prec, form if prec is not EXACT else None)
 
 

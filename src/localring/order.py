@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
@@ -43,16 +43,19 @@ class LinearForm:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
+        # tuples from lists, and a fold rather than lcm(*...): a tuple built
+        # from an iterator, or packed for a star argument, is allocated at
+        # ten slots and shrunk, and lands in CPython's tuple free lists
+        ws = tuple([Fraction(w) for w in self.weights])
         if not ws:
             raise DimensionMismatch("a linear form needs at least one weight")
         if any(w <= 0 for w in ws):
             raise FormMismatch(f"weights must be strictly positive: {ws}")
         object.__setattr__(self, "weights", ws)
-        den = math.lcm(*(w.denominator for w in ws))
+        den = reduce(math.lcm, [w.denominator for w in ws], 1)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_weights",
-                           tuple(w.numerator * (den // w.denominator) for w in ws))
+                           tuple([w.numerator * (den // w.denominator) for w in ws]))
 
     def level(self, beta: Exponent) -> int:
         """The integer den * L(beta); the caller checks the dimension."""
@@ -192,7 +195,7 @@ def parse_form(text: str, n: int) -> LinearForm:
             if len(parts) != n:
                 raise FormMismatch(
                     f"form lists {len(parts)} weights for {n} variables")
-            return LinearForm(tuple(Fraction(p) for p in parts))
+            return LinearForm(tuple([Fraction(p) for p in parts]))
         if text.startswith("split:"):
             fields = dict(p.split("=", 1) for p in text[6:].split(",") if p)
             if not {"k", "l"} <= fields.keys():

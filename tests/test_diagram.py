@@ -11,6 +11,7 @@ from localring.approx import example_ideal_builder
 from localring.errors import (
     MissingAxisVertex,
     PrecisionShortfall,
+    PresentationError,
     TrivialEvaluation,
     UnverifiedBasis,
 )
@@ -113,6 +114,14 @@ class TestHilbertSamuel:
             values = DG.hilbert_samuel(basis, 6).values
             assert values[0] == 1
             assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_integral_fraction_bound(self):
+        # an integral Fraction is a degree; any other fraction is refused
+        I = K.IdealPresentation(2, (K.monomial(2, (2, 0)), K.monomial(2, (0, 3))))
+        basis = SB.complete(I, std2, 8)
+        assert DG.hilbert_samuel(basis, F(6)).values == (1, 3, 5, 6, 6, 6, 6)
+        with pytest.raises(PresentationError):
+            DG.hilbert_samuel(basis, F(11, 2))
 
 
 class TestPerturbedTables:

@@ -1,0 +1,221 @@
+"""Differential tests for the products on the tower path.
+
+`equising._jet_dot` multiplies jets keyed by exponents packed as in
+`division`; it is compared with a product on exponent tuples.  `kernel.mul`
+multiplies integer numerators over the product of the operands' common
+denominators; it is compared with a copy of the `Fraction` loop it
+replaced, kept here as the reference.  Root counts of numbers run on plain
+ints; they are compared with the gcd oracle beyond the symbolic cap.
+"""
+
+import operator
+from fractions import Fraction as F
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from localring import division as DIV
+from localring import equising as E
+from localring import kernel as K
+from localring import order as O
+
+COEFFS = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(5, 6), F(-7, 4)]
+WEIGHTS = (F(1, 2), F(2, 3), F(1), F(3, 2), F(3))
+
+
+# -- the packed jet product ----------------------------------------------------
+
+def reference_dot(pairs, top: int) -> dict:
+    """sum a * b over the pairs, on exponent tuples, kept to degree <= top."""
+    out = {}
+    for a, b in pairs:
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple([x + y for x, y in zip(e1, e2)])
+                if sum(e) <= top:
+                    out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def tight_packing(n: int, top: int) -> DIV._Packing:
+    """The narrowest packing whose slots hold every component of a jet of
+    degree <= top: a sum of two such exponents can overflow its slots."""
+    width = top.bit_length() + 1
+    guard = 0
+    for k in range(n):
+        guard |= 1 << (k * width + width - 1)
+    return DIV._Packing(n, width, (1,) * n, (1 << (width - 1)) - 1, guard,
+                        n * width)
+
+
+def packed_dot(pairs, top: int, pk: DIV._Packing) -> dict:
+    packed = [tuple([{DIV._pack(pk, e): c for e, c in jet.items()}
+                     for jet in pair]) for pair in pairs]
+    out = E._jet_dot(packed, (top + 1) << pk.shift)
+    return {DIV._unpack(pk, e): c for e, c in out.items()}
+
+
+@st.composite
+def jet_pairs(draw):
+    """(pairs, top, n): up to three pairs of jets in 1..3 variables, every
+    term of degree <= top, with coefficients that can cancel."""
+    n = draw(st.integers(1, 3))
+    top = draw(st.integers(0, 14))
+
+    def jet():
+        terms = {}
+        for _ in range(draw(st.integers(0, 6))):
+            budget, e = top, []
+            for _ in range(n):
+                k = draw(st.integers(0, budget))
+                e.append(k)
+                budget -= k
+            terms[tuple(e)] = draw(st.sampled_from(COEFFS))
+        return terms
+
+    pairs = [(jet(), jet()) for _ in range(draw(st.integers(0, 3)))]
+    return pairs, top, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(jet_pairs(), st.booleans())
+# (x + y)(x - y) at top 2: the xy terms cancel
+@example(([({(1, 0): F(1), (0, 1): F(1)}, {(1, 0): F(1), (0, 1): F(-1)})], 2, 2),
+         True)
+def test_jet_dot_matches_the_tuple_product(case, tight):
+    pairs, top, n = case
+    L = O.std_form(n)
+    pk = tight_packing(n, top) if tight else DIV._packing(L, top, [])
+    assert packed_dot(pairs, top, pk) == reference_dot(pairs, top)
+
+
+def test_overflowing_sums_are_dropped_by_the_limit():
+    # with slots of 4 bits, y^4 * y^4 packs a sum whose y slot (8) has run
+    # into its guard bit; its level 8 is beyond top 4 all the same
+    pk = tight_packing(2, 4)
+    a, b = DIV._pack(pk, (0, 4)), DIV._pack(pk, (0, 4))
+    assert (a + b) & pk.guard
+    assert E._jet_dot([({a: 1}, {b: 1})], 5 << pk.shift) == {}
+    assert packed_dot([({(0, 4): 1, (0, 0): 2}, {(0, 4): 1, (1, 0): 3})],
+                      4, pk) == {(0, 4): 2, (1, 0): 6}
+
+
+# -- the fraction-free kernel product ------------------------------------------
+
+def reference_mul(a, b):
+    """The `Fraction` loop `kernel.mul` replaced, kept as the reference."""
+    form = K._join_forms(a, b)
+    if a.is_exact_zero or b.is_exact_zero:
+        return K.zero(a.n)
+    if a.prec is K.EXACT and b.prec is K.EXACT:
+        prec = K.EXACT
+    else:
+        bounds = []
+        if a.prec is not K.EXACT:
+            bounds.append(a.prec + O.min_lvalue(form, b))
+        if b.prec is not K.EXACT:
+            bounds.append(b.prec + O.min_lvalue(form, a))
+        prec = min(bounds)
+    if prec is not K.EXACT:
+        cap, level = form.level_cap(prec), form.level
+        b_levels = {e2: level(e2) for e2 in b.terms}
+    plus = operator.add
+    out = {}
+    for e1, c1 in a.terms.items():
+        room = None if prec is K.EXACT else cap - level(e1)
+        for e2, c2 in b.terms.items():
+            if room is not None and b_levels[e2] > room:
+                continue
+            e = (*map(plus, e1, e2),)
+            s = out.get(e, F(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return K.PrecisionSeries(a.n, out, prec,
+                             form if prec is not K.EXACT else None)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two series in 1..3 variables under one std or weighted form, each
+    EXACT or certified (possibly zero up to its bound)."""
+    n = draw(st.integers(1, 3))
+    L = draw(st.one_of(
+        st.just(O.std_form(n)),
+        st.lists(st.sampled_from(WEIGHTS), min_size=n, max_size=n)
+        .map(lambda ws: O.LinearForm(tuple(ws)))))
+    exponent = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+
+    def operand():
+        terms = draw(st.dictionaries(exponent, st.sampled_from(COEFFS),
+                                     max_size=6))
+        f = K.series(n, terms)
+        if draw(st.booleans()):
+            f = K.truncate(f, L, draw(st.sampled_from([F(0), F(2), F(7, 2), F(6)])))
+        return f
+
+    return operand(), operand()
+
+
+@settings(max_examples=250, deadline=None)
+@given(operand_pairs())
+# (x + y)(x - y): the xy terms cancel, EXACT and certified
+@example((K.series(2, {(1, 0): 1, (0, 1): 1}), K.series(2, {(1, 0): 1, (0, 1): -1})))
+@example((K.truncate(K.series(2, {(1, 0): F(1, 2), (0, 1): F(1, 3)}), O.std_form(2), 3),
+          K.series(2, {(1, 0): F(2), (0, 1): F(-3)})))
+def test_mul_matches_the_fraction_loop(case):
+    a, b = case
+    got = K.mul(a, b)
+    assert got == reference_mul(a, b)
+    assert all(type(c) is F and c for c in got.terms.values())
+
+
+# -- what the Hankel route calls -----------------------------------------------
+
+def test_hankel_route_never_calls_kernel_mul(monkeypatch):
+    # the symbolic oracle checks this route through `mul`, so the route
+    # must not share it
+    def refuse(*args):
+        raise AssertionError("the Hankel route called kernel.mul")
+
+    monkeypatch.setattr(K, "mul", refuse)
+    monkeypatch.setattr(E, "mul", refuse)
+    L = O.std_form(2)
+    coeffs = [K.truncate(K.series(2, {(1, 0): F(1, 2), (0, 2): -1}), L, 6),
+              K.truncate(K.series(2, {(0, 1): 3, (1, 1): F(2, 3)}), L, 6),
+              K.truncate(K.series(2, {(2, 0): 1}), L, 6)]
+    assert E._hankel_discriminants(coeffs, 2, 6)[-1]
+    assert E._hankel_discriminants([F(1, 2), F(-3), 0, F(7, 5)], 0, 0)[-1]
+
+
+# -- root counts beyond the symbolic cap ---------------------------------------
+
+@st.composite
+def root_vectors(draw):
+    """(coefficients, p, distinct): a monic polynomial of degree 6..14 with
+    chosen distinct rational roots and multiplicities."""
+    p = draw(st.integers(6, 14))
+    roots = draw(st.lists(st.builds(F, st.integers(-8, 8), st.integers(1, 5)),
+                          min_size=1, max_size=p, unique=True))
+    left = p - len(roots)  # every root has multiplicity 1 plus a share of this
+    coeffs = [F(1)]
+    for k, r in enumerate(roots):
+        extra = left if k == len(roots) - 1 else draw(st.integers(0, left))
+        left -= extra
+        for _ in range(1 + extra):
+            coeffs = [F(0)] + coeffs
+            for i in range(len(coeffs) - 1):
+                coeffs[i] -= r * coeffs[i + 1]
+    return coeffs[:-1], p, len(roots)
+
+
+@settings(max_examples=60, deadline=None)
+@given(root_vectors())
+def test_root_counts_match_the_gcd_oracle_beyond_the_cap(case):
+    vec, p, distinct = case
+    # numbers run on plain ints: no jet product is involved
+    with mock.patch.object(E, "_jet_dot", None):
+        j = E.distinct_root_count_check(vec, p)
+    assert j == E.squarefree_defect(vec, p) == p - distinct

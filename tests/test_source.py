@@ -6,7 +6,8 @@ from pathlib import Path
 import localring
 
 SOURCE = Path(localring.__file__).parent
-HOT_MODULES = ("kernel.py", "division.py", "stdbasis.py", "equising.py")
+HOT_MODULES = ("kernel.py", "order.py", "division.py", "stdbasis.py",
+               "equising.py")
 
 
 def test_no_assert_statements():
