@@ -305,7 +305,7 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         def minor(jet: dict, scale: int) -> dict:
             return {_unpack(pk, e): Fraction(c, scale) for e, c in jet.items()}
     else:
-        jets = [jet.get(0, 0) for jet in jets]
+        jets = [jet.get(0, 0) for jet in jets]  # each number's one term
 
         def dot(pairs) -> int:
             return sum(starmap(operator.mul, pairs))
