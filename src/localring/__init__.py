@@ -37,7 +37,6 @@ from .kernel import (
     evaluate_tail_zero,
     exp_jet,
     geom_jet,
-    invert_unit,
     monomial,
     mul,
     mul_monomial,
@@ -63,7 +62,7 @@ from .order import (
     weighted_split_form,
 )
 from .division import COMPLEMENT, DivisionResult, RegionPartition, hironaka_divide
-from .stdbasis import CertifiedBasis, becker_check, complete, has_standard_representation, s_series
+from .stdbasis import CertifiedBasis, becker_check, complete, s_series
 from .diagram import (
     Diagram,
     HSTable,
@@ -86,14 +85,12 @@ from .approx import (
     perturb,
 )
 from .equising import (
-    SymmetricReduction,
     Tower,
     build_tower,
     distinct_root_count_check,
-    generalized_discriminant,
     validate_tower,
     weierstrass_prepare,
 )
-from .parser import IdealFile, load_ideal_file, parse_expression, print_series
+from .parser import IdealFile, load_ideal_file, parse_expression
 
 __version__ = "0.1.0"

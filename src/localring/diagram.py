@@ -478,22 +478,6 @@ def reduction_exponent(I: IdealPresentation, k: int, mu) -> ReductionReport:
     return ReductionReport(k, tuple(degrees), d, eta, tuple(checks), all_ok)
 
 
-def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
-                             eta: Optional[int] = None) -> dict:
-    """Jet-scale test of I + m^(d+m) = I + (tail)^m * m^d.
-
-    Both sides are compared as spans inside the jet space of order eta
-    (default d+m+1).  The right side is contained in the left: equality of
-    ranks decides equality of spans.
-    """
-    if eta is None:
-        eta = d + m + 1
-    lhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, 0))
-    rhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, m))
-    return {"eta": eta, "m": m, "lhs_rank": lhs.rank, "rhs_rank": rhs.rank,
-            "equal": lhs.rank == rhs.rank}
-
-
 def oracle_quotient_dim_mod_tail_power(I: IdealPresentation, k: int, m: int,
                                        eta: int) -> int:
     """dim of jet space / (I + (tail)^m) at order eta (stabilizes when the

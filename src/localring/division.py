@@ -289,16 +289,10 @@ def _adjoined(rem: dict, members: Sequence[_Member], pk: _Packing,
     """(series, record) of the head-monic multiple of a nonzero remainder
     {p: rem[p] / den} returned by `_divide`; the denominator cancels."""
     alphas = [m.alpha for m in members]
-    head, w0 = next(iter(rem.items()))  # `_divide` emits in increasing order
+    w0 = next(iter(rem.values()))  # `_divide` emits in increasing order
     terms = {e: Fraction(w, w0) for e, w in _remainder_terms(rem, pk, alphas)}
-    content = reduce(math.gcd, rem.values())
-    if w0 < 0:
-        content = -content
-    tail = [(p, w // content) for p, w in rem.items() if p != head]
-    prec = EXACT if exact else mu
-    series = PrecisionSeries(L.n, terms, prec, None if exact else L)
-    return series, _Member(_unpack(pk, head), head >> pk.shift, Fraction(1),
-                           w0 // content, head, tail, prec)
+    series = PrecisionSeries(L.n, terms, EXACT if exact else mu, None if exact else L)
+    return series, _member(series, pk)
 
 
 def _divide(terms: dict, den: int, members: Sequence[_Member], pk: _Packing,

@@ -33,11 +33,6 @@ degree-truncated product, `_jet_dot`, and unpack exponents only in what
 they return; the kernel only checks the prepared identity u * P = f on the
 window.
 
-The classical leading-term reduction of D_j to a polynomial in the
-elementary symmetric values (`generalized_discriminant`) is kept as an
-independent, degree-capped oracle for the tests.  It runs on exact kernel
-series (`mul`, `power`, `add`), which the Hankel route never calls.
-
 The tower construction iterates: prepare the input list to distinguished
 form in the last variable, take the product, locate the first discriminant
 that is not identically zero (up to the working precision), and Weierstrass-
@@ -53,13 +48,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, starmap
+from itertools import chain, starmap
 from typing import Optional, Sequence
 
 from . import linalg
 from .division import _pack, _packing, _unpack
 from .errors import (
-    BudgetExceeded,
     DimensionMismatch,
     InvariantViolation,
     NotRegular,
@@ -69,139 +63,16 @@ from .errors import (
 )
 from .kernel import (
     PrecisionSeries,
-    add,
     agrees_up_to,
-    monomial,
     mul,
-    one,
-    power,
     prec_min,
-    series,
-    sub,
     substitute_linear,
     truncate,
-    variable,
-    zero,
 )
 from .order import std_form
 
-#: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
-#: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
-MAX_DISCRIMINANT_DEGREE = 5
-
 #: Seeded coordinate changes `_ensure_regular` samples before giving up.
 COORDINATE_CHANGE_RETRIES = 25
-
-
-def _elementary_symmetric(p: int) -> list:
-    """[e_0, e_1, ..., e_p] of the roots T_1..T_p as exact series."""
-    return [series(p, {tuple([int(v in subset) for v in range(p)]): 1
-                       for subset in combinations(range(p), i)})
-            for i in range(p + 1)]
-
-
-def raw_discriminant(p: int, j: int) -> PrecisionSeries:
-    """The unreduced symmetric sum of squared Vandermonde products, an exact
-    series in the roots T_1..T_p."""
-    total = zero(p)
-    for removed in combinations(range(p), j - 1):
-        rest = [v for v in range(p) if v not in removed]
-        half = one(p)
-        for a, b in combinations(rest, 2):
-            half = mul(half, sub(variable(p, a), variable(p, b)))
-        m = len(rest)
-        # ordered pairs = square of the half-product, negated when the
-        # number m(m-1)/2 of unordered pairs is odd
-        square = mul(half, half)
-        total = sub(total, square) if m * (m - 1) // 2 % 2 else add(total, square)
-    return total
-
-
-@dataclass(frozen=True)
-class SymmetricReduction:
-    """A symmetric polynomial rewritten in the variables A_0..A_{p-1}.
-
-    `expr` maps an exponent tuple over (A_0, ..., A_{p-1}) to its rational
-    coefficient; substituting A_m = e_{p-m}(T) reproduces the raw symmetric
-    polynomial identically.
-    """
-
-    p: int
-    expr: dict
-
-
-def reduce_symmetric(p: int, poly: PrecisionSeries) -> SymmetricReduction:
-    """Classical leading-term elimination into elementary symmetric values.
-
-    The lex-leading term coeff * T^lam of the remainder is cancelled by
-    adding -coeff * e_1^(lam_1 - lam_2) ... e_p^(lam_p), whose leading term
-    is -coeff * T^lam, so the leading exponents strictly decrease and each
-    A-exponent occurs once.
-    """
-    elem = _elementary_symmetric(p)
-    powers: dict = {}
-    work = poly
-    expr: dict = {}
-    while work.terms:
-        lam = max(work.terms)  # lex-max; symmetry makes it weakly decreasing
-        if list(lam) != sorted(lam, reverse=True):
-            raise PresentationError("reduction applied to a non-symmetric input")
-        coeff = work.terms[lam]
-        candidate = monomial(p, (0,) * p, -coeff)
-        a_exp = [0] * p
-        for i in range(1, p + 1):
-            ci = lam[i - 1] - (lam[i] if i < p else 0)
-            if ci:
-                if (i, ci) not in powers:
-                    powers[i, ci] = power(elem[i], ci)
-                candidate = mul(candidate, powers[i, ci])
-                a_exp[p - i] += ci
-        expr[tuple(a_exp)] = coeff
-        work = add(work, candidate)
-    return SymmetricReduction(p, expr)
-
-
-def symmetric_roundtrip_ok(red: SymmetricReduction, raw: PrecisionSeries) -> bool:
-    """Substitute A_m = e_{p-m}(T) back and compare with the raw polynomial."""
-    p = red.p
-    elem = _elementary_symmetric(p)
-    total = zero(p)
-    for a_exp, coeff in red.expr.items():
-        prod = monomial(p, (0,) * p, coeff)
-        for m, k in enumerate(a_exp):
-            prod = mul(prod, power(elem[p - m], k))
-        total = add(total, prod)
-    return total == raw
-
-
-@functools.cache
-def generalized_discriminant(p: int, j: int) -> SymmetricReduction:
-    """The reduced j-th generalized discriminant for degree p (cached).
-
-    This symbolic route is the test oracle; towers and root counts use the
-    Hankel minors of `_hankel_discriminants`, which have no degree cap.
-    """
-    if not 1 <= j <= p:
-        raise PresentationError(f"index j={j} out of range for degree {p}")
-    if p > MAX_DISCRIMINANT_DEGREE:
-        raise BudgetExceeded(
-            f"discriminant degree {p} exceeds the symbolic reduction cap "
-            f"{MAX_DISCRIMINANT_DEGREE} (expansion cost grows steeply)")
-    return reduce_symmetric(p, raw_discriminant(p, j))
-
-
-def evaluate_at_rationals(red: SymmetricReduction, coeffs: Sequence) -> Fraction:
-    """Evaluate at a numeric coefficient vector (a_0, ..., a_{p-1})."""
-    if len(coeffs) != red.p:
-        raise DimensionMismatch(f"expected {red.p} coefficients")
-    vals = [Fraction(c) for c in coeffs]
-    total = Fraction(0)
-    for a_exp, coeff in red.expr.items():
-        term = coeff
-        for m, k in enumerate(a_exp):
-            term *= vals[m] ** k
-        total += term
-    return total
 
 
 def _jet_dot(pairs, limit: int) -> dict:

@@ -399,19 +399,6 @@ def geom_jet(u: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
     return _builtin_jet(u, L, mu, lambda k: Fraction(1))
 
 
-def invert_unit(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
-    """Inverse of a unit (nonzero constant term) as a jet to L-value mu.
-
-    With f = c0 (1 - u), 1/f = geom(u) / c0.  u is admitted on the window
-    exactly when f is; `geom_jet` admits it and truncates it.
-    """
-    c0 = f.coefficient((0,) * f.n)
-    if not c0:
-        raise ZeroUpToPrecision("cannot invert: constant term is zero")
-    u = scale(sub(monomial(f.n, (0,) * f.n, c0), f), 1 / c0)
-    return scale(geom_jet(u, L, mu), 1 / c0)
-
-
 def substitute_linear(f: PrecisionSeries, M) -> PrecisionSeries:
     """Compose f with the linear change x -> Mx, i.e. x_i -> sum_j M[i][j] x_j.
 

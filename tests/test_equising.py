@@ -7,6 +7,7 @@ import pytest
 
 from localring import equising as E
 from localring import kernel as K
+from localring import oracles as OR
 from localring import order as O
 from localring.errors import (
     BudgetExceeded,
@@ -22,26 +23,26 @@ std2 = O.std_form(2)
 
 class TestGeneralizedDiscriminant:
     def test_p2_j1_reduction(self):
-        red = E.generalized_discriminant(2, 1)
+        red = OR.generalized_discriminant(2, 1)
         assert red.expr == {(1, 0): F(4), (0, 2): F(-1)}  # 4 A0 - A1^2
 
     def test_p1_empty_product(self):
-        assert E.generalized_discriminant(1, 1).expr == {(0,): F(1)}
+        assert OR.generalized_discriminant(1, 1).expr == {(0,): F(1)}
 
     def test_top_index_is_constant(self):
         for p in (2, 3, 4):
-            red = E.generalized_discriminant(p, p)
+            red = OR.generalized_discriminant(p, p)
             assert red.expr == {(0,) * p: F(p)}
 
     def test_roundtrip_small_degrees(self):
         for p in range(1, 5):
             for j in range(1, p + 1):
-                red = E.generalized_discriminant(p, j)
-                assert E.symmetric_roundtrip_ok(red, E.raw_discriminant(p, j))
+                red = OR.generalized_discriminant(p, j)
+                assert OR.symmetric_roundtrip_ok(red, OR.raw_discriminant(p, j))
 
     def test_degree_cap(self):
         with pytest.raises(BudgetExceeded):
-            E.generalized_discriminant(7, 1)
+            OR.generalized_discriminant(7, 1)
 
     def test_cubic_with_triple_root(self):
         # (X - a)^3 for random rational a: exactly one distinct root
@@ -85,8 +86,8 @@ class TestHankelDiscriminants:
                 vec = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p)]
                 hankel = E._hankel_discriminants(vec, 0, 0)
                 for j in range(1, p + 1):
-                    expected = E.evaluate_at_rationals(
-                        E.generalized_discriminant(p, j), vec)
+                    expected = OR.evaluate_at_rationals(
+                        OR.generalized_discriminant(p, j), vec)
                     assert hankel[j - 1].get((), 0) == expected, (p, j, vec)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -102,7 +103,7 @@ class TestHankelDiscriminants:
                       for _ in range(p)]
             hankel = E._hankel_discriminants(coeffs, n, mu)
             for j in range(1, p + 1):
-                expected = _eval_reduction(E.generalized_discriminant(p, j),
+                expected = _eval_reduction(OR.generalized_discriminant(p, j),
                                            coeffs, L, mu)
                 assert hankel[j - 1] == expected.terms, (p, j, mu)
 
@@ -135,8 +136,8 @@ class TestDistinctRootCount:
 
     def test_two_distinct(self):
         assert E.distinct_root_count_check((-1, 0), 2) == 0  # X^2 - 1
-        assert E.evaluate_at_rationals(
-            E.generalized_discriminant(2, 1), (-1, 0)) == F(-4)
+        assert OR.evaluate_at_rationals(
+            OR.generalized_discriminant(2, 1), (-1, 0)) == F(-4)
 
     def test_triple_root_at_zero(self):
         assert E.distinct_root_count_check((0, 0, 0), 3) == 2  # X^3
@@ -424,6 +425,6 @@ ORACLE_DIGESTS = {
 
 def test_generalized_discriminants_are_pinned():
     for (p, j), digest in ORACLE_DIGESTS.items():
-        expr = E.generalized_discriminant(p, j).expr
+        expr = OR.generalized_discriminant(p, j).expr
         text = repr(sorted(expr.items())).encode()
         assert hashlib.sha256(text).hexdigest() == digest, (p, j)

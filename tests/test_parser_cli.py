@@ -10,12 +10,12 @@ from localring import cli
 from localring import kernel as K
 from localring import order as O
 from localring.errors import ParseError
+from localring.oracles import print_series
 from localring.parser import (
     MAX_NESTING,
     IdealFile,
     load_ideal_file,
     parse_expression,
-    print_series,
 )
 
 std1 = O.std_form(1)

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import pytest
+
 import localring
 
 SOURCE = Path(localring.__file__).parent
@@ -119,16 +121,45 @@ def test_forms_compared_only_by_the_admission_rule():
 
 
 def _package_imports(path: Path) -> set:
-    """The package modules a module imports, by relative import."""
+    """The package modules a module imports, by relative or absolute import."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            if node.module:
-                found.add(node.module.split(".")[0])
-            else:  # from . import a, b
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("localring."))
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "localring":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:  # from . import a, b  or  from localring import a, b
                 found.update(alias.name for alias in node.names)
     return found
+
+
+@pytest.mark.parametrize("line", [
+    "from . import kernel, oracles",
+    "from .oracles import invert_unit",
+    "import localring.oracles as OR",
+    "from localring import oracles",
+    "from localring.oracles import print_series",
+])
+def test_package_imports_sees_every_import_form(tmp_path, line):
+    path = tmp_path / "m.py"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert "oracles" in _package_imports(path)
+
+
+def test_no_module_imports_the_oracles():
+    # the reference implementations stay off the command path: nothing that
+    # `python -m localring` loads, __init__ included, may import them
+    found = [path.name for path in sorted(SOURCE.glob("*.py"))
+             if path.name != "oracles.py" and "oracles" in _package_imports(path)]
+    assert not found, found
 
 
 def test_parser_imports_only_the_arithmetic_layers():
