@@ -1,0 +1,85 @@
+"""The frozen CLI contract, byte for byte, on the sample ideal files.
+
+Every row of `cli_golden.json` holds a command line, its exit code and the
+sha256 of the report as `localring` prints it
+(`json.dumps(report, indent=2, sort_keys=True)`).  The 13 commands run on
+every `sample_ideals/*.ideal`, exit-1 and exit-2 reports included, plus
+`example82`.  The commands run in process, from the repository root, so
+the file paths in the table are relative to it.
+
+A change that is meant to alter a report regenerates the table with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and says in its description which reports changed and why.
+"""
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from localring import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+TABLE = Path(__file__).with_name("cli_golden.json")
+
+#: The 13 commands, with "F" for the file and "K" for its last-but-one
+#: variable count (the `--k` of `flat` and `reduction`).
+COMMANDS = [
+    ["divide", "--file", "F", "--dividend", "x^2*y + x*y^4"],
+    ["sbasis", "check", "--file", "F"],
+    ["sbasis", "complete", "--file", "F"],
+    ["diagram", "--file", "F"],
+    ["hs", "--file", "F", "--eta", "6"],
+    ["oracle", "hs", "--file", "F", "--eta", "6"],
+    ["flat", "--file", "F", "--k", "K"],
+    ["dim", "--file", "F"],
+    ["reduction", "--file", "F", "--k", "K"],
+    ["perturb", "--file", "F", "--delta", "x^9"],
+    ["ci-experiment", "--file", "F", "--mu", "8", "--delta", "x^9"],
+    ["tower", "build", "--file", "F"],
+    ["tower", "validate", "--file", "F"],
+]
+
+
+def command_lines() -> list:
+    lines = []
+    for path in sorted((ROOT / "sample_ideals").glob("*.ideal")):
+        text = path.read_text(encoding="utf-8")
+        n = len(next(line for line in text.splitlines()
+                     if line.startswith("vars:")).split()) - 1
+        name = path.relative_to(ROOT).as_posix()
+        for argv in COMMANDS:
+            lines.append([{"F": name, "K": str(n - 1)}.get(a, a) for a in argv])
+    lines.append(["example82", "--mu", "12", "--h", "z"])
+    return lines
+
+
+def row(argv) -> dict:
+    code, report = cli.run(argv)
+    text = json.dumps(report, indent=2, sort_keys=True)
+    return {"argv": argv, "exit": code,
+            "sha256": hashlib.sha256(text.encode("utf-8")).hexdigest()}
+
+
+def test_the_table_covers_every_command_line():
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    assert [r["argv"] for r in table] == command_lines()
+
+
+@pytest.mark.parametrize("expected", json.loads(TABLE.read_text(encoding="utf-8")),
+                         ids=lambda r: " ".join(r["argv"]))
+def test_report_matches_the_frozen_table(expected, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert row(expected["argv"]) == expected
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    rows = [row(argv) for argv in command_lines()]
+    TABLE.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
+    sys.stdout.write(f"wrote {len(rows)} rows to {TABLE}\n")
