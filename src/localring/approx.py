@@ -20,9 +20,9 @@ from .diagram import (
     axis_vertex_dimension,
     diagram_of,
     flatness_weight_search,
+    _reduction_exponent,
     hilbert_samuel,
     oracle_quotient_dim_mod_tail_power,
-    reduction_exponent,
 )
 from .errors import PrecisionShortfall, PresentationError
 from .kernel import (
@@ -91,11 +91,6 @@ def perturb(spec: PerturbationSpec) -> IdealPresentation:
 
 # -- experiment runners -----------------------------------------------------
 
-def _hs_values(I: IdealPresentation, mu, eta_max: int) -> tuple:
-    basis = complete(I, std_form(I.n), mu)
-    return hilbert_samuel(basis, eta_max).values
-
-
 def _base_staircase_threshold(base_vertices: tuple) -> Optional[int]:
     """Largest level carrying complement points of a finite-complement base
     staircase (None when the complement is infinite)."""
@@ -123,6 +118,9 @@ def ci_stability_experiment(I: IdealPresentation, mu,
     dimensions of the quotients by powers of the tail ideal, on both I and
     the perturbed presentation, and reports equality per item.  The
     stability threshold mu0 = max(mu1, mu2) is recomputed from vertex data.
+    Each of the two changed presentations is completed once, and the
+    reduction exponents, the Hilbert-Samuel tables and (for k = n) the base
+    vertices are read from those bases.
     """
     mu = Fraction(mu)
     spec = PerturbationSpec(I, mu, std_form(I.n), tuple(deltas))
@@ -147,8 +145,10 @@ def ci_stability_experiment(I: IdealPresentation, mu,
 
     items: dict = {}
 
-    red_a = reduction_exponent(A, k, mu)
-    red_b = reduction_exponent(B, k, mu)
+    basis_a = complete(A, std_form(I.n), mu)
+    red_a = _reduction_exponent(A, k, basis_a)
+    basis_b = complete(B, std_form(I.n), mu)
+    red_b = _reduction_exponent(B, k, basis_b)
     items["reduction"] = {
         "d": red_a.d, "d_perturbed": red_b.d,
         "axis_degrees": red_a.axis_degrees,
@@ -176,12 +176,11 @@ def ci_stability_experiment(I: IdealPresentation, mu,
                             "stabilized": qa == qa_prev, "equal": qa == qb}
         items["tail_quotients"] = quotients
     else:
-        ev_basis = complete(A, std_form(I.n), mu)
-        base_vertices = diagram_of(ev_basis).vertices
+        base_vertices = diagram_of(basis_a).vertices
 
     eta_max = int(mu)
-    hs_a = _hs_values(A, mu, eta_max)
-    hs_b = _hs_values(B, mu, eta_max)
+    hs_a = hilbert_samuel(basis_a, eta_max).values
+    hs_b = hilbert_samuel(basis_b, eta_max).values
     items["hilbert_samuel"] = {"table": hs_a, "table_perturbed": hs_b,
                                "equal": hs_a == hs_b}
 

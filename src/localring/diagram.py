@@ -453,10 +453,14 @@ def reduction_exponent(I: IdealPresentation, k: int, mu) -> ReductionReport:
     """
     if not 1 <= k <= I.n:
         raise DimensionMismatch(f"reduction index {k} out of range for n={I.n}")
-    mu = Fraction(mu)
-    basis = complete(I, std_form(I.n), mu)
-    D = diagram_of(basis)
-    axes = _axis_degrees(D.vertices)
+    return _reduction_exponent(I, k, complete(I, std_form(I.n), Fraction(mu)))
+
+
+def _reduction_exponent(I: IdealPresentation, k: int,
+                        basis: CertifiedBasis) -> ReductionReport:
+    """`reduction_exponent` for 1 <= k <= n, read from a certified standard
+    basis of I under the standard form."""
+    axes = _axis_degrees(diagram_of(basis).vertices)
     degrees = []
     for j in range(k):
         if j not in axes:

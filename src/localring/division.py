@@ -19,16 +19,21 @@ records: each divisor admitted once on the window (`kernel._admit`) and
 converted once to a primitive integer multiple with a positive integer head
 a, its tail sorted in the order of L.  A record also carries the divisor's
 certified bound, so nothing downstream reads head, level or bound from the
-series again.  `hironaka_divide` and standard-basis completion build the
+series again.  This module is the one place where a series becomes integer
+terms: `_packed` writes it as numerators over the lcm of its denominators
+(`kernel._numerators`) on packed exponents, and `_member` builds a record
+from such terms.  `hironaka_divide` and standard-basis completion build the
 records through `_members`; completion hands each integer s-series to the
-same loop.  The running series is held as Python integers over one common
-denominator.  Processing a term w (over the denominator) scales the running
-series by a / gcd(w, a) when that is not 1, then subtracts w / gcd(w, a)
-times the shifted integer tail.  A term above the window is dropped at once
-unless the division may still turn out exact.  Rationals are built only for
-what is emitted.  By uniqueness the results equal those of the plain
-rational loop, and dividing a rational multiple of a series gives the same
-multiple of its quotients and remainder.
+same loop, and builds the record of an adjoined remainder straight from
+the loop's packed output.  The running series is held as Python integers
+over one common denominator.  Processing a term w (over the denominator)
+scales the running series by a / gcd(w, a) when that is not 1, then
+subtracts w / gcd(w, a) times the shifted integer tail.  The loop reads
+from the dividend's bound and the records' bounds whether the division may
+turn out exact; unless it may, a term above the window is dropped at once.
+Rationals are built only for what is emitted.  By uniqueness the results
+equal those of the plain rational loop, and dividing a rational multiple of
+a series gives the same multiple of its quotients and remainder.
 
 Packed exponents (Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Inside the loop an
@@ -84,7 +89,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, ZeroUpToPrecision
-from .kernel import EXACT, Prec, PrecisionSeries, _admit
+from .kernel import EXACT, Prec, PrecisionSeries, _admit, _numerators
 from .order import Exponent, LinearForm
 
 #: Region index returned for exponents outside every divisor cone.
@@ -168,22 +173,18 @@ class _Member(NamedTuple):
     prec: Prec  # the certified bound of g
 
 
-def _member(g: PrecisionSeries, pk: _Packing) -> _Member:
-    """The record of a nonzero series g, in its primitive integer multiple
-    with a positive head; every exponent must have the packing's length."""
-    # a fold, not lcm(*...): a star argument builds a tuple per call, and
-    # those tuples land in CPython's tuple free lists
-    m = reduce(math.lcm, [c.denominator for c in g.terms.values()], 1)
+def _member(terms: dict, den: int, prec: Prec, pk: _Packing) -> _Member:
+    """The record of the nonzero series {p: terms[p] / den}, with packed
+    exponents p and integer terms[p], certified to prec: its primitive
+    integer multiple with a positive head."""
     # packed exponents are distinct, so the sort never compares coefficients
-    terms = sorted([(_pack(pk, e), c) for e, c in g.terms.items()])
-    head, lead = terms[0]
-    ints = [c.numerator * (m // c.denominator) for _, c in terms]
-    content = reduce(math.gcd, ints)
-    if ints[0] < 0:
+    (head, w0), *rest = sorted(terms.items())
+    content = reduce(math.gcd, terms.values())
+    if w0 < 0:
         content = -content
-    tail = [(p, c // content) for (p, _), c in zip(terms[1:], ints[1:])]
-    return _Member(_unpack(pk, head), head >> pk.shift, lead,
-                   ints[0] // content, head, tail, g.prec)
+    return _Member(_unpack(pk, head), head >> pk.shift, Fraction(w0, den),
+                   w0 // content, head, [(p, c // content) for p, c in rest],
+                   prec)
 
 
 def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
@@ -196,8 +197,16 @@ def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
             raise ZeroUpToPrecision(
                 "a divisor or basis member is zero up to its precision")
         _admit(g, L, mu)
-        members.append(_member(g, pk))
+        terms, den = _packed(g, pk)
+        members.append(_member(terms, den, g.prec, pk))
     return members
+
+
+def _packed(f: PrecisionSeries, pk: _Packing) -> tuple:
+    """(terms, den): f = {p: terms[p] / den} on packed exponents p; every
+    exponent must have the packing's length."""
+    ints, den = _numerators(f)
+    return {_pack(pk, e): c for e, c in ints.items()}, den
 
 
 @dataclass
@@ -233,20 +242,18 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
         raise DimensionMismatch(f"form on {L.n} variables, dividend in {n}")
     pk = _packing(L, mu, [F, *divisors])
     members = _members(divisors, L, mu, pk)
-    den = reduce(math.lcm, [c.denominator for c in F.terms.values()], 1)
-    terms = {_pack(pk, e): c.numerator * (den // c.denominator)
-             for e, c in F.terms.items()}
-    exact = F.prec is EXACT and all(m.prec is EXACT for m in members)
-    return _division_result(terms, den, members, pk, L, mu, exact)
+    terms, den = _packed(F, pk)
+    return _division_result(terms, den, F.prec, members, pk, L, mu)
 
 
-def _division_result(terms: dict, den: int, members: Sequence[_Member],
-                     pk: _Packing, L: LinearForm, mu: Fraction,
-                     exact: bool) -> DivisionResult:
-    """The full division of {p: terms[p] / den}, quotients included, with
-    every emitted exponent checked against its region."""
+def _division_result(terms: dict, den: int, prec: Prec,
+                     members: Sequence[_Member], pk: _Packing, L: LinearForm,
+                     mu: Fraction) -> DivisionResult:
+    """The full division of {p: terms[p] / den}, certified to prec,
+    quotients included, with every emitted exponent checked against its
+    region."""
     quotients: list[dict] = [dict() for _ in members]
-    rem, den, exact = _divide(terms, den, members, pk, L.level_cap(mu), exact,
+    rem, den, exact = _divide(terms, den, prec, members, pk, L.level_cap(mu),
                               quotients)
     n, add = L.n, operator.add
     partition = RegionPartition(tuple([m.alpha for m in members]))
@@ -260,17 +267,12 @@ def _division_result(terms: dict, den: int, members: Sequence[_Member],
             if partition.region_of((*map(add, e, m.alpha),)) != i:
                 raise InvariantViolation(f"quotient {i} left its region")
             qterms[e] = c
-        if exact:
-            out_q.append(PrecisionSeries(n, qterms))
-        else:
-            bound = Fraction(top - m.level * mu.denominator, bottom)
-            out_q.append(PrecisionSeries(n, qterms, bound, L))
+        bound = EXACT if exact else Fraction(top - m.level * mu.denominator,
+                                             bottom)
+        out_q.append(PrecisionSeries(n, qterms, bound, L))
     remainder = {e: Fraction(w, den)
                  for e, w in _remainder_terms(rem, pk, partition.alphas)}
-    if exact:
-        rem_series = PrecisionSeries(n, remainder)
-    else:
-        rem_series = PrecisionSeries(n, remainder, mu, L)
+    rem_series = PrecisionSeries(n, remainder, EXACT if exact else mu, L)
     return DivisionResult(tuple(out_q), rem_series, mu, partition)
 
 
@@ -284,29 +286,33 @@ def _remainder_terms(rem: dict, pk: _Packing, alphas: Sequence[Exponent]):
         yield e, w
 
 
-def _adjoined(rem: dict, members: Sequence[_Member], pk: _Packing,
-              L: LinearForm, mu: Fraction, exact: bool) -> tuple:
+def _adjoined(rem: dict, exact: bool, members: Sequence[_Member],
+              pk: _Packing, L: LinearForm, mu: Fraction) -> tuple:
     """(series, record) of the head-monic multiple of a nonzero remainder
-    {p: rem[p] / den} returned by `_divide`; the denominator cancels."""
+    {p: rem[p] / den} returned by `_divide`, with the exactness it returned.
+    That multiple is {p: rem[p] / w0} for the head numerator w0, so the
+    record is built from the packed remainder itself."""
     alphas = [m.alpha for m in members]
     w0 = next(iter(rem.values()))  # `_divide` emits in increasing order
     terms = {e: Fraction(w, w0) for e, w in _remainder_terms(rem, pk, alphas)}
-    series = PrecisionSeries(L.n, terms, EXACT if exact else mu, None if exact else L)
-    return series, _member(series, pk)
+    prec = EXACT if exact else mu
+    return PrecisionSeries(L.n, terms, prec, L), _member(rem, w0, prec, pk)
 
 
-def _divide(terms: dict, den: int, members: Sequence[_Member], pk: _Packing,
-            cap: int, exact: bool, quotients: Optional[list] = None) -> tuple:
+def _divide(terms: dict, den: int, prec: Prec, members: Sequence[_Member],
+            pk: _Packing, cap: int, quotients: Optional[list] = None) -> tuple:
     """The division loop: divide {p: terms[p] / den}, with packed exponents
-    p and integer terms[p], by the member records, on the levels <= cap.
+    p and integer terms[p], certified to prec, by the member records, on
+    the levels <= cap.
 
     Returns (remainder, den, exact): the remainder maps packed exponents, in
     increasing order, to integer numerators over the returned den, and exact
-    says whether the division is exact.  `exact` on entry says that the
-    dividend and every member are exact.  With `quotients`, a list of one
-    dict per member, quotient i gets {packed shift: Fraction}; without it no
-    quotient is built.
+    says whether the division is exact: the dividend and every member are
+    exact, and nothing is left above the window.  With `quotients`, a list
+    of one dict per member, quotient i gets {packed shift: Fraction};
+    without it no quotient is built.
     """
+    exact = prec is EXACT and all(m.prec is EXACT for m in members)
     limit = (cap + 1) << pk.shift  # p < limit exactly when level(p) <= cap
     guard = pk.guard
     # A term above the window only ever feeds terms above it.  Such terms are

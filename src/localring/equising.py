@@ -52,7 +52,7 @@ from itertools import chain, starmap
 from typing import Optional, Sequence
 
 from . import linalg
-from .division import _pack, _packing, _unpack
+from .division import _pack, _packed, _packing, _unpack
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
@@ -131,7 +131,8 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     Every sum of products is one `dot`, and nothing divides.
 
     The pass runs on integers by scaling the roots.  Let d be the lcm of
-    the denominators of every coefficient in the truncated jets.  Then
+    the denominators of every coefficient in the truncated jets, folded
+    from the one `division._packed` writes each jet over.  Then
     A_i = a_i * d^(p-i) are integer jets, and X^p + A_{p-1} X^{p-1} + ...
     + A_0 = d^p f(X/d) is the monic polynomial whose roots are d*T_k.  Its
     power sums are d^k s_k, so its Hankel entry (a, b) is d^(a+b) s_{a+b},
@@ -150,17 +151,16 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         L = std_form(n_vars)
         truncated = [truncate(c, L, mu) for c in coeffs]
         pk = _packing(L, mu, truncated)
-        jets = [{_pack(pk, e): c for e, c in f.terms.items()} for f in truncated]
+        ints = [_packed(f, pk) for f in truncated]  # a_i = jet_i / den_i
     else:
-        jets = [{0: c} if c else {} for c in map(Fraction, coeffs)]
+        ints = [({0: c.numerator} if c else {}, c.denominator)
+                for c in map(Fraction, coeffs)]
     # fold, not lcm(*...): a star argument builds a tuple per call that lands
     # in CPython's tuple free lists
-    d = functools.reduce(math.lcm,
-                         {c.denominator for jet in jets for c in jet.values()}, 1)
+    d = functools.reduce(math.lcm, [den for _, den in ints], 1)
     # A_i = (a_i * d) * d^(p-1-i): both factors are integers
-    jets = [{e: c.numerator * (d // c.denominator) * d ** (p - 1 - i)
-             for e, c in jet.items()}
-            for i, jet in enumerate(jets)]
+    jets = [{e: c * (d // den) * d ** (p - 1 - i) for e, c in jet.items()}
+            for i, (jet, den) in enumerate(ints)]
 
     if n_vars:
         limit = (L.level_cap(mu) + 1) << pk.shift
@@ -264,26 +264,19 @@ def squarefree_defect(coeffs: Sequence, p: int) -> int:
 
 # -- Weierstrass preparation -------------------------------------------------
 
-def _split_by_codegree(f: PrecisionSeries, i: int) -> dict:
-    """Group terms by their total degree in the non-distinguished variables."""
-    parts: dict = {}
-    for e, c in f.terms.items():
-        d = sum(e) - e[i]
-        parts.setdefault(d, {})[e] = c
-    return parts
-
-
-def _univariate_inverse(w: dict, top: int) -> dict:
-    """Inverse of a unit univariate series given as {degree: coeff}."""
+def _univariate_inverse(w: dict, top: int, x: int) -> dict:
+    """Inverse, to degree top, of a unit univariate series {m * x: coeff},
+    where x is the key of the variable: 1 keys by degree, a packed x_i by
+    packed exponent."""
     c0 = w[0]
     inv = {0: Fraction(1) / c0}
     for m in range(1, top + 1):
         acc = Fraction(0)
         for r in range(1, m + 1):
-            if r in w and (m - r) in inv:
-                acc += w[r] * inv[m - r]
+            if r * x in w and (m - r) * x in inv:
+                acc += w[r * x] * inv[(m - r) * x]
         if acc:
-            inv[m] = -acc / c0
+            inv[m * x] = -acc / c0
     return inv
 
 
@@ -307,12 +300,16 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     shifts exponents down by the pivot power, so the factors of a refinement
     of f may differ below mu; no refinement stability is claimed, only the
     verified identity u * P = j(f) on the window.  Tower levels are defined
-    from this computed data and re-validated on it.
+    from this computed data and re-validated on it.  Known defect: u is
+    certified to mu, but its terms above mu - ord(P) are truncation
+    artefacts, which may change when mu grows.
 
     The lifting works on jets {packed exponent: coefficient} of total
     degree <= floor(mu), packed as in `division`, every product being one
-    truncated `_jet_dot`.  The x_i-degree of a term is read from its slot,
-    and dividing by the pivot power x_i^p subtracts its packed exponent.
+    truncated `_jet_dot`.  The power x_i^m packs to m times the packed x_i,
+    so the pivot unit and its inverse are keyed by packed exponents from
+    the start; the x_i-degree of a term is read from its slot, and dividing
+    by the pivot power x_i^p subtracts its packed exponent.
     Truncating w^-1 * c_d to the window keeps P_d on the window: a term
     above it only ever reached a truncated sum.  The exponents are unpacked
     for P and u, and the final identity check uses the kernel.
@@ -330,17 +327,15 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     pk = _packing(L, mu, [ft])
     limit = (top + 1) << pk.shift
     slot, mask = i * pk.width, (1 << pk.width) - 1
-
-    def axis(m: int) -> int:
-        """The packed exponent of x_i^m, whose level is m."""
-        return m << pk.shift | m << slot
-
-    pivot = axis(p)
-    parts = {d: {_pack(pk, e): c for e, c in jet.items()}
-             for d, jet in _split_by_codegree(ft, i).items()}
-    w = {(e >> slot & mask) - p: c for e, c in parts.get(0, {}).items()}
-    w_inv = {axis(m): c for m, c in _univariate_inverse(w, top).items()}
-    u_parts = {0: {axis(m): c for m, c in w.items()}}
+    x = 1 << pk.shift | 1 << slot  # the packed x_i; x_i^m packs to m * x
+    # the terms by codegree, their total degree in the other variables
+    parts: dict = {}
+    for e, c in ft.terms.items():
+        parts.setdefault(sum(e) - e[i], {})[_pack(pk, e)] = c
+    pivot = p * x
+    w = {e - pivot: c for e, c in parts[0].items()}
+    w_inv = _univariate_inverse(w, top, x)
+    u_parts = {0: w}
     p_parts: dict = {}
 
     for d in range(1, top + 1):

@@ -164,7 +164,7 @@ def series(n: int, terms: Mapping, prec: Prec = EXACT,
         if len(inside) < len(clean):
             e = next(e for e in clean if e not in inside)
             raise PrecisionShortfall(f"term {e} lies beyond the bound {prec}")
-    return PrecisionSeries(n, clean, prec, form if prec is not EXACT else None)
+    return PrecisionSeries(n, clean, prec, form)
 
 
 def zero(n: int) -> PrecisionSeries:
@@ -183,6 +183,19 @@ def variable(n: int, i: int) -> PrecisionSeries:
     exp = [0] * n
     exp[i] = 1
     return monomial(n, exp)
+
+
+def _numerators(f: PrecisionSeries) -> tuple:
+    """(numerators, den): the coefficients of f as integers over the lcm
+    den of their denominators, so that f.terms[e] = numerators[e] / den.
+
+    Every integer record and fraction-free product starts here.
+    """
+    # a fold, not lcm(*...): a star argument builds a tuple per call, and
+    # those tuples land in CPython's tuple free lists
+    den = reduce(math.lcm, [c.denominator for c in f.terms.values()], 1)
+    return {e: c.numerator * (den // c.denominator)
+            for e, c in f.terms.items()}, den
 
 
 def _join_forms(a: PrecisionSeries, b: PrecisionSeries) -> Optional[LinearForm]:
@@ -208,7 +221,7 @@ def add(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
             out.pop(e, None)
     if prec is not EXACT:
         out = _window(out, form, prec)
-    return PrecisionSeries(a.n, out, prec, form if prec is not EXACT else None)
+    return PrecisionSeries(a.n, out, prec, form)
 
 
 def sub(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
@@ -246,26 +259,21 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
         # a product term is in the window when level(e1) + level(e2) <= cap
         cap, level = form.level_cap(prec), form.level
         b_levels = {e2: level(e2) for e2 in b.terms}
-    # folds, not lcm(*...): a star argument builds a tuple per call that
-    # lands in CPython's tuple free lists
-    da = reduce(math.lcm, [c.denominator for c in a.terms.values()], 1)
-    db = reduce(math.lcm, [c.denominator for c in b.terms.values()], 1)
-    b_ints = [(e2, c2.numerator * (db // c2.denominator))
-              for e2, c2 in b.terms.items()]
+    a_ints, da = _numerators(a)
+    b_ints, db = _numerators(b)
     plus = operator.add
     out: dict = {}
     get = out.get
-    for e1, c1 in a.terms.items():
-        n1 = c1.numerator * (da // c1.denominator)
+    for e1, n1 in a_ints.items():
         room = None if prec is EXACT else cap - level(e1)
-        for e2, n2 in b_ints:
+        for e2, n2 in b_ints.items():
             if room is not None and b_levels[e2] > room:
                 continue
             e = (*map(plus, e1, e2),)
             out[e] = get(e, 0) + n1 * n2
     den = da * db
     out = {e: Fraction(c, den) for e, c in out.items() if c}
-    return PrecisionSeries(a.n, out, prec, form if prec is not EXACT else None)
+    return PrecisionSeries(a.n, out, prec, form)
 
 
 def mul_monomial(f: PrecisionSeries, exp: Exponent, coeff=1) -> PrecisionSeries:

@@ -62,8 +62,10 @@ class LinearForm:
         return sum(map(mul, self.int_weights, beta))
 
     def level_cap(self, bound) -> int:
-        """The largest level inside the window {L <= bound}."""
-        return math.floor(Fraction(bound) * self.den)
+        """The largest level inside the window {L <= bound}: the floor of
+        bound * den, for an int or a `Fraction` bound."""
+        n, d = bound.as_integer_ratio()
+        return n * self.den // d
 
     @property
     def n(self) -> int:

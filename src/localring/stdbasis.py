@@ -16,9 +16,11 @@ Completion and `becker_check` choose one exponent packing per call (see
 `division`: it has room for every member completion can adjoin), admit and
 convert each member once, when it enters the basis, into the integer record
 of `division` (head, level, primitive integer head a, packed head, packed
-integer tail in increasing order and certified bound), and read heads,
-bounds and exactness from the records.  The s-series of members i and j is
-formed on integers and packed exponents,
+integer tail in increasing order and certified bound), and read heads and
+bounds from the records.  An adjoined member's record is built from the
+packed integer remainder itself, and the division loop alone decides
+exactness.  The s-series of members i and j is formed on integers and
+packed exponents,
 
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j,
 
@@ -146,15 +148,14 @@ class CompletionStep:
         pk, L = self._run.pk, self._run.form
         return PrecisionSeries(
             L.n, {_unpack(pk, p): Fraction(c) for p, c in terms.items()},
-            prec, None if prec is EXACT else L)
+            prec, L)
 
     @cached_property
     def division(self) -> DivisionResult:
         members, pk, L, mu = self._run
-        members = members[:self.basis_size]
-        exact = all(m.prec is EXACT for m in members)
-        return _division_result(self._s_terms[0], 1, members, pk, L, mu,
-                                exact)
+        terms, prec = self._s_terms
+        return _division_result(terms, 1, prec, members[:self.basis_size],
+                                pk, L, mu)
 
 
 @dataclass
@@ -248,7 +249,6 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
     mu = Fraction(mu)
     gens = tuple(gens)
     pk, members = _check_ready(gens, L, mu)
-    exact = all(m.prec is EXACT for m in members)
     cap = L.level_cap(mu)
     checks = []
     verified = True
@@ -258,8 +258,8 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
                                                   members[j].alpha):
                 checks.append(PairCheck(i, j, "skipped-coprime"))
                 continue
-            terms, _ = _integer_s_series(members[i], members[j], pk, L)
-            ok = not terms or not _divide(terms, 1, members, pk, cap, exact)[0]
+            terms, prec = _integer_s_series(members[i], members[j], pk, L)
+            ok = not terms or not _divide(terms, 1, prec, members, pk, cap)[0]
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
     return CertifiedBasis(gens, L, mu, verified, tuple(checks),
@@ -285,7 +285,6 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     basis = list(I.gens)
     pk, members = _check_ready(basis, L, mu)
     run = _Run(members, pk, L, mu)
-    exact = all(m.prec is EXACT for m in members)
     cap, guard = L.level_cap(mu), pk.guard
     steps = []
     queue: list = []
@@ -317,10 +316,10 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
             continue
         if use_chain_criterion and chain_skips(i, j, lcm):
             continue
-        terms, _ = _integer_s_series(members[i], members[j], pk, L)
+        terms, prec = _integer_s_series(members[i], members[j], pk, L)
         if not terms:
             continue
-        rem, _, rem_exact = _divide(terms, 1, members, pk, cap, exact)
+        rem, _, exact = _divide(terms, 1, prec, members, pk, cap)
         if not rem:
             steps.append(CompletionStep(i, j, len(basis), None, run))
             continue
@@ -332,10 +331,9 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
                 tuple(basis), L, mu, False, completion_steps=tuple(steps),
                 heads=tuple([m.alpha for m in members]))
             raise exc
-        series, member = _adjoined(rem, members, pk, L, mu, rem_exact)
+        series, member = _adjoined(rem, exact, members, pk, L, mu)
         basis.append(series)
         members.append(member)
-        exact = exact and rem_exact
         steps.append(CompletionStep(i, j, len(basis) - 1, len(basis) - 1, run))
         push_pairs(len(basis) - 1)
 

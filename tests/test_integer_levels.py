@@ -180,7 +180,8 @@ def test_lvalue_is_level_over_den(data):
 
 
 @settings(max_examples=150)
-@given(forms_and_exponents(), st.builds(F, st.integers(-2, 30), st.integers(1, 6)))
+@given(forms_and_exponents(),
+       st.builds(F, st.integers(-2, 30), st.integers(1, 6)) | st.integers(-5, 30))
 def test_level_cap_is_the_window(data, bound):
     L, exps = data
     cap = L.level_cap(bound)

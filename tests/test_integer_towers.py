@@ -147,10 +147,12 @@ def reference_prepare(f, i, mu):
     p = E.regular_order(ft, i)
     if p is None or p > mu:
         raise NotRegular("not regular")
-    parts = E._split_by_codegree(ft, i)
+    parts = {}  # the terms by codegree, their degree in the other variables
+    for e, c in ft.terms.items():
+        parts.setdefault(sum(e) - e[i], {})[e] = c
     top = int(mu)
     w = {e[i] - p: c for e, c in parts.get(0, {}).items()}
-    w_inv = E._univariate_inverse(w, top)
+    w_inv = E._univariate_inverse(w, top, 1)
 
     def axis_series(univ):
         terms = {}
@@ -239,6 +241,19 @@ def test_prepare_matches_the_kernel_lifting(case):
     P_ref, u_ref = reference_prepare(f, i, mu)
     assert P == P_ref and u == u_ref
     assert all(type(c) is F for c in (*P.terms.values(), *u.terms.values()))
+
+
+@pytest.mark.xfail(strict=True, reason="u is certified to mu, but its terms "
+                   "above mu - ord(P) are truncation artefacts")
+def test_prepared_unit_does_not_change_on_its_window_when_mu_grows():
+    # ord P = 3, so u is known only to degree 8 - 3 = 5; at mu = 8 it has 0
+    # at x^5*y, where the unit of the same exact polynomial has -2
+    f = K.series(2, {(0, 3): -3, (8, 0): 3, (3, 0): -2, (1, 5): 3})
+    _, u8 = E.weierstrass_prepare(f, 1, 8)
+    _, u20 = E.weierstrass_prepare(f, 1, 20)
+    assert u20.coefficient((5, 1)) == -2
+    assert K.agrees_up_to(u8, K.truncate(u20, O.std_form(2), 8),
+                          O.std_form(2), u8.prec)
 
 
 def test_prepare_refuses_what_the_reference_refuses():

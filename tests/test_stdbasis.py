@@ -162,6 +162,27 @@ class TestComplete:
         assert not partial.verified
         assert len(partial.gens) == 3  # the blocked adjoin is not included
 
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_budget_partial_keeps_the_adjoined_member(self, certified):
+        # three quadrics whose completion adjoins three members; the budget
+        # of one stops it at the second, so the partial basis carries the
+        # member built from the first remainder
+        from localring.errors import BudgetExceeded
+        gens = [K.series(3, {(2, 0, 0): 1, (0, 1, 1): 1}),
+                K.series(3, {(0, 2, 0): 1, (1, 0, 1): 1}),
+                K.series(3, {(0, 0, 2): 1, (1, 1, 0): 1})]
+        if certified:
+            gens = [K.truncate(g, std3, 9) for g in gens]
+        I = K.IdealPresentation(3, tuple(gens))
+        full = SB.complete(I, std3, 8)
+        assert len(full.gens) >= len(gens) + 2
+        with pytest.raises(BudgetExceeded) as err:
+            SB.complete(I, std3, 8, max_adjoined=1)
+        partial = err.value.partial
+        assert not partial.verified
+        assert partial.gens == full.gens[:len(gens) + 1]
+        assert partial.heads == full.heads[:len(gens) + 1]
+
     def test_reduced_head_set(self):
         h = K.variable(1, 0)
         G = example_gens(8, h=h, window=14)
