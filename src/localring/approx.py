@@ -16,8 +16,8 @@ from typing import Optional, Sequence, Union
 from .diagram import (
     Diagram,
     _axis_degrees,
+    _axis_vertex_search,
     _complement_levels,
-    axis_vertex_dimension,
     diagram_of,
     flatness_weight_search,
     _reduction_exponent,
@@ -118,15 +118,16 @@ def ci_stability_experiment(I: IdealPresentation, mu,
     dimensions of the quotients by powers of the tail ideal, on both I and
     the perturbed presentation, and reports equality per item.  The
     stability threshold mu0 = max(mu1, mu2) is recomputed from vertex data.
-    Each of the two changed presentations is completed once, and the
-    reduction exponents, the Hilbert-Samuel tables and (for k = n) the base
+    Each of the two changed presentations is completed once (the one of I
+    by the dimension search that picks the matrix), and the reduction
+    exponents, the Hilbert-Samuel tables and (for k = n) the base
     vertices are read from those bases.
     """
     mu = Fraction(mu)
     spec = PerturbationSpec(I, mu, std_form(I.n), tuple(deltas))
     I_mu = perturb(spec)
 
-    dim_rep = axis_vertex_dimension(I, mu, trials=trials, seed=seed)
+    dim_rep, basis_a = _axis_vertex_search(I, mu, trials, seed)
     k = dim_rep.k_best
     report: dict = {
         "mu": mu,
@@ -145,7 +146,6 @@ def ci_stability_experiment(I: IdealPresentation, mu,
 
     items: dict = {}
 
-    basis_a = complete(A, std_form(I.n), mu)
     red_a = _reduction_exponent(A, k, basis_a)
     basis_b = complete(B, std_form(I.n), mu)
     red_b = _reduction_exponent(B, k, basis_b)

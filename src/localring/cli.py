@@ -4,6 +4,13 @@ Exit codes: 0 = success / claims pass; 2 = UNDECIDED-AT-MU or claims fail
 (distinguished in the JSON); 1 = usage or parse error.  Every report carries
 the certification window, and the seed and coordinate-change matrix when
 randomness was involved.  All randomness flows from a single --seed flag.
+
+`run` checks a command line in one order: argparse, then (for every command
+but `example82`, which reads no file) the file, the form and `--mu`, which
+`_context` resolves, then the command's own flags, in its handler.  A
+handler takes `(args, f, form, mu)` and returns its own keys; `run` adds
+`command` and, unless the handler wrote its own, `window` to every report
+that is not an error.
 """
 
 from __future__ import annotations
@@ -70,7 +77,7 @@ def _load(path: str) -> IdealFile:
 def _mu(args, f: IdealFile) -> Fraction:
     """The --mu override, or else the file's precision; like the `prec:`
     line, it must be at least 1."""
-    if not args.mu:
+    if not getattr(args, "mu", None):
         return f.mu
     try:
         mu = Fraction(args.mu)
@@ -122,24 +129,28 @@ def _window(form, mu) -> dict:
     return {"form": form_label(form), "mu": str(Fraction(mu))}
 
 
-def _form_of(args, f: IdealFile) -> "LinearForm":
-    if getattr(args, "order", None):
-        return parse_form(args.order, f.n)
-    return f.form()
-
-
-def _cmd_divide(args) -> tuple[int, dict]:
+def _context(args) -> tuple[IdealFile, LinearForm, Fraction]:
+    """The file, the form and mu of a command line, checked in that order.
+    The commands that take --order (divide, sbasis, diagram) work under it,
+    or else under the file's `order:` line; the others under the standard
+    form, whatever the file says."""
     f = _load(args.file)
-    form = _form_of(args, f)
-    mu = _mu(args, f)
+    if not hasattr(args, "order"):
+        form = std_form(f.n)
+    elif args.order:
+        form = parse_form(args.order, f.n)
+    else:
+        form = f.form()
+    return f, form, _mu(args, f)
+
+
+def _cmd_divide(args, f, form, mu) -> tuple[int, dict]:
     gens = f.generators(form, mu)
     dividend = parse_expression(args.dividend, f.var_names, form, mu)
     result = hironaka_divide(dividend, gens, form, mu)
     regions = [{"index": i, "head": list(a)}
                for i, a in enumerate(result.partition.alphas)]
     report = {
-        "command": "divide",
-        "window": _window(form, mu),
         "dividend": args.dividend,
         "regions": regions,
         "quotients": [jsonable(q) for q in result.quotients],
@@ -149,18 +160,13 @@ def _cmd_divide(args) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_sbasis(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    form = _form_of(args, f)
-    mu = _mu(args, f)
+def _cmd_sbasis(args, f, form, mu) -> tuple[int, dict]:
     skip = not args.no_coprime_skip
     if args.action == "check":
         basis = stdbasis.becker_check(f.generators(form, mu), form, mu,
                                       use_coprime_skip=skip)
         code = 0 if basis.verified else 2
         report = {
-            "command": "sbasis check",
-            "window": _window(form, mu),
             "verified": basis.verified,
             "pairs": [{"i": c.i, "j": c.j, "status": c.status}
                       for c in basis.pair_checks],
@@ -172,8 +178,6 @@ def _cmd_sbasis(args) -> tuple[int, dict]:
                               use_chain_criterion=False)
     adjoined = basis.gens[len(f.gen_sources):]
     report = {
-        "command": "sbasis complete",
-        "window": _window(form, mu),
         "verified": basis.verified,
         "heads": [list(h) for h in basis.heads],
         "adjoined": [jsonable(g) for g in adjoined],
@@ -182,62 +186,45 @@ def _cmd_sbasis(args) -> tuple[int, dict]:
     return 0, report
 
 
-def _cmd_diagram(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    form = _form_of(args, f)
-    mu = _mu(args, f)
+def _cmd_diagram(args, f, form, mu) -> tuple[int, dict]:
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
     D = diagram.diagram_of(basis)
     return 0, {
-        "command": "diagram",
-        "window": _window(form, mu),
         "vertices": [list(v) for v in D.vertices],
     }
 
 
-def _cmd_hs(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    mu = _mu(args, f)
-    form = std_form(f.n)
+def _cmd_hs(args, f, form, mu) -> tuple[int, dict]:
     eta = _eta(args)
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
     table = diagram.hilbert_samuel(basis, eta)
     return 0, {
-        "command": "hs",
-        "window": _window(form, mu),
         "eta_max": eta,
         "values": list(table.values),
     }
 
 
-def _cmd_oracle(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    form = std_form(f.n)
+def _cmd_oracle(args, f, form, mu) -> tuple[int, dict]:
     eta = _eta(args)
     mu = max(f.mu, eta)
     I = f.presentation(form, mu)
     values = [diagram.oracle_jet_quotient_dim(I, e) for e in range(eta + 1)]
     return 0, {
-        "command": "oracle hs",
         "window": _window(form, mu),
         "eta_max": eta,
         "values": values,
     }
 
 
-def _cmd_flat(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    mu = _mu(args, f)
+def _cmd_flat(args, f, form, mu) -> tuple[int, dict]:
     extra = _weights(args)
-    I = f.presentation(std_form(f.n), mu)
+    I = f.presentation(form, mu)
     rep = diagram.flatness_weight_search(I, args.k, mu,
                                          regenerate=f.generators,
                                          extra_weights=extra)
     code = 0 if rep.verdict == "FLAT" else 2
     return code, {
-        "command": "flat",
-        "window": {"form": form_label(std_form(f.n)), "mu": str(mu),
-                   "weighted_window": str(rep.window)},
+        "window": {**_window(form, mu), "weighted_window": str(rep.window)},
         "k": rep.k,
         "verdict": rep.verdict,
         "l0": rep.l0,
@@ -249,15 +236,11 @@ def _cmd_flat(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_dim(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    mu = _mu(args, f)
-    I = f.presentation(std_form(f.n), mu)
+def _cmd_dim(args, f, form, mu) -> tuple[int, dict]:
+    I = f.presentation(form, mu)
     rep = diagram.axis_vertex_dimension(I, mu, trials=_trials(args),
                                         seed=args.seed)
     return 0, {
-        "command": "dim",
-        "window": _window(std_form(f.n), mu),
         "seed": rep.seed,
         "trials": rep.trials,
         "matrix": jsonable(rep.matrix),
@@ -267,15 +250,11 @@ def _cmd_dim(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_reduction(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    mu = _mu(args, f)
-    I = f.presentation(std_form(f.n), mu)
+def _cmd_reduction(args, f, form, mu) -> tuple[int, dict]:
+    I = f.presentation(form, mu)
     rep = diagram.reduction_exponent(I, args.k, mu)
     code = 0 if rep.all_ok else 2
     return code, {
-        "command": "reduction",
-        "window": _window(std_form(f.n), mu),
         "k": rep.k,
         "axis_degrees": list(rep.axis_degrees),
         "d": rep.d,
@@ -285,31 +264,21 @@ def _cmd_reduction(args) -> tuple[int, dict]:
     }
 
 
-def _cmd_perturb(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    mu = _mu(args, f)
-    form = std_form(f.n)
+def _cmd_perturb(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, f.mu)
     deltas = _deltas(args, f, form, mu, len(I.gens))
     spec = approx.PerturbationSpec(I, mu, form, deltas)
     out = approx.perturb(spec)
     return 0, {
-        "command": "perturb",
-        "window": _window(form, mu),
         "generators": [jsonable(g) for g in out.gens],
     }
 
 
-def _cmd_ci(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    mu = _mu(args, f)
-    form = std_form(f.n)
+def _cmd_ci(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, mu)
     deltas = _deltas(args, f, form, mu, len(I.gens))
     rep = approx.ci_stability_experiment(I, mu, deltas, seed=args.seed,
                                          trials=_trials(args))
-    rep["command"] = "ci-experiment"
-    rep["window"] = _window(form, mu)
     code = 0 if rep.get("all_equal") else 2
     return code, jsonable(rep)
 
@@ -319,16 +288,13 @@ def _cmd_example82(args) -> tuple[int, dict]:
     if args.h is not None:
         h = parse_expression(args.h, ("z",), std_form(1), args.mu)
     rep = approx.cm_counterexample_runner(args.mu, h, verify_mu=args.verify_mu)
-    rep["command"] = "example82"
     rep["window"] = _window(std_form(3), args.mu)
     code = 0 if rep["all_pass"] else 2
     return code, jsonable(rep)
 
 
-def _cmd_tower(args) -> tuple[int, dict]:
-    f = _load(args.file)
-    mu = _mu(args, f)
-    gens = f.generators(std_form(f.n), mu)
+def _cmd_tower(args, f, form, mu) -> tuple[int, dict]:
+    gens = f.generators(form, mu)
     tower = equising.build_tower(gens, mu, seed=args.seed)
     levels = []
     for lvl in tower.levels:
@@ -342,8 +308,6 @@ def _cmd_tower(args) -> tuple[int, dict]:
             "poly": jsonable(lvl.poly) if lvl.poly is not None else None,
         })
     report = {
-        "command": f"tower {args.action}",
-        "window": _window(std_form(f.n), mu),
         "seed": args.seed,
         "coordinate_changes": jsonable(tower.coordinate_changes),
         "levels": levels,
@@ -443,7 +407,16 @@ def run(argv) -> tuple[int, dict]:
     """Dispatch a command line; returns (exit code, JSON-ready report)."""
     try:
         args = _build_argparser().parse_args(argv)
-        return args.fn(args)
+        if hasattr(args, "file"):
+            f, form, mu = _context(args)
+            code, report = args.fn(args, f, form, mu)
+            report.setdefault("window", _window(form, mu))
+        else:
+            code, report = args.fn(args)
+        action = getattr(args, "action", None)
+        report["command"] = (f"{args.command} {action}" if action
+                             else args.command)
+        return code, report
     except UsageError as exc:
         return 1, {"error": "usage", "detail": str(exc)}
     except UndecidedAtPrecision as exc:

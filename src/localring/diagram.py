@@ -300,10 +300,17 @@ def axis_vertex_dimension(I: IdealPresentation, mu, trials: int = 5,
     reproducibility.  The bound is certified for the presented generators;
     its tightness depends on the genericity of the sampled changes.
     """
+    return _axis_vertex_search(I, mu, trials, seed)[0]
+
+
+def _axis_vertex_search(I: IdealPresentation, mu, trials: int, seed: int
+                        ) -> tuple[DimensionReport, CertifiedBasis]:
+    """`axis_vertex_dimension`, with the certified standard basis (standard
+    form, window mu) of the changed presentation whose matrix it reports."""
     mu = Fraction(mu)
     rng = random.Random(seed)
     n = I.n
-    best_k, best_M = -1, None
+    best_k, best_M, best_basis = -1, None, None
     for t in range(max(1, trials)):
         M = linalg.identity_matrix(n) if t == 0 else linalg.seeded_unimodular(rng, n)
         gens_t = tuple(substitute_linear(g, M) for g in I.gens)
@@ -313,10 +320,10 @@ def axis_vertex_dimension(I: IdealPresentation, mu, trials: int = 5,
         while k < n and k in axes:
             k += 1
         if k > best_k:
-            best_k, best_M = k, M
+            best_k, best_M, best_basis = k, M, basis
         if best_k == n:
             break
-    return DimensionReport(best_k, n - best_k, best_M, seed, t + 1)
+    return DimensionReport(best_k, n - best_k, best_M, seed, t + 1), best_basis
 
 
 # -- exact row-reduction oracle --------------------------------------------

@@ -302,7 +302,15 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     verified identity u * P = j(f) on the window.  Tower levels are defined
     from this computed data and re-validated on it.  Known defect: u is
     certified to mu, but its terms above mu - ord(P) are truncation
-    artefacts, which may change when mu grows.
+    artefacts, which may change when mu grows.  P is wrong on the window
+    too, even for a polynomial f of degree at most mu, so the contract
+    holds for the identity only: the lift truncates each product at mu,
+    the lost residue terms move down by p into u when the residue is
+    divided by x_i^p, and the products u_a * P_b carry them into P above
+    mu - (p - r), r = ord(P - x_i^p) (seen, never lower, in random trials;
+    not proven).  For f = y^2 + y^3 + x, i = 1, P at mu = 3 has 1 at x^3,
+    where every mu >= 4 gives 3.  u * P = j(f) still holds, since a
+    truncated factorization is not unique.
 
     The lifting works on jets {packed exponent: coefficient} of total
     degree <= floor(mu), packed as in `division`, every product being one
@@ -311,8 +319,11 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     the start; the x_i-degree of a term is read from its slot, and dividing
     by the pivot power x_i^p subtracts its packed exponent.
     Truncating w^-1 * c_d to the window keeps P_d on the window: a term
-    above it only ever reached a truncated sum.  The exponents are unpacked
-    for P and u, and the final identity check uses the kernel.
+    above it only ever reached a truncated sum.  P_d keeps only the terms
+    of w^-1 * c_d of x_i-degree below p, which a term of w^-1 of x_i-degree
+    p or more never reaches, so w is inverted modulo x_i^p only.  The
+    exponents are unpacked for P and u, and the final identity check uses
+    the kernel.
     """
     mu = Fraction(mu)
     n = f.n
@@ -334,7 +345,7 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
         parts.setdefault(sum(e) - e[i], {})[_pack(pk, e)] = c
     pivot = p * x
     w = {e - pivot: c for e, c in parts[0].items()}
-    w_inv = _univariate_inverse(w, top, x)
+    w_inv = _univariate_inverse(w, p - 1, x)
     u_parts = {0: w}
     p_parts: dict = {}
 

@@ -4,8 +4,11 @@ Every row of `cli_golden.json` holds a command line, its exit code and the
 sha256 of the report as `localring` prints it
 (`json.dumps(report, indent=2, sort_keys=True)`).  The 13 commands run on
 every `sample_ideals/*.ideal`, exit-1 and exit-2 reports included, plus
-`example82`.  The commands run in process, from the repository root, so
-the file paths in the table are relative to it.
+`example82`.  Then come the `TWO_FAULTS` lines: each sets two faults against
+each other (a missing file and a bad flag, a bad `--order` and a bad
+`--mu`, ...), so the row freezes which one a command line reports first.
+The commands run in process, from the repository root, so the file paths
+in the table are relative to it.
 
 A change that is meant to alter a report regenerates the table with
 
@@ -45,6 +48,32 @@ COMMANDS = [
     ["tower", "validate", "--file", "F"],
 ]
 
+#: Command lines with two faults each; the row shows which one wins.  The
+#: order a command line is checked in is: argparse, the file, the form,
+#: `--mu`, then the command's own flags.
+TWO_FAULTS = [
+    ["divide", "--file", "sample_ideals/cusp.ideal", "--dividend", "x",
+     "--order", "bogus", "--mu", "abc"],
+    ["sbasis", "complete", "--file", "sample_ideals/cusp.ideal",
+     "--order", "w:1", "--mu", "0"],
+    ["hs", "--file", "nope.ideal", "--eta", "-1"],
+    ["hs", "--file", "sample_ideals/cusp.ideal", "--mu", "abc", "--eta", "-1"],
+    ["oracle", "hs", "--file", "nope.ideal", "--eta", "-1"],
+    ["flat", "--file", "sample_ideals/cusp.ideal", "--k", "1", "--mu", "0",
+     "--weights", "0"],
+    ["dim", "--file", "nope.ideal", "--trials", "0"],
+    ["dim", "--file", "sample_ideals/cusp.ideal", "--mu", "1/0",
+     "--trials", "0"],
+    ["reduction", "--file", "sample_ideals/cusp.ideal", "--k", "5",
+     "--mu", "abc"],
+    ["ci-experiment", "--file", "sample_ideals/cusp.ideal", "--delta", "(",
+     "--trials", "0"],
+    ["tower", "build", "--file", "sample_ideals/cusp.ideal", "--mu", "-2"],
+    ["example82", "--mu", "5"],
+    ["bogus"],
+    [],
+]
+
 
 def command_lines() -> list:
     lines = []
@@ -56,7 +85,7 @@ def command_lines() -> list:
         for argv in COMMANDS:
             lines.append([{"F": name, "K": str(n - 1)}.get(a, a) for a in argv])
     lines.append(["example82", "--mu", "12", "--h", "z"])
-    return lines
+    return lines + TWO_FAULTS
 
 
 def row(argv) -> dict:
@@ -72,7 +101,7 @@ def test_the_table_covers_every_command_line():
 
 
 @pytest.mark.parametrize("expected", json.loads(TABLE.read_text(encoding="utf-8")),
-                         ids=lambda r: " ".join(r["argv"]))
+                         ids=lambda r: " ".join(r["argv"]) or "(empty)")
 def test_report_matches_the_frozen_table(expected, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert row(expected["argv"]) == expected

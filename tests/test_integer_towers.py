@@ -256,6 +256,20 @@ def test_prepared_unit_does_not_change_on_its_window_when_mu_grows():
                           O.std_form(2), u8.prec)
 
 
+@pytest.mark.xfail(strict=True, reason="truncation residues reach P through "
+                   "the unit, above mu - (p - ord(P - x_i^p))")
+def test_prepared_polynomial_does_not_change_on_its_window_when_mu_grows():
+    # f has degree 3, p = 2 and ord(P - y^2) = 1, so P is known only to
+    # degree 3 - (2 - 1) = 2; at mu = 3 it has 1 at x^3, where every
+    # mu >= 4 gives 3
+    f = K.series(2, {(0, 2): 1, (0, 3): 1, (1, 0): 1})
+    P3, _ = E.weierstrass_prepare(f, 1, 3)
+    P8, _ = E.weierstrass_prepare(f, 1, 8)
+    assert P8.coefficient((3, 0)) == 3
+    assert K.agrees_up_to(P3, K.truncate(P8, O.std_form(2), 3),
+                          O.std_form(2), P3.prec)
+
+
 def test_prepare_refuses_what_the_reference_refuses():
     for prepare in (E.weierstrass_prepare, reference_prepare):
         with pytest.raises(NotRegular):
