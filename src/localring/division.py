@@ -61,8 +61,9 @@ list order (so the first dividing head still wins), and exponent tuples are
 built only for emitted terms, where the usual checks run on them.
 
 The packing has a second user: `equising` keys the jets of its discriminant
-towers and Weierstrass lifting by these ints, under the standard form, and
-relies on the sum and window-test properties above.
+towers by these ints, under the standard form, and relies on the sum and
+window-test properties above.  Its Weierstrass preparation is this loop,
+run through `_members` and `_divide` as completion runs it.
 
 The slot width.  Let cap be the window's top level, capc = cap //
 min(int_weights) and B the largest component of the dividend and of the

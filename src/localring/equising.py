@@ -23,15 +23,19 @@ multiplies the m x m minor by d^(m(m-1)), which is divided out at the end.
 Numbers and truncated power series take the same loop, with no degree cap:
 numbers as plain ints, series as integer jets.
 
-Weierstrass preparation lifts on jets {packed exponent: coefficient}
-truncated to the window, and the series discriminants run on jets keyed
-the same way.  The exponents are packed into ints as `division` packs them
-(Monagan and Pearce), under the standard form, where the packed level is
-the total degree: a product term is the sum of two ints, and one compare
-with (top + 1) << shift tests its degree.  Both multiply jets with one
-degree-truncated product, `_jet_dot`, and unpack exponents only in what
-they return; the kernel only checks the prepared identity u * P = f on the
-window.
+The series discriminants run on jets {packed exponent: coefficient}
+truncated to the window.  The exponents are packed into ints as `division`
+packs them (Monagan and Pearce), under the standard form, where the packed
+level is the total degree: a product term is the sum of two ints, and one
+compare with (top + 1) << shift tests its degree.  The jets are multiplied
+with one degree-truncated product, `_jet_dot`, and exponents are unpacked
+only in what is returned.
+
+Weierstrass preparation is Weierstrass division, that is Hironaka division
+by one series under a form that makes x_i^p its head (Grauert and Remmert;
+Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
+section 6.2): it runs on the division loop of `division`, and the kernel
+only checks the prepared identity u * P = j on the window, j the jet.
 
 The tower construction iterates: prepare the input list to distinguished
 form in the last variable, take the product, locate the first discriminant
@@ -52,10 +56,17 @@ from itertools import chain, starmap
 from typing import Optional, Sequence
 
 from . import linalg
-from .division import _pack, _packed, _packing, _unpack
+from .division import (
+    _divide,
+    _member,
+    _members,
+    _packed,
+    _packing,
+    _remainder_terms,
+    _unpack,
+)
 from .errors import (
     DimensionMismatch,
-    InvariantViolation,
     NotRegular,
     PrecisionShortfall,
     PresentationError,
@@ -69,7 +80,7 @@ from .kernel import (
     substitute_linear,
     truncate,
 )
-from .order import std_form
+from .order import LinearForm, std_form
 
 #: Seeded coordinate changes `_ensure_regular` samples before giving up.
 COORDINATE_CHANGE_RETRIES = 25
@@ -100,18 +111,6 @@ def _jet_dot(pairs, limit: int) -> dict:
                 e = e1 + e2
                 out[e] = get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
-
-
-def _jet_sub(a: dict, b: dict) -> dict:
-    """a - b, dropping the coefficients that cancel."""
-    out = dict(a)
-    for e, c in b.items():
-        s = out.get(e, 0) - c
-        if s:
-            out[e] = s
-        else:
-            del out[e]
-    return out
 
 
 def _negated(jet: dict) -> dict:
@@ -264,68 +263,28 @@ def squarefree_defect(coeffs: Sequence, p: int) -> int:
 
 # -- Weierstrass preparation -------------------------------------------------
 
-def _univariate_inverse(w: dict, top: int, x: int) -> dict:
-    """Inverse, to degree top, of a unit univariate series {m * x: coeff},
-    where x is the key of the variable: 1 keys by degree, a packed x_i by
-    packed exponent."""
-    c0 = w[0]
-    inv = {0: Fraction(1) / c0}
-    for m in range(1, top + 1):
-        acc = Fraction(0)
-        for r in range(1, m + 1):
-            if r * x in w and (m - r) * x in inv:
-                acc += w[r * x] * inv[(m - r) * x]
-        if acc:
-            inv[m * x] = -acc / c0
-    return inv
-
-
 def regular_order(f: PrecisionSeries, i: int) -> Optional[int]:
     """Lowest power of x_i among the pure-x_i terms of f, or None."""
     pure = [e[i] for e in f.terms if sum(e) == e[i]]
     return min(pure) if pure else None
 
 
-def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
-    """Factor f = u * P up to the window (std, mu).
+def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
+    """(P, jet, record, pk, cap): the Weierstrass polynomial P of the mu-jet
+    j of f in x_i, certified on (std, mu), and what dividing j by it needs:
+    j as an exact polynomial, the record of P on the whole division window,
+    the packing and the window's top level.
 
-    P is monic of degree p in x_i with the lower coefficients, series in the
-    other variables, vanishing at the origin; u is a unit.  p is the
-    x_i-order of f restricted to the x_i-axis, and must satisfy p <= mu.
-    The returned identity is re-verified term-by-term before returning.
-    Lifting is graded by total degree in the non-distinguished variables.
-
-    Contract: the output is the window-mu Weierstrass data OF THE mu-JET of
-    f (a deterministic function of that jet).  Unlike division, preparation
-    shifts exponents down by the pivot power, so the factors of a refinement
-    of f may differ below mu; no refinement stability is claimed, only the
-    verified identity u * P = j(f) on the window.  Tower levels are defined
-    from this computed data and re-validated on it.  Known defect: u is
-    certified to mu, but its terms above mu - ord(P) are truncation
-    artefacts, which may change when mu grows.  P is wrong on the window
-    too, even for a polynomial f of degree at most mu, so the contract
-    holds for the identity only: the lift truncates each product at mu,
-    the lost residue terms move down by p into u when the residue is
-    divided by x_i^p, and the products u_a * P_b carry them into P above
-    mu - (p - r), r = ord(P - x_i^p) (seen, never lower, in random trials;
-    not proven).  For f = y^2 + y^3 + x, i = 1, P at mu = 3 has 1 at x^3,
-    where every mu >= 4 gives 3.  u * P = j(f) still holds, since a
-    truncated factorization is not unique.
-
-    The lifting works on jets {packed exponent: coefficient} of total
-    degree <= floor(mu), packed as in `division`, every product being one
-    truncated `_jet_dot`.  The power x_i^m packs to m times the packed x_i,
-    so the pivot unit and its inverse are keyed by packed exponents from
-    the start; the x_i-degree of a term is read from its slot, and dividing
-    by the pivot power x_i^p subtracts its packed exponent.
-    Truncating w^-1 * c_d to the window keeps P_d on the window: a term
-    above it only ever reached a truncated sum.  P_d keeps only the terms
-    of w^-1 * c_d of x_i-degree below p, which a term of w^-1 of x_i-degree
-    p or more never reaches, so w is inverted modulo x_i^p only.  The
-    exponents are unpacked for P and u, and the final identity check uses
-    the kernel.
+    Let p be the x_i-order of j and Lw the form with weight 1 on x_i and W
+    on every other variable, W the least integer above (p - b) / |a| over
+    the terms x'^a x_i^b of j with b < p (each has |a| >= 1, by the choice
+    of p), or 1 if there is none.  Then x_i^p is the Lw-head of j, and
+    Hironaka division by j under Lw is Weierstrass division: x_i^p = q * j
+    + r with r of x_i-degree below p, and P = x_i^p - r = q * j.  A term of
+    total degree at most mu has Lw at most W * floor(mu), so the window
+    {Lw <= W * floor(mu) + p} certifies P on (std, mu), and a quotient by P
+    on the standard window as well.
     """
-    mu = Fraction(mu)
     n = f.n
     L = std_form(n)
     ft = truncate(f, L, mu)
@@ -335,54 +294,61 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
             f"not regular in variable {i} at precision {mu}; "
             "apply a linear change of coordinates and retry")
     top = int(mu)
-    pk = _packing(L, mu, [ft])
-    limit = (top + 1) << pk.shift
-    slot, mask = i * pk.width, (1 << pk.width) - 1
-    x = 1 << pk.shift | 1 << slot  # the packed x_i; x_i^m packs to m * x
-    # the terms by codegree, their total degree in the other variables
-    parts: dict = {}
-    for e, c in ft.terms.items():
-        parts.setdefault(sum(e) - e[i], {})[_pack(pk, e)] = c
-    pivot = p * x
-    w = {e - pivot: c for e, c in parts[0].items()}
-    w_inv = _univariate_inverse(w, p - 1, x)
-    u_parts = {0: w}
-    p_parts: dict = {}
+    W = max([(p - e[i]) // (sum(e) - e[i]) + 1 for e in ft.terms if e[i] < p],
+            default=1)
+    Lw = LinearForm(tuple([1 if k == i else W for k in range(n)]))
+    cap = W * top + p
+    jet = PrecisionSeries(n, ft.terms)  # exact, so admitted under Lw
+    pk = _packing(Lw, cap, [jet])
+    [divisor] = _members([jet], Lw, cap, pk)
+    head, alpha = divisor.head, divisor.alpha  # x_i^p
+    # only the window is wanted (prec `cap`, not EXACT): terms above it are
+    # dropped at once, and the quotient q is not built
+    rem, den, _ = _divide({head: 1}, 1, cap, [divisor], pk, cap)
+    P = {alpha: Fraction(1)}
+    for e, w in _remainder_terms(rem, pk, [alpha]):
+        if sum(e) <= top:
+            P[e] = Fraction(-w, den)
+    record = _member({head: den, **{e: -w for e, w in rem.items()}}, den,
+                     cap, pk)
+    return PrecisionSeries(n, P, mu, L), jet, record, pk, cap
 
-    for d in range(1, top + 1):
-        correction = _jet_dot(((ua, p_parts[d - a]) for a, ua in u_parts.items()
-                               if 0 < a and (d - a) in p_parts), limit)
-        c_d = _jet_sub(parts.get(d, {}), correction)
-        # solve u_d * x_i^p + u_0 * P_d = c_d
-        P_d = {e: c for e, c in _jet_dot([(w_inv, c_d)], limit).items()
-               if (e >> slot & mask) < p}
-        if P_d:
-            p_parts[d] = P_d
-        residue = _jet_sub(c_d, _jet_dot([(u_parts[0], P_d)], limit))
-        u_d = {}
-        for e, c in residue.items():
-            if (e >> slot & mask) < p:
-                raise InvariantViolation(
-                    "lift residue not divisible by the pivot power")
-            u_d[e - pivot] = c
-        if u_d:
-            u_parts[d] = u_d
 
-    # the parts have pairwise distinct codegrees, so their supports are disjoint
-    P_terms = {pivot: Fraction(1)}
-    for pd in p_parts.values():
-        P_terms.update(pd)
+def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
+    """Factor f = u * P up to the window (std, mu).
+
+    P is monic of degree p in x_i with the lower coefficients, series in the
+    other variables, vanishing at the origin; u is a unit.  p is the
+    x_i-order of f restricted to the x_i-axis, and must satisfy p <= mu.
+
+    Contract: P is the Weierstrass polynomial of the mu-jet j of f,
+    certified on (std, mu), and u is the unit of j, certified on (std,
+    mu - ord P): u * P = j on the window determines u only that far.  Both
+    come from Weierstrass division (`_weierstrass_polynomial`): u is the
+    quotient of j by P on the whole division window.  P cut to total
+    degree mu would not do when ord P < p: the tail of P lowers the total
+    degree, so that division may leave a remainder inside the window (as
+    for y^3 + y^4 + x at mu = 4), and then u * P != j there.  The identity
+    u * P = j is re-verified on the window before returning.
+    """
+    mu = Fraction(mu)
+    P, jet, record, pk, cap = _weierstrass_polynomial(f, i, mu)
+    n, L = f.n, std_form(f.n)
+    order = min(map(sum, P.terms))
+    top = int(mu) - order
+    quotient: list = [{}]
+    terms, den = _packed(jet, pk)
+    _divide(terms, den, cap, [record], pk, cap, quotient)
     u_terms = {}
-    for ud in u_parts.values():
-        u_terms.update(ud)
-    P_out = PrecisionSeries(
-        n, {_unpack(pk, e): c for e, c in P_terms.items()}, mu, L)
-    u_out = PrecisionSeries(
-        n, {_unpack(pk, e): c for e, c in u_terms.items()}, mu, L)
-    check = mul(u_out, P_out)
-    if not agrees_up_to(check, ft, L, prec_min(mu, check.prec)):
+    for s, c in quotient[0].items():
+        e = _unpack(pk, s)
+        if sum(e) <= top:
+            u_terms[e] = c
+    u = PrecisionSeries(n, u_terms, mu - order, L)
+    check = mul(u, P)
+    if not agrees_up_to(check, jet, L, prec_min(mu, check.prec)):
         raise PresentationError("preparation identity failed; this is a bug")
-    return P_out, u_out
+    return P, u
 
 # -- discriminant towers -----------------------------------------------------
 
@@ -516,7 +482,7 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
     gens, M = _ensure_regular(gens, n - 1, mu, rng)
     if M is not None:
         changes.append((n, M))
-    prepared = [weierstrass_prepare(g, n - 1, mu)[0] for g in gens]
+    prepared = [_weierstrass_polynomial(g, n - 1, mu)[0] for g in gens]
     current = prepared[0]
     for P in prepared[1:]:
         current = truncate(mul(current, P), std_form(n), mu)

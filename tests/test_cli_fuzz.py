@@ -1,9 +1,10 @@
 """The frozen CLI contract under fuzzed command lines and ideal files.
 
-Whatever the arguments and the file say, `hs`, `divide`, `sbasis complete`,
-`sbasis check`, `diagram`, `reduction`, `tower build` and `tower validate`
-print exactly one JSON document on standard output and exit with code 0, 1
-or 2.  Every command is bounded by the fuzzed `prec` of at most 7.
+Whatever the arguments and the file say, `hs`, `oracle hs`, `divide`,
+`sbasis complete`, `sbasis check`, `diagram`, `dim`, `reduction`, `perturb`,
+`tower build` and `tower validate` print exactly one JSON document on
+standard output and exit with code 0, 1 or 2.  Every command is bounded by
+the fuzzed `prec` of at most 7.
 """
 
 import json
@@ -73,15 +74,22 @@ def ideal_files(draw):
 
 @st.composite
 def command_lines(draw):
-    command = draw(st.sampled_from(["hs", "divide", "sbasis complete",
-                                    "sbasis check", "diagram", "reduction",
+    command = draw(st.sampled_from(["hs", "oracle hs", "divide",
+                                    "sbasis complete", "sbasis check",
+                                    "diagram", "dim", "reduction", "perturb",
                                     "tower build", "tower validate"]))
     argv = command.split() + ["--file", "FILE"]
-    if command == "hs":
+    if command.endswith("hs"):
         argv += ["--eta", draw(sometimes_malformed(["3", "0", "2", "6"],
                                                    ["-1", "x", ""]))]
     if command == "divide":
         argv += ["--dividend", draw(expressions())]
+    if command == "dim":
+        argv += ["--trials", draw(sometimes_malformed(["1", "2", "3"],
+                                                      ["0", "-1", "x", ""]))]
+    if command == "perturb":
+        for _ in range(draw(st.integers(0, 3))):
+            argv += ["--delta", draw(expressions())]
     if command == "reduction":
         argv += ["--k", draw(sometimes_malformed(["1", "2", "3"],
                                                  ["0", "-1", "9", "x"]))]
@@ -95,7 +103,7 @@ def command_lines(draw):
              "w:1,1/0"]))]
     if command.startswith("sbasis") and draw(st.booleans()):
         argv.append("--no-coprime-skip")
-    if draw(st.booleans()):
+    if command != "oracle hs" and draw(st.booleans()):  # it takes no --mu
         argv += ["--mu", draw(sometimes_malformed(
             ["3", "5/2", "6"], ["abc", "0", "1/0", "-1"]))]
     return argv

@@ -4,8 +4,9 @@
 denominators and runs Newton and Berkowitz on integers; it is compared
 with the symbolic oracle `generalized_discriminant`, evaluated with
 `Fraction` arithmetic or with kernel products of series.
-`weierstrass_prepare` lifts on raw jets; it is compared with a copy of the
-kernel-based lifting it replaced, kept here as the reference.
+`weierstrass_prepare` runs Weierstrass division on the division loop; it
+is compared with an independent lift by codegree on kernel series, and
+checked to keep its factors on their windows as mu grows.
 """
 
 import random
@@ -135,70 +136,77 @@ def test_repeated_roots_with_denominators():
     _check_numbers(vec)
 
 
-# -- Weierstrass preparation against the kernel-based lifting ------------------
+# -- Weierstrass preparation against a kernel-level lift -----------------------
+
+def _unit_inverse(w, i, top):
+    """1 / w to x_i-degree top, for a unit w in x_i alone."""
+    n = w.n
+    c = {e[i]: v for e, v in w.terms.items()}
+    inv = [1 / c[0]]
+    for m in range(1, top + 1):
+        inv.append(-sum(c.get(r, 0) * inv[m - r] for r in range(1, m + 1)) / c[0])
+    return K.series(n, {tuple(m if k == i else 0 for k in range(n)): v
+                        for m, v in enumerate(inv)})
+
 
 def reference_prepare(f, i, mu):
-    """The kernel-based lifting that `weierstrass_prepare` replaced: every
-    step is kernel `mul`, `add`, `series` and `truncate` on series."""
+    """An independent lift of the mu-jet j of f to u * P by codegree (the
+    total degree in the variables other than x_i), in kernel `mul`, `add`,
+    `series` and `truncate` on series.
+
+    Every step is truncated under the form with weight 1 on x_i and p + 1
+    on the others, at level (p + 1) * mu + p.  That window holds every term
+    of total degree <= mu; a truncation residue reaches P only above it and
+    u only above (p + 1) * mu, when the residue is divided by x_i^p.  So P
+    is compared on (std, mu) and u on (std, mu - ord P), the windows
+    `weierstrass_prepare` certifies.
+    """
     mu = F(mu)
     n = f.n
     L = O.std_form(n)
-    ft = K.truncate(f, L, mu)
-    p = E.regular_order(ft, i)
+    j = K.truncate(f, L, mu)
+    p = E.regular_order(j, i)
     if p is None or p > mu:
         raise NotRegular("not regular")
-    parts = {}  # the terms by codegree, their degree in the other variables
-    for e, c in ft.terms.items():
-        parts.setdefault(sum(e) - e[i], {})[e] = c
     top = int(mu)
-    w = {e[i] - p: c for e, c in parts.get(0, {}).items()}
-    w_inv = E._univariate_inverse(w, top, 1)
+    Lref = O.LinearForm(tuple(1 if k == i else p + 1 for k in range(n)))
+    level = (p + 1) * top + p
 
-    def axis_series(univ):
-        terms = {}
-        for m, c in univ.items():
-            if m <= top:
-                e = [0] * n
-                e[i] = m
-                terms[tuple(e)] = c
-        return K.series(n, terms)
+    def cut(s):
+        return K.series(n, K.truncate(s, Lref, level).terms)
 
-    u_parts = {0: axis_series(w)}
+    parts = {}  # the terms by codegree, their degree in the other variables
+    for e, c in j.terms.items():
+        parts.setdefault(sum(e) - e[i], {})[e] = c
+
+    def divided_by_pivot(terms):  # x_i^-p times terms of x_i-degree >= p
+        if any(e[i] < p for e in terms):
+            raise InvariantViolation("residue not divisible")
+        return K.series(n, {tuple(b - p if k == i else b
+                                  for k, b in enumerate(e)): c
+                            for e, c in terms.items()})
+
+    w = divided_by_pivot(parts[0])
+    w_inv = _unit_inverse(w, i, level)
+    u_parts = {0: w}
     p_parts = {}
-    x_pow_p = [0] * n
-    x_pow_p[i] = p
-    P = K.monomial(n, tuple(x_pow_p))
     for d in range(1, top + 1):
         c_d = K.series(n, parts.get(d, {}))
-        correction = K.zero(n)
-        for a, ua in u_parts.items():
-            if 0 < a and (d - a) in p_parts:
-                correction = K.add(correction, K.mul(ua, p_parts[d - a]))
-        c_d = K.truncate(K.add(c_d, -correction), L, mu)
-        scaled = K.mul(axis_series(w_inv), c_d)
-        pd_terms = {e: c for e, c in scaled.terms.items() if e[i] < p}
-        P_d = K.series(n, pd_terms) if pd_terms else None
-        if P_d is not None:
-            p_parts[d] = P_d
-            residue = K.truncate(K.add(c_d, -K.mul(u_parts[0], P_d)), L, mu)
-        else:
-            residue = c_d
-        u_terms = {}
-        for e, c in residue.terms.items():
-            if e[i] < p:
-                raise InvariantViolation("residue not divisible")
-            shifted = list(e)
-            shifted[i] -= p
-            u_terms[tuple(shifted)] = c
-        if u_terms:
-            u_parts[d] = K.series(n, u_terms)
-    P_total = P
-    for d, pd in sorted(p_parts.items()):
-        P_total = K.add(P_total, pd)
-    u_total = K.zero(n)
-    for d, ud in sorted(u_parts.items()):
-        u_total = K.add(u_total, ud)
-    return K.truncate(P_total, L, mu), K.truncate(u_total, L, mu)
+        for a in range(1, d):
+            c_d = K.add(c_d, -K.mul(u_parts[a], p_parts[d - a]))
+        c_d = cut(c_d)
+        P_d = K.series(n, {e: c for e, c in cut(K.mul(w_inv, c_d)).terms.items()
+                           if e[i] < p})
+        p_parts[d] = P_d
+        u_parts[d] = divided_by_pivot(cut(K.add(c_d, -K.mul(w, P_d))).terms)
+    P = K.monomial(n, tuple(p if k == i else 0 for k in range(n)))
+    for pd in p_parts.values():
+        P = K.add(P, pd)
+    u = K.zero(n)
+    for ud in u_parts.values():
+        u = K.add(u, ud)
+    P = K.truncate(P, L, mu)
+    return P, K.truncate(u, L, mu - min(map(sum, P.terms)))
 
 
 @st.composite
@@ -243,29 +251,24 @@ def test_prepare_matches_the_kernel_lifting(case):
     assert all(type(c) is F for c in (*P.terms.values(), *u.terms.values()))
 
 
-@pytest.mark.xfail(strict=True, reason="u is certified to mu, but its terms "
-                   "above mu - ord(P) are truncation artefacts")
 def test_prepared_unit_does_not_change_on_its_window_when_mu_grows():
-    # ord P = 3, so u is known only to degree 8 - 3 = 5; at mu = 8 it has 0
-    # at x^5*y, where the unit of the same exact polynomial has -2
+    # ord P = 3, so u is certified only to degree 8 - 3 = 5; its term -2 at
+    # x^5*y lies beyond that window at mu = 8 and inside it at mu = 20
     f = K.series(2, {(0, 3): -3, (8, 0): 3, (3, 0): -2, (1, 5): 3})
     _, u8 = E.weierstrass_prepare(f, 1, 8)
     _, u20 = E.weierstrass_prepare(f, 1, 20)
+    assert u8.prec == 5 and u20.prec == 17
     assert u20.coefficient((5, 1)) == -2
     assert K.agrees_up_to(u8, K.truncate(u20, O.std_form(2), 8),
                           O.std_form(2), u8.prec)
 
 
-@pytest.mark.xfail(strict=True, reason="truncation residues reach P through "
-                   "the unit, above mu - (p - ord(P - x_i^p))")
 def test_prepared_polynomial_does_not_change_on_its_window_when_mu_grows():
-    # f has degree 3, p = 2 and ord(P - y^2) = 1, so P is known only to
-    # degree 3 - (2 - 1) = 2; at mu = 3 it has 1 at x^3, where every
-    # mu >= 4 gives 3
+    # f has degree 3 and p = 2; P has 3 at x^3 at every mu >= 3
     f = K.series(2, {(0, 2): 1, (0, 3): 1, (1, 0): 1})
     P3, _ = E.weierstrass_prepare(f, 1, 3)
     P8, _ = E.weierstrass_prepare(f, 1, 8)
-    assert P8.coefficient((3, 0)) == 3
+    assert P3.coefficient((3, 0)) == P8.coefficient((3, 0)) == 3
     assert K.agrees_up_to(P3, K.truncate(P8, O.std_form(2), 3),
                           O.std_form(2), P3.prec)
 
@@ -274,3 +277,44 @@ def test_prepare_refuses_what_the_reference_refuses():
     for prepare in (E.weierstrass_prepare, reference_prepare):
         with pytest.raises(NotRegular):
             prepare(K.monomial(2, (1, 1)), 1, 6)
+
+
+@st.composite
+def regular_polynomials(draw):
+    """(f, mu): an exact polynomial of degree <= mu in n = 1..3 variables
+    whose lowest pure power of the last variable is x_n^p, p <= 3."""
+    n = draw(st.integers(1, 3))
+    mu = draw(st.integers(3, 7 if n < 3 else 5))
+    p = draw(st.integers(1, 3))
+    i = n - 1
+    terms = {(0,) * i + (p,): draw(coefficient)}
+    for _ in range(draw(st.integers(0, 5))):
+        e = tuple(draw(st.integers(0, mu)) for _ in range(n))
+        if sum(e) <= mu and (any(e[:i]) or e[i] > p):
+            terms[e] = draw(coefficient)
+    return K.series(n, terms), mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(regular_polynomials())
+@example((K.series(2, {(0, 2): 1, (0, 3): 1, (1, 0): 1}), 3))
+@example((K.series(2, {(0, 3): -3, (8, 0): 3, (3, 0): -2, (1, 5): 3}), 8))
+# ord P = 1 < p = 3: dividing by P cut to degree mu breaks u * P = j
+@example((K.series(2, {(0, 3): 1, (0, 4): 1, (1, 0): 1}), 4))
+def test_preparation_is_stable_as_mu_grows(case):
+    f, mu = case
+    i = f.n - 1
+    P, u = E.weierstrass_prepare(f, i, mu)
+    assert P.prec == mu and u.prec == mu - min(map(sum, P.terms))
+    L = O.std_form(f.n)
+    for k in range(1, 5):
+        P_k, u_k = E.weierstrass_prepare(f, i, mu + k)
+        assert K.agrees_up_to(P, K.truncate(P_k, L, mu), L, P.prec)
+        assert K.agrees_up_to(u, K.truncate(u_k, L, u.prec), L, u.prec)
+
+
+def test_unit_prepares_to_one_and_itself():
+    f = K.series(2, {(0, 0): 3, (1, 0): -1, (0, 2): F(1, 2), (2, 1): 5})
+    P, u = E.weierstrass_prepare(f, 1, 4)
+    assert P.terms == {(0, 0): 1}
+    assert u.terms == f.terms and u.prec == 4
