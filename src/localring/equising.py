@@ -23,6 +23,16 @@ multiplies the m x m minor by d^(m(m-1)), which is divided out at the end.
 Numbers and truncated power series take the same loop, with no degree cap:
 numbers as plain ints, series as integer jets.
 
+The Berkowitz pass skips work whose result it knows.  Its step r needs
+c.H^k c for k < r, H the leading r x r block and c the next column.  (a)
+Once v_j = H^j c is zero, so is every later v_j and c.H^k c, and the step
+stops.  (b) H is symmetric, so c.H^k c = v_{k//2} . v_{(k+1)//2}, and half
+the matrix-vector products suffice.  Both are identities in every
+commutative ring, truncation to the window is a ring map onto
+Q[x]/m^(mu+1), and so the minors are those of the full pass.  For y^p,
+whose matrix is p in its corner and 0 elsewhere, the pass makes no
+matrix-vector product at all.
+
 The series discriminants run on jets {packed exponent: coefficient}
 truncated to the window.  The exponents are packed into ints as `division`
 packs them (Monagan and Pearce), under the standard form, where the packed
@@ -144,6 +154,13 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     are jets keyed by exponents packed as in `division`, and `dot` is the
     truncated `_jet_dot`; the keys are unpacked only in the returned minors.
     Numbers are plain ints, and `dot` is a sum of products.
+
+    Berkowitz step r needs c.H_r^k c for k < r.  It computes only the
+    vectors v_j = H_r^j c with j <= ceil((r-1)/2) and takes c.H_r^k c =
+    v_{k//2} . v_{(k+1)//2}, which holds because H_r is symmetric; and it
+    stops at the first v_j that is zero, after which every c.H_r^k c is
+    zero.  The jets live in Z[x]/m^(mu+1), where both rules are identities,
+    so they change no returned minor.
     """
     p = len(coeffs)
     if n_vars:
@@ -201,18 +218,22 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     # its next row, by symmetry) and h the new diagonal entry, the
     # characteristic polynomial of H_{r+1} is the Toeplitz product of
     # (1, -h, -c.c, -c.H_r c, ..., -c.H_r^{r-1} c) with that of H_r.
+    # H_r is symmetric, so c.H_r^k c = v_{k//2} . v_{(k+1)//2} with
+    # v_j = H_r^j c; once a v_j is zero, so is every later entry of t.
     char = [const(1)]                   # highest degree first
     minors = []
     for r in range(p):
-        col = s[r:2 * r]
         t = [const(1), neg(s[2 * r])]
-        v = col
+        v = [s[r:2 * r]]
         for k in range(r):
-            if k:
-                v = [dot(zip(s[a:a + r], v)) for a in range(r)]
-            t.append(neg(dot(zip(col, v))))
+            hi = (k + 1) // 2
+            if hi == len(v):
+                v.append([dot(zip(s[a:a + r], v[-1])) for a in range(r)])
+            if not any(v[hi]):
+                break
+            t.append(neg(dot(zip(v[k // 2], v[hi]))))
         char = [dot((t[k], char[i - k])
-                    for k in range(max(0, i - r), min(i, r + 1) + 1))
+                    for k in range(max(0, i - r), min(i, len(t) - 1) + 1))
                 for i in range(r + 2)]
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
@@ -228,7 +249,8 @@ def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
     for j, d in enumerate(_hankel_discriminants(coeffs, 0, 0)):
         if d:
             return j
-    raise UndecidedAtPrecision("every discriminant vanished; impossible for D_p")
+    # D_p = s_0 = p vanishes only for p = 0: the polynomial 1 has no roots
+    return p
 
 
 def squarefree_defect(coeffs: Sequence, p: int) -> int:

@@ -142,6 +142,11 @@ class TestDistinctRootCount:
     def test_triple_root_at_zero(self):
         assert E.distinct_root_count_check((0, 0, 0), 3) == 2  # X^3
 
+    def test_degree_zero_has_no_roots(self):
+        # the monic polynomial 1: no discriminant to find, no root to count
+        assert E.distinct_root_count_check((), 0) == 0
+        assert E.squarefree_defect((), 0) == 0
+
     def test_against_gcd_oracle_seeded(self):
         rng = random.Random(42)
         for _ in range(60):

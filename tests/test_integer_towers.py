@@ -101,6 +101,16 @@ def series_vectors(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(series_vectors())
+# y^p: every coefficient zero, so every power sum but s_0 vanishes
+@example(([K.series(1, {})] * 5, 4))
+@example(([K.series(2, {})] * 4, 3))
+# y^p - x^k: only a_0 is nonzero, and D_1 is a power of it, inside the
+# window or beyond it
+@example(([K.series(1, {(1,): F(-1)})] + [K.series(1, {})] * 2, 4))
+@example(([K.series(1, {(2,): F(-1)})] + [K.series(1, {})] * 4, 4))
+@example(([K.series(2, {(1, 1): F(-1)})] + [K.series(2, {})], 3))
+@example(([K.truncate(K.series(2, {(2, 0): F(-7, 12)}), O.std_form(2), 3)]
+          + [K.series(2, {})] * 3, 3))
 def test_series_match_the_symbolic_oracle(case):
     _check_series(*case)
 

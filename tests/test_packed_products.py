@@ -5,9 +5,11 @@
 multiplies integer numerators over the product of the operands' common
 denominators; it is compared with a copy of the `Fraction` loop it
 replaced, kept here as the reference.  Root counts of numbers run on plain
-ints; they are compared with the gcd oracle beyond the symbolic cap.
+ints; they are compared with the gcd oracle beyond the symbolic cap, and
+the minors themselves with determinants of Hankel matrices of power sums.
 """
 
+import math
 import operator
 from fractions import Fraction as F
 from unittest import mock
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from localring import division as DIV
 from localring import equising as E
 from localring import kernel as K
+from localring import linalg
 from localring import order as O
 
 COEFFS = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(5, 6), F(-7, 4)]
@@ -190,6 +193,17 @@ def test_hankel_route_never_calls_kernel_mul(monkeypatch):
     assert E._hankel_discriminants([F(1, 2), F(-3), 0, F(7, 5)], 0, 0)[-1]
 
 
+def test_zero_series_vector_stops_at_the_structural_zero():
+    # y^14 over one variable: every power sum but s_0 vanishes, so each
+    # Berkowitz step stops before its first matrix-vector product
+    p = 14
+    zero = [K.truncate(K.series(1, {}), O.std_form(1), p)] * p
+    with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
+        minors = E._hankel_discriminants(zero, 1, p)
+    assert dot.call_count <= 2 * p * p
+    assert minors == [{}] * (p - 1) + [{(0,): F(p)}]
+
+
 # -- root counts beyond the symbolic cap ---------------------------------------
 
 @st.composite
@@ -219,3 +233,43 @@ def test_root_counts_match_the_gcd_oracle_beyond_the_cap(case):
     with mock.patch.object(E, "_jet_dot", None):
         j = E.distinct_root_count_check(vec, p)
     assert j == E.squarefree_defect(vec, p) == p - distinct
+
+
+def power_sums(coeffs, count: int) -> list:
+    """s_0..s_{count-1} of the roots of X^p + a_{p-1} X^{p-1} + ... + a_0,
+    by Newton's identities on `Fraction`s."""
+    p = len(coeffs)
+    c = [F(1)] + [F(coeffs[p - i]) for i in range(1, p + 1)]  # c_i = a_{p-i}
+    s = [F(p)]
+    for k in range(1, count):
+        total = k * c[k] if k <= p else F(0)
+        total += sum(c[i] * s[k - i] for i in range(1, min(k - 1, p) + 1))
+        s.append(-total)
+    return s
+
+
+def power_of_linear(r, p: int) -> list:
+    """(a_0, ..., a_{p-1}) of (X - r)^p."""
+    return [math.comb(p, i) * (-r) ** (p - i) for i in range(p)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(root_vectors().map(lambda case: case[0])
+       | st.integers(6, 14).flatmap(lambda p: st.lists(
+           st.sampled_from(COEFFS + [F(0)]), min_size=p, max_size=p)))
+@example([F(0)] * 14)                    # X^14
+# X^6 - 1: s_k = 6 when 6 divides k, else 0, so the minors of sizes 2..5
+# vanish below the full 6 x 6 one; the pass stops before any product for
+# r = 1..3 and after one for r = 4, 5
+@example([F(-1)] + [F(0)] * 5)
+@example(power_of_linear(F(-3, 2), 9))   # one root of multiplicity 9
+def test_minors_match_hankel_determinants_beyond_the_cap(vec):
+    p = len(vec)
+    s = power_sums(vec, 2 * p - 1)
+    minors = E._hankel_discriminants(vec, 0, 0)
+    assert len(minors) == p
+    for j, jet in enumerate(minors, start=1):
+        m = p - j + 1
+        block = [[s[a + b] for b in range(m)] for a in range(m)]
+        want = (-1) ** (m * (m - 1) // 2) * linalg.det(block)
+        assert jet == ({(): want} if want else {})
