@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .diagram import (
-    Diagram,
     _axis_degrees,
     _axis_vertex_search,
     _complement_levels,
@@ -101,10 +100,8 @@ def _base_staircase_threshold(base_vertices: tuple) -> Optional[int]:
     if len(caps) != k:
         return None
     # every complement point lies in the box below the axis vertices
-    L = std_form(k)
-    top = sum(caps.values()) - k
-    counts = _complement_levels(Diagram(k, base_vertices, L, Fraction(top)),
-                                L, top)
+    counts = _complement_levels(base_vertices, std_form(k).int_weights,
+                                sum(caps.values()) - k)
     return max((level for level, c in enumerate(counts) if c), default=0)
 
 

@@ -8,9 +8,11 @@ randomness was involved.  All randomness flows from a single --seed flag.
 `run` checks a command line in one order: argparse, then (for every command
 but `example82`, which reads no file) the file, the form and `--mu`, which
 `_context` resolves, then the command's own flags, in its handler.  A
-handler takes `(args, f, form, mu)` and returns its own keys; `run` adds
-`command` and, unless the handler wrote its own, `window` to every report
-that is not an error.
+handler takes `(args, f, form, mu)` and returns its exit code and its keys,
+whose values are library values (series, `Fraction`s, tuples, dataclasses);
+`run` adds `command` and, unless the handler wrote its own, `window` to
+every report that is not an error, and renders the whole report with
+`jsonable`, the one place a value becomes JSON.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def jsonable(value):
-    """Recursively convert report values into JSON-encodable data."""
+    """Recursively convert report values into JSON-encodable data; an
+    absent value (None) stays null, and "EXACT" is only a series' prec."""
     if isinstance(value, Fraction):
         return str(value)
-    if value is EXACT:
-        return "EXACT"
     if isinstance(value, PrecisionSeries):
         return {
             "terms": [[list(e), str(c)] for e, c in value.sorted_terms()],
@@ -77,7 +78,7 @@ def _load(path: str) -> IdealFile:
 def _mu(args, f: IdealFile) -> Fraction:
     """The --mu override, or else the file's precision; like the `prec:`
     line, it must be at least 1."""
-    if not getattr(args, "mu", None):
+    if getattr(args, "mu", None) is None:
         return f.mu
     try:
         mu = Fraction(args.mu)
@@ -126,7 +127,7 @@ def _deltas(args, f: IdealFile, form, mu, count: int) -> tuple:
 
 
 def _window(form, mu) -> dict:
-    return {"form": form_label(form), "mu": str(Fraction(mu))}
+    return {"form": form, "mu": Fraction(mu)}
 
 
 def _context(args) -> tuple[IdealFile, LinearForm, Fraction]:
@@ -148,16 +149,14 @@ def _cmd_divide(args, f, form, mu) -> tuple[int, dict]:
     gens = f.generators(form, mu)
     dividend = parse_expression(args.dividend, f.var_names, form, mu)
     result = hironaka_divide(dividend, gens, form, mu)
-    regions = [{"index": i, "head": list(a)}
-               for i, a in enumerate(result.partition.alphas)]
-    report = {
+    return 0, {
         "dividend": args.dividend,
-        "regions": regions,
-        "quotients": [jsonable(q) for q in result.quotients],
-        "remainder": jsonable(result.remainder),
+        "regions": [{"index": i, "head": a}
+                    for i, a in enumerate(result.partition.alphas)],
+        "quotients": result.quotients,
+        "remainder": result.remainder,
         "remainder_zero_up_to_mu": result.remainder_is_zero,
     }
-    return 0, report
 
 
 def _cmd_sbasis(args, f, form, mu) -> tuple[int, dict]:
@@ -166,42 +165,27 @@ def _cmd_sbasis(args, f, form, mu) -> tuple[int, dict]:
         basis = stdbasis.becker_check(f.generators(form, mu), form, mu,
                                       use_coprime_skip=skip)
         code = 0 if basis.verified else 2
-        report = {
-            "verified": basis.verified,
-            "pairs": [{"i": c.i, "j": c.j, "status": c.status}
-                      for c in basis.pair_checks],
-            "heads": [list(h) for h in basis.heads],
-        }
-        return code, report
-    basis = stdbasis.complete(f.presentation(form, mu), form, mu,
-                              use_coprime_skip=skip,
-                              use_chain_criterion=False)
-    adjoined = basis.gens[len(f.gen_sources):]
-    report = {
-        "verified": basis.verified,
-        "heads": [list(h) for h in basis.heads],
-        "adjoined": [jsonable(g) for g in adjoined],
-        "steps": len(basis.completion_steps),
-    }
-    return 0, report
+        report = {"pairs": basis.pair_checks}
+    else:
+        basis = stdbasis.complete(f.presentation(form, mu), form, mu,
+                                  use_coprime_skip=skip,
+                                  use_chain_criterion=False)
+        code = 0
+        report = {"adjoined": basis.gens[len(f.gen_sources):],
+                  "steps": len(basis.completion_steps)}
+    return code, {**report, "verified": basis.verified, "heads": basis.heads}
 
 
 def _cmd_diagram(args, f, form, mu) -> tuple[int, dict]:
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
-    D = diagram.diagram_of(basis)
-    return 0, {
-        "vertices": [list(v) for v in D.vertices],
-    }
+    return 0, {"vertices": diagram.diagram_of(basis).vertices}
 
 
 def _cmd_hs(args, f, form, mu) -> tuple[int, dict]:
     eta = _eta(args)
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
-    table = diagram.hilbert_samuel(basis, eta)
-    return 0, {
-        "eta_max": eta,
-        "values": list(table.values),
-    }
+    return 0, {"eta_max": eta,
+               "values": diagram.hilbert_samuel(basis, eta).values}
 
 
 def _cmd_oracle(args, f, form, mu) -> tuple[int, dict]:
@@ -209,11 +193,7 @@ def _cmd_oracle(args, f, form, mu) -> tuple[int, dict]:
     mu = max(f.mu, eta)
     I = f.presentation(form, mu)
     values = [diagram.oracle_jet_quotient_dim(I, e) for e in range(eta + 1)]
-    return 0, {
-        "window": _window(form, mu),
-        "eta_max": eta,
-        "values": values,
-    }
+    return 0, {"window": _window(form, mu), "eta_max": eta, "values": values}
 
 
 def _cmd_flat(args, f, form, mu) -> tuple[int, dict]:
@@ -224,15 +204,8 @@ def _cmd_flat(args, f, form, mu) -> tuple[int, dict]:
                                          extra_weights=extra)
     code = 0 if rep.verdict == "FLAT" else 2
     return code, {
-        "window": {**_window(form, mu), "weighted_window": str(rep.window)},
-        "k": rep.k,
-        "verdict": rep.verdict,
-        "l0": rep.l0,
-        "l_used": str(rep.l_used),
-        "base_vertices": [list(v) for v in rep.base_vertices],
-        "vertices": [list(v) for v in rep.vertices],
-        "offending": [list(v) for v in rep.offending],
-        "base_matches_evaluated": rep.base_matches_evaluated,
+        **vars(rep),
+        "window": {**_window(form, mu), "weighted_window": rep.window},
     }
 
 
@@ -243,7 +216,7 @@ def _cmd_dim(args, f, form, mu) -> tuple[int, dict]:
     return 0, {
         "seed": rep.seed,
         "trials": rep.trials,
-        "matrix": jsonable(rep.matrix),
+        "matrix": rep.matrix,
         "k_best": rep.k_best,
         "dim_upper_bound": rep.upper_bound,
         "note": "probabilistic upper bound; tightness depends on sampled changes",
@@ -256,10 +229,10 @@ def _cmd_reduction(args, f, form, mu) -> tuple[int, dict]:
     code = 0 if rep.all_ok else 2
     return code, {
         "k": rep.k,
-        "axis_degrees": list(rep.axis_degrees),
+        "axis_degrees": rep.axis_degrees,
         "d": rep.d,
         "eta": rep.eta,
-        "memberships": [[list(b), ok] for b, ok in rep.monomial_checks],
+        "memberships": rep.monomial_checks,
         "all_ok": rep.all_ok,
     }
 
@@ -268,10 +241,7 @@ def _cmd_perturb(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, f.mu)
     deltas = _deltas(args, f, form, mu, len(I.gens))
     spec = approx.PerturbationSpec(I, mu, form, deltas)
-    out = approx.perturb(spec)
-    return 0, {
-        "generators": [jsonable(g) for g in out.gens],
-    }
+    return 0, {"generators": approx.perturb(spec).gens}
 
 
 def _cmd_ci(args, f, form, mu) -> tuple[int, dict]:
@@ -279,8 +249,7 @@ def _cmd_ci(args, f, form, mu) -> tuple[int, dict]:
     deltas = _deltas(args, f, form, mu, len(I.gens))
     rep = approx.ci_stability_experiment(I, mu, deltas, seed=args.seed,
                                          trials=_trials(args))
-    code = 0 if rep.get("all_equal") else 2
-    return code, jsonable(rep)
+    return (0 if rep.get("all_equal") else 2), rep
 
 
 def _cmd_example82(args) -> tuple[int, dict]:
@@ -289,33 +258,20 @@ def _cmd_example82(args) -> tuple[int, dict]:
         h = parse_expression(args.h, ("z",), std_form(1), args.mu)
     rep = approx.cm_counterexample_runner(args.mu, h, verify_mu=args.verify_mu)
     rep["window"] = _window(std_form(3), args.mu)
-    code = 0 if rep["all_pass"] else 2
-    return code, jsonable(rep)
+    return (0 if rep["all_pass"] else 2), rep
 
 
 def _cmd_tower(args, f, form, mu) -> tuple[int, dict]:
-    gens = f.generators(form, mu)
-    tower = equising.build_tower(gens, mu, seed=args.seed)
-    levels = []
-    for lvl in tower.levels:
-        levels.append({
-            "index": lvl.index,
-            "is_one": lvl.is_one,
-            "degree": lvl.degree,
-            "disc_index": lvl.disc_index,
-            "vanish_certificates": list(lvl.vanish_certificates),
-            "unit_constant": jsonable(lvl.unit_constant),
-            "poly": jsonable(lvl.poly) if lvl.poly is not None else None,
-        })
+    tower = equising.build_tower(f.generators(form, mu), mu, seed=args.seed)
     report = {
         "seed": args.seed,
-        "coordinate_changes": jsonable(tower.coordinate_changes),
-        "levels": levels,
+        "coordinate_changes": tower.coordinate_changes,
+        "levels": [{k: v for k, v in vars(lvl).items() if k != "unit_below"}
+                   for lvl in tower.levels],
     }
     if args.action == "build":
         return 0, report
-    validation = equising.validate_tower(tower)
-    report["validation"] = jsonable(validation)
+    report["validation"] = validation = equising.validate_tower(tower)
     return (0 if validation["all_pass"] else 2), report
 
 
@@ -416,7 +372,7 @@ def run(argv) -> tuple[int, dict]:
         action = getattr(args, "action", None)
         report["command"] = (f"{args.command} {action}" if action
                              else args.command)
-        return code, report
+        return code, jsonable(report)
     except UsageError as exc:
         return 1, {"error": "usage", "detail": str(exc)}
     except UndecidedAtPrecision as exc:

@@ -93,8 +93,10 @@ def diagram_of(B: CertifiedBasis) -> Diagram:
     return Diagram(B.gens[0].n, minimal_antichain(B.heads), B.form, B.mu)
 
 
-def _complement_levels(D: Diagram, L: LinearForm, cap: int) -> list:
-    """How many staircase-complement points lie at each level 0..cap.
+def _complement_levels(vertices: tuple, weights: tuple, cap: int) -> list:
+    """How many points outside the staircase of `vertices` lie at each
+    level 0..cap, the level of a point being its dot product with the
+    integer `weights`.
 
     The complement is an order ideal (every divisor of a non-member is a
     non-member), so it is walked once from 0 by unit steps: a point's
@@ -104,8 +106,8 @@ def _complement_levels(D: Diagram, L: LinearForm, cap: int) -> list:
     above the cap is not entered, and neither is anything above it.
     """
     counts = [0] * (cap + 1)
-    n, weights, vertices = D.n, L.int_weights, D.vertices
-    if cap < 0 or D.contains((0,) * n):
+    n = len(weights)
+    if cap < 0 or any(not any(v) for v in vertices):  # 0 is in the staircase
         return counts
     stack = [((0,) * n, 0, 0)]  # point, its level, first coordinate to raise
     while stack:
@@ -134,7 +136,7 @@ def complement_count(D: Diagram, L: LinearForm, eta) -> int:
     if eta > D.certified_to:
         raise PrecisionShortfall(
             f"level {eta} beyond the certified window {D.certified_to}")
-    return sum(_complement_levels(D, L, L.level_cap(eta)))
+    return sum(_complement_levels(D.vertices, L.int_weights, L.level_cap(eta)))
 
 
 def hilbert_samuel(B: CertifiedBasis, eta_max) -> HSTable:
@@ -155,10 +157,11 @@ def hilbert_samuel(B: CertifiedBasis, eta_max) -> HSTable:
     eta_max = degree.numerator
     if not prec_at_least(B.mu, eta_max):
         raise PrecisionShortfall(f"eta_max {eta_max} beyond certification {B.mu}")
-    D = diagram_of(B)
+    levels = _complement_levels(diagram_of(B).vertices, B.form.int_weights,
+                                eta_max)
     # from a list: tuple() over an iterator of unknown length allocates ten
     # slots and shrinks, and the shrunk tuples pile up in the free lists
-    return HSTable(tuple([*accumulate(_complement_levels(D, B.form, eta_max))]))
+    return HSTable(tuple([*accumulate(levels)]))
 
 
 def evaluated_ideal(I: IdealPresentation, k: int) -> IdealPresentation:

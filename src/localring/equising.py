@@ -20,8 +20,8 @@ the coefficients, and one Berkowitz pass gives all the minors.  Both steps
 are division-free, so they run on integers: scaling the roots by the lcm d
 of the coefficient denominators makes the coefficients integral and
 multiplies the m x m minor by d^(m(m-1)), which is divided out at the end.
-Numbers and truncated power series take the same loop, with no degree cap:
-numbers as plain ints, series as integer jets.
+Numbers and truncated power series take the same loop, with no degree cap,
+both as integer jets: a number is a jet in zero variables.
 
 The Berkowitz pass skips work whose result it knows.  Its step r needs
 c.H^k c for k < r, H the leading r x r block and c the next column.  (a)
@@ -33,8 +33,8 @@ Q[x]/m^(mu+1), and so the minors are those of the full pass.  For y^p,
 whose matrix is p in its corner and 0 elsewhere, the pass makes no
 matrix-vector product at all.
 
-The series discriminants run on jets {packed exponent: coefficient}
-truncated to the window.  The exponents are packed into ints as `division`
+The discriminants run on jets {packed exponent: coefficient} truncated to
+the window.  The exponents are packed into ints as `division`
 packs them (Monagan and Pearce), under the standard form, where the packed
 level is the total degree: a product term is the sum of two ints, and one
 compare with (top + 1) << shift tests its degree.  The jets are multiplied
@@ -58,11 +58,10 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, starmap
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import linalg
@@ -150,17 +149,11 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     by degree, so each returned minor is the integer one divided by
     d^(m(m-1)); that division is the only place a `Fraction` is built.
 
-    One loop serves both kinds of input; only its primitives differ.  Series
-    are jets keyed by exponents packed as in `division`, and `dot` is the
-    truncated `_jet_dot`; the keys are unpacked only in the returned minors.
-    Numbers are plain ints, and `dot` is a sum of products.
-
-    Berkowitz step r needs c.H_r^k c for k < r.  It computes only the
-    vectors v_j = H_r^j c with j <= ceil((r-1)/2) and takes c.H_r^k c =
-    v_{k//2} . v_{(k+1)//2}, which holds because H_r is symmetric; and it
-    stops at the first v_j that is zero, after which every c.H_r^k c is
-    zero.  The jets live in Z[x]/m^(mu+1), where both rules are identities,
-    so they change no returned minor.
+    Both kinds of input are jets keyed by exponents packed as in
+    `division`: a number c is {0: c}, 0 packing the origin, and its window
+    is the one level 0.  `dot` is the truncated `_jet_dot`, and the keys
+    are unpacked only in the returned minors.  The Berkowitz pass takes the
+    two shortcuts of the module docstring.
     """
     p = len(coeffs)
     if n_vars:
@@ -168,9 +161,15 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         truncated = [truncate(c, L, mu) for c in coeffs]
         pk = _packing(L, mu, truncated)
         ints = [_packed(f, pk) for f in truncated]  # a_i = jet_i / den_i
+        limit = (L.level_cap(mu) + 1) << pk.shift
+        unpack = functools.partial(_unpack, pk)
     else:
         ints = [({0: c.numerator} if c else {}, c.denominator)
                 for c in map(Fraction, coeffs)]
+        limit = 1
+
+        def unpack(e: int) -> tuple:
+            return ()
     # fold, not lcm(*...): a star argument builds a tuple per call that lands
     # in CPython's tuple free lists
     d = functools.reduce(math.lcm, [den for _, den in ints], 1)
@@ -178,52 +177,27 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     jets = [{e: c * (d // den) * d ** (p - 1 - i) for e, c in jet.items()}
             for i, (jet, den) in enumerate(ints)]
 
-    if n_vars:
-        limit = (L.level_cap(mu) + 1) << pk.shift
-
-        def dot(pairs) -> dict:
-            return _jet_dot(pairs, limit)
-
-        neg = _negated
-
-        def const(k: int) -> dict:
-            return {0: k} if k else {}  # 0 packs the origin
-
-        def minor(jet: dict, scale: int) -> dict:
-            return {_unpack(pk, e): Fraction(c, scale) for e, c in jet.items()}
-    else:
-        jets = [jet.get(0, 0) for jet in jets]  # each number's one term
-
-        def dot(pairs) -> int:
-            return sum(starmap(operator.mul, pairs))
-
-        neg = operator.neg
-
-        def const(k: int) -> int:
-            return k
-
-        def minor(c: int, scale: int) -> dict:
-            return {(): Fraction(c, scale)} if c else {}
+    def dot(pairs) -> dict:
+        return _jet_dot(pairs, limit)
 
     # Newton: s_k = -(c_1 s_{k-1} + ... + c_{k-1} s_1 + k c_k) with
     # c_i = A_{p-i}, and c_i = 0 for i > p
-    s = [const(p)]
+    s = [{0: p}]
     for k in range(1, 2 * p - 1):
         pairs = [(jets[p - i], s[k - i]) for i in range(1, min(k - 1, p) + 1)]
         if k <= p:
-            pairs.append((jets[p - k], const(k)))
-        s.append(neg(dot(pairs)))
+            pairs.append((jets[p - k], {0: k}))
+        s.append(_negated(dot(pairs)))
 
     # Berkowitz: with H_r the leading r x r block, c its next column (also
     # its next row, by symmetry) and h the new diagonal entry, the
     # characteristic polynomial of H_{r+1} is the Toeplitz product of
     # (1, -h, -c.c, -c.H_r c, ..., -c.H_r^{r-1} c) with that of H_r.
-    # H_r is symmetric, so c.H_r^k c = v_{k//2} . v_{(k+1)//2} with
-    # v_j = H_r^j c; once a v_j is zero, so is every later entry of t.
-    char = [const(1)]                   # highest degree first
+    # v[j] = H_r^j c, as far as shortcuts (a) and (b) need it.
+    char = [{0: 1}]                     # highest degree first
     minors = []
     for r in range(p):
-        t = [const(1), neg(s[2 * r])]
+        t = [{0: 1}, _negated(s[2 * r])]
         v = [s[r:2 * r]]
         for k in range(r):
             hi = (k + 1) // 2
@@ -231,13 +205,14 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
                 v.append([dot(zip(s[a:a + r], v[-1])) for a in range(r)])
             if not any(v[hi]):
                 break
-            t.append(neg(dot(zip(v[k // 2], v[hi]))))
+            t.append(_negated(dot(zip(v[k // 2], v[hi]))))
         char = [dot((t[k], char[i - k])
                     for k in range(max(0, i - r), min(i, len(t) - 1) + 1))
                 for i in range(r + 2)]
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
-        minors.append(minor(char[-1], scale))
+        minors.append({unpack(e): Fraction(c, scale)
+                       for e, c in char[-1].items()})
     return minors[::-1]
 
 

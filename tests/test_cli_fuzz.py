@@ -1,10 +1,13 @@
 """The frozen CLI contract under fuzzed command lines and ideal files.
 
 Whatever the arguments and the file say, `hs`, `oracle hs`, `divide`,
-`sbasis complete`, `sbasis check`, `diagram`, `dim`, `reduction`, `perturb`,
-`tower build` and `tower validate` print exactly one JSON document on
-standard output and exit with code 0, 1 or 2.  Every command is bounded by
-the fuzzed `prec` of at most 7.
+`sbasis complete`, `sbasis check`, `diagram`, `flat`, `dim`, `reduction`,
+`perturb`, `tower build` and `tower validate` print exactly one JSON
+document on standard output and exit with code 0, 1 or 2.  `cli.run`
+renders every handler's values into its report, so this also checks that
+each value a handler returns can be rendered.  Every command is bounded by
+the fuzzed `prec` of at most 7; `flat` runs without `--weights`, so its
+window stays a small multiple of it.
 """
 
 import json
@@ -76,7 +79,8 @@ def ideal_files(draw):
 def command_lines(draw):
     command = draw(st.sampled_from(["hs", "oracle hs", "divide",
                                     "sbasis complete", "sbasis check",
-                                    "diagram", "dim", "reduction", "perturb",
+                                    "diagram", "flat", "dim", "reduction",
+                                    "perturb",
                                     "tower build", "tower validate"]))
     argv = command.split() + ["--file", "FILE"]
     if command.endswith("hs"):
@@ -93,6 +97,8 @@ def command_lines(draw):
     if command == "reduction":
         argv += ["--k", draw(sometimes_malformed(["1", "2", "3"],
                                                  ["0", "-1", "9", "x"]))]
+    if command == "flat":
+        argv += ["--k", draw(sometimes_malformed(["1", "2"], ["0", "9", "x"]))]
     if command.startswith("tower") and draw(st.booleans()):
         argv += ["--seed", draw(st.sampled_from(["0", "1", "7"]))]
     if command.split()[0] in ("divide", "sbasis", "diagram") \

@@ -229,9 +229,7 @@ def root_vectors(draw):
 @given(root_vectors())
 def test_root_counts_match_the_gcd_oracle_beyond_the_cap(case):
     vec, p, distinct = case
-    # numbers run on plain ints: no jet product is involved
-    with mock.patch.object(E, "_jet_dot", None):
-        j = E.distinct_root_count_check(vec, p)
+    j = E.distinct_root_count_check(vec, p)
     assert j == E.squarefree_defect(vec, p) == p - distinct
 
 

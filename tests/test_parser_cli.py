@@ -177,6 +177,21 @@ def monomial_file(tmp_path):
     return str(path)
 
 
+class TestJsonable:
+    def test_series_carry_their_prec(self):
+        exact = K.PrecisionSeries(2, {(1, 0): F(1, 2)})
+        assert cli.jsonable(exact) == {"terms": [[[1, 0], "1/2"]],
+                                       "prec": "EXACT"}
+        jet = K.PrecisionSeries(2, {(0, 2): F(3)}, F(7, 2), O.std_form(2))
+        assert cli.jsonable(jet) == {"terms": [[[0, 2], "3"]], "prec": "7/2"}
+
+    def test_an_absent_value_is_null(self):
+        # EXACT is None, but only a series' prec renders as "EXACT"
+        assert cli.jsonable(None) is None
+        assert cli.jsonable({"unit_constant": None, "mu": F(6)}) == {
+            "unit_constant": None, "mu": "6"}
+
+
 class TestCli:
     def test_hs_table(self, monomial_file):
         code, rep = cli.run(["hs", "--file", monomial_file, "--eta", "4"])
@@ -202,7 +217,8 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "parse"
 
-    @pytest.mark.parametrize("mu", ["abc", "1/0"])
+    # an empty --mu is malformed too, not a fallback to the file's prec
+    @pytest.mark.parametrize("mu", ["abc", "1/0", ""])
     def test_malformed_mu_is_usage_error(self, monomial_file, mu, capsys,
                                          monkeypatch):
         argv = ["hs", "--file", monomial_file, "--eta", "4", "--mu", mu]
@@ -355,6 +371,18 @@ class TestCli:
         assert [k for k, _ in rep["coordinate_changes"]] == [2]
         assert code == 0
         assert rep["validation"]["all_pass"] is True
+
+    def test_tower_one_levels_report_no_unit_constant(self, tmp_path):
+        # a smooth germ's tower ends at its top level; the constant-one
+        # levels below it carry no unit, and the report says null
+        path = tmp_path / "smooth.ideal"
+        path.write_text("vars: x y z\nprec: 6\ngen: z + x^2 + y^3\n",
+                        encoding="utf-8")
+        code, rep = cli.run(["tower", "validate", "--file", str(path)])
+        assert code == 0 and rep["validation"]["all_pass"] is True
+        ones = {lvl["index"]: lvl["unit_constant"] for lvl in rep["levels"]
+                if lvl["is_one"]}
+        assert ones == {2: None, 1: None}
 
     @pytest.mark.parametrize("weights", ["a", "1,,2", "10,x"])
     def test_malformed_weights_is_usage_error(self, ideal_file, weights):

@@ -189,3 +189,24 @@ def test_no_function_level_imports():
     for path in sorted(SOURCE.glob("*.py")):
         found += _nested_imports(path)
     assert not found, found
+
+
+def _referrers(path: Path, name: str) -> set:
+    """The top-level definitions of a module that read `name`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {getattr(node, "name", f"line {node.lineno}") for node in tree.body
+            if any(isinstance(sub, ast.Name) and sub.id == name
+                   and isinstance(sub.ctx, ast.Load) for sub in ast.walk(node))}
+
+
+def test_cli_reports_are_rendered_only_by_run():
+    # the handlers return library values and `run` renders each report
+    # once, so no handler converts its own values
+    assert _referrers(SOURCE / "cli.py", "jsonable") <= {"jsonable", "run"}
+
+
+def test_referrers_sees_a_handler_that_renders(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def _cmd(x):\n    return list(map(jsonable, x))\n",
+                    encoding="utf-8")
+    assert _referrers(path, "jsonable") == {"_cmd"}
