@@ -288,11 +288,8 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
     if degenerate:
         expected = PrecisionSeries(3, {})
     else:
-        if h.prec is EXACT:
-            h3 = embed(h, 3, (2,))
-        else:
-            h3 = embed(truncate(h, LinearForm((Fraction(1),)), W), 3, (2,), std3)
-        expected = mul(monomial(3, (2, 2, mu - 2)), h3)
+        # mul carries h's bound: the identity needs h only up to W - mu - 2
+        expected = mul(monomial(3, (2, 2, mu - 2)), embed(h, 3, (2,), std3))
     window = prec_min(S.prec, Fraction(W))
     identity_ok = agrees_up_to(S, expected, std3, window)
     claims["s_series_identity"] = {

@@ -231,6 +231,7 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
     certify at least mu.  Unprocessed terms of F (and of intermediate
     combinations) above the window are discarded: the identity
     F = sum Q_i G_i + R holds exactly for all exponents with L <= mu.
+    Every emitted exponent is checked against its region.
     """
     mu = Fraction(mu)
     n = F.n
@@ -244,19 +245,10 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
     pk = _packing(L, mu, [F, *divisors])
     members = _members(divisors, L, mu, pk)
     terms, den = _packed(F, pk)
-    return _division_result(terms, den, F.prec, members, pk, L, mu)
-
-
-def _division_result(terms: dict, den: int, prec: Prec,
-                     members: Sequence[_Member], pk: _Packing, L: LinearForm,
-                     mu: Fraction) -> DivisionResult:
-    """The full division of {p: terms[p] / den}, certified to prec,
-    quotients included, with every emitted exponent checked against its
-    region."""
     quotients: list[dict] = [dict() for _ in members]
-    rem, den, exact = _divide(terms, den, prec, members, pk, L.level_cap(mu),
+    rem, den, exact = _divide(terms, den, F.prec, members, pk, L.level_cap(mu),
                               quotients)
-    n, add = L.n, operator.add
+    add = operator.add
     partition = RegionPartition(tuple([m.alpha for m in members]))
     # quotient i is certified to mu - L(alpha_i) = (mu * den - level_i) / den
     top, bottom = mu.numerator * L.den, mu.denominator * L.den

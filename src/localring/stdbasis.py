@@ -60,34 +60,22 @@ have adjoined a redundant member.  `sbasis complete` prints the heads, the
 adjoined members and the number of steps as frozen JSON, so the command
 line turns the criterion off there and nowhere else.
 
-Steps on read.  Completion asks the division loop for the remainder only:
-it builds no quotients and no `DivisionResult`.  A `CompletionStep` records
-the pair, the basis size and the adjoined index; its `s` and `division` are
-computed when first read, by replaying the step on the first `basis_size`
-member records with the same packing.  The integer division is
-deterministic, so the replay gives the remainder that completion used.
+Steps as records.  Completion asks the division loop for the remainder
+only: it builds no quotients and no `DivisionResult`.  A `CompletionStep`
+records the pair, the basis size and the adjoined index, and its docstring
+says how to re-check it through the public `s_series` and
+`hironaka_divide`.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-from .division import (
-    DivisionResult,
-    _adjoined,
-    _divide,
-    _division_result,
-    _members,
-    _pack,
-    _Packing,
-    _packing,
-    _unpack,
-)
+from .division import _adjoined, _divide, _members, _pack, _Packing, _packing
 from .errors import BudgetExceeded, PrecisionShortfall
 from .kernel import (
     EXACT,
@@ -107,73 +95,41 @@ class PairCheck:
     status: str  # "pass" | "fail" | "skipped-coprime"
 
 
-class _Run(NamedTuple):
-    """What a completion step needs to be replayed: the member records (a
-    list that completion only appends to), the packing and the window."""
-
-    members: list
-    pk: _Packing
-    form: LinearForm
-    mu: Fraction
-
-
 @dataclass(frozen=True)
 class CompletionStep:
-    """One s-series reduction performed during completion.
+    """One s-series reduction performed during completion: the pair (i, j)
+    of members, the number of members it was divided by, and the index of
+    the member it adjoined, or None.
 
-    `s` is the integer s-series of members i and j (module docstring), with
-    `Fraction` coefficients: a nonzero rational multiple of
-    `s_series(basis[i], basis[j])`, certified to the same bound.  With
-    `division` it re-verifies that the adjoined element is an explicit
-    ideal combination: s = sum(quotients * basis) + remainder up to mu, and
-    the adjoined element is the remainder made head-monic.  Both are
-    computed on first read (module docstring).
+    Re-check it with public calls.  With B the completed basis, L its form
+    and mu its window,
+
+        hironaka_divide(s_series(B[i], B[j], L), B[:basis_size], L, mu)
+
+    leaves a remainder whose head-monic multiple is B[adjoined_index], or,
+    when adjoined_index is None, a remainder that is zero up to mu.
+    Completion divided a nonzero rational multiple of that s-series (module
+    docstring), and Hironaka division is unique, so this is the remainder
+    it used, up to a rational factor.
     """
 
     i: int
     j: int
     basis_size: int
     adjoined_index: Optional[int]
-    _run: _Run = field(repr=False, compare=False)
-
-    @cached_property
-    def _s_terms(self) -> tuple:
-        members = self._run.members
-        return _integer_s_series(members[self.i], members[self.j],
-                                 self._run.pk, self._run.form)
-
-    @cached_property
-    def s(self) -> PrecisionSeries:
-        terms, prec = self._s_terms
-        pk, L = self._run.pk, self._run.form
-        return PrecisionSeries(
-            L.n, {_unpack(pk, p): Fraction(c) for p, c in terms.items()},
-            prec, L)
-
-    @cached_property
-    def division(self) -> DivisionResult:
-        members, pk, L, mu = self._run
-        terms, prec = self._s_terms
-        return _division_result(terms, 1, prec, members[:self.basis_size],
-                                pk, L, mu)
 
 
 @dataclass
 class CertifiedBasis:
-    """`heads` are the members' head exponents under `form`: completion
-    passes them from its records; otherwise they are computed once here."""
+    """`heads` are the members' head exponents under `form`."""
 
     gens: tuple
     form: LinearForm
     mu: Fraction
     verified: bool
+    heads: tuple
     pair_checks: tuple = ()
     completion_steps: tuple = ()
-    heads: Optional[tuple] = None
-
-    def __post_init__(self):
-        if self.heads is None:
-            self.heads = tuple([initial_term(self.form, g)[0] for g in self.gens])
 
 
 def s_series(F: PrecisionSeries, G: PrecisionSeries, L: LinearForm) -> PrecisionSeries:
@@ -262,8 +218,9 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
             ok = not terms or not _divide(terms, 1, prec, members, pk, cap)[0]
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
-    return CertifiedBasis(gens, L, mu, verified, tuple(checks),
-                          heads=tuple([m.alpha for m in members]))
+    return CertifiedBasis(gens, L, mu, verified,
+                          heads=tuple([m.alpha for m in members]),
+                          pair_checks=tuple(checks))
 
 
 def complete(I: IdealPresentation, L: LinearForm, mu,
@@ -273,8 +230,8 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     """Close the generator list under the s-series criterion at precision mu.
 
     Adjoined elements are head-monic remainders, each an explicit ideal
-    combination of earlier members (recorded in `completion_steps`, whose
-    series and divisions are computed when read).  By the low-level
+    combination of earlier members (recorded in `completion_steps`; see
+    `CompletionStep` for how to re-check each one).  By the low-level
     stability of staircases under jet truncation, the resulting head set
     generates the true staircase of the ideal on {L <= mu}.  Monomial-ideal
     inputs come back unchanged.  `use_chain_criterion` skips pairs by the
@@ -284,7 +241,6 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     mu = Fraction(mu)
     basis = list(I.gens)
     pk, members = _check_ready(basis, L, mu)
-    run = _Run(members, pk, L, mu)
     cap, guard = L.level_cap(mu), pk.guard
     steps = []
     queue: list = []
@@ -321,22 +277,23 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
             continue
         rem, _, exact = _divide(terms, 1, prec, members, pk, cap)
         if not rem:
-            steps.append(CompletionStep(i, j, len(basis), None, run))
+            steps.append(CompletionStep(i, j, len(basis), None))
             continue
         adjoined += 1
         if adjoined > max_adjoined:
             exc = BudgetExceeded(
                 f"completion adjoined more than {max_adjoined} elements")
             exc.partial = CertifiedBasis(
-                tuple(basis), L, mu, False, completion_steps=tuple(steps),
-                heads=tuple([m.alpha for m in members]))
+                tuple(basis), L, mu, False,
+                heads=tuple([m.alpha for m in members]),
+                completion_steps=tuple(steps))
             raise exc
         series, member = _adjoined(rem, exact, members, pk, L, mu)
         basis.append(series)
         members.append(member)
-        steps.append(CompletionStep(i, j, len(basis) - 1, len(basis) - 1, run))
+        steps.append(CompletionStep(i, j, len(basis) - 1, len(basis) - 1))
         push_pairs(len(basis) - 1)
 
     return CertifiedBasis(tuple(basis), L, mu, True,
-                          completion_steps=tuple(steps),
-                          heads=tuple([m.alpha for m in members]))
+                          heads=tuple([m.alpha for m in members]),
+                          completion_steps=tuple(steps))

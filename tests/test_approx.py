@@ -194,6 +194,23 @@ class TestCmRunner:
             ((0, 5, 0), (2, 3, 0), (8, 0, 0))
         assert rep["claims"]["base_flat"]["l0"] == 9
 
+    @pytest.mark.parametrize("mu", [8, 12])
+    def test_certified_h_needs_only_its_own_window(self, mu):
+        # h = exp(z) - 1 certified to mu, as `example82 --h` parses it; the
+        # runner's window is mu + 6, and every claim needs h only below it
+        z = K.variable(1, 0)
+        h = K.sub(K.exp_jet(z, std1, mu), K.one(1))
+        assert h.prec == mu
+        rep = AP.cm_counterexample_runner(mu, h)
+        assert rep["all_pass"], rep
+        assert rep["claims"]["s_series_identity"]["window"] == mu + 6
+
+    def test_certified_h_too_short_for_the_window_is_refused(self):
+        z = K.variable(1, 0)
+        h = K.sub(K.exp_jet(z, std1, 8), K.one(1))
+        with pytest.raises(PrecisionShortfall, match="too short"):
+            AP.cm_counterexample_runner(8, h, verify_mu=20)
+
     def test_degenerate_h_zero(self):
         rep = AP.cm_counterexample_runner(8, None)
         assert rep["degenerate"]

@@ -4,9 +4,10 @@ Every row of `cli_golden.json` holds a command line, its exit code and the
 sha256 of the report as `localring` prints it
 (`json.dumps(report, indent=2, sort_keys=True)`).  The 13 commands run on
 every `sample_ideals/*.ideal`, exit-1 and exit-2 reports included, plus
-`example82`.  Then come the `TWO_FAULTS` lines: each sets two faults against
-each other (a missing file and a bad flag, a bad `--order` and a bad
-`--mu`, ...), so the row freezes which one a command line reports first.
+`example82` with a polynomial h and with a certified one.  Then come the
+`TWO_FAULTS` lines: each sets two faults against each other (a missing
+file and a bad flag, a bad `--order` and a bad `--mu`, ...), so the row
+freezes which one a command line reports first.
 The commands run in process, from the repository root, so the file paths
 in the table are relative to it.
 
@@ -85,6 +86,7 @@ def command_lines() -> list:
         for argv in COMMANDS:
             lines.append([{"F": name, "K": str(n - 1)}.get(a, a) for a in argv])
     lines.append(["example82", "--mu", "12", "--h", "z"])
+    lines.append(["example82", "--mu", "8", "--h", "z*geom(z)"])
     return lines + TWO_FAULTS
 
 

@@ -1,15 +1,15 @@
-"""Completion builds quotients, division results and steps only when read.
+"""Completion builds no quotients and no division results.
 
-With the constructors of quotients and division results made to raise,
-completion, the staircase readers and `becker_check` must still run.  The
-recorded steps are then read after the fact, and must reconstruct their
-s-series from the basis.
+With the constructors of division results and region partitions made to
+raise, completion, the staircase readers and `becker_check` must still run.
+Every recorded step is then re-checked after the fact, with the public
+calls that the `CompletionStep` docstring names.
 """
 
 import random
 from fractions import Fraction as F
 
-from conftest import rand_form, rand_poly
+from conftest import rand_form, rand_poly, recheck_step
 from localring import diagram as DG
 from localring import division as DIV
 from localring import kernel as K
@@ -60,8 +60,6 @@ def test_completion_builds_only_what_is_read(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(DIV, "DivisionResult", _refuse)
         patch.setattr(DIV, "RegionPartition", _refuse)
-        patch.setattr(DIV, "_division_result", _refuse, raising=False)
-        patch.setattr(SB, "_division_result", _refuse, raising=False)
         for I, L, mu in seeded_ideals():
             try:
                 runs.append((I, L, mu, _readers(I, L, mu)))
@@ -74,24 +72,7 @@ def test_completion_builds_only_what_is_read(monkeypatch):
         assert list(_readers(I, L, mu)[2:]) == seen
         for complete in (basis, recorded):
             for step in complete.completion_steps:
-                members = complete.gens[:step.basis_size]
-                assert O.initial_term(L, step.s)  # a nonzero s-series
-                total = step.division.remainder
-                for q, g in zip(step.division.quotients, members):
-                    total = K.add(total, K.mul(q, g))
-                assert K.agrees_up_to(total, step.s, L, mu)
-                if step.adjoined_index is not None:
-                    rem = step.division.remainder
-                    assert complete.gens[step.adjoined_index] == K.scale(
-                        rem, 1 / O.initial_term(L, rem)[1])
+                s, _ = recheck_step(complete, step)
+                assert O.initial_term(L, s)  # a nonzero s-series
                 steps += 1
     assert steps > 20
-
-
-def test_steps_are_read_once():
-    I, L, mu = next(seeded_ideals())
-    basis = SB.complete(I, L, mu, use_chain_criterion=False)
-    assert basis.completion_steps
-    step = basis.completion_steps[0]
-    assert step.s is step.s
-    assert step.division is step.division

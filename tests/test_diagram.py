@@ -45,7 +45,8 @@ class TestDiagramOf:
         assert DG.diagram_of(basis).vertices == ((2, 0),)
 
     def test_unverified_rejected(self):
-        basis = SB.CertifiedBasis((K.monomial(2, (2, 0)),), std2, F(4), False)
+        basis = SB.CertifiedBasis((K.monomial(2, (2, 0)),), std2, F(4),
+                                  False, heads=((2, 0),))
         with pytest.raises(UnverifiedBasis):
             DG.diagram_of(basis)
 

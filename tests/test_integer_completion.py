@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import recheck_step
 from localring import division as DIV
 from localring import kernel as K
 from localring import oracles as OR
@@ -46,7 +47,7 @@ def reference_ready(gens, L, mu):
 
 def reference_complete(gens, L, mu, use_coprime_skip=True,
                        use_chain_criterion=True):
-    """(basis, steps) with steps as (i, j, s, division, basis_size, adjoined)."""
+    """(basis, steps) with steps as (i, j, basis_size, adjoined)."""
     mu = F(mu)
     basis = list(gens)
     heads = reference_ready(basis, L, mu)
@@ -74,12 +75,12 @@ def reference_complete(gens, L, mu, use_coprime_skip=True,
             continue
         division = DIV.hironaka_divide(s, basis, L, mu)
         if division.remainder_is_zero:
-            steps.append((i, j, s, division, len(basis), None))
+            steps.append((i, j, len(basis), None))
             continue
         _, lead = O.initial_term(L, division.remainder)
         basis.append(K.scale(division.remainder, 1 / lead))
         heads.append(O.initial_term(L, basis[-1])[0])
-        steps.append((i, j, s, division, len(basis) - 1, len(basis) - 1))
+        steps.append((i, j, len(basis) - 1, len(basis) - 1))
         push_pairs(len(basis) - 1)
     return basis, steps
 
@@ -157,16 +158,10 @@ def test_complete_matches_rational_reference(problem, coprime, chain):
     basis, steps = want
     assert [series_data(g) for g in got.gens] == [series_data(g) for g in basis]
     assert got.heads == tuple(O.initial_term(L, g)[0] for g in basis)
-    assert len(got.completion_steps) == len(steps)
-    for step, (i, j, s, division, size, adjoined) in zip(got.completion_steps,
-                                                         steps):
-        assert (step.i, step.j, step.basis_size, step.adjoined_index) == \
-            (i, j, size, adjoined)
-        c = rational_multiple(step.s, s)
-        assert c is not None
-        assert (step.s.prec, step.s.form_ctx) == (s.prec, s.form_ctx)
-        scaled = K.scale(division.remainder, c)
-        assert series_data(step.division.remainder) == series_data(scaled)
+    assert [(step.i, step.j, step.basis_size, step.adjoined_index)
+            for step in got.completion_steps] == steps
+    for step in got.completion_steps:
+        recheck_step(got, step)
 
 
 @settings(max_examples=80, deadline=None)
@@ -186,7 +181,7 @@ def test_becker_check_matches_rational_reference(problem, coprime):
 
 @settings(max_examples=60, deadline=None)
 @given(ideals())
-def test_completion_steps_are_multiples_of_s_series(problem):
+def test_completion_steps_recheck_through_public_calls(problem):
     gens, L, mu = problem
     if not gens:
         return
@@ -194,17 +189,7 @@ def test_completion_steps_are_multiples_of_s_series(problem):
     if isinstance(basis, type):
         return
     for step in basis.completion_steps:
-        members = basis.gens[:step.basis_size]
-        s = SB.s_series(members[step.i], members[step.j], L)
-        assert rational_multiple(step.s, s) is not None
-        total = step.division.remainder
-        for q, g in zip(step.division.quotients, members):
-            total = K.add(total, K.mul(q, g))
-        assert K.agrees_up_to(total, step.s, L, mu)
-        if step.adjoined_index is not None:
-            assert basis.gens[step.adjoined_index] == K.scale(
-                step.division.remainder,
-                1 / O.initial_term(L, step.division.remainder)[1])
+        recheck_step(basis, step)
     assert SB.becker_check(basis.gens, L, mu, use_coprime_skip=False).verified
 
 
@@ -215,12 +200,12 @@ def test_integer_s_series_is_the_cleared_s_series():
     L = O.std_form(2)
     f = K.series(2, {(2, 0): 3, (0, 3): F(1, 2)})
     g = K.series(2, {(1, 1): F(2, 3), (0, 4): -1})
-    basis = SB.complete(K.IdealPresentation(2, (f, g)), L, 6,
-                        use_coprime_skip=False, use_chain_criterion=False)
-    step = basis.completion_steps[0]
-    assert step.s.terms == {(0, 4): 2, (1, 4): 18}
-    assert rational_multiple(step.s, SB.s_series(f, g, L)) == 6
-    assert step.s.prec is K.EXACT
+    pk, (rf, rg) = SB._check_ready((f, g), L, F(6))
+    terms, prec = SB._integer_s_series(rf, rg, pk, L)
+    s = K.series(2, {DIV._unpack(pk, p): c for p, c in terms.items()})
+    assert s.terms == {(0, 4): 2, (1, 4): 18}
+    assert rational_multiple(s, SB.s_series(f, g, L)) == 6
+    assert prec is K.EXACT
 
 
 def test_member_records_are_checked():

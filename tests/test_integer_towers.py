@@ -328,3 +328,13 @@ def test_unit_prepares_to_one_and_itself():
     P, u = E.weierstrass_prepare(f, 1, 4)
     assert P.terms == {(0, 0): 1}
     assert u.terms == f.terms and u.prec == 4
+
+
+@pytest.mark.xfail(strict=True, reason="a level certified to degree mu knows "
+                   "its coefficient a_m only to degree mu - m, but "
+                   "`coefficient_vector` certifies every a_m to mu")
+def test_discriminant_certificates_do_not_over_claim():
+    # f = y^4 + x^5 + x^7*y^2 has D_3 = 8x^7: mu = 9 and mu = 10 find it and
+    # record disc_index 3, while mu = 8 certifies D_3 zero and records 4
+    f = K.series(2, {(0, 4): 1, (5, 0): 1, (7, 2): 1})
+    assert E.build_tower([f], 8).levels[0].disc_index == 3

@@ -233,6 +233,22 @@ class TestPrecisionHousekeeping:
         g = K.embed(h, 3, (2,))
         assert g.terms == {(0, 0, 2): F(3)}
 
+    def test_embed_certified_keeps_its_bound(self):
+        h = K.series(1, {(1,): 1, (3,): F(-1, 2)}, prec=5, form=std1)
+        g = K.embed(h, 3, (2,), std3)
+        assert g.terms == {(0, 0, 1): F(1), (0, 0, 3): F(-1, 2)}
+        assert (g.prec, g.form_ctx) == (5, std3)
+
+    def test_embed_certified_needs_the_target_form(self):
+        h = K.series(1, {(1,): 1}, prec=5, form=std1)
+        with pytest.raises(FormMismatch):
+            K.embed(h, 3, (2,))
+
+    def test_embed_certified_refuses_a_changed_weight(self):
+        h = K.series(1, {(1,): 1}, prec=5, form=std1)
+        with pytest.raises(FormMismatch):
+            K.embed(h, 3, (2,), O.LinearForm((F(1), F(1), F(2))))
+
     def test_invert_unit(self):
         f = poly(1, {(0,): 1, (1,): -1})
         inv = OR.invert_unit(f, std1, 5)

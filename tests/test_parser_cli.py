@@ -327,6 +327,13 @@ class TestCli:
         code, rep = cli.run(["example82", "--mu", "8", "--h", "0"])
         assert code == 0 and rep["degenerate"] is True
 
+    @pytest.mark.parametrize("argv", [["--mu", "12", "--h", "exp(z) - 1"],
+                                      ["--mu", "8", "--h", "z*geom(z)"]])
+    def test_example82_takes_a_certified_h(self, argv):
+        code, rep = cli.run(["example82", *argv])
+        assert code == 0 and rep["all_pass"] is True
+        assert not rep["degenerate"]
+
     def test_perturb(self, monomial_file):
         code, rep = cli.run(["perturb", "--file", monomial_file, "--mu", "6",
                              "--delta", "x^7", "--delta", "0"])

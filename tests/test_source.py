@@ -210,3 +210,42 @@ def test_referrers_sees_a_handler_that_renders(tmp_path):
     path.write_text("def _cmd(x):\n    return list(map(jsonable, x))\n",
                     encoding="utf-8")
     assert _referrers(path, "jsonable") == {"_cmd"}
+
+
+def _orphaned_private_definitions(paths) -> list:
+    """Module-level private functions and classes that no line of the given
+    modules reads outside the definition itself."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in paths}
+    defined = [(path, node) for path, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")]
+    found = []
+    for path, definition in defined:
+        inside = {id(sub) for sub in ast.walk(definition)}
+        name = definition.name
+        if not any(id(sub) not in inside and (
+                (isinstance(sub, ast.Name) and sub.id == name
+                 and isinstance(sub.ctx, ast.Load))
+                or (isinstance(sub, ast.Attribute) and sub.attr == name))
+                for tree in trees.values() for sub in ast.walk(tree)):
+            found.append(f"{path.name}:{definition.lineno}:{name}")
+    return found
+
+
+def test_no_orphaned_private_helpers():
+    # a private helper that only its own body reads is dead code: deleting
+    # its last caller must delete it too
+    assert not _orphaned_private_definitions(sorted(SOURCE.glob("*.py")))
+
+
+def test_orphan_lint_sees_a_helper_read_only_by_itself(tmp_path):
+    a, b = tmp_path / "a.py", tmp_path / "b.py"
+    a.write_text("def _dead(n):\n    return _dead(n - 1)\n\n"
+                 "def _used():\n    return 1\n\n"
+                 "class _Record:\n    pass\n", encoding="utf-8")
+    b.write_text("from .a import _used\n\ndef f():\n    return _used()\n",
+                 encoding="utf-8")
+    assert _orphaned_private_definitions([a, b]) == ["a.py:1:_dead",
+                                                     "a.py:7:_Record"]

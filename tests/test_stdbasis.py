@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import recheck_step
 from localring import kernel as K
 from localring import oracles as OR
 from localring import order as O
@@ -131,12 +132,10 @@ class TestComplete:
         h = K.variable(1, 0)
         G = example_gens(8, h=h, window=14)
         basis = SB.complete(K.IdealPresentation(3, G), std3, 12)
+        assert [step.adjoined_index for step in basis.completion_steps
+                if step.adjoined_index is not None] == [3]
         for step in basis.completion_steps:
-            used = basis.gens[:step.basis_size]
-            total = step.division.remainder
-            for q, g in zip(step.division.quotients, used):
-                total = K.add(total, K.mul(q, g))
-            assert K.agrees_up_to(total, step.s, std3, 12)
+            recheck_step(basis, step)
 
     def test_idempotence_on_seeded_ideals(self):
         import random
