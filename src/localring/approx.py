@@ -25,23 +25,22 @@ from .diagram import (
 )
 from .errors import PrecisionShortfall, PresentationError
 from .kernel import (
-    EXACT,
     IdealPresentation,
     PrecisionSeries,
     _window,
     add,
     agrees_up_to,
+    certified_under,
     embed,
     exp_jet,
     monomial,
     mul,
-    prec_at_least,
     prec_min,
-    reweight,
     substitute_linear,
     truncate,
     variable,
 )
+from .linalg import identity_matrix
 from .order import LinearForm, lvalue, std_form
 from .stdbasis import complete, becker_check, s_series
 
@@ -83,9 +82,19 @@ class PerturbationSpec:
 
 
 def perturb(spec: PerturbationSpec) -> IdealPresentation:
-    """The perturbed presentation G_i = F_i + delta_i (same mu-jets)."""
-    gens = tuple(add(g, d) for g, d in zip(spec.base.gens, spec.deltas))
-    return IdealPresentation(spec.base.n, gens, spec.base.var_names)
+    """The perturbed presentation G_i = F_i + delta_i (same mu-jets).
+
+    Its source adds each delta, certified by `certified_under`, to the
+    base presentation's generators on the asked window.
+    """
+    base, deltas = spec.base, spec.deltas
+
+    def source(form: LinearForm, window) -> tuple:
+        return tuple([add(g, certified_under(d, form, window))
+                      for g, d in zip(base.at(form, window), deltas)])
+
+    gens = tuple([add(g, d) for g, d in zip(base.gens, deltas)])
+    return IdealPresentation(base.n, gens, base.var_names, source)
 
 
 # -- experiment runners -----------------------------------------------------
@@ -119,10 +128,15 @@ def ci_stability_experiment(I: IdealPresentation, mu,
     by the dimension search that picks the matrix), and the reduction
     exponents, the Hilbert-Samuel tables and (for k = n) the base
     vertices are read from those bases.
+
+    When the search keeps the identity matrix, I and its perturbation keep
+    their sources, so the flatness search expands them to its weighted
+    window.  A change that mixes the variables gives presentations without
+    a source, on which the flatness search refuses certified generators
+    with PrecisionShortfall.
     """
     mu = Fraction(mu)
     spec = PerturbationSpec(I, mu, std_form(I.n), tuple(deltas))
-    I_mu = perturb(spec)
 
     dim_rep, basis_a = _axis_vertex_search(I, mu, trials, seed)
     k = dim_rep.k_best
@@ -138,8 +152,9 @@ def ci_stability_experiment(I: IdealPresentation, mu,
         return report
 
     M = dim_rep.matrix
-    A = I.map_gens(lambda g: substitute_linear(g, M))
-    B = I_mu.map_gens(lambda g: substitute_linear(g, M))
+    A, B = I, perturb(spec)
+    if M != identity_matrix(I.n):
+        A, B = (P.map_gens(lambda g: substitute_linear(g, M)) for P in (A, B))
 
     items: dict = {}
 
@@ -202,32 +217,29 @@ def ci_stability_experiment(I: IdealPresentation, mu,
 _EX_NAMES = ("x", "y", "z")
 
 
-def example_ideal_builder(mu: int, h: Optional[PrecisionSeries] = None):
-    """Builder for the three-generator family x^8, y^5 + y^2 z^4 e^z,
+def example_family(mu: int, h: Optional[PrecisionSeries] = None
+                   ) -> IdealPresentation:
+    """The three-generator family x^8, y^5 + y^2 z^4 e^z,
     x^2 y^3 + x^2 z^4 e^z, optionally perturbed by y^2 z^(mu-2) h(z).
 
-    Returns a callable (form, window) -> generators, expanding the
-    exponential jet to whatever window a downstream completion needs.
+    The generators are on the standard window mu.  The source expands the
+    exponential jet to any form and window, and asks h for its part of the
+    window by `certified_under`.
     """
-    def build(form: LinearForm, window) -> tuple:
+    def source(form: LinearForm, window) -> tuple:
         n = 3
-        window = Fraction(window)
         E = exp_jet(variable(n, 2), form, window)
         F1 = monomial(n, (8, 0, 0))
         F2 = add(monomial(n, (0, 5, 0)), mul(monomial(n, (0, 2, 4)), E))
         F3 = add(monomial(n, (2, 3, 0)), mul(monomial(n, (2, 0, 4)), E))
         if h is not None and not h.is_zero_up_to_prec:
-            if h.prec is EXACT:
-                h3 = embed(h, n, (2,))
-            else:
-                h1 = reweight(h, LinearForm((form.weights[2],)))
-                if not prec_at_least(h1.prec, window - lvalue(form, (0, 2, mu - 2))):
-                    raise PrecisionShortfall(
-                        "perturbation series h is too short for this window")
-                h3 = embed(h1, n, (2,), form)
-            F2 = add(F2, mul(monomial(n, (0, 2, mu - 2)), h3))
+            shift = (0, 2, mu - 2)
+            h1 = certified_under(h, LinearForm((form.weights[2],)),
+                                 window - lvalue(form, shift))
+            F2 = add(F2, mul(monomial(n, shift), embed(h1, n, (2,), form)))
         return F1, F2, F3
-    return build
+
+    return IdealPresentation(3, source(std_form(3), mu), _EX_NAMES, source)
 
 
 def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
@@ -254,14 +266,14 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
     verify_mu = mu if verify_mu is None else verify_mu
     std3 = std_form(3)
 
-    base_build = example_ideal_builder(mu, None)
-    pert_build = example_ideal_builder(mu, h)
+    I = example_family(mu)
+    Ip = example_family(mu, h)
 
     claims: dict = {}
 
-    F1, F2, F3 = base_build(std3, verify_mu)
-    basis = becker_check([F1, F2, F3], std3, verify_mu)
-    basis_full = becker_check([F1, F2, F3], std3, verify_mu, use_coprime_skip=False)
+    F = I.at(std3, verify_mu)
+    basis = becker_check(F, std3, verify_mu)
+    basis_full = becker_check(F, std3, verify_mu, use_coprime_skip=False)
     vertices = diagram_of(basis).vertices if basis.verified else ()
     expected_vertices = ((0, 5, 0), (2, 3, 0), (8, 0, 0))
     claims["standard_basis"] = {
@@ -272,8 +284,7 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
         "vertices": vertices,
     }
 
-    I = IdealPresentation(3, (F1, F2, F3), _EX_NAMES)
-    flat = flatness_weight_search(I, 2, mu, regenerate=base_build)
+    flat = flatness_weight_search(I, 2, mu)
     claims["base_flat"] = {
         "pass": flat.verdict == "FLAT",
         "verdict": flat.verdict,
@@ -283,7 +294,7 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
     }
 
     W = verify_mu + 6
-    G1, G2, G3 = pert_build(std3, W)
+    _, G2, G3 = Ip.at(std3, W)
     S = s_series(G2, G3, std3)
     if degenerate:
         expected = PrecisionSeries(3, {})
@@ -298,11 +309,10 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
         "s_terms": tuple(sorted(S.terms)),
     }
 
-    Ip = IdealPresentation(3, (G1, G2, G3), _EX_NAMES)
     # widen the verification window by the valuation of h: the candidate
     # offending vertex sits at total degree mu + ord(h)
     depth = mu if degenerate else mu + min(sum(e) for e in h.terms)
-    pflat = flatness_weight_search(Ip, 2, depth, regenerate=pert_build)
+    pflat = flatness_weight_search(Ip, 2, depth)
     if degenerate:
         ok = pflat.verdict == "FLAT"
     else:

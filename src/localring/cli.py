@@ -199,9 +199,7 @@ def _cmd_oracle(args, f, form, mu) -> tuple[int, dict]:
 def _cmd_flat(args, f, form, mu) -> tuple[int, dict]:
     extra = _weights(args)
     I = f.presentation(form, mu)
-    rep = diagram.flatness_weight_search(I, args.k, mu,
-                                         regenerate=f.generators,
-                                         extra_weights=extra)
+    rep = diagram.flatness_weight_search(I, args.k, mu, extra_weights=extra)
     code = 0 if rep.verdict == "FLAT" else 2
     return code, {
         **vars(rep),

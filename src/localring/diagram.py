@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -30,14 +30,12 @@ from .errors import (
     UnverifiedBasis,
 )
 from .kernel import (
-    EXACT,
     IdealPresentation,
     PrecisionSeries,
     _admit,
     _window,
     evaluate_tail_zero,
     prec_at_least,
-    reweight,
     substitute_linear,
 )
 from .order import (
@@ -199,9 +197,6 @@ def product_structure_check(D: Diagram, k: int) -> tuple[bool, tuple]:
 
 # -- flatness -------------------------------------------------------------
 
-Regenerator = Callable[[LinearForm, Fraction], Sequence[PrecisionSeries]]
-
-
 @dataclass
 class FlatnessReport:
     verdict: str  # "FLAT" | "NOT-FLAT-AT-MU"
@@ -215,28 +210,7 @@ class FlatnessReport:
     base_matches_evaluated: bool
 
 
-def _gens_under(I: IdealPresentation, Lw: LinearForm, window: Fraction,
-                regenerate: Optional[Regenerator]):
-    """Get the generators certified under (Lw, window), re-expanding or
-    reweighting as needed."""
-    if regenerate is not None:
-        return tuple(regenerate(Lw, window))
-    out = []
-    for g in I.gens:
-        if g.prec is EXACT:
-            out.append(g)
-            continue
-        h = reweight(g, Lw)
-        if not prec_at_least(h.prec, window):
-            raise PrecisionShortfall(
-                "generator cannot be certified under the weighted form; "
-                "supply a regenerate callback")
-        out.append(h)
-    return tuple(out)
-
-
 def flatness_weight_search(I: IdealPresentation, k: int, mu,
-                           regenerate: Optional[Regenerator] = None,
                            extra_weights: Sequence[int] = ()) -> FlatnessReport:
     """Decide the product-structure flatness criterion at split index k.
 
@@ -245,18 +219,26 @@ def flatness_weight_search(I: IdealPresentation, k: int, mu,
     any extra weights) on the window {L <= l*mu}.  Verdict FLAT when some
     weight exhibits the product structure there; otherwise NOT-FLAT-AT-MU
     with the offending vertices.
+
+    Every window, the standard one of the evaluated ideal included, is
+    asked of the presentation (`IdealPresentation.at`): a presentation
+    with a source expands its generators to it, and one without passes
+    exact generators and refuses a certified one that the form cannot
+    carry to the window, with PrecisionShortfall.
     """
     mu = Fraction(mu)
-    ev = evaluated_ideal(I, k)
+    n = I.n
+    ev = evaluated_ideal(
+        IdealPresentation(n, I.at(std_form(n), mu), I.var_names), k)
     base_basis = complete(ev, std_form(k), mu)
     base_D = diagram_of(base_basis)
     l0 = 1 + max(int(sum(v)) for v in base_D.vertices)
     report = None
     for l in (l0, *extra_weights):
-        Lw = weighted_split_form(I.n, k, l)
+        Lw = weighted_split_form(n, k, l)
         window = Fraction(l) * mu
-        gens_w = _gens_under(I, Lw, window, regenerate)
-        basis = complete(IdealPresentation(I.n, gens_w, I.var_names), Lw, window)
+        basis = complete(IdealPresentation(n, I.at(Lw, window), I.var_names),
+                         Lw, window)
         D = diagram_of(basis)
         ok, base = product_structure_check(D, k)
         offending = tuple(v for v in D.vertices if any(v[k:]))

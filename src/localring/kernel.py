@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Mapping, Optional
@@ -46,6 +46,7 @@ from .errors import (
 from .order import (
     Exponent,
     LinearForm,
+    form_label,
     is_isotropic,
     lvalue,
     min_lvalue,
@@ -348,6 +349,21 @@ def reweight(f: PrecisionSeries, new_form: LinearForm) -> PrecisionSeries:
                            new_form)
 
 
+def certified_under(f: PrecisionSeries, L: LinearForm, window) -> PrecisionSeries:
+    """f certified under (L, window), or PrecisionShortfall.
+
+    An EXACT series passes as it is; a certified one is reweighted to L
+    (`reweight`) and refused when the reweighted bound falls short of the
+    window.  The one rule for moving a given series to another window.
+    """
+    h = reweight(f, L)
+    if not prec_at_least(h.prec, window):
+        raise PrecisionShortfall(
+            f"series certified to {h.prec} under {form_label(L)} is too short "
+            f"for the window {window}")
+    return h
+
+
 def embed(f: PrecisionSeries, n_new: int, var_map: tuple[int, ...],
           new_form: Optional[LinearForm] = None) -> PrecisionSeries:
     """Reinterpret f in a larger ambient space, variable i -> var_map[i].
@@ -471,11 +487,19 @@ def agrees_up_to(a: PrecisionSeries, b: PrecisionSeries, L: LinearForm, mu) -> b
 
 @dataclass(eq=True)
 class IdealPresentation:
-    """A finite generating list, with display names for the variables."""
+    """A finite generating list, with display names for the variables.
+
+    `source`, when given, is a function (form, window) -> generators that
+    expands the same generators on any window, as a parsed ideal file or
+    a series family can; `at` is the one place it is read.  It takes no
+    part in `==` or `repr`.
+    """
 
     n: int
     gens: tuple
     var_names: tuple = ()
+    source: Optional[Callable[[LinearForm, Fraction], tuple]] = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         gens = tuple(self.gens)
@@ -493,7 +517,18 @@ class IdealPresentation:
             raise PresentationError("variable name count differs from ambient")
         object.__setattr__(self, "var_names", names)
 
+    def at(self, form: LinearForm, window) -> tuple:
+        """The generators certified under (form, window): the source's
+        expansion when there is a source, or else each generator by
+        `certified_under`, which refuses a certified generator the form
+        cannot carry to the window."""
+        window = Fraction(window)
+        if self.source is not None:
+            return tuple(self.source(form, window))
+        return tuple([certified_under(g, form, window) for g in self.gens])
+
     def map_gens(self, fn: Callable[[PrecisionSeries], PrecisionSeries]
                  ) -> "IdealPresentation":
+        """The generators changed by fn; the result has no source."""
         return IdealPresentation(self.n, tuple([fn(g) for g in self.gens]),
                                  self.var_names)

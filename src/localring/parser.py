@@ -227,8 +227,10 @@ class IdealFile:
 
     def presentation(self, form: Optional[LinearForm] = None,
                      mu=None) -> IdealPresentation:
+        """The generators on (form, mu), with `generators` as the source
+        that expands them to any other window."""
         return IdealPresentation(self.n, self.generators(form, mu),
-                                 self.var_names)
+                                 self.var_names, self.generators)
 
 
 def load_ideal_file(text: str) -> IdealFile:

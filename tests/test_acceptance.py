@@ -107,8 +107,7 @@ def test_criterion_3_oracle_equivalence():
         K.IdealPresentation(2, (K.series(2, {(0, 1): 1, (2, 0): -1}),
                                 K.variable(2, 1))),
     ]
-    build = AP.example_ideal_builder(8, None)
-    ideals.append(K.IdealPresentation(3, build(std3, 8), ("x", "y", "z")))
+    ideals.append(AP.example_family(8))
     while len(ideals) < 50:
         n = rng.randint(1, 3)
         gens = tuple(rand_poly(rng, n, min_order=1, max_exp=2,
@@ -234,8 +233,8 @@ def test_criterion_7_reduction_identities():
         ok &= res["equal"] and res["eta"] <= rep.d + 3
 
     # three-variable family: d = (8-1) + (5-1) = 11 at k = 2
-    build = AP.example_ideal_builder(12, None)
-    J = K.IdealPresentation(3, build(std3, 14), ("x", "y", "z"))
+    J = K.IdealPresentation(3, AP.example_family(12).at(std3, 14),
+                            ("x", "y", "z"))
     repJ = DG.reduction_exponent(J, 2, 14)
     ok &= repJ.d == 11 and repJ.axis_degrees == (8, 5) and repJ.all_ok
     for m in (1, 2):

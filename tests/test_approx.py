@@ -24,8 +24,7 @@ class TestJet:
         assert AP.jet(f, std1, 2).terms == {(1,): F(1)}
 
     def test_example_f2_jet(self):
-        build = AP.example_ideal_builder(8, None)
-        _, F2, _ = build(std3, 10)
+        _, F2, _ = AP.example_family(8).at(std3, 10)
         j8 = AP.jet(F2, std3, 8)
         assert j8.prec is K.EXACT
         assert j8.terms == {(0, 5, 0): F(1), (0, 2, 4): F(1), (0, 2, 5): F(1),
@@ -90,8 +89,7 @@ class TestBuiltinJets:
 class TestPerturb:
     def test_example_delta(self):
         mu = 8
-        build = AP.example_ideal_builder(mu, None)
-        F1, F2, F3 = build(std3, 14)
+        F1, F2, F3 = AP.example_family(mu).at(std3, 14)
         h3 = K.monomial(3, (0, 0, 1))
         delta = K.mul(K.monomial(3, (0, 2, mu - 2)), h3)
         spec = AP.PerturbationSpec(

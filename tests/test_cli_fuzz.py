@@ -2,12 +2,14 @@
 
 Whatever the arguments and the file say, `hs`, `oracle hs`, `divide`,
 `sbasis complete`, `sbasis check`, `diagram`, `flat`, `dim`, `reduction`,
-`perturb`, `tower build` and `tower validate` print exactly one JSON
-document on standard output and exit with code 0, 1 or 2.  `cli.run`
-renders every handler's values into its report, so this also checks that
-each value a handler returns can be rendered.  Every command is bounded by
-the fuzzed `prec` of at most 7; `flat` runs without `--weights`, so its
-window stays a small multiple of it.
+`perturb`, `ci-experiment`, `example82`, `tower build` and `tower validate`
+print exactly one JSON document on standard output and exit with code 0, 1
+or 2.  `cli.run` renders every handler's values into its report, so this
+also checks that each value a handler returns can be rendered.  Every
+command is bounded by the fuzzed `prec` of at most 7; `flat` runs without
+`--weights`, so its window stays a small multiple of it, and
+`ci-experiment` with at most two trials.  `example82` reads no file: it
+runs at `--mu` 8 to 10, with an `--h` drawn from a small set.
 """
 
 import json
@@ -80,8 +82,15 @@ def command_lines(draw):
     command = draw(st.sampled_from(["hs", "oracle hs", "divide",
                                     "sbasis complete", "sbasis check",
                                     "diagram", "flat", "dim", "reduction",
-                                    "perturb",
+                                    "perturb", "ci-experiment", "example82",
                                     "tower build", "tower validate"]))
+    if command == "example82":
+        argv = [command, "--mu", str(draw(st.integers(8, 10)))]
+        if draw(st.booleans()):
+            argv += ["--h", draw(sometimes_malformed(
+                ["z", "z^2", "z*geom(z)", "exp(z) - 1", "0"],
+                ["1", "exp(z)", "x", "z^", "("]))]
+        return argv
     argv = command.split() + ["--file", "FILE"]
     if command.endswith("hs"):
         argv += ["--eta", draw(sometimes_malformed(["3", "0", "2", "6"],
@@ -91,9 +100,12 @@ def command_lines(draw):
     if command == "dim":
         argv += ["--trials", draw(sometimes_malformed(["1", "2", "3"],
                                                       ["0", "-1", "x", ""]))]
-    if command == "perturb":
+    if command in ("perturb", "ci-experiment"):
         for _ in range(draw(st.integers(0, 3))):
             argv += ["--delta", draw(expressions())]
+    if command == "ci-experiment":
+        argv += ["--trials", draw(sometimes_malformed(["1", "2"],
+                                                      ["0", "-1", "x"]))]
     if command == "reduction":
         argv += ["--k", draw(sometimes_malformed(["1", "2", "3"],
                                                  ["0", "-1", "9", "x"]))]

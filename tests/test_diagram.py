@@ -8,7 +8,7 @@ from localring import kernel as K
 from localring import oracles as OR
 from localring import order as O
 from localring import stdbasis as SB
-from localring.approx import example_ideal_builder
+from localring.approx import example_family
 from localring.errors import (
     MissingAxisVertex,
     PrecisionShortfall,
@@ -23,15 +23,9 @@ std2 = O.std_form(2)
 std3 = O.std_form(3)
 
 
-def example_presentation(mu, window=None):
-    build = example_ideal_builder(mu, None)
-    gens = build(std3, window if window is not None else mu)
-    return K.IdealPresentation(3, gens, ("x", "y", "z")), build
-
-
 class TestDiagramOf:
     def test_example_vertices(self):
-        I, _ = example_presentation(8)
+        I = example_family(8)
         basis = SB.becker_check(I.gens, std3, 8)
         assert DG.diagram_of(basis).vertices == ((0, 5, 0), (2, 3, 0), (8, 0, 0))
 
@@ -131,10 +125,9 @@ class TestPerturbedTables:
         # the adjoined vertex (2,2,7) sits at level 11: the tables agree on
         # every smaller window and first differ there, and the independent
         # oracle sees exactly the same values
-        build_base = example_ideal_builder(8, None)
-        build_pert = example_ideal_builder(8, K.variable(1, 0))
-        base = K.IdealPresentation(3, build_base(std3, 14), ("x", "y", "z"))
-        pert = K.IdealPresentation(3, build_pert(std3, 14), ("x", "y", "z"))
+        base = K.IdealPresentation(3, example_family(8).at(std3, 14))
+        pert = K.IdealPresentation(
+            3, example_family(8, K.variable(1, 0)).at(std3, 14))
         hb = DG.hilbert_samuel(SB.complete(base, std3, 12), 12).values
         hp = DG.hilbert_samuel(SB.complete(pert, std3, 12), 12).values
         assert hb[:11] == hp[:11]
@@ -182,9 +175,8 @@ class TestOracle:
     def test_split_form_completion_against_weighted_oracle(self):
         # the perturbed family under the split form: counts agree on both
         # sides of the level where the new vertex enters
-        build = example_ideal_builder(8, K.variable(1, 0))
         Lw = O.weighted_split_form(3, 2, 9)
-        gens = build(Lw, 72)
+        gens = example_family(8, K.variable(1, 0)).at(Lw, 72)
         I = K.IdealPresentation(3, gens, ("x", "y", "z"))
         D = DG.diagram_of(SB.complete(I, Lw, 72))
         assert (2, 2, 7) in D.vertices
@@ -208,7 +200,7 @@ class TestOracle:
 
 class TestEvaluatedIdeal:
     def test_example(self):
-        I, _ = example_presentation(8)
+        I = example_family(8)
         ev = DG.evaluated_ideal(I, 2)
         assert ev.n == 2
         assert sorted(tuple(g.terms) for g in ev.gens) == [
@@ -227,7 +219,7 @@ class TestEvaluatedIdeal:
 
 class TestProductStructure:
     def test_example_base(self):
-        I, _ = example_presentation(8)
+        I = example_family(8)
         basis = SB.becker_check(I.gens, std3, 8)
         ok, base = DG.product_structure_check(DG.diagram_of(basis), 2)
         assert ok
@@ -247,8 +239,7 @@ class TestProductStructure:
 
 class TestFlatness:
     def test_example_flat_with_l0_9(self):
-        I, build = example_presentation(8)
-        rep = DG.flatness_weight_search(I, 2, 8, regenerate=build)
+        rep = DG.flatness_weight_search(example_family(8), 2, 8)
         assert rep.verdict == "FLAT"
         assert rep.l0 == 9
         assert rep.base_matches_evaluated
@@ -259,9 +250,8 @@ class TestFlatness:
         assert rep.verdict == "FLAT"
 
     def test_perturbed_not_flat(self):
-        build = example_ideal_builder(8, K.variable(1, 0))
-        I = K.IdealPresentation(3, build(std3, 14), ("x", "y", "z"))
-        rep = DG.flatness_weight_search(I, 2, 8, regenerate=build)
+        I = example_family(8, K.variable(1, 0))
+        rep = DG.flatness_weight_search(I, 2, 8)
         assert rep.verdict == "NOT-FLAT-AT-MU"
         assert any(v[2] for v in rep.offending)
 
@@ -280,10 +270,8 @@ class TestFlatness:
         assert (1, 1) in rep.offending
 
     def test_extra_weights_are_tried_after_a_failure(self):
-        build = example_ideal_builder(8, K.variable(1, 0))
-        I = K.IdealPresentation(3, build(std3, 14), ("x", "y", "z"))
-        rep = DG.flatness_weight_search(I, 2, 8, regenerate=build,
-                                        extra_weights=(10,))
+        I = example_family(8, K.variable(1, 0))
+        rep = DG.flatness_weight_search(I, 2, 8, extra_weights=(10,))
         assert rep.verdict == "NOT-FLAT-AT-MU"
         assert rep.l_used == 10  # the report shows the last weight tried
         assert any(v[2] for v in rep.offending)
@@ -296,7 +284,7 @@ class TestAxisVertexDimension:
         assert rep.k_best == 2 and rep.upper_bound == 0
 
     def test_example(self):
-        I, _ = example_presentation(8)
+        I = example_family(8)
         rep = DG.axis_vertex_dimension(I, 8, trials=3, seed=0)
         assert rep.k_best == 2 and rep.upper_bound == 1
 

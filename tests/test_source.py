@@ -249,3 +249,42 @@ def test_orphan_lint_sees_a_helper_read_only_by_itself(tmp_path):
                  encoding="utf-8")
     assert _orphaned_private_definitions([a, b]) == ["a.py:1:_dead",
                                                      "a.py:7:_Record"]
+
+
+def _source_reads(paths) -> list:
+    """Reads of a `.source` attribute anywhere but in the method `at` of
+    the class `IdealPresentation` in kernel.py."""
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path.name == "kernel.py":
+            allowed = {id(sub) for cls in tree.body
+                       if isinstance(cls, ast.ClassDef)
+                       and cls.name == "IdealPresentation"
+                       for method in cls.body
+                       if isinstance(method, ast.FunctionDef) and method.name == "at"
+                       for sub in ast.walk(method)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "source"
+                  and isinstance(node.ctx, ast.Load) and id(node) not in allowed]
+    return found
+
+
+def test_presentations_expand_only_through_at():
+    # how a presentation is certified on a wider window (its source, or
+    # else the per-series rule) is decided by IdealPresentation.at alone
+    assert not _source_reads(sorted(SOURCE.glob("*.py")))
+
+
+def test_source_lint_sees_a_read_outside_at(tmp_path):
+    kernel, other = tmp_path / "kernel.py", tmp_path / "diagram.py"
+    kernel.write_text("class IdealPresentation:\n"
+                      "    def at(self, form, window):\n"
+                      "        return self.source(form, window)\n\n"
+                      "    def wider(self, form, window):\n"
+                      "        return self.source(form, 2 * window)\n",
+                      encoding="utf-8")
+    other.write_text("def gens(I, L, w):\n    return I.source(L, w)\n",
+                     encoding="utf-8")
+    assert _source_reads([kernel, other]) == ["kernel.py:6", "diagram.py:2"]

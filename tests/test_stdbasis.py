@@ -7,7 +7,7 @@ from localring import kernel as K
 from localring import oracles as OR
 from localring import order as O
 from localring import stdbasis as SB
-from localring.approx import example_ideal_builder
+from localring.approx import example_family
 from localring.diagram import diagram_of
 from localring.errors import PrecisionShortfall, ZeroUpToPrecision
 
@@ -17,8 +17,7 @@ std3 = O.std_form(3)
 
 
 def example_gens(mu, h=None, window=None):
-    build = example_ideal_builder(mu, h)
-    return build(std3, window if window is not None else mu)
+    return example_family(mu, h).at(std3, window if window is not None else mu)
 
 
 class TestSSeries:
