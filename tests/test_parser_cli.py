@@ -7,8 +7,10 @@ from fractions import Fraction as F
 import pytest
 
 from localring import cli
+from localring import diagram as DG
 from localring import kernel as K
 from localring import order as O
+from localring import stdbasis as SB
 from localring.errors import ParseError
 from localring.oracles import print_series
 from localring.parser import (
@@ -190,6 +192,18 @@ class TestJsonable:
         assert cli.jsonable(None) is None
         assert cli.jsonable({"unit_constant": None, "mu": F(6)}) == {
             "unit_constant": None, "mu": "6"}
+
+    def test_records_render_as_objects_keyed_by_field(self):
+        # a record is a tuple too, but renders as an object, not a list
+        report = {"pairs": (SB.PairCheck(0, 1, "pass"),),
+                  "step": SB.CompletionStep(0, 1, 2, None),
+                  "table": DG.HSTable((1, 2))}
+        assert cli.jsonable(report) == {
+            "pairs": [{"i": 0, "j": 1, "status": "pass"}],
+            "step": {"i": 0, "j": 1, "basis_size": 2, "adjoined_index": None},
+            "table": {"values": [1, 2]}}
+        plain = (0, 1, "pass")
+        assert cli.jsonable(plain) == [0, 1, "pass"]
 
 
 class TestCli:
