@@ -9,7 +9,6 @@ never hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -54,31 +53,36 @@ def jet(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
     return PrecisionSeries(f.n, truncate(f, L, mu).terms)
 
 
-@dataclass
 class PerturbationSpec:
     """Deltas with all term L-values beyond mu: a member of the mu-jet family
     of the base presentation."""
 
-    base: IdealPresentation
-    mu: Fraction
-    form: LinearForm
-    deltas: tuple
+    __slots__ = ("base", "mu", "form", "deltas")
 
-    def __post_init__(self):
-        self.mu = Fraction(self.mu)
-        deltas = tuple(self.deltas)
-        if len(deltas) != len(self.base.gens):
+    def __init__(self, base: IdealPresentation, mu, form: LinearForm, deltas):
+        mu = Fraction(mu)
+        deltas = tuple(deltas)
+        if len(deltas) != len(base.gens):
             raise PresentationError("one delta per generator (zero allowed)")
         for d in deltas:
-            if d.n != self.base.n:
+            if d.n != base.n:
                 raise PresentationError("delta dimension differs from base")
-            inside = _window(d.terms, self.form, self.mu)
+            inside = _window(d.terms, form, mu)
             if inside:
                 e = next(iter(inside))
                 raise PrecisionShortfall(
-                    f"delta term {e} has L-value <= {self.mu}; "
-                    "the jet would change")
-        self.deltas = deltas
+                    f"delta term {e} has L-value <= {mu}; the jet would change")
+        self.base, self.mu, self.form, self.deltas = base, mu, form, deltas
+
+    def __eq__(self, other):
+        if other.__class__ is not PerturbationSpec:
+            return NotImplemented
+        return ((self.base, self.mu, self.form, self.deltas)
+                == (other.base, other.mu, other.form, other.deltas))
+
+    def __repr__(self):
+        return (f"PerturbationSpec(base={self.base!r}, mu={self.mu!r}, "
+                f"form={self.form!r}, deltas={self.deltas!r})")
 
 
 def perturb(spec: PerturbationSpec) -> IdealPresentation:

@@ -9,7 +9,7 @@ randomness was involved.  All randomness flows from a single --seed flag.
 but `example82`, which reads no file) the file, the form and `--mu`, which
 `_context` resolves, then the command's own flags, in its handler.  A
 handler takes `(args, f, form, mu)` and returns its exit code and its keys,
-whose values are library values (series, `Fraction`s, tuples, dataclasses);
+whose values are library values (series, `Fraction`s, tuples, records);
 `run` adds `command` and, unless the handler wrote its own, `window` to
 every report that is not an error, and renders the whole report with
 `jsonable`, the one place a value becomes JSON.
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,7 +47,9 @@ class _Parser(argparse.ArgumentParser):
 
 def jsonable(value):
     """Recursively convert report values into JSON-encodable data; an
-    absent value (None) stays null, and "EXACT" is only a series' prec."""
+    absent value (None) stays null, and "EXACT" is only a series' prec.
+    A record (a NamedTuple) becomes an object keyed by its field names,
+    a plain tuple a list."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, PrecisionSeries):
@@ -58,8 +59,8 @@ def jsonable(value):
         }
     if isinstance(value, LinearForm):
         return form_label(value)
-    if is_dataclass(value) and not isinstance(value, type):
-        return jsonable(vars(value))
+    if hasattr(value, "_asdict"):
+        return jsonable(value._asdict())
     if isinstance(value, dict):
         if all(isinstance(k, str) for k in value):
             return {k: jsonable(v) for k, v in value.items()}
@@ -202,7 +203,7 @@ def _cmd_flat(args, f, form, mu) -> tuple[int, dict]:
     rep = diagram.flatness_weight_search(I, args.k, mu, extra_weights=extra)
     code = 0 if rep.verdict == "FLAT" else 2
     return code, {
-        **vars(rep),
+        **rep._asdict(),
         "window": {**_window(form, mu), "weighted_window": rep.window},
     }
 
@@ -264,7 +265,7 @@ def _cmd_tower(args, f, form, mu) -> tuple[int, dict]:
     report = {
         "seed": args.seed,
         "coordinate_changes": tower.coordinate_changes,
-        "levels": [{k: v for k, v in vars(lvl).items() if k != "unit_below"}
+        "levels": [{k: v for k, v in lvl._asdict().items() if k != "unit_below"}
                    for lvl in tower.levels],
     }
     if args.action == "build":

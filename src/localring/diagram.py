@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import (
@@ -51,8 +50,7 @@ from .order import (
 from .stdbasis import CertifiedBasis, complete
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Diagram(NamedTuple):
     """A staircase N = vertices + N^n, given by its minimal vertex set."""
 
     n: int
@@ -66,8 +64,7 @@ class Diagram:
         return any(all(map(operator.ge, beta, vertex)) for vertex in self.vertices)
 
 
-@dataclass(frozen=True)
-class HSTable:
+class HSTable(NamedTuple):
     """Values H(0), H(1), ..., H(eta_max)."""
 
     values: tuple
@@ -197,8 +194,7 @@ def product_structure_check(D: Diagram, k: int) -> tuple[bool, tuple]:
 
 # -- flatness -------------------------------------------------------------
 
-@dataclass
-class FlatnessReport:
+class FlatnessReport(NamedTuple):
     verdict: str  # "FLAT" | "NOT-FLAT-AT-MU"
     k: int
     l0: int
@@ -255,8 +251,7 @@ def flatness_weight_search(I: IdealPresentation, k: int, mu,
 
 # -- dimension ------------------------------------------------------------
 
-@dataclass
-class DimensionReport:
+class DimensionReport(NamedTuple):
     k_best: int
     upper_bound: int
     matrix: tuple
@@ -425,8 +420,7 @@ def tail_monomials(n: int, k: int, eta: int, min_total: int, min_tail: int):
             yield beta
 
 
-@dataclass
-class ReductionReport:
+class ReductionReport(NamedTuple):
     k: int
     axis_degrees: tuple
     d: int

@@ -84,7 +84,6 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import NamedTuple, Optional, Sequence
@@ -107,8 +106,7 @@ def _region(alphas: Sequence[Exponent], beta: Exponent) -> Optional[int]:
     return COMPLEMENT
 
 
-@dataclass(frozen=True)
-class RegionPartition:
+class RegionPartition(NamedTuple):
     """The translated-cone partition determined by an ordered head list."""
 
     alphas: tuple
@@ -210,8 +208,7 @@ def _packed(f: PrecisionSeries, pk: _Packing) -> tuple:
     return {_pack(pk, e): c for e, c in ints.items()}, den
 
 
-@dataclass
-class DivisionResult:
+class DivisionResult(NamedTuple):
     quotients: tuple
     remainder: PrecisionSeries
     certified_prec: Fraction

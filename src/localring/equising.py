@@ -59,10 +59,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .division import (
@@ -378,8 +377,7 @@ def coefficient_vector(f: PrecisionSeries, i: int, p: int):
     return tuple([PrecisionSeries(n - 1, s, f.prec, form) for s in slots])
 
 
-@dataclass
-class TowerLevel:
+class TowerLevel(NamedTuple):
     index: int                      # ambient variable count of this level
     is_one: bool
     poly: Optional[PrecisionSeries]
@@ -390,8 +388,7 @@ class TowerLevel:
     unit_constant: Optional[Fraction]
 
 
-@dataclass
-class Tower:
+class Tower(NamedTuple):
     n: int
     mu: Fraction
     seed: int
@@ -504,11 +501,11 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
         if M is not None:
             changes.append((dim - 1, M))
             current = substitute_linear(current, _embed_change(M, dim))
-            for lvl in levels:
-                lvl.poly = substitute_linear(lvl.poly,
-                                             _embed_change(M, lvl.index))
-                lvl.unit_below = substitute_linear(
-                    lvl.unit_below, _embed_change(M, lvl.index - 1))
+            levels = [lvl._replace(
+                poly=substitute_linear(lvl.poly, _embed_change(M, lvl.index)),
+                unit_below=substitute_linear(
+                    lvl.unit_below, _embed_change(M, lvl.index - 1)))
+                for lvl in levels]
         P, u = weierstrass_prepare(disc_val, dim - 2, mu)
         levels.append(TowerLevel(dim, False, current, p, j, certs, u,
                                  _at_origin(u)))

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 from typing import Callable, Mapping, Optional
@@ -83,23 +82,28 @@ def _window(terms: Mapping, L: LinearForm, bound) -> dict:
     return {e: c for e, c in terms.items() if level(e) <= cap}
 
 
-@dataclass(eq=True)
 class PrecisionSeries:
     """Sparse truncated power series with a certified precision bound.
 
     Treat instances as immutable values; all operations return new objects.
     """
 
-    n: int
-    terms: dict
-    prec: Prec = EXACT
-    form_ctx: Optional[LinearForm] = None
+    __slots__ = ("n", "terms", "prec", "form_ctx")
 
-    def __post_init__(self):
-        if self.prec is not EXACT and self.form_ctx is None:
+    def __init__(self, n: int, terms: dict, prec: Prec = EXACT,
+                 form_ctx: Optional[LinearForm] = None):
+        if prec is EXACT:
+            form_ctx = None
+        elif form_ctx is None:
             raise FormMismatch("a finite precision bound needs a linear form")
-        if self.prec is EXACT:
-            self.form_ctx = None
+        self.n, self.terms = n, terms
+        self.prec, self.form_ctx = prec, form_ctx
+
+    def __eq__(self, other):
+        if other.__class__ is not PrecisionSeries:
+            return NotImplemented
+        return ((self.n, self.terms, self.prec, self.form_ctx)
+                == (other.n, other.terms, other.prec, other.form_ctx))
 
     # -- convenience ------------------------------------------------------
 
@@ -485,7 +489,6 @@ def agrees_up_to(a: PrecisionSeries, b: PrecisionSeries, L: LinearForm, mu) -> b
     return _window(a.terms, L, mu) == _window(b.terms, L, mu)
 
 
-@dataclass(eq=True)
 class IdealPresentation:
     """A finite generating list, with display names for the variables.
 
@@ -495,27 +498,33 @@ class IdealPresentation:
     part in `==` or `repr`.
     """
 
-    n: int
-    gens: tuple
-    var_names: tuple = ()
-    source: Optional[Callable[[LinearForm, Fraction], tuple]] = field(
-        default=None, compare=False, repr=False)
+    __slots__ = ("n", "gens", "var_names", "source")
 
-    def __post_init__(self):
-        gens = tuple(self.gens)
+    def __init__(self, n: int, gens, var_names=(),
+                 source: Optional[Callable[[LinearForm, Fraction], tuple]] = None):
+        gens = tuple(gens)
         if not gens:
             raise PresentationError("an ideal presentation needs a generator")
         for g in gens:
-            if g.n != self.n:
+            if g.n != n:
                 raise DimensionMismatch("generator dimension differs from ambient")
             if g.is_zero_up_to_prec:
                 raise PresentationError(
                     "generators must be nonzero (up to their certified bound)")
-        object.__setattr__(self, "gens", gens)
-        names = tuple(self.var_names) or tuple([f"x{i+1}" for i in range(self.n)])
-        if len(names) != self.n:
+        names = tuple(var_names) or tuple([f"x{i+1}" for i in range(n)])
+        if len(names) != n:
             raise PresentationError("variable name count differs from ambient")
-        object.__setattr__(self, "var_names", names)
+        self.n, self.gens, self.var_names, self.source = n, gens, names, source
+
+    def __eq__(self, other):
+        if other.__class__ is not IdealPresentation:
+            return NotImplemented
+        return ((self.n, self.gens, self.var_names)
+                == (other.n, other.gens, other.var_names))
+
+    def __repr__(self):
+        return (f"IdealPresentation(n={self.n!r}, gens={self.gens!r}, "
+                f"var_names={self.var_names!r})")
 
     def at(self, form: LinearForm, window) -> tuple:
         """The generators certified under (form, window): the source's

@@ -13,10 +13,9 @@ never calls.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .diagram import _span, tail_monomials
 from .division import DivisionResult, hironaka_divide
@@ -55,8 +54,7 @@ def raw_discriminant(p: int, j: int) -> PrecisionSeries:
     return total
 
 
-@dataclass(frozen=True)
-class SymmetricReduction:
+class SymmetricReduction(NamedTuple):
     """A symmetric polynomial rewritten in the variables A_0..A_{p-1}.
 
     `expr` maps an exponent tuple over (A_0, ..., A_{p-1}) to its rational

@@ -17,7 +17,6 @@ L(b) = level / den; the hot loops compare levels and never build it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial, reduce
 from operator import mul
@@ -31,31 +30,47 @@ if TYPE_CHECKING:  # pragma: no cover
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class LinearForm:
     """Positive rational weight vector defining the order on exponents.
 
     `den` (the lcm of the weight denominators) and `int_weights` (the
-    weights times `den`) are plain attributes, not fields: equality, hash
-    and repr depend on `weights` alone.
+    weights times `den`) are derived: equality, hash and repr depend on
+    `weights` alone.  Forms are frozen.
     """
 
-    weights: tuple[Fraction, ...]
+    __slots__ = ("weights", "den", "int_weights")
 
-    def __post_init__(self):
+    def __init__(self, weights):
         # tuples from lists, and a fold rather than lcm(*...): a tuple built
         # from an iterator, or packed for a star argument, is allocated at
         # ten slots and shrunk, and lands in CPython's tuple free lists
-        ws = tuple([Fraction(w) for w in self.weights])
+        ws = tuple([Fraction(w) for w in weights])
         if not ws:
             raise DimensionMismatch("a linear form needs at least one weight")
         if any(w <= 0 for w in ws):
             raise FormMismatch(f"weights must be strictly positive: {ws}")
-        object.__setattr__(self, "weights", ws)
         den = reduce(math.lcm, [w.denominator for w in ws], 1)
+        object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "int_weights",
                            tuple([w.numerator * (den // w.denominator) for w in ws]))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen form")
+
+    def __reduce__(self):
+        return LinearForm, (self.weights,)
+
+    def __eq__(self, other):
+        if other.__class__ is not LinearForm:
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self):
+        return hash(self.weights)
+
+    def __repr__(self):
+        return f"LinearForm(weights={self.weights!r})"
 
     def level(self, beta: Exponent) -> int:
         """The integer den * L(beta); the caller checks the dimension."""

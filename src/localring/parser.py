@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import ParseError
 from .kernel import (
@@ -202,8 +201,7 @@ def parse_expression(src: str, var_names: Sequence[str], form: LinearForm,
     return _Parser(src, var_names, form, mu).parse()
 
 
-@dataclass
-class IdealFile:
+class IdealFile(NamedTuple):
     """Parsed form of the line-based ideal file format."""
 
     var_names: tuple

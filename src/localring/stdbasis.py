@@ -71,9 +71,8 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .division import _adjoined, _divide, _members, _pack, _Packing, _packing
 from .errors import BudgetExceeded, PrecisionShortfall
@@ -88,15 +87,13 @@ from .kernel import (
 from .order import LinearForm, initial_term
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     i: int
     j: int
     status: str  # "pass" | "fail" | "skipped-coprime"
 
 
-@dataclass(frozen=True)
-class CompletionStep:
+class CompletionStep(NamedTuple):
     """One s-series reduction performed during completion: the pair (i, j)
     of members, the number of members it was divided by, and the index of
     the member it adjoined, or None.
@@ -119,8 +116,7 @@ class CompletionStep:
     adjoined_index: Optional[int]
 
 
-@dataclass
-class CertifiedBasis:
+class CertifiedBasis(NamedTuple):
     """`heads` are the members' head exponents under `form`."""
 
     gens: tuple

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import random
 from fractions import Fraction as F
@@ -373,9 +372,8 @@ class TestTower:
         good = E.build_tower([K.series(2, {(0, 2): 1, (3, 0): -1})], 10)
         top, bottom = good.levels
         assert bottom.vanish_certificates == ("exact-zero",) * 2
-        wrong = dataclasses.replace(
-            bottom, vanish_certificates=("zero-up-to-mu",) * 2)
-        report = E.validate_tower(dataclasses.replace(good, levels=(top, wrong)))
+        wrong = bottom._replace(vanish_certificates=("zero-up-to-mu",) * 2)
+        report = E.validate_tower(good._replace(levels=(top, wrong)))
         assert not report["all_pass"]
         assert not report["levels"][1]["discriminant_certificates"]
 
@@ -389,9 +387,9 @@ class TestTower:
     def test_validation_rechecks_the_unit_constant(self, gens, index):
         good = E.build_tower(gens, 10)
         levels = tuple(
-            dataclasses.replace(lvl, unit_constant=lvl.unit_constant + 1)
+            lvl._replace(unit_constant=lvl.unit_constant + 1)
             if lvl.index == index else lvl for lvl in good.levels)
-        report = E.validate_tower(dataclasses.replace(good, levels=levels))
+        report = E.validate_tower(good._replace(levels=levels))
         assert E.validate_tower(good)["all_pass"]
         assert not report["all_pass"]
         assert not report["levels"][index]["unit_factorization"]

@@ -13,7 +13,6 @@ from localring import order as O
 from localring.errors import (
     DimensionMismatch,
     FormMismatch,
-    PrecisionShortfall,
     PresentationError,
 )
 
@@ -69,12 +68,6 @@ class TestLinearForm:
         assert {a: 1}[b] == 1
         assert a != (F(1), F(1, 2))
 
-    def test_derived_den_and_integer_weights(self):
-        L = O.LinearForm((F(1, 2), F(2, 3), 1))
-        assert L.den == 6
-        assert L.int_weights == (3, 4, 6)
-        assert L.n == 3
-
     def test_coerces_weights_to_a_tuple_of_fractions(self):
         L = O.LinearForm([1, "1/2"])
         assert L.weights == (F(1), F(1, 2))
@@ -99,10 +92,6 @@ class TestLinearForm:
         for twin in (copy.copy(L), copy.deepcopy(L),
                      pickle.loads(pickle.dumps(L))):
             assert twin == L and twin.den == 2 and twin.int_weights == (2, 1)
-
-    def test_repr(self):
-        assert repr(O.std_form(2)) == (
-            "LinearForm(weights=(Fraction(1, 1), Fraction(1, 1)))")
 
 
 class TestIdealPresentation:
@@ -137,32 +126,23 @@ class TestIdealPresentation:
         assert K.IdealPresentation(2, [x], ["u", "v"]).var_names == ("u", "v")
 
     def test_refusals(self):
-        x = K.variable(2, 0)
-        with pytest.raises(PresentationError):
-            K.IdealPresentation(2, ())
-        with pytest.raises(DimensionMismatch):
-            K.IdealPresentation(3, (x,))
-        with pytest.raises(PresentationError):
-            K.IdealPresentation(2, (K.zero(2),))
+        # the empty list, the exact zero and a wrong dimension are in
+        # test_kernel.py::test_presentation_invariants
         with pytest.raises(PresentationError):
             K.IdealPresentation(2, (K.PrecisionSeries(2, {}, F(4), std2),))
         with pytest.raises(PresentationError):
-            K.IdealPresentation(2, (x,), ("x",))
+            K.IdealPresentation(2, (K.variable(2, 0),), ("x",))
 
 
 class TestPerturbationSpec:
     def _base(self):
         return K.IdealPresentation(2, (K.variable(2, 0),))
 
+    # a delta inside the window: test_approx.py::test_low_order_delta_rejected
     def test_coerces_mu_and_deltas(self):
         spec = AP.PerturbationSpec(self._base(), 4, std2, [K.zero(2)])
         assert spec.mu == F(4) and type(spec.mu) is F
         assert spec.deltas == (K.zero(2),) and type(spec.deltas) is tuple
-
-    def test_refuses_a_delta_inside_the_window(self):
-        with pytest.raises(PrecisionShortfall):
-            AP.PerturbationSpec(self._base(), 4, std2,
-                                (K.monomial(2, (2, 0)),))
 
     def test_refuses_a_wrong_count_or_dimension(self):
         with pytest.raises(PresentationError):

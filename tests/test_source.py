@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -288,3 +291,46 @@ def test_source_lint_sees_a_read_outside_at(tmp_path):
     other.write_text("def gens(I, L, w):\n    return I.source(L, w)\n",
                      encoding="utf-8")
     assert _source_reads([kernel, other]) == ["kernel.py:6", "diagram.py:2"]
+
+
+def _dataclass_imports(path: Path) -> list:
+    """Imports of the `dataclasses` module, in any form."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "dataclasses" for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and not node.level
+                and (node.module or "").split(".")[0] == "dataclasses")]
+
+
+def test_no_module_imports_dataclasses():
+    # `dataclasses` loads inspect, ast, dis and tokenize, and each class it
+    # decorates costs about a millisecond to create: every CLI process pays
+    # both at start-up.  Records are NamedTuples, and a validating value
+    # class writes its own __init__, __eq__ and __repr__.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += _dataclass_imports(path)
+    assert not found, found
+
+
+@pytest.mark.parametrize("line", [
+    "from dataclasses import dataclass",
+    "import dataclasses",
+    "import dataclasses as dc",
+])
+def test_dataclass_lint_sees_every_import_form(tmp_path, line):
+    path = tmp_path / "m.py"
+    path.write_text(f"import math\n\n\ndef f():\n    {line}\n", encoding="utf-8")
+    assert _dataclass_imports(path) == ["m.py:5"]
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # what `import localring.cli` loads, without site: none of the modules
+    # that dataclasses pulls in may be among them
+    probe = ("import localring.cli, sys; print(' '.join(m for m in "
+             "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == []
