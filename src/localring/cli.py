@@ -21,7 +21,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import approx, diagram, equising, stdbasis
 from .division import hironaka_divide
@@ -73,7 +72,16 @@ def jsonable(value):
 
 
 def _load(path: str) -> IdealFile:
-    return load_ideal_file(Path(path).read_text(encoding="utf-8"))
+    """The ideal file at `path`; bytes that are not UTF-8 are a parse error
+    at their byte offset."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"the file is not UTF-8: {exc.reason}",
+                         exc.start) from None
+    return load_ideal_file(text)
 
 
 def _mu(args, f: IdealFile) -> Fraction:

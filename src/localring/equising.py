@@ -23,15 +23,18 @@ multiplies the m x m minor by d^(m(m-1)), which is divided out at the end.
 Numbers and truncated power series take the same loop, with no degree cap,
 both as integer jets: a number is a jet in zero variables.
 
-The Berkowitz pass skips work whose result it knows.  Its step r needs
+The pass skips work whose result it knows.  Berkowitz step r needs
 c.H^k c for k < r, H the leading r x r block and c the next column.  (a)
 Once v_j = H^j c is zero, so is every later v_j and c.H^k c, and the step
 stops.  (b) H is symmetric, so c.H^k c = v_{k//2} . v_{(k+1)//2}, and half
-the matrix-vector products suffice.  Both are identities in every
-commutative ring, truncation to the window is a ring map onto
-Q[x]/m^(mu+1), and so the minors are those of the full pass.  For y^p,
-whose matrix is p in its corner and 0 elsewhere, the pass makes no
-matrix-vector product at all.
+the matrix-vector products suffice.  (c) No product is formed whose value
+is known: the step's Toeplitz update adds t_k * char_r[i - k] only for the
+nonzero t_k with k >= 1 to char_r[i] itself (t_0 = 1), and Newton's
+identities pair only the nonzero coefficients and add k * c_k as a scaled
+copy.  All three are identities in every commutative ring, truncation to
+the window is a ring map onto Q[x]/m^(mu+1), and so the minors are those
+of the full pass.  For y^p, whose matrix is p in its corner and 0
+elsewhere, the pass makes one product in all.
 
 The discriminants run on jets {packed exponent: coefficient} truncated to
 the window.  The exponents are packed into ints as `division`
@@ -94,9 +97,10 @@ from .order import LinearForm, std_form
 COORDINATE_CHANGE_RETRIES = 25
 
 
-def _jet_dot(pairs, limit: int) -> dict:
-    """Sum of the products a * b over pairs of jets {packed exponent:
-    coefficient}, keeping only the terms packed below `limit`.
+def _jet_dot(pairs, limit: int, start: Optional[dict] = None) -> dict:
+    """`start` plus the sum of the products a * b over pairs of jets
+    {packed exponent: coefficient}, keeping only the terms packed below
+    `limit`; `start` must already lie below it.
 
     The exponents are packed as in `division`, under the standard form, so
     the packed level is the total degree: a product term packs to the sum
@@ -105,7 +109,7 @@ def _jet_dot(pairs, limit: int) -> dict:
     overflowed.  Each b is sorted once, so the inner loop stops at the
     first term beyond the room a term of a leaves.
     """
-    out: dict = {}
+    out = dict(start) if start else {}
     get = out.get
     for a, b in pairs:
         if not a or not b:
@@ -151,8 +155,8 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     Both kinds of input are jets keyed by exponents packed as in
     `division`: a number c is {0: c}, 0 packing the origin, and its window
     is the one level 0.  `dot` is the truncated `_jet_dot`, and the keys
-    are unpacked only in the returned minors.  The Berkowitz pass takes the
-    two shortcuts of the module docstring.
+    are unpacked only in the returned minors.  The pass takes the three
+    shortcuts of the module docstring.
     """
     p = len(coeffs)
     if n_vars:
@@ -176,23 +180,24 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     jets = [{e: c * (d // den) * d ** (p - 1 - i) for e, c in jet.items()}
             for i, (jet, den) in enumerate(ints)]
 
-    def dot(pairs) -> dict:
-        return _jet_dot(pairs, limit)
+    def dot(pairs: list, start: dict) -> dict:
+        return _jet_dot(pairs, limit, start) if pairs else start
 
-    # Newton: s_k = -(c_1 s_{k-1} + ... + c_{k-1} s_1 + k c_k) with
-    # c_i = A_{p-i}, and c_i = 0 for i > p
+    # Newton: s_k = -(k c_k + c_1 s_{k-1} + ... + c_{k-1} s_1) with
+    # c_i = A_{p-i}, and c_i = 0 for i > p; only nonzero c_i make pairs
+    nonzero = [i for i in range(1, p + 1) if jets[p - i]]
     s = [{0: p}]
     for k in range(1, 2 * p - 1):
-        pairs = [(jets[p - i], s[k - i]) for i in range(1, min(k - 1, p) + 1)]
-        if k <= p:
-            pairs.append((jets[p - k], {0: k}))
-        s.append(_negated(dot(pairs)))
+        kc = {e: k * c for e, c in jets[p - k].items()} if k <= p else {}
+        s.append(_negated(dot([(jets[p - i], s[k - i])
+                               for i in nonzero if i < k], kc)))
 
     # Berkowitz: with H_r the leading r x r block, c its next column (also
     # its next row, by symmetry) and h the new diagonal entry, the
     # characteristic polynomial of H_{r+1} is the Toeplitz product of
-    # (1, -h, -c.c, -c.H_r c, ..., -c.H_r^{r-1} c) with that of H_r.
-    # v[j] = H_r^j c, as far as shortcuts (a) and (b) need it.
+    # t = (1, -h, -c.c, -c.H_r c, ..., -c.H_r^{r-1} c) with that of H_r.
+    # v[j] = H_r^j c, as far as shortcuts (a) and (b) need it; (c) t_0 = 1
+    # and the zero t_k make no product.
     char = [{0: 1}]                     # highest degree first
     minors = []
     for r in range(p):
@@ -201,12 +206,14 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         for k in range(r):
             hi = (k + 1) // 2
             if hi == len(v):
-                v.append([dot(zip(s[a:a + r], v[-1])) for a in range(r)])
+                v.append([_jet_dot(zip(s[a:a + r], v[-1]), limit)
+                          for a in range(r)])
             if not any(v[hi]):
                 break
-            t.append(_negated(dot(zip(v[k // 2], v[hi]))))
-        char = [dot((t[k], char[i - k])
-                    for k in range(max(0, i - r), min(i, len(t) - 1) + 1))
+            t.append(_negated(_jet_dot(zip(v[k // 2], v[hi]), limit)))
+        ks = [k for k in range(1, len(t)) if t[k]]
+        char.append({})                 # char_r[r + 1] = 0
+        char = [dot([(t[k], char[i - k]) for k in ks if k <= i], char[i])
                 for i in range(r + 2)]
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)

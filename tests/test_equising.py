@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localring import equising as E
 from localring import kernel as K
@@ -66,6 +68,27 @@ def _eval_reduction(red, coeffs, L, mu):
     return K.truncate(total, L, mu)
 
 
+@st.composite
+def sparse_series_vectors(draw):
+    """(coeffs, n, mu): p <= 4 coefficients in 1 or 2 variables, each zero
+    or not with even odds, truncated to a small window, so that Newton and
+    the Berkowitz steps meet zero entries between nonzero ones."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 4))
+    mu = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n)
+    values = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3)])
+    L = O.std_form(n)
+    coeffs = []
+    for _ in range(p):
+        terms = {}
+        if draw(st.booleans()):
+            terms = draw(st.dictionaries(exponents, values, min_size=1,
+                                         max_size=3))
+        coeffs.append(K.truncate(K.series(n, terms), L, mu))
+    return coeffs, n, mu
+
+
 def _monic_with_roots(roots):
     """(a_0, ..., a_{p-1}) of prod (X - r)^m over (r, m) pairs."""
     coeffs = [F(1)]
@@ -105,6 +128,20 @@ class TestHankelDiscriminants:
                 expected = _eval_reduction(OR.generalized_discriminant(p, j),
                                            coeffs, L, mu)
                 assert hankel[j - 1] == expected.terms, (p, j, mu)
+
+    @settings(max_examples=80, deadline=None)
+    @given(sparse_series_vectors())
+    def test_sparse_series_equal_symbolic_reduction(self, case):
+        # zero coefficients, zero t_k and zero power sums take the paths
+        # that make no product; the minors must not notice
+        coeffs, n, mu = case
+        L = O.std_form(n)
+        p = len(coeffs)
+        hankel = E._hankel_discriminants(coeffs, n, mu)
+        for j in range(1, p + 1):
+            expected = _eval_reduction(OR.generalized_discriminant(p, j),
+                                       coeffs, L, mu)
+            assert hankel[j - 1] == expected.terms, (p, j, mu)
 
     def test_shortfall_refused(self):
         coarse = K.truncate(K.series(1, {(1,): 1, (4,): 2}), std1, 3)

@@ -194,14 +194,17 @@ def test_hankel_route_never_calls_kernel_mul(monkeypatch):
 
 
 def test_zero_series_vector_stops_at_the_structural_zero():
-    # y^14 over one variable: every power sum but s_0 vanishes, so each
-    # Berkowitz step stops before its first matrix-vector product
+    # y^14 over one variable, and over the numbers: every power sum but s_0
+    # vanishes, so each Berkowitz step stops before its first matrix-vector
+    # product, Newton pairs no coefficient, and only t_1 = -p of the first
+    # step is nonzero
     p = 14
     zero = [K.truncate(K.series(1, {}), O.std_form(1), p)] * p
-    with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
-        minors = E._hankel_discriminants(zero, 1, p)
-    assert dot.call_count <= 2 * p * p
-    assert minors == [{}] * (p - 1) + [{(0,): F(p)}]
+    for coeffs, n_vars, origin in ((zero, 1, (0,)), ([0] * p, 0, ())):
+        with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
+            minors = E._hankel_discriminants(coeffs, n_vars, p)
+        assert dot.call_count <= 2
+        assert minors == [{}] * (p - 1) + [{origin: F(p)}]
 
 
 # -- root counts beyond the symbolic cap ---------------------------------------

@@ -475,6 +475,22 @@ class TestCli:
         assert code == 1
         assert rep["error"] == "parse" and rep["position"] == MAX_NESTING
 
+    @pytest.mark.parametrize("command", [["hs", "--eta", "3"],
+                                         ["tower", "validate"]])
+    def test_non_utf8_file_is_one_parse_report(self, tmp_path, command,
+                                               capsys, monkeypatch):
+        # the offending byte's offset is the position; no traceback
+        path = tmp_path / "bad.ideal"
+        path.write_bytes(b"vars: x y\nprec: 4\ngen: x\xff\n")
+        monkeypatch.setattr("sys.argv",
+                            ["localring", *command, "--file", str(path)])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "parse" and rep["position"] == 24
+        assert "UTF-8" in rep["detail"]
+
     def test_reports_are_byte_reproducible(self, ideal_file):
         outs = set()
         for _ in range(2):

@@ -325,12 +325,24 @@ def test_dataclass_lint_sees_every_import_form(tmp_path, line):
     assert _dataclass_imports(path) == ["m.py:5"]
 
 
-def test_cli_start_up_loads_no_introspection_modules():
-    # what `import localring.cli` loads, without site: none of the modules
-    # that dataclasses pulls in may be among them
+def _loaded_by_cli_start_up(names: tuple) -> list:
+    """The modules among `names` that `import localring.cli` loads,
+    without site."""
     probe = ("import localring.cli, sys; print(' '.join(m for m in "
-             "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))")
+             f"{names!r} if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
     out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == []
+    return out.stdout.split()
+
+
+def test_cli_start_up_loads_no_introspection_modules():
+    # none of the modules that dataclasses pulls in may be among them
+    assert _loaded_by_cli_start_up(("dataclasses", "inspect", "ast", "dis")) == []
+
+
+def test_cli_start_up_loads_no_path_modules():
+    # the CLI reads its one file with open(); pathlib would bring urllib,
+    # ipaddress and fnmatch into every process
+    assert _loaded_by_cli_start_up(
+        ("pathlib", "urllib.parse", "ipaddress", "fnmatch")) == []
