@@ -289,6 +289,8 @@ def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
     on the standard window as well.
     """
     n = f.n
+    if not 0 <= i < n:
+        raise DimensionMismatch(f"variable index {i} out of range for n={n}")
     L = std_form(n)
     ft = truncate(f, L, mu)
     p = regular_order(ft, i)

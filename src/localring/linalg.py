@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import BudgetExceeded
+
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -41,9 +43,10 @@ _ATTEMPTS = 5000  # samples drawn before giving up
 
 
 def seeded_unimodular(rng: random.Random, n: int) -> Matrix:
-    """Random integer matrix with entries in {-3..3} and det +-1."""
+    """Random integer matrix with entries in {-3..3} and det +-1, drawn at
+    most `_ATTEMPTS` times before `BudgetExceeded`."""
     for _ in range(_ATTEMPTS):
         M = tuple(tuple(rng.randint(-_SPREAD, _SPREAD) for _ in range(n)) for _ in range(n))
         if abs(det(M)) == 1:
             return M
-    raise RuntimeError("failed to sample a unimodular matrix")
+    raise BudgetExceeded(f"no unimodular {n} x {n} matrix in {_ATTEMPTS} draws")

@@ -1,7 +1,7 @@
 """Reference implementations that the tests hold the command path to.
 
-Only the tests call this code.  No module of the package imports this one,
-so no command compiles it.
+This module lives beside the tests that import it, outside the package, so
+no command loads it.
 
 The classical leading-term reduction of D_j to a polynomial in the
 elementary symmetric values (`generalized_discriminant`) is kept as an
@@ -17,13 +17,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .diagram import _span, tail_monomials
-from .division import DivisionResult, hironaka_divide
-from .errors import (BudgetExceeded, DimensionMismatch, PresentationError,
-                     ZeroUpToPrecision)
-from .kernel import (IdealPresentation, PrecisionSeries, add, geom_jet, monomial, mul,
-                     one, power, scale, series, sub, variable, zero)
-from .order import LinearForm
+from localring.diagram import _span, tail_monomials
+from localring.errors import BudgetExceeded, DimensionMismatch, PresentationError
+from localring.kernel import (IdealPresentation, PrecisionSeries, add, monomial, mul,
+                              one, power, series, sub, truncate, variable, zero)
+from localring.order import LinearForm
 
 #: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
 #: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
@@ -140,17 +138,19 @@ def evaluate_at_rationals(red: SymmetricReduction, coeffs: Sequence) -> Fraction
     return total
 
 
-def invert_unit(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
-    """Inverse of a unit (nonzero constant term) as a jet to L-value mu.
-
-    With f = c0 (1 - u), 1/f = geom(u) / c0.  u is admitted on the window
-    exactly when f is; `geom_jet` admits it and truncates it.
-    """
-    c0 = f.coefficient((0,) * f.n)
-    if not c0:
-        raise ZeroUpToPrecision("cannot invert: constant term is zero")
-    u = scale(sub(monomial(f.n, (0,) * f.n, c0), f), 1 / c0)
-    return scale(geom_jet(u, L, mu), 1 / c0)
+def evaluate_at_series(red: SymmetricReduction, coeffs: Sequence[PrecisionSeries],
+                       L: LinearForm, mu) -> PrecisionSeries:
+    """Evaluate at series coefficients with kernel products, truncating
+    every product to the window (L, mu)."""
+    n = coeffs[0].n
+    total = zero(n)
+    for a_exp, c in red.expr.items():
+        term = monomial(n, (0,) * n, c)
+        for m, k in enumerate(a_exp):
+            for _ in range(k):
+                term = truncate(mul(term, coeffs[m]), L, mu)
+        total = add(total, term)
+    return truncate(total, L, mu)
 
 
 def print_series(f: PrecisionSeries, var_names: Sequence[str]) -> str:
@@ -178,21 +178,6 @@ def print_series(f: PrecisionSeries, var_names: Sequence[str]) -> str:
     for neg, body in pieces[1:]:
         out += (" - " if neg else " + ") + body
     return out
-
-
-def has_standard_representation(F: PrecisionSeries, basis: Sequence[PrecisionSeries],
-                                L: LinearForm, mu) -> tuple[bool, DivisionResult]:
-    """Does F reduce to zero (up to mu) against the basis?
-
-    The division quotients automatically satisfy the initial-exponent
-    inequality of a standard representation, because support regions force
-    inexp(Q_i G_i) >= inexp(F).  An exactly-zero F (and any F that is zero
-    up to mu) passes by the convention inexp(F) < inexp(0).
-    """
-    if F.is_zero_up_to_prec:
-        return True, None
-    result = hironaka_divide(F, basis, L, mu)
-    return result.remainder_is_zero, result
 
 
 def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,

@@ -13,11 +13,11 @@ from localring import approx as AP
 from localring import diagram as DG
 from localring import equising as EQ
 from localring import kernel as K
-from localring import oracles as OR
 from localring import order as O
 from localring import stdbasis as SB
 from localring.division import COMPLEMENT, hironaka_divide
 from conftest import rand_poly, rand_form
+import oracles as OR
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)

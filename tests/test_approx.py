@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from localring import approx as AP
 from localring import diagram as DG
 from localring import kernel as K
-from localring import oracles as OR
 from localring import order as O
 from localring.errors import PrecisionShortfall, PresentationError
 from conftest import rand_poly
+import oracles as OR
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)
@@ -78,12 +78,6 @@ class TestBuiltinJets:
     def test_geom(self):
         g = K.geom_jet(K.variable(1, 0), std1, 3)
         assert g.terms == {(i,): F(1) for i in range(4)}
-
-    def test_geom_matches_unit_inverse(self):
-        u = K.series(2, {(1, 0): 1, (0, 1): -2})
-        lhs = K.geom_jet(u, std2, 5)
-        rhs = OR.invert_unit(K.sub(K.one(2), u), std2, 5)
-        assert lhs == rhs
 
 
 class TestPerturb:

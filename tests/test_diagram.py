@@ -5,7 +5,6 @@ import pytest
 
 from localring import diagram as DG
 from localring import kernel as K
-from localring import oracles as OR
 from localring import order as O
 from localring import stdbasis as SB
 from localring.approx import example_family
@@ -17,6 +16,7 @@ from localring.errors import (
     UnverifiedBasis,
 )
 from conftest import rand_poly
+import oracles as OR
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 
 from localring import equising as E
 from localring import kernel as K
-from localring import oracles as OR
 from localring import order as O
 from localring.errors import (
     BudgetExceeded,
+    DimensionMismatch,
     NotRegular,
     PrecisionShortfall,
     PresentationError,
     UndecidedAtPrecision,
 )
+import oracles as OR
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)
@@ -52,20 +53,6 @@ class TestGeneralizedDiscriminant:
             a = F(rng.randint(-5, 5), rng.randint(1, 4))
             coeffs = (-a ** 3, 3 * a ** 2, -3 * a)  # a0, a1, a2
             assert E.distinct_root_count_check(coeffs, 3) == 2
-
-
-def _eval_reduction(red, coeffs, L, mu):
-    """Evaluate a symbolic reduction at series coefficients with kernel
-    products, truncating every product to the window (L, mu)."""
-    n = coeffs[0].n
-    total = K.zero(n)
-    for a_exp, c in red.expr.items():
-        term = K.monomial(n, (0,) * n, c)
-        for m, k in enumerate(a_exp):
-            for _ in range(k):
-                term = K.truncate(K.mul(term, coeffs[m]), L, mu)
-        total = K.add(total, term)
-    return K.truncate(total, L, mu)
 
 
 @st.composite
@@ -125,8 +112,8 @@ class TestHankelDiscriminants:
                       for _ in range(p)]
             hankel = E._hankel_discriminants(coeffs, n, mu)
             for j in range(1, p + 1):
-                expected = _eval_reduction(OR.generalized_discriminant(p, j),
-                                           coeffs, L, mu)
+                expected = OR.evaluate_at_series(OR.generalized_discriminant(p, j),
+                                               coeffs, L, mu)
                 assert hankel[j - 1] == expected.terms, (p, j, mu)
 
     @settings(max_examples=80, deadline=None)
@@ -139,8 +126,8 @@ class TestHankelDiscriminants:
         p = len(coeffs)
         hankel = E._hankel_discriminants(coeffs, n, mu)
         for j in range(1, p + 1):
-            expected = _eval_reduction(OR.generalized_discriminant(p, j),
-                                       coeffs, L, mu)
+            expected = OR.evaluate_at_series(OR.generalized_discriminant(p, j),
+                                           coeffs, L, mu)
             assert hankel[j - 1] == expected.terms, (p, j, mu)
 
     def test_shortfall_refused(self):
@@ -223,6 +210,13 @@ class TestWeierstrass:
     def test_not_regular(self):
         with pytest.raises(NotRegular):
             E.weierstrass_prepare(K.monomial(2, (1, 1)), 0, 8)
+
+    @pytest.mark.parametrize("i", [2, -1])
+    def test_variable_index_out_of_range(self, i):
+        # no variable x_2, and -1 must not wrap round to the last one
+        f = K.series(2, {(0, 2): 1, (3, 0): 1})
+        with pytest.raises(DimensionMismatch):
+            E.weierstrass_prepare(f, i, 8)
 
     def test_identity_on_seeded_units(self):
         # f = unit * distinguished: recover the distinguished factor

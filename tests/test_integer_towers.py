@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from localring import equising as E
 from localring import kernel as K
-from localring import oracles as OR
 from localring import order as O
 from localring.errors import InvariantViolation, NotRegular
+import oracles as OR
 
 #: mixed denominators, so that d is a genuine lcm
 COEFFS = [F(7, 12), F(-5, 9), F(1, 2), F(-2, 3), F(3, 4), F(5, 6), F(-1, 8),
@@ -31,20 +31,6 @@ coefficient = st.sampled_from(COEFFS)
 
 def _is_fraction_jet(jet) -> bool:
     return all(type(c) is F and c for c in jet.values())
-
-
-def _eval_reduction(red, coeffs, L, mu):
-    """Evaluate a symbolic reduction at series coefficients with kernel
-    products, truncating every product to the window (L, mu)."""
-    n = coeffs[0].n
-    total = K.zero(n)
-    for a_exp, c in red.expr.items():
-        term = K.monomial(n, (0,) * n, c)
-        for m, k in enumerate(a_exp):
-            for _ in range(k):
-                term = K.truncate(K.mul(term, coeffs[m]), L, mu)
-        total = K.add(total, term)
-    return K.truncate(total, L, mu)
 
 
 def _check_numbers(vec):
@@ -62,8 +48,8 @@ def _check_series(coeffs, mu):
     L = O.std_form(n)
     hankel = E._hankel_discriminants(coeffs, n, mu)
     for j, jet in enumerate(hankel, start=1):
-        want = _eval_reduction(OR.generalized_discriminant(len(coeffs), j),
-                               coeffs, L, mu)
+        want = OR.evaluate_at_series(OR.generalized_discriminant(len(coeffs), j),
+                                   coeffs, L, mu)
         assert jet == want.terms
         assert _is_fraction_jet(jet)
 

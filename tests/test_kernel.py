@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from localring import kernel as K
 from localring import linalg
-from localring import oracles as OR
 from localring import order as O
 from localring.errors import (
     DimensionMismatch,
@@ -16,8 +15,8 @@ from localring.errors import (
     PrecisionShortfall,
     PresentationError,
     SingularMatrix,
-    ZeroUpToPrecision,
 )
+from oracles import print_series
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)
@@ -249,17 +248,8 @@ class TestPrecisionHousekeeping:
         with pytest.raises(FormMismatch):
             K.embed(h, 3, (2,), O.LinearForm((F(1), F(1), F(2))))
 
-    def test_invert_unit(self):
-        f = poly(1, {(0,): 1, (1,): -1})
-        inv = OR.invert_unit(f, std1, 5)
-        assert inv.terms == {(i,): F(1) for i in range(6)}
-        prod = K.mul(inv, f)
-        assert prod.terms == {(0,): F(1)}
-        with pytest.raises(ZeroUpToPrecision):
-            OR.invert_unit(K.variable(1, 0), std1, 3)
 
-
-# -- builtin jets and unit inversion against a reference built from powers --
+# -- builtin jets against a reference built from powers --
 
 wt12 = O.LinearForm((F(1), F(2)))
 
@@ -292,18 +282,7 @@ def test_builtin_jets_match_sums_of_powers(problem):
     assert K.geom_jet(u, L, mu) == _reference_jet(u, L, mu, lambda k: F(1))
 
 
-@settings(max_examples=80, deadline=None)
-@given(builtin_problems(), st.sampled_from([F(1), F(-2), F(3, 5)]))
-def test_invert_unit_is_an_inverse_on_the_window(problem, c0):
-    u, L, mu = problem
-    f = K.add(K.monomial(2, (0, 0), c0), u)
-    inv = OR.invert_unit(f, L, mu)
-    assert inv.prec == mu and inv.form_ctx == L
-    assert K.agrees_up_to(K.mul(inv, f), K.one(2), L, mu)
-
-
 def test_serialization_roundtrip_bit_exact():
-    from localring.oracles import print_series
     from localring.parser import parse_expression
     rng = random.Random(7)
     names = ("x", "y", "z")

@@ -9,16 +9,17 @@ import pytest
 from localring import cli
 from localring import diagram as DG
 from localring import kernel as K
+from localring import linalg
 from localring import order as O
 from localring import stdbasis as SB
 from localring.errors import ParseError
-from localring.oracles import print_series
 from localring.parser import (
     MAX_NESTING,
     IdealFile,
     load_ideal_file,
     parse_expression,
 )
+from oracles import print_series
 
 std1 = O.std_form(1)
 std3 = O.std_form(3)
@@ -329,6 +330,18 @@ class TestCli:
         assert code == 0
         assert rep["k_best"] == 2 and rep["dim_upper_bound"] == 1
         assert rep["matrix"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    def test_dim_out_of_unimodular_draws_is_a_budget_error(self, tmp_path,
+                                                           monkeypatch):
+        # under one 8 x 8 draw in a thousand is unimodular; three draws
+        # stand in for the default budget, which runs for seconds
+        path = tmp_path / "eight.ideal"
+        path.write_text("vars: a b c d e f g h\nprec: 3\n"
+                        "gen: a*b + c*d + e*f + g*h\n", encoding="utf-8")
+        monkeypatch.setattr(linalg, "_ATTEMPTS", 3)
+        code, rep = cli.run(["dim", "--file", str(path), "--trials", "2"])
+        assert code == 1
+        assert rep["error"] == "BudgetExceeded" and "3 draws" in rep["detail"]
 
     def test_reduction(self, monomial_file):
         code, rep = cli.run(["reduction", "--file", monomial_file, "--k", "2"])

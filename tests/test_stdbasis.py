@@ -4,11 +4,11 @@ import pytest
 
 from conftest import recheck_step
 from localring import kernel as K
-from localring import oracles as OR
 from localring import order as O
 from localring import stdbasis as SB
 from localring.approx import example_family
 from localring.diagram import diagram_of
+from localring.division import hironaka_divide
 from localring.errors import PrecisionShortfall, ZeroUpToPrecision
 
 std1 = O.std_form(1)
@@ -44,15 +44,14 @@ class TestSSeries:
 
 class TestStandardRepresentation:
     def test_exact_zero_passes(self):
-        ok, _ = OR.has_standard_representation(K.zero(2), [K.variable(2, 0)],
-                                               std2, 5)
-        assert ok
+        division = hironaka_divide(K.zero(2), [K.variable(2, 0)], std2, 5)
+        assert division.remainder_is_zero
 
     def test_s13_has_representation(self):
         F1, F2, F3 = example_gens(12)
         s13 = SB.s_series(F1, F3, std3)
-        ok, division = OR.has_standard_representation(s13, [F1, F2, F3], std3, 12)
-        assert ok
+        division = hironaka_divide(s13, [F1, F2, F3], std3, 12)
+        assert division.remainder_is_zero
         assert division.quotients[0].coefficient((0, 0, 4)) == -1
 
     def test_perturbed_witness_fails(self):
@@ -60,8 +59,8 @@ class TestStandardRepresentation:
         h = K.variable(1, 0)
         G = example_gens(8, h=h, window=14)
         witness = K.monomial(3, (2, 2, 7))
-        ok, division = OR.has_standard_representation(witness, list(G), std3, 12)
-        assert not ok
+        division = hironaka_divide(witness, list(G), std3, 12)
+        assert not division.remainder_is_zero
         assert division.remainder.terms == {(2, 2, 7): F(1)}
 
 
@@ -124,8 +123,7 @@ class TestComplete:
         assert len(again.gens) == len(basis.gens)
         # every member divides to zero against the basis
         for g in basis.gens:
-            ok, _ = OR.has_standard_representation(g, basis.gens, std3, 12)
-            assert ok
+            assert hironaka_divide(g, basis.gens, std3, 12).remainder_is_zero
 
     def test_completion_steps_reconstruct(self):
         h = K.variable(1, 0)
