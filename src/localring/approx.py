@@ -105,7 +105,9 @@ def perturb(spec: PerturbationSpec) -> IdealPresentation:
 
 def _base_staircase_threshold(base_vertices: tuple) -> Optional[int]:
     """Largest level carrying complement points of a finite-complement base
-    staircase (None when the complement is infinite)."""
+    staircase (None when the complement is infinite), read off the counts
+    per level that `diagram._complement_levels` takes from the
+    Hilbert-series numerator."""
     if not base_vertices:
         return None
     caps = _axis_degrees(base_vertices)

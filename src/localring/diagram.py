@@ -3,10 +3,13 @@ dimension diagnostics, and the exact row-reduction oracle.
 
 Every claim made here carries the certification window of the basis it came
 from: a diagram computed from a mu-certified basis describes the true
-staircase on {L <= mu} and says nothing beyond.  The oracle section computes
-jet-space dimensions by exact rational row reduction over the monomial
-basis, independently of the division machinery, and is used to cross-check
-it.
+staircase on {L <= mu} and says nothing beyond.  Complement counts and
+Hilbert-Samuel tables are read off the numerator of the staircase's weighted
+Hilbert series, which is built from the vertices alone, so their cost does
+not grow with the number of points outside the staircase.  The oracle
+section computes jet-space dimensions by exact rational row reduction over
+the monomial basis, independently of the division machinery, and is used to
+cross-check it.
 """
 
 from __future__ import annotations
@@ -71,14 +74,19 @@ class HSTable(NamedTuple):
 
 
 def minimal_antichain(exponents: Iterable[Exponent]) -> tuple:
-    """Minimal elements under componentwise divisibility, sorted."""
-    exps = sorted(set(exponents))
+    """Minimal elements under componentwise divisibility, sorted.
+
+    A divisor comes before its multiples in lexicographic order, so one pass
+    over the sorted exponents keeps each that no kept one divides.
+    """
     keep = []
-    for e in exps:
-        if not any(all(x >= y for x, y in zip(e, f)) for f in keep):
-            keep = [f for f in keep if not all(x >= y for x, y in zip(f, e))]
+    for e in sorted(set(exponents)):
+        for f in keep:
+            if all(map(operator.ge, e, f)):
+                break
+        else:
             keep.append(e)
-    return tuple(sorted(keep))
+    return tuple(keep)
 
 
 def diagram_of(B: CertifiedBasis) -> Diagram:
@@ -93,37 +101,52 @@ def _complement_levels(vertices: tuple, weights: tuple, cap: int) -> list:
     level 0..cap, the level of a point being its dot product with the
     integer `weights`.
 
-    The complement is an order ideal (every divisor of a non-member is a
-    non-member), so it is walked once from 0 by unit steps: a point's
-    children raise one coordinate at or after the last one raised on the
-    way to it, which reaches each point exactly once, along the path that
-    lowers its last nonzero coordinate first.  A child in the staircase or
-    above the cap is not entered, and neither is anything above it.
+    The vertices need not be minimal or distinct.  The staircase's weighted
+    Hilbert series is K(t) / prod(1 - t^w), and the numerator K comes from
+    the vertices alone by K(I + (m)) = K(I) - t^L(m) K(I : m) (Bayer and
+    Stillman 1992), unrolled as K(g_1..g_r) = 1 - sum_r t^L(g_r)
+    K((g_1..g_{r-1}) : g_r) over an explicit stack of (ideal, level, sign)
+    terms.  Only K up to t^cap is needed, and that part depends only on the
+    generators of level <= cap, so each term drops the generators above its
+    room and a term above the cap contributes nothing.  Each colon is
+    reduced to its minimal generators; one that contains 1 (a zero
+    exponent) has K = 0.  The counts are then K / prod(1 - t^w), one
+    in-place prefix pass per weight.
     """
     counts = [0] * (cap + 1)
-    n = len(weights)
     if cap < 0 or any(not any(v) for v in vertices):  # 0 is in the staircase
         return counts
-    stack = [((0,) * n, 0, 0)]  # point, its level, first coordinate to raise
+    stack = [(vertices, 0, 1)]
     while stack:
-        beta, level, first = stack.pop()
-        counts[level] += 1
-        for i in range(first, n):
-            up = level + weights[i]
-            if up > cap:
+        gens, level, sign = stack.pop()
+        counts[level] += sign
+        room = cap - level
+        kept = []
+        for g in gens:
+            up = sum(map(operator.mul, g, weights))
+            if up > room:
                 continue
-            child = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
-            if not any(all(map(operator.ge, child, v)) for v in vertices):
-                stack.append((child, up, i))
+            if not kept:  # nothing before g: the colon is 0, with K = 1
+                counts[level + up] -= sign
+            else:
+                colon = minimal_antichain(
+                    [tuple([a - b if a > b else 0 for a, b in zip(h, g)])
+                     for h in kept])
+                if any(colon[0]):  # else 1 is in the colon: K = 0
+                    stack.append((colon, level + up, -sign))
+            kept.append(g)
+    for w in weights:
+        for c in range(w, cap + 1):
+            counts[c] += counts[c - w]
     return counts
 
 
 def complement_count(D: Diagram, L: LinearForm, eta) -> int:
     """#{b outside the staircase with L(b) <= eta}.
 
-    The size of one walk of the complement from 0 by unit steps inside the
-    window {level <= L.level_cap(eta)}: only complement points and the
-    steps out of the complement are looked at, not the whole sub-level ball.
+    The counts per level up to L.level_cap(eta), read off the Hilbert-series
+    numerator of the vertices (`_complement_levels`) and summed: neither the
+    complement nor the sub-level ball is enumerated.
     """
     if L != D.form:
         raise FormMismatch("counting under a form the diagram was not built for")
@@ -139,10 +162,11 @@ def hilbert_samuel(B: CertifiedBasis, eta_max) -> HSTable:
 
     Requires the standard form (all weights 1), where the sub-level sets are
     total-degree balls and the count equals the jet-quotient dimension.  The
-    complement is walked once up to degree eta_max (as in
-    `complement_count`), bucketed by degree and accumulated.  eta_max is an
-    integer degree, possibly given as an integral `Fraction`; any other
-    value raises PresentationError.
+    counts per degree up to eta_max come from the Hilbert-series numerator
+    (as in `complement_count`) and are accumulated.  They are read from the
+    heads of the verified basis as they stand, since the numerator needs no
+    minimal vertex set.  eta_max is an integer degree, possibly given as an
+    integral `Fraction`; any other value raises PresentationError.
     """
     if not is_standard(B.form):
         raise FormMismatch("Hilbert-Samuel tables use the standard form")
@@ -152,8 +176,9 @@ def hilbert_samuel(B: CertifiedBasis, eta_max) -> HSTable:
     eta_max = degree.numerator
     if not prec_at_least(B.mu, eta_max):
         raise PrecisionShortfall(f"eta_max {eta_max} beyond certification {B.mu}")
-    levels = _complement_levels(diagram_of(B).vertices, B.form.int_weights,
-                                eta_max)
+    if not B.verified:
+        raise UnverifiedBasis("diagram_of needs a verified basis")
+    levels = _complement_levels(B.heads, B.form.int_weights, eta_max)
     # from a list: tuple() over an iterator of unknown length allocates ten
     # slots and shrinks, and the shrunk tuples pile up in the free lists
     return HSTable(tuple([*accumulate(levels)]))

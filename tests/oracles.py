@@ -8,11 +8,16 @@ elementary symmetric values (`generalized_discriminant`) is kept as an
 independent, degree-capped oracle for the tests.  It runs on exact kernel
 series (`mul`, `power`, `add`), which the Hankel route of `equising`
 never calls.
+
+`walk_complement_levels` counts a staircase complement per level by
+visiting every complement point, the way `diagram._complement_levels` did
+before it read the counts off the Hilbert-series numerator.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
@@ -194,3 +199,33 @@ def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
     rhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, m))
     return {"eta": eta, "m": m, "lhs_rank": lhs.rank, "rhs_rank": rhs.rank,
             "equal": lhs.rank == rhs.rank}
+
+
+def walk_complement_levels(vertices: tuple, weights: tuple, cap: int) -> list:
+    """How many points outside the staircase of `vertices` lie at each
+    level 0..cap, the level of a point being its dot product with the
+    integer `weights`.
+
+    The complement is an order ideal (every divisor of a non-member is a
+    non-member), so it is walked once from 0 by unit steps: a point's
+    children raise one coordinate at or after the last one raised on the
+    way to it, which reaches each point exactly once, along the path that
+    lowers its last nonzero coordinate first.  A child in the staircase or
+    above the cap is not entered, and neither is anything above it.
+    """
+    counts = [0] * (cap + 1)
+    n = len(weights)
+    if cap < 0 or any(not any(v) for v in vertices):  # 0 is in the staircase
+        return counts
+    stack = [((0,) * n, 0, 0)]  # point, its level, first coordinate to raise
+    while stack:
+        beta, level, first = stack.pop()
+        counts[level] += 1
+        for i in range(first, n):
+            up = level + weights[i]
+            if up > cap:
+                continue
+            child = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+            if not any(all(map(operator.ge, child, v)) for v in vertices):
+                stack.append((child, up, i))
+    return counts

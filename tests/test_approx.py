@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localring import approx as AP
-from localring import diagram as DG
 from localring import kernel as K
 from localring import order as O
 from localring.errors import PrecisionShortfall, PresentationError

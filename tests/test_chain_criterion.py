@@ -1,7 +1,7 @@
-"""The chain criterion in completion and the complement walk in counting,
-checked against completion without the criterion, against the pairwise
-s-series check that divides every pair, against enumeration of the
-sub-level ball and against the row-reduction oracles."""
+"""The chain criterion in completion and the complement counts, checked
+against completion without the criterion, against the pairwise s-series
+check that divides every pair, against enumeration of the sub-level ball
+and against the row-reduction oracles."""
 
 from fractions import Fraction as F
 
@@ -112,7 +112,7 @@ def test_sbasis_complete_keeps_the_criterion_off(tmp_path):
     assert code == 0 and rep["vertices"] == [[0, 0, 3], [0, 2, 0], [1, 0, 0]]
 
 
-# -- the complement walk -----------------------------------------------------------
+# -- complement counts -------------------------------------------------------------
 
 @settings(max_examples=120, deadline=None)
 @given(ideals(finite=True))

@@ -1,7 +1,12 @@
+import operator
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from localring import diagram as DG
 from localring import kernel as K
@@ -88,6 +93,51 @@ class TestComplementCount:
                 assert DG.complement_count(D, std2, eta) == expected
 
 
+@st.composite
+def staircases(draw):
+    """(vertices, weights, cap) in 1-5 variables with weights 1-6.  The
+    vertices may repeat or divide one another, as the heads of a basis can.
+    The walk visits every point of the sub-level ball outside the staircase,
+    so draws whose ball may hold more than 6000 points are dropped."""
+    n = draw(st.integers(1, 5))
+    weights = draw(st.tuples(*[st.integers(1, 6)] * n))
+    cap = draw(st.integers(-1, 30))
+    assume(comb(cap // min(weights) + n, n) <= 6000)
+    exponents = st.tuples(*[st.integers(0, 5)] * n)
+    vertices = draw(st.lists(exponents, max_size=8))
+    if vertices:
+        vertices += [tuple(map(operator.add, v, draw(exponents)))
+                     for v in draw(st.lists(st.sampled_from(vertices),
+                                            max_size=2))]
+    return tuple(draw(st.permutations(vertices))), weights, cap
+
+
+def degree_power(n: int, d: int) -> tuple:
+    """Every monomial of degree d in n variables: the vertices of m^d."""
+    return tuple(tuple(combo.count(i) for i in range(n))
+                 for combo in combinations_with_replacement(range(n), d))
+
+
+class TestComplementLevels:
+    @settings(max_examples=150, deadline=None)
+    @given(staircases())
+    @example(((), (1, 2), 30))  # no vertex: the whole sub-level ball
+    @example((((2, 1), (0, 0), (1, 3)), (1, 1), 5))  # 0: nothing outside
+    @example((((2, 1), (2, 1), (3, 1), (0, 4)), (2, 3), 30))  # not minimal
+    @example((((1, 2, 0),), (1, 1, 1), -1))  # no level at all
+    def test_numerator_matches_the_walk(self, staircase):
+        assert DG._complement_levels(*staircase) == \
+            OR.walk_complement_levels(*staircase)
+
+    def test_every_degree_16_monomial_in_4_variables(self):
+        levels = DG._complement_levels(degree_power(4, 16), (1,) * 4, 20)
+        assert levels == [comb(c + 3, 3) if c < 16 else 0 for c in range(21)]
+
+    def test_a_power_of_the_maximal_ideal_in_2_variables(self):
+        levels = DG._complement_levels(degree_power(2, 200), (1, 1), 210)
+        assert levels == [c + 1 if c < 200 else 0 for c in range(211)]
+
+
 class TestHilbertSamuel:
     def test_monomial_table(self):
         I = K.IdealPresentation(2, (K.monomial(2, (2, 0)), K.monomial(2, (0, 3))))
@@ -110,6 +160,20 @@ class TestHilbertSamuel:
             values = DG.hilbert_samuel(basis, 6).values
             assert values[0] == 1
             assert all(a <= b for a, b in zip(values, values[1:]))
+
+    def test_unverified_rejected(self):
+        basis = SB.CertifiedBasis((K.monomial(2, (2, 0)),), std2, F(4),
+                                  False, heads=((2, 0),))
+        with pytest.raises(UnverifiedBasis):
+            DG.hilbert_samuel(basis, 3)
+
+    def test_far_window_of_a_principal_monomial_ideal(self):
+        # outside (x*y) lie 2e + 1 monomials of degree e; a walk would visit
+        # about four million points
+        I = K.IdealPresentation(3, (K.monomial(3, (1, 1, 0)),))
+        basis = SB.complete(I, std3, 2000)
+        assert DG.hilbert_samuel(basis, 2000).values == tuple(
+            (e + 1) ** 2 for e in range(2001))
 
     def test_integral_fraction_bound(self):
         # an integral Fraction is a degree; any other fraction is refused

@@ -15,7 +15,6 @@ from localring import stdbasis as SB
 from localring.errors import ParseError
 from localring.parser import (
     MAX_NESTING,
-    IdealFile,
     load_ideal_file,
     parse_expression,
 )

@@ -11,6 +11,7 @@ import pytest
 import localring
 
 SOURCE = Path(localring.__file__).parent
+TESTS = Path(__file__).parent
 HOT_MODULES = ("kernel.py", "order.py", "division.py", "stdbasis.py",
                "equising.py")
 
@@ -45,8 +46,8 @@ def _unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     # the package re-exports its API from __init__, which reads no names
     found = []
-    for path in sorted(SOURCE.glob("*.py")):
-        if path.name != "__init__.py":
+    for path in [*sorted(SOURCE.glob("*.py")), *sorted(TESTS.glob("*.py"))]:
+        if path != SOURCE / "__init__.py":
             found += _unused_imports(path)
     assert not found, found
 
