@@ -177,7 +177,7 @@ def hilbert_samuel(B: CertifiedBasis, eta_max) -> HSTable:
     if not prec_at_least(B.mu, eta_max):
         raise PrecisionShortfall(f"eta_max {eta_max} beyond certification {B.mu}")
     if not B.verified:
-        raise UnverifiedBasis("diagram_of needs a verified basis")
+        raise UnverifiedBasis("hilbert_samuel needs a verified basis")
     levels = _complement_levels(B.heads, B.form.int_weights, eta_max)
     # from a list: tuple() over an iterator of unknown length allocates ten
     # slots and shrinks, and the shrunk tuples pile up in the free lists

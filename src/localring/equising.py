@@ -31,10 +31,14 @@ the matrix-vector products suffice.  (c) No product is formed whose value
 is known: the step's Toeplitz update adds t_k * char_r[i - k] only for the
 nonzero t_k with k >= 1 to char_r[i] itself (t_0 = 1), and Newton's
 identities pair only the nonzero coefficients and add k * c_k as a scaled
-copy.  All three are identities in every commutative ring, truncation to
+copy.  (a)-(c) are identities in every commutative ring, truncation to
 the window is a ring map onto Q[x]/m^(mu+1), and so the minors are those
-of the full pass.  For y^p, whose matrix is p in its corner and 0
-elsewhere, the pass makes one product in all.
+of the full pass.  (d) Minors that vanish on the window are not formed.
+With w_i the lowest degree of a_i, every root has order >= theta =
+min w_i / (p - i) (Newton-Puiseux, in t after x -> t x), and D_j sums
+products of m(m-1) root differences, so it is zero on the window once
+m(m-1) theta exceeds the window's top degree.  For y^p only D_p = p is
+formed.
 
 The discriminants run on jets {packed exponent: coefficient} truncated to
 the window.  The exponents are packed into ints as `division`
@@ -155,8 +159,9 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     Both kinds of input are jets keyed by exponents packed as in
     `division`: a number c is {0: c}, 0 packing the origin, and its window
     is the one level 0.  `dot` is the truncated `_jet_dot`, and the keys
-    are unpacked only in the returned minors.  The pass takes the three
-    shortcuts of the module docstring.
+    are unpacked only in the returned minors.  The pass takes the four
+    shortcuts of the module docstring; by (d) it forms only the leading
+    size x size minors, the others being returned as empty jets.
     """
     p = len(coeffs)
     if n_vars:
@@ -164,15 +169,16 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         truncated = [truncate(c, L, mu) for c in coeffs]
         pk = _packing(L, mu, truncated)
         ints = [_packed(f, pk) for f in truncated]  # a_i = jet_i / den_i
-        limit = (L.level_cap(mu) + 1) << pk.shift
+        top, shift = L.level_cap(mu), pk.shift
         unpack = functools.partial(_unpack, pk)
     else:
         ints = [({0: c.numerator} if c else {}, c.denominator)
                 for c in map(Fraction, coeffs)]
-        limit = 1
+        top = shift = 0
 
         def unpack(e: int) -> tuple:
             return ()
+    limit = (top + 1) << shift
     # fold, not lcm(*...): a star argument builds a tuple per call that lands
     # in CPython's tuple free lists
     d = functools.reduce(math.lcm, [den for _, den in ints], 1)
@@ -183,11 +189,18 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     def dot(pairs: list, start: dict) -> dict:
         return _jet_dot(pairs, limit, start) if pairs else start
 
+    # (d) size: the largest m <= p with m(m-1) w_i / (p - i) <= top for a
+    # nonzero a_i, w_i its lowest degree; 1 when every a_i is zero
+    orders = [(min(jet) >> shift, p - i) for i, jet in enumerate(jets) if jet]
+    size = min(p, 1)
+    while size < p and any(size * (size + 1) * w <= top * q for w, q in orders):
+        size += 1
+
     # Newton: s_k = -(k c_k + c_1 s_{k-1} + ... + c_{k-1} s_1) with
     # c_i = A_{p-i}, and c_i = 0 for i > p; only nonzero c_i make pairs
     nonzero = [i for i in range(1, p + 1) if jets[p - i]]
     s = [{0: p}]
-    for k in range(1, 2 * p - 1):
+    for k in range(1, 2 * size - 1):
         kc = {e: k * c for e, c in jets[p - k].items()} if k <= p else {}
         s.append(_negated(dot([(jets[p - i], s[k - i])
                                for i in nonzero if i < k], kc)))
@@ -200,7 +213,7 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
     # and the zero t_k make no product.
     char = [{0: 1}]                     # highest degree first
     minors = []
-    for r in range(p):
+    for r in range(size):
         t = [{0: 1}, _negated(s[2 * r])]
         v = [s[r:2 * r]]
         for k in range(r):
@@ -219,7 +232,7 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
         minors.append({unpack(e): Fraction(c, scale)
                        for e, c in char[-1].items()})
-    return minors[::-1]
+    return [{} for _ in range(p - size)] + minors[::-1]
 
 
 def distinct_root_count_check(coeffs: Sequence, p: int) -> int:

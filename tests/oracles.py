@@ -7,7 +7,9 @@ The classical leading-term reduction of D_j to a polynomial in the
 elementary symmetric values (`generalized_discriminant`) is kept as an
 independent, degree-capped oracle for the tests.  It runs on exact kernel
 series (`mul`, `power`, `add`), which the Hankel route of `equising`
-never calls.
+never calls.  Beyond its cap, `berkowitz_discriminants` runs Newton's
+identities and a plain Berkowitz pass on the same kernel series, forming
+every product that the Hankel route skips.
 
 `walk_complement_levels` counts a staircase complement per level by
 visiting every complement point, the way `diagram._complement_levels` did
@@ -25,7 +27,8 @@ from typing import NamedTuple, Optional, Sequence
 from localring.diagram import _span, tail_monomials
 from localring.errors import BudgetExceeded, DimensionMismatch, PresentationError
 from localring.kernel import (IdealPresentation, PrecisionSeries, add, monomial, mul,
-                              one, power, series, sub, truncate, variable, zero)
+                              one, power, scale, series, sub, truncate, variable,
+                              zero)
 from localring.order import LinearForm
 
 #: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
@@ -156,6 +159,50 @@ def evaluate_at_series(red: SymmetricReduction, coeffs: Sequence[PrecisionSeries
                 term = truncate(mul(term, coeffs[m]), L, mu)
         total = add(total, term)
     return truncate(total, L, mu)
+
+
+def berkowitz_discriminants(coeffs: Sequence[PrecisionSeries], L: LinearForm,
+                            mu) -> list:
+    """D_1, ..., D_p at series coefficients (a_0, ..., a_{p-1}) on the window
+    (L, mu), with no degree cap.
+
+    Newton's identities give the power sums s_0..s_{2p-2}, and a plain
+    Berkowitz pass over the Hankel matrix [s_{a+b}] gives the characteristic
+    polynomial of each leading block, whose constant term is (-1)^m times
+    its m x m minor.  Every product is a kernel product truncated to the
+    window; no product is skipped, whatever its value.
+    """
+    p, n = len(coeffs), coeffs[0].n
+
+    def dot(us, vs):
+        total = zero(n)
+        for u, v in zip(us, vs):
+            total = add(total, truncate(mul(u, v), L, mu))
+        return total
+
+    c = [one(n)] + [coeffs[p - i] for i in range(1, p + 1)]  # c_i = a_{p-i}
+    s = [scale(one(n), p)]
+    for k in range(1, 2 * p - 1):
+        total = dot(c[1:k], s[k - 1:0:-1])
+        if k <= p:
+            total = add(total, scale(c[k], k))
+        s.append(-total)
+
+    char = [one(n)]                     # highest degree first
+    minors = []
+    for r in range(p):
+        # t = (1, -h, -c.c, -c.H c, ..., -c.H^(r-1) c), H the leading r x r
+        # block, c its next column and h the new diagonal entry
+        col = s[r:2 * r]
+        t = [one(n), -s[2 * r]]
+        v = col
+        for _ in range(r):
+            t.append(-dot(col, v))
+            v = [dot(s[a:a + r], v) for a in range(r)]
+        char = [dot(t[:i + 1], (char + [zero(n)])[i::-1]) for i in range(r + 2)]
+        m = r + 1
+        minors.append(scale(char[-1], (-1) ** (m * (m + 1) // 2)))
+    return minors[::-1]
 
 
 def print_series(f: PrecisionSeries, var_names: Sequence[str]) -> str:

@@ -164,7 +164,7 @@ class TestHilbertSamuel:
     def test_unverified_rejected(self):
         basis = SB.CertifiedBasis((K.monomial(2, (2, 0)),), std2, F(4),
                                   False, heads=((2, 0),))
-        with pytest.raises(UnverifiedBasis):
+        with pytest.raises(UnverifiedBasis, match="hilbert_samuel needs"):
             DG.hilbert_samuel(basis, 3)
 
     def test_far_window_of_a_principal_monomial_ideal(self):

@@ -7,6 +7,8 @@ denominators; it is compared with a copy of the `Fraction` loop it
 replaced, kept here as the reference.  Root counts of numbers run on plain
 ints; they are compared with the gcd oracle beyond the symbolic cap, and
 the minors themselves with determinants of Hankel matrices of power sums.
+The minors that the Newton-polygon cut leaves out are compared, beyond the
+cap, with a plain Berkowitz pass over kernel series.
 """
 
 import math
@@ -14,6 +16,7 @@ import operator
 from fractions import Fraction as F
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,7 @@ from localring import equising as E
 from localring import kernel as K
 from localring import linalg
 from localring import order as O
+import oracles as OR
 
 COEFFS = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(5, 6), F(-7, 4)]
 WEIGHTS = (F(1, 2), F(2, 3), F(1), F(3, 2), F(3))
@@ -194,17 +198,82 @@ def test_hankel_route_never_calls_kernel_mul(monkeypatch):
 
 
 def test_zero_series_vector_stops_at_the_structural_zero():
-    # y^14 over one variable, and over the numbers: every power sum but s_0
-    # vanishes, so each Berkowitz step stops before its first matrix-vector
-    # product, Newton pairs no coefficient, and only t_1 = -p of the first
-    # step is nonzero
+    # y^14 over one variable, and over the numbers: every coefficient is
+    # zero, so no root difference has a finite order and only the 1 x 1
+    # minor D_p = p reaches the window; the one Berkowitz step makes the
+    # one product t_1 * char_0, and Newton runs no step
     p = 14
     zero = [K.truncate(K.series(1, {}), O.std_form(1), p)] * p
     for coeffs, n_vars, origin in ((zero, 1, (0,)), ([0] * p, 0, ())):
         with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
             minors = E._hankel_discriminants(coeffs, n_vars, p)
-        assert dot.call_count <= 2
+        assert dot.call_count == 1
         assert minors == [{}] * (p - 1) + [{origin: F(p)}]
+
+
+# -- the Newton-polygon cut ----------------------------------------------------
+
+def _symbolic_minors(coeffs, mu) -> list:
+    L = O.std_form(coeffs[0].n)
+    p = len(coeffs)
+    return [OR.evaluate_at_series(OR.generalized_discriminant(p, j),
+                                  coeffs, L, mu).terms
+            for j in range(1, p + 1)]
+
+
+@pytest.mark.parametrize("n, low", [(1, {(6,): -1}), (2, {(1, 5): -1})])
+def test_a_minor_whose_order_is_mu_is_computed(n, low):
+    # X^2 - x^6 and X^2 - x y^5 at mu = 6: theta = 6/2 = 3, so the 2 x 2
+    # minor has order >= 2 * 3 = mu and lies on the window's edge
+    coeffs = [K.series(n, low), K.zero(n)]
+    minors = E._hankel_discriminants(coeffs, n, 6)
+    assert minors[0]
+    assert minors == _symbolic_minors(coeffs, 6)
+
+
+def test_minors_beyond_the_window_make_no_product():
+    # y^5 - x^7 at mu = 10: theta = 7/5, and m(m-1) theta = 2.8, 8.4, 16.8
+    # for m = 2, 3, 4, so only the minors of sizes 1..3 are formed; the
+    # power sums s_1..s_4 vanish, and only t_1 * char_0 is a product (the
+    # pass without the cut made 13)
+    coeffs = [K.series(1, {(7,): -1})] + [K.zero(1)] * 4
+    with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
+        minors = E._hankel_discriminants(coeffs, 1, 10)
+    assert dot.call_count == 1
+    assert minors == _symbolic_minors(coeffs, 10)
+
+
+@st.composite
+def sloped_vectors(draw):
+    """(coefficients, mu): degree 6..8 in 1..2 variables, with theta drawn
+    near mu / (m(m-1)) for a drawn m, so that the cut falls anywhere in
+    1..p: a_i is zero or has lowest degree about (p - i) theta."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(6, 8))
+    mu = draw(st.integers(2, 8) | st.integers(3, 15).map(lambda k: F(k, 2)))
+    m = draw(st.integers(2, p))
+    theta = F(mu) / (m * (m - 1))
+    coeffs = []
+    for i in range(p):
+        terms = {}
+        if draw(st.integers(0, 3)):
+            low = max(0, math.floor((p - i) * theta) + draw(st.integers(-1, 1)))
+            for d in [low] + draw(st.lists(st.integers(low, low + 2), max_size=2)):
+                k = draw(st.integers(0, d))
+                terms[(d,) if n == 1 else (k, d - k)] = draw(st.sampled_from(COEFFS))
+        coeffs.append(K.series(n, terms))
+    return coeffs, mu
+
+
+@settings(max_examples=80, deadline=None)
+@given(sloped_vectors())
+# y^8 - x^3 at mu = 7: theta = 3/8, and only the sizes m <= 4 are formed
+@example(([K.series(1, {(3,): -1})] + [K.zero(1)] * 7, 7))
+def test_minors_match_the_plain_berkowitz_oracle_beyond_the_cap(case):
+    coeffs, mu = case
+    L = O.std_form(coeffs[0].n)
+    want = OR.berkowitz_discriminants(coeffs, L, mu)
+    assert E._hankel_discriminants(coeffs, coeffs[0].n, mu) == [d.terms for d in want]
 
 
 # -- root counts beyond the symbolic cap ---------------------------------------
