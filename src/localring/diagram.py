@@ -32,6 +32,7 @@ from .errors import (
     UnverifiedBasis,
 )
 from .kernel import (
+    _ZERO,
     IdealPresentation,
     PrecisionSeries,
     _admit,
@@ -358,7 +359,7 @@ class ExactRowReducer:
                 return row
             factor = row[col]
             for e, c in pivot.items():
-                s = row.get(e, Fraction(0)) - factor * c
+                s = row.get(e, _ZERO) - factor * c
                 if s:
                     row[e] = s
                 else:

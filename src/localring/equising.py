@@ -88,7 +88,9 @@ from .errors import (
     UndecidedAtPrecision,
 )
 from .kernel import (
+    _ZERO,
     PrecisionSeries,
+    _as_fraction,
     agrees_up_to,
     mul,
     prec_min,
@@ -173,7 +175,7 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
         unpack = functools.partial(_unpack, pk)
     else:
         ints = [({0: c.numerator} if c else {}, c.denominator)
-                for c in map(Fraction, coeffs)]
+                for c in map(_as_fraction, coeffs)]
         top = shift = 0
 
         def unpack(e: int) -> tuple:
@@ -314,7 +316,8 @@ def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
     top = int(mu)
     W = max([(p - e[i]) // (sum(e) - e[i]) + 1 for e in ft.terms if e[i] < p],
             default=1)
-    Lw = LinearForm(tuple([1 if k == i else W for k in range(n)]))
+    Lw = L if W == 1 else LinearForm(
+        tuple([1 if k == i else W for k in range(n)]))
     cap = W * top + p
     jet = PrecisionSeries(n, ft.terms)  # exact, so admitted under Lw
     pk = _packing(Lw, cap, [jet])
@@ -349,7 +352,7 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     for y^3 + y^4 + x at mu = 4), and then u * P != j there.  The identity
     u * P = j is re-verified on the window before returning.
     """
-    mu = Fraction(mu)
+    mu = _as_fraction(mu)
     P, jet, record, pk, cap = _weierstrass_polynomial(f, i, mu)
     n, L = f.n, std_form(f.n)
     order = min(map(sum, P.terms))
@@ -394,7 +397,7 @@ def coefficient_vector(f: PrecisionSeries, i: int, p: int):
     # shrink it, and the shrunk tuples pile up in the interpreter's tuple
     # free lists of every size p
     if n == 1:
-        return tuple([s.get((), Fraction(0)) for s in slots])
+        return tuple([s.get((), _ZERO) for s in slots])
     form = f.form_ctx.restrict(n - 1) if f.form_ctx is not None else None
     return tuple([PrecisionSeries(n - 1, s, f.prec, form) for s in slots])
 
@@ -429,7 +432,7 @@ def _first_nonvanishing(coeffs, n_vars: int, mu) -> tuple:
     for j, d in enumerate(_hankel_discriminants(coeffs, n_vars, mu), start=1):
         if d:
             val = d[()] if n_vars == 0 else PrecisionSeries(
-                n_vars, d, Fraction(mu), std_form(n_vars))
+                n_vars, d, _as_fraction(mu), std_form(n_vars))
             return j, val, (cert,) * (j - 1)
     raise UndecidedAtPrecision(
         "every generalized discriminant vanished up to the working precision")
@@ -478,7 +481,7 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
     with constant levels; a univariate level's discriminant is a nonzero
     number, so the bottom level is always the constant 1.
     """
-    mu = Fraction(mu)
+    mu = _as_fraction(mu)
     gens = list(gens)
     if not gens:
         raise PresentationError("tower construction needs generators")

@@ -59,6 +59,15 @@ EXACT = None
 
 Prec = Optional[Fraction]
 
+#: The one coefficient zero, the default of every lookup of a coefficient.
+_ZERO = Fraction(0)
+
+
+def _as_fraction(x) -> Fraction:
+    """x as a `Fraction`: x itself when it is one, since the constructor
+    takes a `Fraction` through the slow `numbers.Rational` path."""
+    return x if x.__class__ is Fraction else Fraction(x)
+
 
 def prec_min(a: Prec, b: Prec) -> Prec:
     if a is EXACT:
@@ -117,7 +126,7 @@ class PrecisionSeries:
         return not self.terms
 
     def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
+        return self.terms.get(tuple(exp), _ZERO)
 
     def sorted_terms(self, L: Optional[LinearForm] = None):
         """The terms in the order of L, by default the standard order."""
@@ -148,21 +157,31 @@ class PrecisionSeries:
 
 def series(n: int, terms: Mapping, prec: Prec = EXACT,
            form: Optional[LinearForm] = None) -> PrecisionSeries:
-    """Sanitizing constructor: coerces coefficients, drops zeros."""
+    """Sanitizing constructor: coerces exponents to tuples of ints and
+    coefficients to `Fraction`s, adds the coefficients of exponents that
+    coerce to one tuple, and drops zeros.  An exponent component that is
+    not an integral number (1.5, or -0.5, which `int` would round to 0)
+    is refused."""
     clean: dict = {}
     for exp, coeff in terms.items():
         e = (*map(int, exp),)
+        if e != tuple(exp):
+            raise PresentationError(f"non-integral exponent {tuple(exp)}")
         if len(e) != n:
             raise DimensionMismatch(f"exponent {e} in ambient dimension {n}")
         if any(b < 0 for b in e):
             raise PresentationError(f"negative exponent {e}")
-        c = Fraction(coeff)
-        if c:
-            clean[e] = clean.get(e, Fraction(0)) + c
-            if not clean[e]:
+        c = _as_fraction(coeff)
+        if not c:
+            continue
+        if e in clean:  # one addition per repeated exponent
+            c += clean[e]
+            if not c:
                 del clean[e]
+                continue
+        clean[e] = c
     if prec is not EXACT:
-        prec = Fraction(prec)
+        prec = _as_fraction(prec)
         if form is None:
             raise FormMismatch("a finite precision bound needs a linear form")
         inside = _window(clean, form, prec)
@@ -181,7 +200,7 @@ def one(n: int) -> PrecisionSeries:
 
 
 def monomial(n: int, exp: Exponent, coeff=1) -> PrecisionSeries:
-    return series(n, {tuple(exp): Fraction(coeff)})
+    return series(n, {tuple(exp): coeff})
 
 
 def variable(n: int, i: int) -> PrecisionSeries:
@@ -219,7 +238,7 @@ def add(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
     prec = prec_min(a.prec, b.prec)
     out = dict(a.terms)
     for e, c in b.terms.items():
-        s = out.get(e, Fraction(0)) + c
+        s = out.get(e, _ZERO) + c
         if s:
             out[e] = s
         else:
@@ -331,7 +350,7 @@ def truncate(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
 
     Sound whenever f is admitted on the window (`_admit`).
     """
-    mu = Fraction(mu)
+    mu = _as_fraction(mu)
     _admit(f, L, mu)
     return PrecisionSeries(f.n, _window(f.terms, L, mu), mu, L)
 
@@ -460,7 +479,7 @@ def substitute_linear(f: PrecisionSeries, M) -> PrecisionSeries:
             if b:
                 prod = mul(prod, row_power(i, b))
         for pe, pc in prod.terms.items():
-            s = total.get(pe, Fraction(0)) + c * pc
+            s = total.get(pe, _ZERO) + c * pc
             if s:
                 total[pe] = s
             else:
@@ -483,7 +502,7 @@ def evaluate_tail_zero(f: PrecisionSeries, k: int) -> PrecisionSeries:
 
 def agrees_up_to(a: PrecisionSeries, b: PrecisionSeries, L: LinearForm, mu) -> bool:
     """Do a and b have identical terms on the window {L <= mu}?"""
-    mu = Fraction(mu)
+    mu = _as_fraction(mu)
     _admit(a, L, mu)
     _admit(b, L, mu)
     return _window(a.terms, L, mu) == _window(b.terms, L, mu)

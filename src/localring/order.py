@@ -33,12 +33,14 @@ Exponent = tuple[int, ...]
 class LinearForm:
     """Positive rational weight vector defining the order on exponents.
 
-    `den` (the lcm of the weight denominators) and `int_weights` (the
-    weights times `den`) are derived: equality, hash and repr depend on
+    `den` (the lcm of the weight denominators), `int_weights` (the
+    weights times `den`) and `unit` (whether every integer weight is 1, as
+    for (1, 1) and (1/2, 1/2), so that a level is the plain sum of the
+    exponent) are derived: equality, hash, repr and pickling depend on
     `weights` alone.  Forms are frozen.
     """
 
-    __slots__ = ("weights", "den", "int_weights")
+    __slots__ = ("weights", "den", "int_weights", "unit")
 
     def __init__(self, weights):
         # tuples from lists, and a fold rather than lcm(*...): a tuple built
@@ -52,8 +54,9 @@ class LinearForm:
         den = reduce(math.lcm, [w.denominator for w in ws], 1)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "int_weights",
-                           tuple([w.numerator * (den // w.denominator) for w in ws]))
+        int_weights = tuple([w.numerator * (den // w.denominator) for w in ws])
+        object.__setattr__(self, "int_weights", int_weights)
+        object.__setattr__(self, "unit", all(w == 1 for w in int_weights))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen form")
@@ -74,6 +77,8 @@ class LinearForm:
 
     def level(self, beta: Exponent) -> int:
         """The integer den * L(beta); the caller checks the dimension."""
+        if self.unit:
+            return sum(beta)
         return sum(map(mul, self.int_weights, beta))
 
     def level_cap(self, bound) -> int:
@@ -87,7 +92,13 @@ class LinearForm:
         return len(self.weights)
 
     def restrict(self, k: int) -> "LinearForm":
-        """The induced form on the first k coordinates."""
+        """The induced form on the first k coordinates, 1 <= k <= n; the
+        shared `std_form(k)` when this form is standard."""
+        if not 1 <= k <= len(self.weights):
+            raise DimensionMismatch(
+                f"cannot restrict a form on {self.n} variables to {k}")
+        if is_standard(self):
+            return std_form(k)
         return LinearForm(self.weights[:k])
 
 
@@ -109,7 +120,7 @@ def weighted_split_form(n: int, k: int, l) -> LinearForm:
 
 
 def is_standard(L: LinearForm) -> bool:
-    return all(w == 1 for w in L.weights)
+    return L.unit and L.den == 1
 
 
 def is_isotropic(L: LinearForm) -> bool:

@@ -203,6 +203,36 @@ class TestEvaluateTailZero:
             K.evaluate_tail_zero(K.variable(2, 0), 2)
 
 
+class TestSeriesConstructor:
+    def test_exponents_that_coerce_to_one_tuple_add_up(self):
+        # a range and a tuple are distinct keys for one exponent
+        f = poly(2, {(0, 1): 1, range(2): F(1, 2), (3, 0): 0})
+        assert f.terms == {(0, 1): F(3, 2)}
+
+    def test_exponents_that_cancel_drop_out(self):
+        assert poly(2, {(0, 1): 2, range(2): -2}).terms == {}
+        f = poly(2, {(0, 1): 2, range(2): -2, (1, 1): 5})
+        assert f.terms == {(1, 1): F(5)}
+
+    def test_integral_components_are_coerced_to_ints(self):
+        f = poly(2, {(2.0, True): 3, (F(4), 0): 1})
+        assert f.terms == {(2, 1): F(3), (4, 0): F(1)}
+        assert all(type(b) is int for e in f.terms for b in e)
+
+    @pytest.mark.parametrize("exp", [(1.5, 0), (-0.5, 0), (0, F(1, 2)),
+                                     (-1, 0), ("1", 0)])
+    def test_non_integral_and_negative_components_refused(self, exp):
+        with pytest.raises(PresentationError):
+            K.series(2, {exp: 1})
+
+    def test_coefficient_of_a_missing_exponent_is_zero(self):
+        f = poly(2, {(1, 0): 3})
+        assert f.coefficient((0, 5)) == 0
+        assert type(f.coefficient((0, 5))) is F
+        assert K.zero(1).coefficient([0]) == 0
+        assert f.coefficient([1, 0]) == 3
+
+
 class TestPrecisionHousekeeping:
     def test_stored_terms_respect_bound(self):
         with pytest.raises(PrecisionShortfall):

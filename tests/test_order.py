@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -136,3 +137,76 @@ def test_sorted_terms_in_zero_and_more_variables():
     f = K.series(2, {(0, 2): 1, (1, 1): 2, (2, 0): 3, (1, 0): 4})
     assert [e for e, _ in f.sorted_terms()] == [(1, 0), (2, 0), (1, 1), (0, 2)]
     assert f.sorted_terms() == f.sorted_terms(std2)
+
+
+# -- the derived slots of a form ----------------------------------------------
+
+weights = st.fractions(min_value=F(1, 6), max_value=6, max_denominator=6)
+
+
+def weight_vectors(n):
+    # general positive forms, and forms whose integer weights are all 1
+    # although den > 1, such as (1/2, 1/2)
+    return st.one_of(st.lists(weights, min_size=n, max_size=n),
+                     st.integers(1, 6).map(lambda d: [F(1, d)] * n))
+
+
+forms_and_exponents = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    weight_vectors(n), st.tuples(*[st.integers(0, 9)] * n),
+    st.integers(1, n)))
+
+
+@settings(max_examples=150)
+@given(forms_and_exponents)
+def test_level_is_den_times_the_weighted_sum(case):
+    ws, b, _ = case
+    L = O.LinearForm(ws)
+    assert L.level(b) == sum(w * x for w, x in zip(ws, b)) * L.den
+    assert L.unit == all(w * L.den == 1 for w in ws)
+
+
+@settings(max_examples=150)
+@given(forms_and_exponents)
+def test_restrict_is_the_form_on_the_first_weights(case):
+    ws, _, k = case
+    L = O.LinearForm(ws)
+    assert L.restrict(k) == O.LinearForm(ws[:k])
+    if O.is_standard(L):
+        assert L.restrict(k) is O.std_form(k)
+
+
+@settings(max_examples=150)
+@given(forms_and_exponents)
+def test_derived_slots_take_no_part_in_identity(case):
+    ws, _, _ = case
+    L = O.LinearForm(ws)
+    twin = O.LinearForm([str(w) for w in ws])
+    assert twin == L and hash(twin) == hash(L) == hash(L.weights)
+    assert repr(L) == f"LinearForm(weights={L.weights!r})"
+    back = pickle.loads(pickle.dumps(L))
+    assert back == L and hash(back) == hash(L) and repr(back) == repr(L)
+    assert (back.den, back.int_weights, back.unit) == (L.den, L.int_weights,
+                                                       L.unit)
+
+
+def test_unit_forms():
+    assert std3.unit and O.is_standard(std3)
+    half = O.LinearForm((F(1, 2), F(1, 2)))
+    assert half.unit and half.den == 2 and not O.is_standard(half)
+    assert half.level((3, 4)) == 7 and O.lvalue(half, (3, 4)) == F(7, 2)
+    assert half.restrict(1) == O.LinearForm((F(1, 2),))
+    assert not O.weighted_split_form(3, 2, 7).unit
+
+
+def test_restrict_of_a_standard_form_is_the_shared_one():
+    assert std3.restrict(2) is std2
+    assert std3.restrict(3) is std3
+    assert O.LinearForm((1, 1, 1)).restrict(1) is std1
+
+
+@pytest.mark.parametrize("k", [0, -1, 4])
+def test_restrict_refuses_a_k_outside_the_form(k):
+    with pytest.raises(DimensionMismatch):
+        std3.restrict(k)
+    with pytest.raises(DimensionMismatch):
+        O.weighted_split_form(3, 2, 7).restrict(k)

@@ -124,6 +124,43 @@ def test_forms_compared_only_by_the_admission_rule():
     assert not found, found
 
 
+def _fraction_defaults(path: Path) -> list:
+    """Calls x.get(key, Fraction(...)): a default built on every lookup."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get" and len(node.args) == 2):
+            continue
+        default = node.args[1]
+        if isinstance(default, ast.Call) and (
+                (isinstance(default.func, ast.Name)
+                 and default.func.id == "Fraction")
+                or (isinstance(default.func, ast.Attribute)
+                    and default.func.attr == "Fraction")):
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
+
+
+def test_no_fraction_defaults():
+    # a lookup that misses is rare, but the default is built on every call;
+    # read the module-level zero of `kernel` instead
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        found += _fraction_defaults(path)
+    assert not found, found
+
+
+def test_fraction_default_lint_sees_every_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("def f(row, e, c):\n"
+                    "    a = row.get(e, Fraction(0)) + c\n"
+                    "    b = row.get(e, fractions.Fraction(1, 2))\n"
+                    "    return a + b + row.get(e, _ZERO) + row.get(e)\n",
+                    encoding="utf-8")
+    assert _fraction_defaults(path) == ["m.py:2", "m.py:3"]
+
+
 def _package_imports(path: Path) -> set:
     """The package modules a module imports, by relative or absolute import."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
