@@ -39,7 +39,6 @@ from .kernel import (
     truncate,
     variable,
 )
-from .linalg import identity_matrix
 from .order import LinearForm, lvalue, std_form
 from .stdbasis import complete, becker_check, s_series
 
@@ -135,16 +134,15 @@ def ci_stability_experiment(I: IdealPresentation, mu,
     exponents, the Hilbert-Samuel tables and (for k = n) the base
     vertices are read from those bases.
 
-    When the search keeps the identity matrix, I and its perturbation keep
-    their sources, so the flatness search expands them to its weighted
-    window.  A change that mixes the variables gives presentations without
-    a source, on which the flatness search refuses certified generators
-    with PrecisionShortfall.
+    The changed presentation A is `I.substitute(M)` for the matrix M the
+    search picks (I itself for the identity), and the perturbed one adds
+    the deltas changed by M to A; both keep a source, so the flatness
+    search expands them to its weighted window in any coordinates.
     """
     mu = Fraction(mu)
     spec = PerturbationSpec(I, mu, std_form(I.n), tuple(deltas))
 
-    dim_rep, basis_a = _axis_vertex_search(I, mu, trials, seed)
+    dim_rep, A, basis_a = _axis_vertex_search(I, mu, trials, seed)
     k = dim_rep.k_best
     report: dict = {
         "mu": mu,
@@ -157,10 +155,8 @@ def ci_stability_experiment(I: IdealPresentation, mu,
         report["status"] = "NO-AXIS-VERTEX"
         return report
 
-    M = dim_rep.matrix
-    A, B = I, perturb(spec)
-    if M != identity_matrix(I.n):
-        A, B = (P.map_gens(lambda g: substitute_linear(g, M)) for P in (A, B))
+    B = perturb(PerturbationSpec(A, mu, spec.form, [
+        substitute_linear(d, dim_rep.matrix) for d in spec.deltas]))
 
     items: dict = {}
 
@@ -261,15 +257,16 @@ def cm_counterexample_runner(mu: int, h: Union[PrecisionSeries, None],
     carrying the last variable.  With h = 0 the perturbation is degenerate
     and flatness must be preserved instead.
     """
-    if mu < 8:
-        raise PresentationError("the scenario needs mu >= 8")
+    verify_mu = mu if verify_mu is None else verify_mu
+    if mu < 8 or verify_mu < 8:
+        raise PresentationError(
+            f"the scenario needs {'mu' if mu < 8 else 'verify_mu'} >= 8")
     degenerate = h is None or h.is_zero_up_to_prec
     if not degenerate:
         if h.n != 1:
             raise PresentationError("h must be a series in the last variable alone")
         if h.coefficient((0,)):
             raise PresentationError("h must vanish at the origin")
-    verify_mu = mu if verify_mu is None else verify_mu
     std3 = std_form(3)
 
     I = example_family(mu)

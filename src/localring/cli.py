@@ -245,7 +245,7 @@ def _cmd_reduction(args, f, form, mu) -> tuple[int, dict]:
 
 
 def _cmd_perturb(args, f, form, mu) -> tuple[int, dict]:
-    I = f.presentation(form, f.mu)
+    I = f.presentation(form, mu)
     deltas = _deltas(args, f, form, mu, len(I.gens))
     spec = approx.PerturbationSpec(I, mu, form, deltas)
     return 0, {"generators": approx.perturb(spec).gens}

@@ -39,7 +39,6 @@ from .kernel import (
     _window,
     evaluate_tail_zero,
     prec_at_least,
-    substitute_linear,
 )
 from .order import (
     Exponent,
@@ -310,26 +309,28 @@ def axis_vertex_dimension(I: IdealPresentation, mu, trials: int = 5,
 
 
 def _axis_vertex_search(I: IdealPresentation, mu, trials: int, seed: int
-                        ) -> tuple[DimensionReport, CertifiedBasis]:
-    """`axis_vertex_dimension`, with the certified standard basis (standard
-    form, window mu) of the changed presentation whose matrix it reports."""
+                        ) -> tuple[DimensionReport, IdealPresentation, CertifiedBasis]:
+    """`axis_vertex_dimension`, with the changed presentation whose matrix
+    it reports (I itself for the identity, the first trial; else
+    `I.substitute`) and its certified standard basis (standard form,
+    window mu)."""
     mu = Fraction(mu)
     rng = random.Random(seed)
     n = I.n
-    best_k, best_M, best_basis = -1, None, None
+    best_k, best = -1, None
     for t in range(max(1, trials)):
         M = linalg.identity_matrix(n) if t == 0 else linalg.seeded_unimodular(rng, n)
-        gens_t = tuple(substitute_linear(g, M) for g in I.gens)
-        basis = complete(IdealPresentation(n, gens_t, I.var_names), std_form(n), mu)
+        J = I if t == 0 else I.substitute(M)
+        basis = complete(J, std_form(n), mu)
         axes = _axis_degrees(diagram_of(basis).vertices)
         k = 0
         while k < n and k in axes:
             k += 1
         if k > best_k:
-            best_k, best_M, best_basis = k, M, basis
+            best_k, best = k, (M, J, basis)
         if best_k == n:
             break
-    return DimensionReport(best_k, n - best_k, best_M, seed, t + 1), best_basis
+    return DimensionReport(best_k, n - best_k, best[0], seed, t + 1), *best[1:]
 
 
 # -- exact row-reduction oracle --------------------------------------------

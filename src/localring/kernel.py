@@ -50,6 +50,7 @@ from .order import (
     lvalue,
     min_lvalue,
     sort_key,
+    std_form,
     std_key,
 )
 
@@ -555,8 +556,17 @@ class IdealPresentation:
             return tuple(self.source(form, window))
         return tuple([certified_under(g, form, window) for g in self.gens])
 
-    def map_gens(self, fn: Callable[[PrecisionSeries], PrecisionSeries]
-                 ) -> "IdealPresentation":
-        """The generators changed by fn; the result has no source."""
-        return IdealPresentation(self.n, tuple([fn(g) for g in self.gens]),
-                                 self.var_names)
+    def substitute(self, M) -> "IdealPresentation":
+        """The presentation in the coordinates x -> Mx: each generator by
+        `substitute_linear`.  Its source expands this presentation on the
+        standard window window / min(w) and substitutes: a linear change
+        keeps total degree and L(e) >= min(w) |e|, so every term left
+        unknown there lies above {L <= window}."""
+        def source(form: LinearForm, window) -> tuple:
+            wide = self.at(std_form(self.n), window / min(form.weights))
+            return tuple([certified_under(substitute_linear(g, M), form, window)
+                          for g in wide])
+
+        return IdealPresentation(
+            self.n, tuple([substitute_linear(g, M) for g in self.gens]),
+            self.var_names, source)

@@ -212,6 +212,12 @@ class TestCmRunner:
         with pytest.raises(PresentationError):
             AP.cm_counterexample_runner(6, K.variable(1, 0))
 
+    @pytest.mark.parametrize("verify_mu", [-5, 0, 7])
+    def test_verify_mu_too_small_rejected(self, verify_mu):
+        with pytest.raises(PresentationError, match="verify_mu >= 8"):
+            AP.cm_counterexample_runner(8, K.variable(1, 0),
+                                        verify_mu=verify_mu)
+
     def test_unit_h_rejected(self):
         with pytest.raises(PresentationError):
             AP.cm_counterexample_runner(8, K.one(1))

@@ -4,7 +4,8 @@ Every row of `cli_golden.json` holds a command line, its exit code and the
 sha256 of the report as `localring` prints it
 (`json.dumps(report, indent=2, sort_keys=True)`).  The 13 commands run on
 every `sample_ideals/*.ideal`, exit-1 and exit-2 reports included, plus
-`example82` with a polynomial h and with a certified one.  Then come the
+`example82` with a polynomial h, with a certified one and with a
+`--verify-mu` it refuses.  Then come the
 `TWO_FAULTS` lines: each sets two faults against each other (a missing
 file and a bad flag, a bad `--order` and a bad `--mu`, ...), so the row
 freezes which one a command line reports first.
@@ -15,7 +16,9 @@ A change that is meant to alter a report regenerates the table with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
-and says in its description which reports changed and why.
+and says in its description which reports changed and why.  The script
+prints the command line of every row it adds, changes or removes against
+the table it overwrites.
 """
 
 import hashlib
@@ -87,6 +90,7 @@ def command_lines() -> list:
             lines.append([{"F": name, "K": str(n - 1)}.get(a, a) for a in argv])
     lines.append(["example82", "--mu", "12", "--h", "z"])
     lines.append(["example82", "--mu", "8", "--h", "z*geom(z)"])
+    lines.append(["example82", "--mu", "8", "--verify-mu", "-5"])
     return lines + TWO_FAULTS
 
 
@@ -109,8 +113,28 @@ def test_report_matches_the_frozen_table(expected, monkeypatch):
     assert row(expected["argv"]) == expected
 
 
+def table_changes(old: list, new: list) -> dict:
+    """The command lines of the rows in `new` but not in `old` ("added"),
+    in both with another exit code or digest ("changed"), and in `old`
+    only ("removed"), each in its table's order."""
+    before = {json.dumps(r["argv"]): r for r in old}
+    after = {json.dumps(r["argv"]): r for r in new}
+    return {
+        "added": [r["argv"] for k, r in after.items() if k not in before],
+        "changed": [r["argv"] for k, r in after.items()
+                    if k in before and before[k] != r],
+        "removed": [r["argv"] for k, r in before.items() if k not in after],
+    }
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
+    old = json.loads(TABLE.read_text(encoding="utf-8")) if TABLE.exists() else []
     rows = [row(argv) for argv in command_lines()]
     TABLE.write_text(json.dumps(rows, indent=1) + "\n", encoding="utf-8")
-    sys.stdout.write(f"wrote {len(rows)} rows to {TABLE}\n")
+    changes = table_changes(old, rows)
+    for kind, argvs in changes.items():
+        for argv in argvs:
+            sys.stdout.write(f"{kind}: {json.dumps(argv)}\n")
+    sys.stdout.write(f"wrote {len(rows)} rows to {TABLE}: " + ", ".join(
+        f"{len(argvs)} {kind}" for kind, argvs in changes.items()) + "\n")

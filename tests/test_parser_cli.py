@@ -360,6 +360,26 @@ class TestCli:
         assert code == 0 and rep["all_pass"] is True
         assert not rep["degenerate"]
 
+    @pytest.mark.parametrize("verify_mu", ["-5", "0", "7"])
+    def test_example82_verify_mu_below_eight_is_refused(self, verify_mu):
+        code, rep = cli.run(["example82", "--mu", "8",
+                             "--verify-mu", verify_mu])
+        assert code == 1
+        assert rep == {"error": "PresentationError",
+                       "detail": "the scenario needs verify_mu >= 8"}
+
+    def test_perturb_expands_the_file_to_the_mu_it_is_given(self):
+        # the file's prec is 8; at --mu 16 the second generator must be
+        # known beyond 16 and keep the y^17 delta
+        code, rep = cli.run(["perturb", "--file",
+                             str(SAMPLES / "cm_family.ideal"), "--mu", "16",
+                             "--delta", "x^17", "--delta", "y^17"])
+        assert code == 0
+        assert rep["window"]["mu"] == "16"
+        second = rep["generators"][1]
+        assert F(second["prec"]) > 16
+        assert [[0, 17, 0], "1"] in second["terms"]
+
     def test_perturb(self, monomial_file):
         code, rep = cli.run(["perturb", "--file", monomial_file, "--mu", "6",
                              "--delta", "x^7", "--delta", "0"])
