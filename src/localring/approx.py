@@ -10,7 +10,7 @@ never hard-coded.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .diagram import (
     _axis_degrees,
@@ -32,10 +32,12 @@ from .kernel import (
     certified_under,
     embed,
     exp_jet,
+    expanded,
     monomial,
     mul,
     prec_min,
     substitute_linear,
+    substituted,
     truncate,
     variable,
 )
@@ -54,11 +56,17 @@ def jet(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
 
 class PerturbationSpec:
     """Deltas with all term L-values beyond mu: a member of the mu-jet family
-    of the base presentation."""
+    of the base presentation.
 
-    __slots__ = ("base", "mu", "form", "deltas")
+    `source`, when given, expands the same deltas on any window, as an
+    `IdealPresentation`'s does its generators; it takes no part in `==`
+    or `repr`.
+    """
 
-    def __init__(self, base: IdealPresentation, mu, form: LinearForm, deltas):
+    __slots__ = ("base", "mu", "form", "deltas", "source")
+
+    def __init__(self, base: IdealPresentation, mu, form: LinearForm, deltas,
+                 source: Optional[Callable] = None):
         mu = Fraction(mu)
         deltas = tuple(deltas)
         if len(deltas) != len(base.gens):
@@ -72,6 +80,7 @@ class PerturbationSpec:
                 raise PrecisionShortfall(
                     f"delta term {e} has L-value <= {mu}; the jet would change")
         self.base, self.mu, self.form, self.deltas = base, mu, form, deltas
+        self.source = source
 
     def __eq__(self, other):
         if other.__class__ is not PerturbationSpec:
@@ -83,20 +92,33 @@ class PerturbationSpec:
         return (f"PerturbationSpec(base={self.base!r}, mu={self.mu!r}, "
                 f"form={self.form!r}, deltas={self.deltas!r})")
 
+    def at(self, form: LinearForm, window) -> tuple:
+        """The deltas certified under (form, window) (`kernel.expanded`)."""
+        return expanded(self.deltas, self.source, form, window)
+
+    def substitute(self, base: IdealPresentation, M) -> "PerturbationSpec":
+        """These deltas in the coordinates x -> Mx, perturbing `base`, the
+        base presentation in those coordinates, as
+        `IdealPresentation.substitute` moves generators."""
+        return PerturbationSpec(
+            base, self.mu, self.form,
+            [substitute_linear(d, M) for d in self.deltas],
+            substituted(self.at, base.n, M))
+
 
 def perturb(spec: PerturbationSpec) -> IdealPresentation:
     """The perturbed presentation G_i = F_i + delta_i (same mu-jets).
 
-    Its source adds each delta, certified by `certified_under`, to the
-    base presentation's generators on the asked window.
+    Its source adds the deltas to the base presentation's generators, both
+    read on the asked window through `at`.
     """
-    base, deltas = spec.base, spec.deltas
+    base = spec.base
 
     def source(form: LinearForm, window) -> tuple:
-        return tuple([add(g, certified_under(d, form, window))
-                      for g, d in zip(base.at(form, window), deltas)])
+        return tuple([add(g, d) for g, d in zip(base.at(form, window),
+                                                spec.at(form, window))])
 
-    gens = tuple([add(g, d) for g, d in zip(base.gens, deltas)])
+    gens = tuple([add(g, d) for g, d in zip(base.gens, spec.deltas)])
     return IdealPresentation(base.n, gens, base.var_names, source)
 
 
@@ -121,7 +143,8 @@ def _base_staircase_threshold(base_vertices: tuple) -> Optional[int]:
 
 def ci_stability_experiment(I: IdealPresentation, mu,
                             deltas: Sequence[PrecisionSeries],
-                            seed: int = 0, trials: int = 4) -> dict:
+                            seed: int = 0, trials: int = 4,
+                            source: Optional[Callable] = None) -> dict:
     """Full pipeline comparison between I and its perturbation.
 
     Runs axis-vertex dimension, reduction exponent, the flatness weight
@@ -136,11 +159,12 @@ def ci_stability_experiment(I: IdealPresentation, mu,
 
     The changed presentation A is `I.substitute(M)` for the matrix M the
     search picks (I itself for the identity), and the perturbed one adds
-    the deltas changed by M to A; both keep a source, so the flatness
+    the deltas changed by M to A.  `source` expands the deltas as in
+    `PerturbationSpec`.  A and the deltas keep a source, so the flatness
     search expands them to its weighted window in any coordinates.
     """
     mu = Fraction(mu)
-    spec = PerturbationSpec(I, mu, std_form(I.n), tuple(deltas))
+    spec = PerturbationSpec(I, mu, std_form(I.n), tuple(deltas), source)
 
     dim_rep, A, basis_a = _axis_vertex_search(I, mu, trials, seed)
     k = dim_rep.k_best
@@ -155,8 +179,7 @@ def ci_stability_experiment(I: IdealPresentation, mu,
         report["status"] = "NO-AXIS-VERTEX"
         return report
 
-    B = perturb(PerturbationSpec(A, mu, spec.form, [
-        substitute_linear(d, dim_rep.matrix) for d in spec.deltas]))
+    B = perturb(spec.substitute(A, dim_rep.matrix))
 
     items: dict = {}
 

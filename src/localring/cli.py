@@ -128,11 +128,17 @@ def _weights(args) -> tuple:
 
 
 def _deltas(args, f: IdealFile, form, mu, count: int) -> tuple:
-    """The --delta series, parsed at window 2*mu and padded with zeros to
-    one per generator."""
-    deltas = tuple(parse_expression(src, f.var_names, form, 2 * mu)
-                   for src in args.delta or [])
-    return deltas + (PrecisionSeries(f.n, {}),) * (count - len(deltas))
+    """(deltas, source): the --delta series, parsed at window 2*mu and
+    padded with zeros to one per generator, and the source that re-parses
+    them on any window, as `IdealFile.presentation` does for `gen:` lines."""
+    texts = args.delta or []
+    zeros = (PrecisionSeries(f.n, {}),) * (count - len(texts))
+
+    def source(L: LinearForm, window) -> tuple:
+        return tuple(parse_expression(src, f.var_names, L, window)
+                     for src in texts) + zeros
+
+    return source(form, 2 * mu), source
 
 
 def _window(form, mu) -> dict:
@@ -246,16 +252,16 @@ def _cmd_reduction(args, f, form, mu) -> tuple[int, dict]:
 
 def _cmd_perturb(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, mu)
-    deltas = _deltas(args, f, form, mu, len(I.gens))
-    spec = approx.PerturbationSpec(I, mu, form, deltas)
+    deltas, source = _deltas(args, f, form, mu, len(I.gens))
+    spec = approx.PerturbationSpec(I, mu, form, deltas, source)
     return 0, {"generators": approx.perturb(spec).gens}
 
 
 def _cmd_ci(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, mu)
-    deltas = _deltas(args, f, form, mu, len(I.gens))
+    deltas, source = _deltas(args, f, form, mu, len(I.gens))
     rep = approx.ci_stability_experiment(I, mu, deltas, seed=args.seed,
-                                         trials=_trials(args))
+                                         trials=_trials(args), source=source)
     return (0 if rep.get("all_equal") else 2), rep
 
 

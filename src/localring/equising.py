@@ -40,19 +40,23 @@ products of m(m-1) root differences, so it is zero on the window once
 m(m-1) theta exceeds the window's top degree.  For y^p only D_p = p is
 formed.
 
-The discriminants run on jets {packed exponent: coefficient} truncated to
-the window.  The exponents are packed into ints as `division`
+The discriminants run on integer jets {packed exponent: coefficient}
+truncated to the window.  The exponents are packed into ints as `division`
 packs them (Monagan and Pearce), under the standard form, where the packed
 level is the total degree: a product term is the sum of two ints, and one
 compare with (top + 1) << shift tests its degree.  The jets are multiplied
-with one degree-truncated product, `_jet_dot`, and exponents are unpacked
-only in what is returned.
+with one degree-truncated product, `_jet_dot`, and only the minor a tower
+keeps is unpacked and built as `Fraction`s.
 
 Weierstrass preparation is Weierstrass division, that is Hironaka division
 by one series under a form that makes x_i^p its head (Grauert and Remmert;
 Greuel and Pfister, *A Singular Introduction to Commutative Algebra*,
 section 6.2): it runs on the division loop of `division`, and the kernel
 only checks the prepared identity u * P = j on the window, j the jet.
+When x_i^p divides every term of j, as for every univariate j, P = x_i^p
+and u = j / x_i^p, with no division.  This is exact: j = x_i^p * v with
+v(0) != 0, so v is a unit and uniqueness gives P = x_i^p.  The check
+u * P = j runs on every call.
 
 The tower construction iterates: prepare the input list to distinguished
 form in the last variable, take the product, locate the first discriminant
@@ -90,6 +94,7 @@ from .errors import (
 from .kernel import (
     _ZERO,
     PrecisionSeries,
+    _admit,
     _as_fraction,
     agrees_up_to,
     mul,
@@ -135,52 +140,59 @@ def _negated(jet: dict) -> dict:
     return {e: -c for e, c in jet.items()}
 
 
-def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
-    """D_1, ..., D_p at the monic coefficient vector (a_0, ..., a_{p-1}).
+def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> tuple:
+    """(minors, unpack): D_1, ..., D_p at the monic coefficient vector
+    (a_0, ..., a_{p-1}), one pair (jet, scale) each.
 
-    Each value is a jet {exponent: Fraction} in n_vars variables holding
-    the terms of total degree <= mu.  Numbers are jets in zero variables;
-    series must certify at least mu under the standard form.  The power
-    sums s_0..s_{2p-2} come from Newton's identities, and D_j is the signed
+    jet is {packed exponent: integer}, and D_j = {unpack(e): Fraction(c,
+    scale)}, its terms of total degree <= mu in n_vars variables; a minor
+    the pass does not form is ({}, 1).  Numbers are jets in zero variables;
+    series must certify at least mu under the standard form.  The power sums
+    s_0..s_{2p-2} come from Newton's identities, and D_j is the signed
     leading m x m minor of the Hankel matrix [s_{a+b}], m = p - j + 1.  One
     Berkowitz pass yields the characteristic polynomials of all leading
     principal submatrices, whose constant terms are (-1)^m times the minors.
     Every sum of products is one `dot`, and nothing divides.
 
     The pass runs on integers by scaling the roots.  Let d be the lcm of
-    the denominators of every coefficient in the truncated jets, folded
-    from the one `division._packed` writes each jet over.  Then
-    A_i = a_i * d^(p-i) are integer jets, and X^p + A_{p-1} X^{p-1} + ...
-    + A_0 = d^p f(X/d) is the monic polynomial whose roots are d*T_k.  Its
-    power sums are d^k s_k, so its Hankel entry (a, b) is d^(a+b) s_{a+b},
-    and its leading m x m minor is d^(0+1+...+(m-1)) twice over, that is
-    d^(m(m-1)), times the original one.  Scaling commutes with truncation
-    by degree, so each returned minor is the integer one divided by
-    d^(m(m-1)); that division is the only place a `Fraction` is built.
+    the denominators of every coefficient, folded from the one
+    `division._packed` writes each jet over.  Then A_i = a_i * d^(p-i) are
+    integer jets, and X^p + A_{p-1} X^{p-1} + ... + A_0 = d^p f(X/d) is the
+    monic polynomial whose roots are d*T_k.  Its power sums are d^k s_k, so
+    its Hankel entry (a, b) is d^(a+b) s_{a+b}, and its leading m x m minor
+    is d^(0+1+...+(m-1)) twice over, that is d^(m(m-1)), times the original
+    one.  Scaling commutes with truncation by degree, so each minor is the
+    integer one divided by d^(m(m-1)), its sign folded into the scale.
 
     Both kinds of input are jets keyed by exponents packed as in
     `division`: a number c is {0: c}, 0 packing the origin, and its window
-    is the one level 0.  `dot` is the truncated `_jet_dot`, and the keys
-    are unpacked only in the returned minors.  The pass takes the four
-    shortcuts of the module docstring; by (d) it forms only the leading
-    size x size minors, the others being returned as empty jets.
+    is the one level 0.  A series is packed whole, and its terms above the
+    window are dropped by the packed level.  `dot` is the truncated
+    `_jet_dot`.  The pass takes the four shortcuts
+    of the module docstring; by (d) it forms only the leading size x size
+    minors.
     """
     p = len(coeffs)
     if n_vars:
         L = std_form(n_vars)
-        truncated = [truncate(c, L, mu) for c in coeffs]
-        pk = _packing(L, mu, truncated)
-        ints = [_packed(f, pk) for f in truncated]  # a_i = jet_i / den_i
+        for c in coeffs:
+            _admit(c, L, mu)
+        pk = _packing(L, mu, coeffs)
         top, shift = L.level_cap(mu), pk.shift
+        limit = (top + 1) << shift
+        ints = []  # a_i = jet_i / den_i on the window
+        for c in coeffs:
+            jet, den = _packed(c, pk)
+            ints.append(({e: v for e, v in jet.items() if e < limit}, den))
         unpack = functools.partial(_unpack, pk)
     else:
         ints = [({0: c.numerator} if c else {}, c.denominator)
                 for c in map(_as_fraction, coeffs)]
         top = shift = 0
+        limit = 1
 
         def unpack(e: int) -> tuple:
             return ()
-    limit = (top + 1) << shift
     # fold, not lcm(*...): a star argument builds a tuple per call that lands
     # in CPython's tuple free lists
     d = functools.reduce(math.lcm, [den for _, den in ints], 1)
@@ -232,9 +244,8 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> list:
                 for i in range(r + 2)]
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
-        minors.append({unpack(e): Fraction(c, scale)
-                       for e, c in char[-1].items()})
-    return [{} for _ in range(p - size)] + minors[::-1]
+        minors.append((char[-1], scale))
+    return [({}, 1) for _ in range(p - size)] + minors[::-1], unpack
 
 
 def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
@@ -242,8 +253,9 @@ def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
     roots); cross-checkable against gcd-based squarefree degree."""
     if len(coeffs) != p:
         raise DimensionMismatch(f"expected {p} coefficients")
-    for j, d in enumerate(_hankel_discriminants(coeffs, 0, 0)):
-        if d:
+    minors, _ = _hankel_discriminants(coeffs, 0, 0)
+    for j, (jet, _) in enumerate(minors):
+        if jet:
             return j
     # D_p = s_0 = p vanishes only for p = 0: the polynomial 1 has no roots
     return p
@@ -288,20 +300,21 @@ def regular_order(f: PrecisionSeries, i: int) -> Optional[int]:
 
 
 def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
-    """(P, jet, record, pk, cap): the Weierstrass polynomial P of the mu-jet
-    j of f in x_i, certified on (std, mu), and what dividing j by it needs:
-    j as an exact polynomial, the record of P on the whole division window,
-    the packing and the window's top level.
+    """(P, jet, division): the Weierstrass polynomial P of the mu-jet j of f
+    in x_i, certified on (std, mu), j as an exact polynomial, and None when
+    P = x_i^p (module docstring) or else (head, rem, den, pk, cap):
+    P = x_i^p - {e: rem[e] / den} on the whole division window, head the
+    x_i^p packed by pk, cap the window's top level.
 
-    Let p be the x_i-order of j and Lw the form with weight 1 on x_i and W
-    on every other variable, W the least integer above (p - b) / |a| over
-    the terms x'^a x_i^b of j with b < p (each has |a| >= 1, by the choice
-    of p), or 1 if there is none.  Then x_i^p is the Lw-head of j, and
-    Hironaka division by j under Lw is Weierstrass division: x_i^p = q * j
-    + r with r of x_i-degree below p, and P = x_i^p - r = q * j.  A term of
-    total degree at most mu has Lw at most W * floor(mu), so the window
-    {Lw <= W * floor(mu) + p} certifies P on (std, mu), and a quotient by P
-    on the standard window as well.
+    Let p be the x_i-order of j, Lw the form with weight 1 on x_i and W on
+    every other variable, W the least integer above (p - b) / |a| over the
+    terms x'^a x_i^b of j with b < p (each has |a| >= 1, by the choice of
+    p).  Then x_i^p is the Lw-head of j, and Hironaka division by j under
+    Lw is Weierstrass division: x_i^p = q * j + r with r of x_i-degree below
+    p, and P = x_i^p - r = q * j.  A term of total degree at most mu has Lw
+    at most W * floor(mu), so the window {Lw <= W * floor(mu) + p}
+    certifies P on (std, mu), and a quotient by P on the standard window as
+    well.
     """
     n = f.n
     if not 0 <= i < n:
@@ -314,25 +327,26 @@ def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
             f"not regular in variable {i} at precision {mu}; "
             "apply a linear change of coordinates and retry")
     top = int(mu)
-    W = max([(p - e[i]) // (sum(e) - e[i]) + 1 for e in ft.terms if e[i] < p],
-            default=1)
+    jet = PrecisionSeries(n, ft.terms)  # exact, so admitted under Lw
+    alpha = tuple([p if k == i else 0 for k in range(n)])
+    low = [e for e in ft.terms if e[i] < p]
+    if not low:  # x_i^p divides j
+        return PrecisionSeries(n, {alpha: Fraction(1)}, mu, L), jet, None
+    W = max([(p - e[i]) // (sum(e) - e[i]) + 1 for e in low])
     Lw = L if W == 1 else LinearForm(
         tuple([1 if k == i else W for k in range(n)]))
     cap = W * top + p
-    jet = PrecisionSeries(n, ft.terms)  # exact, so admitted under Lw
     pk = _packing(Lw, cap, [jet])
     [divisor] = _members([jet], Lw, cap, pk)
-    head, alpha = divisor.head, divisor.alpha  # x_i^p
     # only the window is wanted (prec `cap`, not EXACT): terms above it are
     # dropped at once, and the quotient q is not built
-    rem, den, _ = _divide({head: 1}, 1, cap, [divisor], pk, cap)
+    rem, den, _ = _divide({divisor.head: 1}, 1, cap, [divisor], pk, cap)
     P = {alpha: Fraction(1)}
     for e, w in _remainder_terms(rem, pk, [alpha]):
         if sum(e) <= top:
             P[e] = Fraction(-w, den)
-    record = _member({head: den, **{e: -w for e, w in rem.items()}}, den,
-                     cap, pk)
-    return PrecisionSeries(n, P, mu, L), jet, record, pk, cap
+    return (PrecisionSeries(n, P, mu, L), jet,
+            (divisor.head, rem, den, pk, cap))
 
 
 def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
@@ -344,27 +358,34 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
 
     Contract: P is the Weierstrass polynomial of the mu-jet j of f,
     certified on (std, mu), and u is the unit of j, certified on (std,
-    mu - ord P): u * P = j on the window determines u only that far.  Both
-    come from Weierstrass division (`_weierstrass_polynomial`): u is the
-    quotient of j by P on the whole division window.  P cut to total
-    degree mu would not do when ord P < p: the tail of P lowers the total
-    degree, so that division may leave a remainder inside the window (as
-    for y^3 + y^4 + x at mu = 4), and then u * P != j there.  The identity
-    u * P = j is re-verified on the window before returning.
+    mu - ord P): u * P = j on the window determines u only that far.  When
+    P = x_i^p, u is j / x_i^p; otherwise u is the quotient of j by P on the
+    whole division window, the one use of P's division record.  P cut to
+    total degree mu would not do when ord P < p: the tail of P lowers the
+    total degree, so that division may leave a remainder inside the window
+    (as for y^3 + y^4 + x at mu = 4), and then u * P != j there.  The
+    identity u * P = j is re-verified on the window before returning.
     """
     mu = _as_fraction(mu)
-    P, jet, record, pk, cap = _weierstrass_polynomial(f, i, mu)
+    P, jet, division = _weierstrass_polynomial(f, i, mu)
     n, L = f.n, std_form(f.n)
     order = min(map(sum, P.terms))
-    top = int(mu) - order
-    quotient: list = [{}]
-    terms, den = _packed(jet, pk)
-    _divide(terms, den, cap, [record], pk, cap, quotient)
-    u_terms = {}
-    for s, c in quotient[0].items():
-        e = _unpack(pk, s)
-        if sum(e) <= top:
-            u_terms[e] = c
+    if division is None:  # j = x_i^p * u, and order = p
+        u_terms = {(*e[:i], e[i] - order, *e[i + 1:]): c
+                   for e, c in jet.terms.items()}
+    else:
+        head, rem, den, pk, cap = division
+        record = _member({head: den, **{e: -w for e, w in rem.items()}}, den,
+                         cap, pk)
+        quotient: list = [{}]
+        terms, jden = _packed(jet, pk)
+        _divide(terms, jden, cap, [record], pk, cap, quotient)
+        top = int(mu) - order
+        u_terms = {}
+        for s, c in quotient[0].items():
+            e = _unpack(pk, s)
+            if sum(e) <= top:
+                u_terms[e] = c
     u = PrecisionSeries(n, u_terms, mu - order, L)
     check = mul(u, P)
     if not agrees_up_to(check, jet, L, prec_min(mu, check.prec)):
@@ -429,8 +450,10 @@ def _first_nonvanishing(coeffs, n_vars: int, mu) -> tuple:
     """
     # a series value is known only on the window, a number exactly
     cert = "zero-up-to-mu" if n_vars else "exact-zero"
-    for j, d in enumerate(_hankel_discriminants(coeffs, n_vars, mu), start=1):
-        if d:
+    minors, unpack = _hankel_discriminants(coeffs, n_vars, mu)
+    for j, (jet, scale) in enumerate(minors, start=1):
+        if jet:
+            d = {unpack(e): Fraction(c, scale) for e, c in jet.items()}
             val = d[()] if n_vars == 0 else PrecisionSeries(
                 n_vars, d, _as_fraction(mu), std_form(n_vars))
             return j, val, (cert,) * (j - 1)
@@ -490,13 +513,17 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
         raise DimensionMismatch("ambient dimension must be at least 1")
     rng = random.Random(seed)
     changes = []
-    for g in gens:
+    for k, g in enumerate(gens, start=1):
         if g.n != n:
             raise DimensionMismatch("mixed ambient dimensions")
         if g.is_zero_up_to_prec:
             raise PresentationError("tower generators must be nonzero")
         if g.coefficient((0,) * n):
             raise PresentationError("unit generator: the germ is empty")
+        if min(map(sum, g.terms)) > mu:
+            raise PrecisionShortfall(
+                f"generator {k} has no term on the window {mu}: its order "
+                "lies beyond the window")
 
     gens, M = _ensure_regular(gens, n - 1, mu, rng)
     if M is not None:

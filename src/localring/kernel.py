@@ -261,6 +261,18 @@ def scale(f: PrecisionSeries, c) -> PrecisionSeries:
                            f.prec, f.form_ctx)
 
 
+def _product_bound(prec: Fraction, form: LinearForm,
+                   g: PrecisionSeries) -> Fraction:
+    """prec + `min_lvalue(form, g)`, the bound a factor certified to prec
+    gives its product with g, built as one `Fraction` from g's integer
+    minimum level m: prec + m / den = (prec * den + m) / den."""
+    if not g.terms:
+        return prec + g.prec
+    m = min(map(form.level, g.terms))
+    return Fraction(prec.numerator * form.den + m * prec.denominator,
+                    prec.denominator * form.den)
+
+
 def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
     """Convolution product under the documented precision rule.
 
@@ -276,9 +288,9 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
     else:
         bounds = []
         if a.prec is not EXACT:
-            bounds.append(a.prec + min_lvalue(form, b))
+            bounds.append(_product_bound(a.prec, form, b))
         if b.prec is not EXACT:
-            bounds.append(b.prec + min_lvalue(form, a))
+            bounds.append(_product_bound(b.prec, form, a))
         prec = min(bounds)
     if prec is not EXACT:
         # a product term is in the window when level(e1) + level(e2) <= cap
@@ -547,26 +559,36 @@ class IdealPresentation:
                 f"var_names={self.var_names!r})")
 
     def at(self, form: LinearForm, window) -> tuple:
-        """The generators certified under (form, window): the source's
-        expansion when there is a source, or else each generator by
-        `certified_under`, which refuses a certified generator the form
-        cannot carry to the window."""
-        window = Fraction(window)
-        if self.source is not None:
-            return tuple(self.source(form, window))
-        return tuple([certified_under(g, form, window) for g in self.gens])
+        """The generators certified under (form, window) (`expanded`)."""
+        return expanded(self.gens, self.source, form, window)
 
     def substitute(self, M) -> "IdealPresentation":
         """The presentation in the coordinates x -> Mx: each generator by
-        `substitute_linear`.  Its source expands this presentation on the
-        standard window window / min(w) and substitutes: a linear change
-        keeps total degree and L(e) >= min(w) |e|, so every term left
-        unknown there lies above {L <= window}."""
-        def source(form: LinearForm, window) -> tuple:
-            wide = self.at(std_form(self.n), window / min(form.weights))
-            return tuple([certified_under(substitute_linear(g, M), form, window)
-                          for g in wide])
-
+        `substitute_linear`, with the source `substituted(self.at, n, M)`."""
         return IdealPresentation(
             self.n, tuple([substitute_linear(g, M) for g in self.gens]),
-            self.var_names, source)
+            self.var_names, substituted(self.at, self.n, M))
+
+
+def expanded(gens, source, form: LinearForm, window) -> tuple:
+    """The series `gens` certified under (form, window): the source's
+    expansion when there is a source, or else each series by
+    `certified_under`, which refuses a certified series the form cannot
+    carry to the window."""
+    window = Fraction(window)
+    if source is not None:
+        return tuple(source(form, window))
+    return tuple([certified_under(g, form, window) for g in gens])
+
+
+def substituted(at: Callable, n: int, M) -> Callable:
+    """The source of the series that `at` expands, in the coordinates
+    x -> Mx.  It expands them on the standard window window / min(w) and
+    substitutes: a linear change keeps total degree and L(e) >= min(w) |e|,
+    so every term left unknown there lies above {L <= window}."""
+    def source(form: LinearForm, window) -> tuple:
+        wide = at(std_form(n), window / min(form.weights))
+        return tuple([certified_under(substitute_linear(g, M), form, window)
+                      for g in wide])
+
+    return source

@@ -9,7 +9,8 @@ independent, degree-capped oracle for the tests.  It runs on exact kernel
 series (`mul`, `power`, `add`), which the Hankel route of `equising`
 never calls.  Beyond its cap, `berkowitz_discriminants` runs Newton's
 identities and a plain Berkowitz pass on the same kernel series, forming
-every product that the Hankel route skips.
+every product that the Hankel route skips.  `hankel_minors` reads the
+Hankel route's integer minors as the rational jets the oracles return.
 
 `walk_complement_levels` counts a staircase complement per level by
 visiting every complement point, the way `diagram._complement_levels` did
@@ -25,6 +26,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from localring.diagram import _span, tail_monomials
+from localring.equising import _hankel_discriminants
 from localring.errors import BudgetExceeded, DimensionMismatch, PresentationError
 from localring.kernel import (IdealPresentation, PrecisionSeries, add, monomial, mul,
                               one, power, scale, series, sub, truncate, variable,
@@ -159,6 +161,15 @@ def evaluate_at_series(red: SymmetricReduction, coeffs: Sequence[PrecisionSeries
                 term = truncate(mul(term, coeffs[m]), L, mu)
         total = add(total, term)
     return truncate(total, L, mu)
+
+
+def hankel_minors(coeffs: Sequence, n_vars: int, mu) -> list:
+    """D_1, ..., D_p of `equising._hankel_discriminants`, every one as the
+    jet {exponent: Fraction} that its integer minor and scale stand for;
+    the command path converts only the minor it keeps."""
+    minors, unpack = _hankel_discriminants(coeffs, n_vars, mu)
+    return [{unpack(e): Fraction(c, scale) for e, c in jet.items()}
+            for jet, scale in minors]
 
 
 def berkowitz_discriminants(coeffs: Sequence[PrecisionSeries], L: LinearForm,

@@ -8,7 +8,8 @@ every `sample_ideals/*.ideal`, exit-1 and exit-2 reports included, plus
 `--verify-mu` it refuses.  Then come the
 `TWO_FAULTS` lines: each sets two faults against each other (a missing
 file and a bad flag, a bad `--order` and a bad `--mu`, ...), so the row
-freezes which one a command line reports first.
+freezes which one a command line reports first.  Last come the
+`REGRESSIONS` lines, command lines that once failed.
 The commands run in process, from the repository root, so the file paths
 in the table are relative to it.
 
@@ -79,6 +80,18 @@ TWO_FAULTS = [
 ]
 
 
+#: Command lines that once failed: a certified `--delta` that the flatness
+#: search needs on a window beyond 2 * mu, and towers whose first generator
+#: has no term on the window.
+REGRESSIONS = [
+    ["ci-experiment", "--file", "sample_ideals/cm_family.ideal", "--mu", "8",
+     "--delta", "x^9*exp(x)"],
+    ["tower", "build", "--file", "sample_ideals/cusp.ideal", "--mu", "1"],
+    ["tower", "build", "--file", "sample_ideals/plane_monomial.ideal",
+     "--mu", "1"],
+]
+
+
 def command_lines() -> list:
     lines = []
     for path in sorted((ROOT / "sample_ideals").glob("*.ideal")):
@@ -91,7 +104,7 @@ def command_lines() -> list:
     lines.append(["example82", "--mu", "12", "--h", "z"])
     lines.append(["example82", "--mu", "8", "--h", "z*geom(z)"])
     lines.append(["example82", "--mu", "8", "--verify-mu", "-5"])
-    return lines + TWO_FAULTS
+    return lines + TWO_FAULTS + REGRESSIONS
 
 
 def row(argv) -> dict:

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -93,7 +94,7 @@ class TestHankelDiscriminants:
         for p in range(1, 6):
             for _ in range(15):
                 vec = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(p)]
-                hankel = E._hankel_discriminants(vec, 0, 0)
+                hankel = OR.hankel_minors(vec, 0, 0)
                 for j in range(1, p + 1):
                     expected = OR.evaluate_at_rationals(
                         OR.generalized_discriminant(p, j), vec)
@@ -110,7 +111,7 @@ class TestHankelDiscriminants:
             coeffs = [K.truncate(rand_poly(rng, n, max_terms=4, max_exp=3,
                                            min_order=1), L, mu)
                       for _ in range(p)]
-            hankel = E._hankel_discriminants(coeffs, n, mu)
+            hankel = OR.hankel_minors(coeffs, n, mu)
             for j in range(1, p + 1):
                 expected = OR.evaluate_at_series(OR.generalized_discriminant(p, j),
                                                coeffs, L, mu)
@@ -124,7 +125,7 @@ class TestHankelDiscriminants:
         coeffs, n, mu = case
         L = O.std_form(n)
         p = len(coeffs)
-        hankel = E._hankel_discriminants(coeffs, n, mu)
+        hankel = OR.hankel_minors(coeffs, n, mu)
         for j in range(1, p + 1):
             expected = OR.evaluate_at_series(OR.generalized_discriminant(p, j),
                                            coeffs, L, mu)
@@ -133,7 +134,7 @@ class TestHankelDiscriminants:
     def test_shortfall_refused(self):
         coarse = K.truncate(K.series(1, {(1,): 1, (4,): 2}), std1, 3)
         with pytest.raises(PrecisionShortfall):
-            E._hankel_discriminants([coarse, coarse], 1, 5)
+            OR.hankel_minors([coarse, coarse], 1, 5)
 
     def test_first_nonvanishing_is_gcd_defect_plus_one(self):
         rng = random.Random(11)
@@ -358,6 +359,21 @@ class TestTower:
         T = E.build_tower([K.monomial(2, (1, 1))], 8, seed=3)
         assert T.coordinate_changes
         assert E.validate_tower(T)["all_pass"]
+
+    @pytest.mark.parametrize("gens", [
+        [K.series(2, {(0, 2): 1, (3, 0): -1})],           # cusp.ideal
+        [K.monomial(2, (2, 0)), K.monomial(2, (0, 3))],   # plane_monomial.ideal
+    ])
+    def test_a_generator_that_vanishes_on_the_window_is_refused(self, gens):
+        # at mu = 1 the first generator's jet is zero: no coordinate change
+        # makes it regular, so none is drawn
+        with mock.patch.object(E, "_ensure_regular",
+                               wraps=E._ensure_regular) as ensure:
+            with pytest.raises(PrecisionShortfall,
+                               match="generator 1 has no term on the window 1"):
+                E.build_tower(gens, 1)
+        assert not ensure.called
+        assert E.validate_tower(E.build_tower(gens, 6))["all_pass"]
 
     def test_seeded_plane_curves_all_validate(self):
         from conftest import rand_poly

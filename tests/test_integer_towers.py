@@ -11,6 +11,7 @@ checked to keep its factors on their windows as mu grows.
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,7 @@ def _is_fraction_jet(jet) -> bool:
 
 def _check_numbers(vec):
     p = len(vec)
-    hankel = E._hankel_discriminants(vec, 0, 0)
+    hankel = OR.hankel_minors(vec, 0, 0)
     assert len(hankel) == p
     for j, jet in enumerate(hankel, start=1):
         want = OR.evaluate_at_rationals(OR.generalized_discriminant(p, j), vec)
@@ -46,7 +47,7 @@ def _check_numbers(vec):
 def _check_series(coeffs, mu):
     n = coeffs[0].n
     L = O.std_form(n)
-    hankel = E._hankel_discriminants(coeffs, n, mu)
+    hankel = OR.hankel_minors(coeffs, n, mu)
     for j, jet in enumerate(hankel, start=1):
         want = OR.evaluate_at_series(OR.generalized_discriminant(len(coeffs), j),
                                    coeffs, L, mu)
@@ -245,6 +246,44 @@ def test_prepare_matches_the_kernel_lifting(case):
     P_ref, u_ref = reference_prepare(f, i, mu)
     assert P == P_ref and u == u_ref
     assert all(type(c) is F for c in (*P.terms.values(), *u.terms.values()))
+
+
+@st.composite
+def monomial_times_unit(draw):
+    """(f, i, mu): x_i^p times a unit v in n = 1..3 variables, p = 1..5,
+    with an integer or half-integer mu >= p; f exact or certified."""
+    n = draw(st.integers(1, 3))
+    i = draw(st.integers(0, n - 1))
+    p = draw(st.integers(1, 5))
+    mu = F(draw(st.integers(2 * p, 2 * p + (8 if n < 3 else 4))), 2)
+    v = {(0,) * n: draw(coefficient)}
+    for _ in range(draw(st.integers(0, 4))):
+        e = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        if any(e):
+            v[e] = draw(coefficient)
+    f = K.mul(K.monomial(n, tuple(p if k == i else 0 for k in range(n))),
+              K.series(n, v))
+    if draw(st.booleans()):
+        f = K.truncate(f, O.std_form(n), mu + draw(st.integers(0, 2)))
+    return f, i, mu
+
+
+@settings(max_examples=120, deadline=None)
+@given(monomial_times_unit())
+# univariate, as every discriminant of a plane tower: x^3 (2 - x) at 7/2
+@example((K.series(1, {(3,): 2, (4,): -1}), 0, F(7, 2)))
+def test_prepare_of_a_power_times_a_unit_divides_nothing(case):
+    # x_i^p divides every term of the jet, so P = x_i^p and u = j / x_i^p
+    # in closed form, with no division
+    f, i, mu = case
+    with mock.patch.object(E, "_divide", wraps=E._divide) as divide:
+        P, u = E.weierstrass_prepare(f, i, mu)
+    assert not divide.called
+    P_ref, u_ref = reference_prepare(f, i, mu)
+    L = O.std_form(f.n)
+    assert P.prec == P_ref.prec and u.prec == u_ref.prec
+    assert K.agrees_up_to(P, P_ref, L, P.prec)
+    assert K.agrees_up_to(u, u_ref, L, u.prec)
 
 
 def test_prepared_unit_does_not_change_on_its_window_when_mu_grows():

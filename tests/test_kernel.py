@@ -105,6 +105,49 @@ class TestMul:
         assert K.mul(K.zero(2), K.variable(2, 0)).is_exact_zero
 
 
+@st.composite
+def certified_pairs(draw):
+    """(a, b, form): two operands in n = 1..3 variables, each exact or
+    certified under the form, one of them at least certified; the form is
+    standard or has rational weights >= 1, and an operand may be zero up
+    to its bound."""
+    n = draw(st.integers(1, 3))
+    weight = st.builds(F, st.integers(2, 9), st.integers(1, 4)).filter(
+        lambda w: w >= 1)
+    form = draw(st.just(O.std_form(n))
+                | st.lists(weight, min_size=n, max_size=n).map(
+                    lambda ws: O.LinearForm(tuple(ws))))
+    bound = st.builds(F, st.integers(1, 40), st.integers(1, 6))
+
+    def operand(certified):
+        terms = draw(st.dictionaries(exponents(n), st.integers(-4, 4),
+                                     max_size=4))
+        if not certified:
+            return K.series(n, terms)
+        mu = draw(bound)
+        return K.truncate(K.series(n, terms), form, mu)
+
+    certified = draw(st.sampled_from([(True, False), (False, True),
+                                      (True, True)]))
+    return operand(certified[0]), operand(certified[1]), form
+
+
+@settings(max_examples=150, deadline=None)
+@given(certified_pairs())
+def test_product_bound_is_the_min_lvalue_rule(case):
+    # the bound of a * b is min(prec(a) + ord(b), prec(b) + ord(a)) over the
+    # certified operands, ord the L-order lower bound `min_lvalue`
+    a, b, form = case
+    assume(not a.is_exact_zero and not b.is_exact_zero)
+    want = []
+    if a.prec is not K.EXACT:
+        want.append(a.prec + O.min_lvalue(form, b))
+    if b.prec is not K.EXACT:
+        want.append(b.prec + O.min_lvalue(form, a))
+    got = K.mul(a, b).prec
+    assert got == min(want) and type(got) is F
+
+
 @settings(max_examples=60)
 @given(polys(2), polys(2), polys(2))
 def test_ring_axioms_exact(a, b, c):

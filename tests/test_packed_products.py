@@ -193,8 +193,8 @@ def test_hankel_route_never_calls_kernel_mul(monkeypatch):
     coeffs = [K.truncate(K.series(2, {(1, 0): F(1, 2), (0, 2): -1}), L, 6),
               K.truncate(K.series(2, {(0, 1): 3, (1, 1): F(2, 3)}), L, 6),
               K.truncate(K.series(2, {(2, 0): 1}), L, 6)]
-    assert E._hankel_discriminants(coeffs, 2, 6)[-1]
-    assert E._hankel_discriminants([F(1, 2), F(-3), 0, F(7, 5)], 0, 0)[-1]
+    assert OR.hankel_minors(coeffs, 2, 6)[-1]
+    assert OR.hankel_minors([F(1, 2), F(-3), 0, F(7, 5)], 0, 0)[-1]
 
 
 def test_zero_series_vector_stops_at_the_structural_zero():
@@ -206,7 +206,7 @@ def test_zero_series_vector_stops_at_the_structural_zero():
     zero = [K.truncate(K.series(1, {}), O.std_form(1), p)] * p
     for coeffs, n_vars, origin in ((zero, 1, (0,)), ([0] * p, 0, ())):
         with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
-            minors = E._hankel_discriminants(coeffs, n_vars, p)
+            minors = OR.hankel_minors(coeffs, n_vars, p)
         assert dot.call_count == 1
         assert minors == [{}] * (p - 1) + [{origin: F(p)}]
 
@@ -226,7 +226,7 @@ def test_a_minor_whose_order_is_mu_is_computed(n, low):
     # X^2 - x^6 and X^2 - x y^5 at mu = 6: theta = 6/2 = 3, so the 2 x 2
     # minor has order >= 2 * 3 = mu and lies on the window's edge
     coeffs = [K.series(n, low), K.zero(n)]
-    minors = E._hankel_discriminants(coeffs, n, 6)
+    minors = OR.hankel_minors(coeffs, n, 6)
     assert minors[0]
     assert minors == _symbolic_minors(coeffs, 6)
 
@@ -238,9 +238,25 @@ def test_minors_beyond_the_window_make_no_product():
     # pass without the cut made 13)
     coeffs = [K.series(1, {(7,): -1})] + [K.zero(1)] * 4
     with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
-        minors = E._hankel_discriminants(coeffs, 1, 10)
+        minors = OR.hankel_minors(coeffs, 1, 10)
     assert dot.call_count == 1
     assert minors == _symbolic_minors(coeffs, 10)
+
+
+@pytest.mark.parametrize("coeffs, mu, j", [
+    # y^5 - x^7 at mu 10: D_1..D_4 vanish on the window and D_5 = 5
+    ([K.series(1, {(7,): -1})] + [K.zero(1)] * 4, 10, 5),
+    # y^2 - x^3 at mu 6: D_1 = 4x^3 and D_2 = 2 are both nonzero
+    ([K.series(1, {(3,): -1}), K.zero(1)], 6, 1),
+])
+def test_first_nonvanishing_converts_one_minor(coeffs, mu, j):
+    # the pass returns integer minors, and only the one returned becomes a
+    # jet of `Fraction`s: one per term of the value
+    with mock.patch.object(E, "Fraction", wraps=F) as fraction:
+        got, value, _ = E._first_nonvanishing(coeffs, 1, mu)
+    assert got == j
+    assert value.terms == OR.hankel_minors(coeffs, 1, mu)[j - 1]
+    assert fraction.call_count == len(value.terms) == 1
 
 
 @st.composite
@@ -273,7 +289,7 @@ def test_minors_match_the_plain_berkowitz_oracle_beyond_the_cap(case):
     coeffs, mu = case
     L = O.std_form(coeffs[0].n)
     want = OR.berkowitz_discriminants(coeffs, L, mu)
-    assert E._hankel_discriminants(coeffs, coeffs[0].n, mu) == [d.terms for d in want]
+    assert OR.hankel_minors(coeffs, coeffs[0].n, mu) == [d.terms for d in want]
 
 
 # -- root counts beyond the symbolic cap ---------------------------------------
@@ -336,7 +352,7 @@ def power_of_linear(r, p: int) -> list:
 def test_minors_match_hankel_determinants_beyond_the_cap(vec):
     p = len(vec)
     s = power_sums(vec, 2 * p - 1)
-    minors = E._hankel_discriminants(vec, 0, 0)
+    minors = OR.hankel_minors(vec, 0, 0)
     assert len(minors) == p
     for j, jet in enumerate(minors, start=1):
         m = p - j + 1

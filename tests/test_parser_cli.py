@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from localring import approx as AP
 from localring import cli
 from localring import diagram as DG
 from localring import kernel as K
@@ -393,6 +394,24 @@ class TestCli:
                              "--mu", "6", "--delta", "x^7", "--delta", "y^7"])
         assert code == 0
         assert rep["all_equal"] is True
+
+    def test_ci_experiment_reparses_a_certified_delta_on_any_window(self):
+        # the flatness search reads the deltas on l0 * mu = 72 under
+        # w:1,1,9, far beyond the window 2 * mu they are first parsed at
+        code, rep = cli.run(["ci-experiment", "--file",
+                             str(SAMPLES / "cm_family.ideal"), "--mu", "8",
+                             "--delta", "x^9*exp(x)"])
+        assert code == 0 and rep["all_equal"] is True
+        assert rep["items"]["flatness"]["l0"] == 9
+        f = load_ideal_file((SAMPLES / "cm_family.ideal").read_text("utf-8"))
+        I = f.presentation(std3, 8)
+        delta = parse_expression("x^9*exp(x)", f.var_names, std3, 16)
+        B = AP.perturb(AP.PerturbationSpec(I, 8, std3,
+                                           [delta, K.zero(3), K.zero(3)]))
+        hs = rep["items"]["hilbert_samuel"]
+        assert hs["table"] == [DG.oracle_jet_quotient_dim(I, e) for e in range(9)]
+        assert hs["table_perturbed"] == [DG.oracle_jet_quotient_dim(B, e)
+                                         for e in range(9)]
 
     def test_tower(self, tmp_path):
         path = tmp_path / "cusp.ideal"

@@ -124,6 +124,12 @@ def test_forms_compared_only_by_the_admission_rule():
     assert not found, found
 
 
+def _is_fraction_call(node) -> bool:
+    return isinstance(node, ast.Call) and (
+        (isinstance(node.func, ast.Name) and node.func.id == "Fraction")
+        or (isinstance(node.func, ast.Attribute) and node.func.attr == "Fraction"))
+
+
 def _fraction_defaults(path: Path) -> list:
     """Calls x.get(key, Fraction(...)): a default built on every lookup."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -132,12 +138,7 @@ def _fraction_defaults(path: Path) -> list:
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                 and node.func.attr == "get" and len(node.args) == 2):
             continue
-        default = node.args[1]
-        if isinstance(default, ast.Call) and (
-                (isinstance(default.func, ast.Name)
-                 and default.func.id == "Fraction")
-                or (isinstance(default.func, ast.Attribute)
-                    and default.func.attr == "Fraction")):
+        if _is_fraction_call(node.args[1]):
             found.append(node.lineno)
     return [f"{path.name}:{line}" for line in sorted(found)]
 
@@ -159,6 +160,39 @@ def test_fraction_default_lint_sees_every_form(tmp_path):
                     "    return a + b + row.get(e, _ZERO) + row.get(e)\n",
                     encoding="utf-8")
     assert _fraction_defaults(path) == ["m.py:2", "m.py:3"]
+
+
+def _fraction_calls(path: Path, functions) -> list:
+    """Calls Fraction(...) inside the named top-level functions, nested
+    functions included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) and fn.name in functions
+            for node in ast.walk(fn) if _is_fraction_call(node)]
+
+
+def test_the_hankel_pass_builds_no_fraction():
+    # the discriminant pass runs on integers (equising's docstring): it
+    # returns integer minors with their scales, and the caller converts
+    # only the minor it keeps
+    found = _fraction_calls(SOURCE / "equising.py",
+                            ("_hankel_discriminants", "_jet_dot"))
+    assert not found, found
+
+
+def test_fraction_call_lint_sees_a_planted_call(tmp_path):
+    path = tmp_path / "equising.py"
+    path.write_text("def _jet_dot(a):\n"
+                    "    return {e: Fraction(c, 2) for e, c in a.items()}\n\n"
+                    "def _hankel_discriminants(a):\n"
+                    "    def unpack(e):\n"
+                    "        return fractions.Fraction(e)\n"
+                    "    return unpack\n\n"
+                    "def _first_nonvanishing(a):\n"
+                    "    return Fraction(a)\n",
+                    encoding="utf-8")
+    assert _fraction_calls(path, ("_hankel_discriminants", "_jet_dot")) == [
+        "equising.py:2", "equising.py:6"]
 
 
 def _package_imports(path: Path) -> set:
@@ -284,20 +318,23 @@ def test_orphan_lint_sees_a_helper_read_only_by_itself(tmp_path):
                                                      "a.py:7:_Record"]
 
 
+#: The classes whose method `at` expands a source, by module.
+SOURCE_READERS = {"kernel.py": "IdealPresentation", "approx.py": "PerturbationSpec"}
+
+
 def _source_reads(paths) -> list:
     """Reads of a `.source` attribute anywhere but in the method `at` of
-    the class `IdealPresentation` in kernel.py."""
+    `IdealPresentation` in kernel.py (its generators) and of
+    `PerturbationSpec` in approx.py (its deltas)."""
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        allowed = set()
-        if path.name == "kernel.py":
-            allowed = {id(sub) for cls in tree.body
-                       if isinstance(cls, ast.ClassDef)
-                       and cls.name == "IdealPresentation"
-                       for method in cls.body
-                       if isinstance(method, ast.FunctionDef) and method.name == "at"
-                       for sub in ast.walk(method)}
+        allowed = {id(sub) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef)
+                   and cls.name == SOURCE_READERS.get(path.name)
+                   for method in cls.body
+                   if isinstance(method, ast.FunctionDef) and method.name == "at"
+                   for sub in ast.walk(method)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "source"
                   and isinstance(node.ctx, ast.Load) and id(node) not in allowed]
@@ -305,8 +342,9 @@ def _source_reads(paths) -> list:
 
 
 def test_presentations_expand_only_through_at():
-    # how a presentation is certified on a wider window (its source, or
-    # else the per-series rule) is decided by IdealPresentation.at alone
+    # how a presentation or a perturbation's deltas are certified on a
+    # wider window (the source, or else the per-series rule) is decided in
+    # `kernel.expanded`, which only the two `at` methods hand a source
     assert not _source_reads(sorted(SOURCE.glob("*.py")))
 
 
@@ -320,7 +358,16 @@ def test_source_lint_sees_a_read_outside_at(tmp_path):
                       encoding="utf-8")
     other.write_text("def gens(I, L, w):\n    return I.source(L, w)\n",
                      encoding="utf-8")
-    assert _source_reads([kernel, other]) == ["kernel.py:6", "diagram.py:2"]
+    approx = tmp_path / "approx.py"
+    approx.write_text("class PerturbationSpec:\n"
+                      "    def at(self, form, window):\n"
+                      "        return self.source(form, window)\n\n"
+                      "class IdealPresentation:\n"
+                      "    def at(self, form, window):\n"
+                      "        return self.source(form, window)\n",
+                      encoding="utf-8")
+    assert _source_reads([kernel, other, approx]) == [
+        "kernel.py:6", "diagram.py:2", "approx.py:7"]
 
 
 def _dataclass_imports(path: Path) -> list:
