@@ -289,7 +289,11 @@ def _cmd_tower(args, f, form, mu) -> tuple[int, dict]:
 
 
 def _build_argparser() -> _Parser:
-    top = _Parser(prog="localring", description=__doc__)
+    # the first two paragraphs of the docstring are for users; the rest
+    # describes the handlers
+    top = _Parser(prog="localring",
+                  description="\n\n".join(__doc__.split("\n\n")[:2]),
+                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, mu=True, order=False):

@@ -17,23 +17,31 @@ listing order of the divisors is significant: the API never re-sorts it.
 There is one division loop, and it is fraction-free.  It runs on member
 records: each divisor admitted once on the window (`kernel._admit`) and
 converted once to a primitive integer multiple with a positive integer head
-a, its tail sorted in the order of L.  A record also carries the divisor's
-certified bound, so nothing downstream reads head, level or bound from the
-series again.  This module is the one place where a series becomes integer
-terms: `_packed` writes it as numerators over the lcm of its denominators
-(`kernel._numerators`) on packed exponents, and `_member` builds a record
-from such terms.  `hironaka_divide` and standard-basis completion build the
-records through `_members`; completion hands each integer s-series to the
-same loop, and builds the record of an adjoined remainder straight from
-the loop's packed output.  The running series is held as Python integers
-over one common denominator.  Processing a term w (over the denominator)
-scales the running series by a / gcd(w, a) when that is not 1, then
-subtracts w / gcd(w, a) times the shifted integer tail.  The loop reads
-from the dividend's bound and the records' bounds whether the division may
-turn out exact; unless it may, a term above the window is dropped at once.
-Rationals are built only for what is emitted.  By uniqueness the results
-equal those of the plain rational loop, and dividing a rational multiple of
-a series gives the same multiple of its quotients and remainder.
+a, its tail sorted in the order of L.  A record also carries the level cap
+of the divisor's certified bound (EXACT for an exact divisor), so nothing
+downstream reads head, level or bound from the series again.  This module is
+the one place where a series becomes integer terms: `_packed` writes it as
+numerators over the lcm of its denominators (`kernel._numerators`) on
+packed exponents, and `_member` builds a record from such terms.
+`hironaka_divide` and standard-basis completion build the records through
+`_members`; completion hands each integer s-series to the same loop, and
+builds the record of an adjoined remainder straight from the loop's packed
+output.  The running series is held as Python integers over one common
+denominator.  Processing a term w (over the denominator) scales the running
+series by a / gcd(w, a) when that is not 1, then subtracts w / gcd(w, a)
+times the shifted integer tail.  The loop reads from the dividend's bound
+and the records' caps whether the division may turn out exact; unless it
+may, a term above the window is dropped at once.  Each call lists the routes
+(packed head, a, tail, index) of the members once, in list order, and
+windows its dividend once; it skips the gcd when a = 1.  A processed term
+beta shifts a tail by s = beta - alpha, and the tail is sorted, so the
+shifted tail leaves the window at its first term e >= limit - s, where
+limit packs the first level above the window: an inexact division reads no
+tail past that integer.  Rationals are built only for what is emitted, and a
+remainder term is checked against the head tuples, outside every cone, as
+it is unpacked.  By uniqueness the results equal those of the plain rational
+loop, and dividing a rational multiple of a series gives the same multiple
+of its quotients and remainder.
 
 Packed exponents (Monagan and Pearce, "Polynomial division using dynamic
 arrays, heaps, and packed exponent vectors", CASC 2007).  Inside the loop an
@@ -89,7 +97,7 @@ from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, ZeroUpToPrecision
-from .kernel import EXACT, Prec, PrecisionSeries, _admit, _numerators
+from .kernel import EXACT, PrecisionSeries, _admit, _numerators
 from .order import Exponent, LinearForm
 
 #: Region index returned for exponents outside every divisor cone.
@@ -169,13 +177,15 @@ class _Member(NamedTuple):
     a: int  # the positive integer head
     head: int  # the packed head exponent
     tail: list  # (packed exponent, integer coefficient) in increasing order
-    prec: Prec  # the certified bound of g
+    cap: Optional[int]  # the level cap of g's certified bound, or EXACT
 
 
-def _member(terms: dict, den: int, prec: Prec, pk: _Packing) -> _Member:
+def _member(terms: dict, den: int, cap: Optional[int],
+            pk: _Packing) -> _Member:
     """The record of the nonzero series {p: terms[p] / den}, with packed
-    exponents p and integer terms[p], certified to prec: its primitive
-    integer multiple with a positive head."""
+    exponents p and integer terms[p], certified to the levels <= cap (EXACT
+    when it is exact): its primitive integer multiple with a positive
+    head."""
     # packed exponents are distinct, so the sort never compares coefficients
     (head, w0), *rest = sorted(terms.items())
     content = reduce(math.gcd, terms.values())
@@ -183,7 +193,7 @@ def _member(terms: dict, den: int, prec: Prec, pk: _Packing) -> _Member:
         content = -content
     return _Member(_unpack(pk, head), head >> pk.shift, Fraction(w0, den),
                    w0 // content, head, [(p, c // content) for p, c in rest],
-                   prec)
+                   cap)
 
 
 def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
@@ -197,7 +207,8 @@ def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
                 "a divisor or basis member is zero up to its precision")
         _admit(g, L, mu)
         terms, den = _packed(g, pk)
-        members.append(_member(terms, den, g.prec, pk))
+        cap = EXACT if g.prec is EXACT else L.level_cap(g.prec)
+        members.append(_member(terms, den, cap, pk))
     return members
 
 
@@ -260,20 +271,26 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
         bound = EXACT if exact else Fraction(top - m.level * mu.denominator,
                                              bottom)
         out_q.append(PrecisionSeries(n, qterms, bound, L))
-    remainder = {e: Fraction(w, den)
-                 for e, w in _remainder_terms(rem, pk, partition.alphas)}
+    remainder = _remainder(rem, den, pk, partition.alphas)
     rem_series = PrecisionSeries(n, remainder, EXACT if exact else mu, L)
     return DivisionResult(tuple(out_q), rem_series, mu, partition)
 
 
-def _remainder_terms(rem: dict, pk: _Packing, alphas: Sequence[Exponent]):
-    """(exponent, numerator) for each remainder term, checked to lie in the
-    complement of the heads' cones."""
+def _remainder(rem: dict, den: int, pk: _Packing,
+               alphas: Sequence[Exponent]) -> dict:
+    """{exponent: rem[p] / den} for a packed remainder, every term checked,
+    as it is unpacked, to lie outside the heads' cones (the packing fixes
+    the length of every exponent, so no length is compared)."""
+    ge = operator.ge
+    out = {}
     for p, w in rem.items():
         e = _unpack(pk, p)
-        if _region(alphas, e) is not COMPLEMENT:
-            raise InvariantViolation("remainder term outside the complement")
-        yield e, w
+        for alpha in alphas:
+            if all(map(ge, e, alpha)):
+                raise InvariantViolation(
+                    "remainder term outside the complement")
+        out[e] = Fraction(w, den)
+    return out
 
 
 def _adjoined(rem: dict, exact: bool, members: Sequence[_Member],
@@ -282,18 +299,18 @@ def _adjoined(rem: dict, exact: bool, members: Sequence[_Member],
     {p: rem[p] / den} returned by `_divide`, with the exactness it returned.
     That multiple is {p: rem[p] / w0} for the head numerator w0, so the
     record is built from the packed remainder itself."""
-    alphas = [m.alpha for m in members]
     w0 = next(iter(rem.values()))  # `_divide` emits in increasing order
-    terms = {e: Fraction(w, w0) for e, w in _remainder_terms(rem, pk, alphas)}
-    prec = EXACT if exact else mu
-    return PrecisionSeries(L.n, terms, prec, L), _member(rem, w0, prec, pk)
+    terms = _remainder(rem, w0, pk, [m.alpha for m in members])
+    prec, cap = (EXACT, EXACT) if exact else (mu, L.level_cap(mu))
+    return PrecisionSeries(L.n, terms, prec, L), _member(rem, w0, cap, pk)
 
 
-def _divide(terms: dict, den: int, prec: Prec, members: Sequence[_Member],
+def _divide(terms: dict, den: int, prec, members: Sequence[_Member],
             pk: _Packing, cap: int, quotients: Optional[list] = None) -> tuple:
     """The division loop: divide {p: terms[p] / den}, with packed exponents
-    p and integer terms[p], certified to prec, by the member records, on
-    the levels <= cap.
+    p and integer terms[p], by the member records, on the levels <= cap.
+    Of the dividend's bound `prec` (a bound or a level cap) only whether it
+    is EXACT is read.
 
     Returns (remainder, den, exact): the remainder maps packed exponents, in
     increasing order, to integer numerators over the returned den, and exact
@@ -302,21 +319,17 @@ def _divide(terms: dict, den: int, prec: Prec, members: Sequence[_Member],
     of one dict per member, quotient i gets {packed shift: Fraction};
     without it no quotient is built.
     """
-    exact = prec is EXACT and all(m.prec is EXACT for m in members)
+    exact = prec is EXACT and all(m.cap is EXACT for m in members)
     limit = (cap + 1) << pk.shift  # p < limit exactly when level(p) <= cap
     guard = pk.guard
+    # the routes in list order, so the first dividing head wins
+    routes = [(m.head, m.a, m.tail, i) for i, m in enumerate(members)]
     # A term above the window only ever feeds terms above it.  Such terms are
-    # kept only in an exact division, to tell whether anything is left over.
-    work: dict = {}  # the running series is {p: work[p] / den}
-    heap: list = []  # the packed exponents of the terms inside the window
-    for p, c in terms.items():
-        if not c:
-            continue
-        if p < limit:
-            heap.append(p)
-        elif not exact:
-            continue
-        work[p] = c
+    # kept only in an exact division, to tell whether anything is left over;
+    # it reads every tail to its end, and each tail term lies below `reach`.
+    reach = 1 + max([m.tail[-1][0] for m in members if m.tail], default=0)
+    work = {p: c for p, c in terms.items() if c and (exact or p < limit)}
+    heap = [p for p in work if p < limit]  # the terms inside the window
     heapq.heapify(heap)
 
     remainder: dict = {}
@@ -331,32 +344,35 @@ def _divide(terms: dict, den: int, prec: Prec, members: Sequence[_Member],
         if beta <= last:
             raise InvariantViolation("division made no strict progress in the order")
         last = beta
-        for i, m in enumerate(members):
-            if not (beta - m.head) & guard:
+        for head, a, tail, i in routes:
+            if not (beta - head) & guard:
                 break
         else:
             remainder[beta] = w
             continue
-        _, _, lead, a, head, tail, _ = m
         shift = beta - head
         if quotients is not None:
+            lead = members[i].lead
             quotients[i][shift] = Fraction(w * lead.denominator,
                                            den * lead.numerator)
         # subtract w / (den * a) times x^shift times the integer divisor,
         # over the new denominator den * a / g
-        g = gcd(w, a)
-        if g != a:
-            factor = a // g
-            for p in work:
-                work[p] *= factor
-            for p in remainder:
-                remainder[p] *= factor
-            den *= factor
-        w //= g
+        if a != 1:
+            g = gcd(w, a)
+            if g != a:
+                factor = a // g
+                for p in work:
+                    work[p] *= factor
+                for p in remainder:
+                    remainder[p] *= factor
+                den *= factor
+            w //= g
+        # shift + e lies above the window exactly when e >= limit - shift
+        edge = reach if exact else limit - shift
         for e, c in tail:
-            t = shift + e
-            if t >= limit and not exact:
+            if e >= edge:
                 break  # the tail is sorted by level
+            t = shift + e
             v = work.get(t)
             if v is None:
                 work[t] = -w * c

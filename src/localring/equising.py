@@ -81,7 +81,7 @@ from .division import (
     _members,
     _packed,
     _packing,
-    _remainder_terms,
+    _remainder,
     _unpack,
 )
 from .errors import (
@@ -342,9 +342,9 @@ def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
     # dropped at once, and the quotient q is not built
     rem, den, _ = _divide({divisor.head: 1}, 1, cap, [divisor], pk, cap)
     P = {alpha: Fraction(1)}
-    for e, w in _remainder_terms(rem, pk, [alpha]):
+    for e, c in _remainder(rem, -den, pk, [alpha]).items():
         if sum(e) <= top:
-            P[e] = Fraction(-w, den)
+            P[e] = c
     return (PrecisionSeries(n, P, mu, L), jet,
             (divisor.head, rem, den, pk, cap))
 

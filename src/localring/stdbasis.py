@@ -16,20 +16,26 @@ Completion and `becker_check` choose one exponent packing per call (see
 `division`: it has room for every member completion can adjoin), admit and
 convert each member once, when it enters the basis, into the integer record
 of `division` (head, level, primitive integer head a, packed head, packed
-integer tail in increasing order and certified bound), and read heads and
-bounds from the records.  An adjoined member's record is built from the
-packed integer remainder itself, and the division loop alone decides
-exactness.  The s-series of members i and j is formed on integers and
-packed exponents,
+integer tail in increasing order and the level cap of its certified bound),
+and read heads and caps from the records.  An adjoined member's record is
+built from the packed integer remainder itself, and the division loop alone
+decides exactness.  The s-series of members i and j is formed on integers
+and packed exponents,
 
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j,
 
 windowed to the same bound as `s_series(g_i, g_j)`, and divided by the one
-division loop over denominator 1.  It is a nonzero rational multiple of
-`s_series(g_i, g_j)`, so by linearity and uniqueness of division its
-remainder is the same multiple of that s-series' remainder: the pair
-statuses, the adjoined head-monic members and the staircases are those of
-the rational computation.
+division loop over denominator 1.  That bound is the least r.prec + L(m -
+alpha_r) over the inexact members r of the pair, and since floor(x * den +
+k) = floor(x * den) + k for an integer k, its level cap is the least
+
+    cap_r + level(m) - level(alpha_r)
+
+on integers, with cap_r the record's cap: no rational is formed per pair.
+It is a nonzero rational multiple of `s_series(g_i, g_j)`, so by linearity
+and uniqueness of division its remainder is the same multiple of that
+s-series' remainder: the pair statuses, the adjoined head-monic members and
+the staircases are those of the rational computation.
 
 Completion prunes pairs by Buchberger's chain criterion in the form of
 Gebauer and Moeller (1988): the pair (i, j) is skipped when another head h_k
@@ -55,6 +61,14 @@ above the lcm whose s-series produced it), so a skip rests only on pairs
 that left before it, and three pairs sharing one lcm cannot excuse each
 other.
 
+Both criteria are read from small per-call tables, not from exponent tuples.
+Each member has a support bitmask, bit k set when x_k divides its head, and
+two heads are coprime (Buchberger's product criterion) when their masks
+share no bit.  Each member i also has the set left[i] of the partners k
+whose pair (i, k) has left the queue, so the candidates of the chain
+criterion are left[i] & left[j], and h_k divides the packed lcm when
+subtracting the packed head borrows into no guard bit (see `division`).
+
 The criterion keeps the staircase but not the basis: a skipped pair might
 have adjoined a redundant member.  `sbasis complete` prints the heads, the
 adjoined members and the number of steps as frozen JSON, so the command
@@ -71,6 +85,7 @@ from __future__ import annotations
 
 import heapq
 import operator
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -81,7 +96,6 @@ from .kernel import (
     IdealPresentation,
     PrecisionSeries,
     mul_monomial,
-    prec_min,
     sub,
 )
 from .order import LinearForm, initial_term
@@ -142,9 +156,10 @@ def s_series(F: PrecisionSeries, G: PrecisionSeries, L: LinearForm) -> Precision
     return sub(left, right)
 
 
-def heads_coprime(a, b) -> bool:
-    """Disjoint supports: lcm == product, Buchberger's product criterion."""
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+def _support(alpha) -> int:
+    """The bitmask of the variables in x^alpha: two heads are coprime, and
+    Buchberger's product criterion applies, when their masks share no bit."""
+    return sum([1 << k for k, c in enumerate(alpha) if c])
 
 
 def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> tuple:
@@ -160,35 +175,33 @@ def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> tuple:
     return pk, members
 
 
-def _integer_s_series(ri, rj, pk: _Packing, L: LinearForm) -> tuple:
-    """(terms, prec): the s-series of two members from their records.
+def _integer_s_series(ri, rj, lcm: int, pk: _Packing) -> tuple:
+    """(terms, cap): the s-series of two members from their records and the
+    packed lcm of their heads.
 
     terms maps packed exponents to the integer coefficients of
-    a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j, kept up to
-    prec, the bound of `s_series(g_i, g_j, L)`.
+    a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j, kept on the
+    levels <= cap, the level cap of the bound of `s_series(g_i, g_j, L)`
+    (EXACT when that is exact).
     """
-    lcm = _pack(pk, (*map(max, ri.alpha, rj.alpha),))
+    # the shift lcm - alpha raises every level by level(lcm) - level(alpha)
     lcm_level = lcm >> pk.shift
-    prec = EXACT
-    parts = []
-    for r, c in ((ri, rj.a), (rj, -ri.a)):
-        if r.prec is not EXACT:
-            # the shift lcm - alpha has level lcm_level - r.level
-            prec = prec_min(prec, r.prec + Fraction(lcm_level - r.level, L.den))
-        parts.append((lcm - r.head, r.tail, c))
-    limit = None if prec is EXACT else (L.level_cap(prec) + 1) << pk.shift
+    cap = min([r.cap + lcm_level - r.level for r in (ri, rj)
+               if r.cap is not EXACT], default=EXACT)
+    limit = None if cap is EXACT else (cap + 1) << pk.shift
     terms: dict = {}
-    for shift, tail, c in parts:
+    for shift, tail, c in ((lcm - ri.head, ri.tail, rj.a),
+                           (lcm - rj.head, rj.tail, -ri.a)):
+        if limit is not None:  # keep the terms with shift + e < limit
+            tail = tail[:bisect_left(tail, (limit - shift,))]
         for e, v in tail:
             t = shift + e
-            if limit is not None and t >= limit:
-                break  # the tail is sorted by level
             v = terms.get(t, 0) + c * v
             if v:
                 terms[t] = v
             else:
-                terms.pop(t, None)
-    return terms, prec
+                del terms[t]
+    return terms, cap
 
 
 def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
@@ -202,16 +215,17 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
     gens = tuple(gens)
     pk, members = _check_ready(gens, L, mu)
     cap = L.level_cap(mu)
+    support = [_support(m.alpha) for m in members]
     checks = []
     verified = True
-    for i in range(len(gens)):
+    for i, ri in enumerate(members):
         for j in range(i + 1, len(gens)):
-            if use_coprime_skip and heads_coprime(members[i].alpha,
-                                                  members[j].alpha):
+            if use_coprime_skip and not support[i] & support[j]:
                 checks.append(PairCheck(i, j, "skipped-coprime"))
                 continue
-            terms, prec = _integer_s_series(members[i], members[j], pk, L)
-            ok = not terms or not _divide(terms, 1, prec, members, pk, cap)[0]
+            lcm = _pack(pk, (*map(max, ri.alpha, members[j].alpha),))
+            terms, scap = _integer_s_series(ri, members[j], lcm, pk)
+            ok = not terms or not _divide(terms, 1, scap, members, pk, cap)[0]
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
     return CertifiedBasis(gens, L, mu, verified,
@@ -238,9 +252,10 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     basis = list(I.gens)
     pk, members = _check_ready(basis, L, mu)
     cap, guard = L.level_cap(mu), pk.guard
+    support = [_support(m.alpha) for m in members]
+    left: list = [set() for _ in members]  # left[i]: k with (i, k) popped
     steps = []
     queue: list = []
-    left_queue: set = set()  # popped pairs, in both orders
 
     def push_pairs(j: int):
         hj = members[j].alpha
@@ -249,29 +264,25 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
             lcm = _pack(pk, (*map(max, members[i].alpha, hj),))
             heapq.heappush(queue, (lcm, i, j))
 
-    def chain_skips(i: int, j: int, lcm: int) -> bool:
-        # h_k divides the lcm when subtracting it borrows into no guard bit
-        return any(k != i and k != j and not (lcm - mk.head) & guard
-                   and (i, k) in left_queue and (j, k) in left_queue
-                   for k, mk in enumerate(members))
-
     for j in range(len(basis)):
         push_pairs(j)
 
     adjoined = 0
     while queue:
         lcm, i, j = heapq.heappop(queue)
-        left_queue.add((i, j))
-        left_queue.add((j, i))
-        if use_coprime_skip and heads_coprime(members[i].alpha,
-                                              members[j].alpha):
+        left[i].add(j)
+        left[j].add(i)
+        if use_coprime_skip and not support[i] & support[j]:
             continue
-        if use_chain_criterion and chain_skips(i, j, lcm):
+        # the chain criterion: h_k divides the lcm when subtracting it
+        # borrows into no guard bit
+        if use_chain_criterion and any(not (lcm - members[k].head) & guard
+                                       for k in left[i] & left[j]):
             continue
-        terms, prec = _integer_s_series(members[i], members[j], pk, L)
+        terms, scap = _integer_s_series(members[i], members[j], lcm, pk)
         if not terms:
             continue
-        rem, _, exact = _divide(terms, 1, prec, members, pk, cap)
+        rem, _, exact = _divide(terms, 1, scap, members, pk, cap)
         if not rem:
             steps.append(CompletionStep(i, j, len(basis), None))
             continue
@@ -287,6 +298,8 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
         series, member = _adjoined(rem, exact, members, pk, L, mu)
         basis.append(series)
         members.append(member)
+        support.append(_support(member.alpha))
+        left.append(set())
         steps.append(CompletionStep(i, j, len(basis) - 1, len(basis) - 1))
         push_pairs(len(basis) - 1)
 

@@ -12,6 +12,9 @@ identities and a plain Berkowitz pass on the same kernel series, forming
 every product that the Hankel route skips.  `hankel_minors` reads the
 Hankel route's integer minors as the rational jets the oracles return.
 
+`plain_rank` is the dense elimination that `diagram.ExactRowReducer`, with
+its sparse rows and pivots, is held to.
+
 `walk_complement_levels` counts a staircase complement per level by
 visiting every complement point, the way `diagram._complement_levels` did
 before it read the counts off the Hilbert-series numerator.
@@ -257,6 +260,34 @@ def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
     rhs = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + m, m))
     return {"eta": eta, "m": m, "lhs_rank": lhs.rank, "rhs_rank": rhs.rank,
             "equal": lhs.rank == rhs.rank}
+
+
+def heads_coprime(a, b) -> bool:
+    """Disjoint supports: lcm == product, Buchberger's product criterion;
+    completion tests it on support bitmasks."""
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def plain_rank(rows: Sequence[dict]) -> int:
+    """The rank of sparse rows {column: coefficient}, by plain Gaussian
+    elimination on a dense `Fraction` matrix; the pinned reference for
+    `diagram.ExactRowReducer`."""
+    columns = sorted({e for row in rows for e in row})
+    matrix = [[Fraction(row.get(e, 0)) for e in columns] for row in rows]
+    rank = 0
+    for col in range(len(columns)):
+        pivot = next((r for r in range(rank, len(matrix)) if matrix[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
+        top = matrix[rank]
+        for r in range(rank + 1, len(matrix)):
+            if matrix[r][col]:
+                factor = matrix[r][col] / top[col]
+                matrix[r] = [a - factor * b for a, b in zip(matrix[r], top)]
+        rank += 1
+    return rank
 
 
 def walk_complement_levels(vertices: tuple, weights: tuple, cap: int) -> list:

@@ -262,6 +262,40 @@ class TestOracle:
             assert hs == oracle
 
 
+@st.composite
+def sparse_rows(draw):
+    """(rows, queries): sparse rational rows on the monomials of 2 to 4
+    variables; the queries include combinations of the rows."""
+    n = draw(st.integers(2, 4))
+    exponent = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    row = st.dictionaries(exponent, coeff, max_size=4)
+    rows = draw(st.lists(row, max_size=8))
+    queries = draw(st.lists(row, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        combo: dict = {}
+        for r in rows:
+            c = draw(coeff)
+            for e, v in r.items():
+                combo[e] = combo.get(e, 0) + c * v
+        queries.append(combo)
+    return rows, queries
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_rows())
+def test_row_reducer_matches_plain_elimination(data):
+    rows, queries = data
+    reducer = DG.ExactRowReducer()
+    for k, row in enumerate(rows):
+        grew = OR.plain_rank(rows[:k + 1]) > OR.plain_rank(rows[:k])
+        assert reducer.add(row) == grew
+    rank = OR.plain_rank(rows)
+    assert reducer.rank == rank
+    for q in queries:
+        assert reducer.member(q) == (OR.plain_rank([*rows, q]) == rank)
+
+
 class TestEvaluatedIdeal:
     def test_example(self):
         I = example_family(8)

@@ -6,7 +6,8 @@ import pytest
 from localring import division as DIV
 from localring import kernel as K
 from localring import order as O
-from localring.errors import PrecisionShortfall, ZeroUpToPrecision
+from localring.errors import (InvariantViolation, PrecisionShortfall,
+                              ZeroUpToPrecision)
 from conftest import rand_poly, rand_form
 
 std1 = O.std_form(1)
@@ -159,3 +160,45 @@ def test_uniqueness_against_term_order():
             assert K.agrees_up_to(r_all.quotients[i], combined, L, window)
         assert K.agrees_up_to(r_all.remainder,
                               K.add(r_f.remainder, r_g.remainder), L, 8)
+
+
+def planted_record(pk, alpha, head, tail=()):
+    """An exact record claiming the head `alpha`, packed with `head`."""
+    return DIV._Member(alpha, sum(alpha), F(1), 1, DIV._pack(pk, head),
+                       [(DIV._pack(pk, e), c) for e, c in tail], K.EXACT)
+
+
+class TestPlantedRecords:
+    """Hand-built member records that break an invariant the loop checks:
+    a packed head that disagrees with its `alpha`, or a tail term below its
+    head."""
+
+    pk = DIV._packing(std2, 4, [K.monomial(2, (2, 2))])
+
+    def test_adjoining_a_remainder_in_a_head_cone_raises(self):
+        # the packed head y^2 does not divide xy, but the claimed head x does
+        liar = planted_record(self.pk, (1, 0), (0, 2))
+        rem, _, exact = DIV._divide({DIV._pack(self.pk, (1, 1)): 1}, 1,
+                                    K.EXACT, [liar], self.pk, 4)
+        assert rem
+        with pytest.raises(InvariantViolation, match="outside the complement"):
+            DIV._adjoined(rem, exact, [liar], self.pk, std2, F(4))
+
+    def test_a_tail_term_below_the_head_breaks_progress(self):
+        # x^2 - y: reducing x^2 yields y, which lies below x^2
+        bad = planted_record(self.pk, (2, 0), (2, 0), [((0, 1), -1)])
+        with pytest.raises(InvariantViolation, match="strict progress"):
+            DIV._divide({DIV._pack(self.pk, (2, 0)): 1}, 1, K.EXACT, [bad],
+                        self.pk, 4)
+
+    def test_a_quotient_outside_its_region_raises(self, monkeypatch):
+        # the first record claims the head x but divides by x^2, so x goes to
+        # the second, whose region the first head's cone covers
+        def planted(gens, L, mu, pk):
+            return [planted_record(pk, (1, 0), (2, 0)),
+                    planted_record(pk, (1, 0), (1, 0))]
+
+        monkeypatch.setattr(DIV, "_members", planted)
+        x = K.variable(2, 0)
+        with pytest.raises(InvariantViolation, match="left its region"):
+            DIV.hironaka_divide(x, [x, x], std2, 4)

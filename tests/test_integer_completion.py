@@ -7,6 +7,7 @@ and adjoined members made head-monic.
 """
 
 import heapq
+import itertools
 import operator
 from fractions import Fraction as F
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import recheck_step
+from oracles import heads_coprime
 from localring import division as DIV
 from localring import kernel as K
 from localring import order as O
@@ -62,7 +64,7 @@ def reference_complete(gens, L, mu, use_coprime_skip=True,
     while queue:
         _, i, j, lcm = heapq.heappop(queue)
         left_queue |= {(i, j), (j, i)}
-        if use_coprime_skip and SB.heads_coprime(heads[i], heads[j]):
+        if use_coprime_skip and heads_coprime(heads[i], heads[j]):
             continue
         if use_chain_criterion and any(
                 k not in (i, j) and all(map(operator.le, hk, lcm))
@@ -90,7 +92,7 @@ def reference_check(gens, L, mu, use_coprime_skip=True):
     statuses = []
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            if use_coprime_skip and SB.heads_coprime(heads[i], heads[j]):
+            if use_coprime_skip and heads_coprime(heads[i], heads[j]):
                 statuses.append((i, j, "skipped-coprime"))
                 continue
             division = DIV.hironaka_divide(SB.s_series(gens[i], gens[j], L),
@@ -201,11 +203,38 @@ def test_integer_s_series_is_the_cleared_s_series():
     f = K.series(2, {(2, 0): 3, (0, 3): F(1, 2)})
     g = K.series(2, {(1, 1): F(2, 3), (0, 4): -1})
     pk, (rf, rg) = SB._check_ready((f, g), L, F(6))
-    terms, prec = SB._integer_s_series(rf, rg, pk, L)
+    lcm = DIV._pack(pk, (2, 1))
+    terms, prec = SB._integer_s_series(rf, rg, lcm, pk)
     s = K.series(2, {DIV._unpack(pk, p): c for p, c in terms.items()})
     assert s.terms == {(0, 4): 2, (1, 4): 18}
     assert rational_multiple(s, SB.s_series(f, g, L)) == 6
     assert prec is K.EXACT
+
+
+@settings(max_examples=80, deadline=None)
+@given(ideals())
+def test_integer_s_series_cap_is_the_rational_bound(problem):
+    # the integer window of every pair is the level cap of the bound that
+    # `s_series` computes on Fractions, and the terms agree up to a factor
+    gens, L, mu = problem
+    ready = outcome(SB._check_ready, gens, L, mu)
+    if isinstance(ready, type):
+        return
+    pk, members = ready
+    for i, j in itertools.combinations(range(len(gens)), 2):
+        ri, rj = members[i], members[j]
+        lcm = DIV._pack(pk, tuple(map(max, ri.alpha, rj.alpha)))
+        terms, cap = SB._integer_s_series(ri, rj, lcm, pk)
+        s = SB.s_series(gens[i], gens[j], L)
+        assert (cap is K.EXACT) == (s.prec is K.EXACT)
+        if cap is not K.EXACT:
+            assert cap == L.level_cap(s.prec)
+            s = K.truncate(s, L, s.prec)
+        got = K.series(L.n, {DIV._unpack(pk, p): c for p, c in terms.items()})
+        if s.terms:
+            assert rational_multiple(got, s)
+        else:
+            assert not got.terms
 
 
 def test_member_records_are_checked():

@@ -208,6 +208,12 @@ class TestJsonable:
 
 
 class TestCli:
+    def test_help_describes_the_tool_not_its_handlers(self):
+        text = cli._build_argparser().format_help()
+        assert "Exit codes: 0 = success" in text
+        assert "single --seed flag" in text
+        assert "handler" not in text
+
     def test_hs_table(self, monomial_file):
         code, rep = cli.run(["hs", "--file", monomial_file, "--eta", "4"])
         assert code == 0

@@ -180,6 +180,23 @@ def test_the_hankel_pass_builds_no_fraction():
     assert not found, found
 
 
+def test_the_pair_loop_builds_no_fraction():
+    # completion forms each s-series on integers, windowed by the integer
+    # level caps of the member records (stdbasis's docstring)
+    found = _fraction_calls(SOURCE / "stdbasis.py", ("_integer_s_series",))
+    assert not found, found
+
+
+def test_fraction_call_lint_sees_a_planted_call_in_the_pair_loop(tmp_path):
+    path = tmp_path / "stdbasis.py"
+    path.write_text("def _integer_s_series(ri, rj):\n"
+                    "    return ri.cap + Fraction(rj.level, 2)\n\n"
+                    "def complete(I):\n"
+                    "    return Fraction(I)\n",
+                    encoding="utf-8")
+    assert _fraction_calls(path, ("_integer_s_series",)) == ["stdbasis.py:2"]
+
+
 def test_fraction_call_lint_sees_a_planted_call(tmp_path):
     path = tmp_path / "equising.py"
     path.write_text("def _jet_dot(a):\n"
