@@ -78,7 +78,6 @@ from .diagram import (
     reduction_exponent,
 )
 from .approx import (
-    PerturbationSpec,
     ci_stability_experiment,
     cm_counterexample_runner,
     jet,

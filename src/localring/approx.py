@@ -1,4 +1,7 @@
-"""Jets, perturbation families, and scripted equisingularity experiments.
+"""Jets, perturbations, and scripted equisingularity experiments.
+
+A perturbation is itself an `IdealPresentation` (`perturb`), so a runner
+compares one presentation with another.
 
 The experiment runners are named scenarios, not a theorem prover: each one
 checks the verifiable consequences of a stability statement on concrete
@@ -36,8 +39,6 @@ from .kernel import (
     monomial,
     mul,
     prec_min,
-    substitute_linear,
-    substituted,
     truncate,
     variable,
 )
@@ -54,72 +55,38 @@ def jet(f: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:
     return PrecisionSeries(f.n, truncate(f, L, mu).terms)
 
 
-class PerturbationSpec:
-    """Deltas with all term L-values beyond mu: a member of the mu-jet family
-    of the base presentation.
+def perturb(base: IdealPresentation, mu, deltas,
+            source: Optional[Callable] = None) -> IdealPresentation:
+    """The perturbed presentation G_i = F_i + delta_i, with the same
+    standard mu-jets as `base`.
 
-    `source`, when given, expands the same deltas on any window, as an
-    `IdealPresentation`'s does its generators; it takes no part in `==`
-    or `repr`.
+    It refuses a delta count other than the generator count, a delta of
+    another dimension, and a delta term of standard level <= mu.
+    `source`, when given, expands the deltas on any window, as a
+    presentation's source does its generators; the result's source adds
+    `base.at(L, w)` to the deltas certified under (L, w) by
+    `kernel.expanded`.
     """
+    mu = Fraction(mu)
+    deltas = tuple(deltas)
+    if len(deltas) != len(base.gens):
+        raise PresentationError("one delta per generator (zero allowed)")
+    std = std_form(base.n)
+    for d in deltas:
+        if d.n != base.n:
+            raise PresentationError("delta dimension differs from base")
+        inside = _window(d.terms, std, mu)
+        if inside:
+            e = next(iter(inside))
+            raise PrecisionShortfall(
+                f"delta term {e} has L-value <= {mu}; the jet would change")
 
-    __slots__ = ("base", "mu", "form", "deltas", "source")
+    def expand(form: LinearForm, window) -> tuple:
+        return tuple([add(g, d) for g, d in zip(
+            base.at(form, window), expanded(deltas, source, form, window))])
 
-    def __init__(self, base: IdealPresentation, mu, form: LinearForm, deltas,
-                 source: Optional[Callable] = None):
-        mu = Fraction(mu)
-        deltas = tuple(deltas)
-        if len(deltas) != len(base.gens):
-            raise PresentationError("one delta per generator (zero allowed)")
-        for d in deltas:
-            if d.n != base.n:
-                raise PresentationError("delta dimension differs from base")
-            inside = _window(d.terms, form, mu)
-            if inside:
-                e = next(iter(inside))
-                raise PrecisionShortfall(
-                    f"delta term {e} has L-value <= {mu}; the jet would change")
-        self.base, self.mu, self.form, self.deltas = base, mu, form, deltas
-        self.source = source
-
-    def __eq__(self, other):
-        if other.__class__ is not PerturbationSpec:
-            return NotImplemented
-        return ((self.base, self.mu, self.form, self.deltas)
-                == (other.base, other.mu, other.form, other.deltas))
-
-    def __repr__(self):
-        return (f"PerturbationSpec(base={self.base!r}, mu={self.mu!r}, "
-                f"form={self.form!r}, deltas={self.deltas!r})")
-
-    def at(self, form: LinearForm, window) -> tuple:
-        """The deltas certified under (form, window) (`kernel.expanded`)."""
-        return expanded(self.deltas, self.source, form, window)
-
-    def substitute(self, base: IdealPresentation, M) -> "PerturbationSpec":
-        """These deltas in the coordinates x -> Mx, perturbing `base`, the
-        base presentation in those coordinates, as
-        `IdealPresentation.substitute` moves generators."""
-        return PerturbationSpec(
-            base, self.mu, self.form,
-            [substitute_linear(d, M) for d in self.deltas],
-            substituted(self.at, base.n, M))
-
-
-def perturb(spec: PerturbationSpec) -> IdealPresentation:
-    """The perturbed presentation G_i = F_i + delta_i (same mu-jets).
-
-    Its source adds the deltas to the base presentation's generators, both
-    read on the asked window through `at`.
-    """
-    base = spec.base
-
-    def source(form: LinearForm, window) -> tuple:
-        return tuple([add(g, d) for g, d in zip(base.at(form, window),
-                                                spec.at(form, window))])
-
-    gens = tuple([add(g, d) for g, d in zip(base.gens, spec.deltas)])
-    return IdealPresentation(base.n, gens, base.var_names, source)
+    gens = tuple([add(g, d) for g, d in zip(base.gens, deltas)])
+    return IdealPresentation(base.n, gens, base.var_names, expand)
 
 
 # -- experiment runners -----------------------------------------------------
@@ -157,14 +124,17 @@ def ci_stability_experiment(I: IdealPresentation, mu,
     exponents, the Hilbert-Samuel tables and (for k = n) the base
     vertices are read from those bases.
 
-    The changed presentation A is `I.substitute(M)` for the matrix M the
-    search picks (I itself for the identity), and the perturbed one adds
-    the deltas changed by M to A.  `source` expands the deltas as in
-    `PerturbationSpec`.  A and the deltas keep a source, so the flatness
-    search expands them to its weighted window in any coordinates.
+    The perturbation P = `perturb(I, mu, deltas, source)` is built (and
+    its deltas checked) before the search.  The changed presentation A is
+    `I.substitute(M)` for the matrix M the search picks (I itself for the
+    identity), and B is `P.substitute(M)` (P itself for the identity): a
+    linear change commutes with the sum and keeps standard degree, so B is
+    A plus the deltas changed by M.  A and B keep a source, so the
+    flatness search expands them to its weighted window in any
+    coordinates.
     """
     mu = Fraction(mu)
-    spec = PerturbationSpec(I, mu, std_form(I.n), tuple(deltas), source)
+    P = perturb(I, mu, deltas, source)
 
     dim_rep, A, basis_a = _axis_vertex_search(I, mu, trials, seed)
     k = dim_rep.k_best
@@ -179,7 +149,7 @@ def ci_stability_experiment(I: IdealPresentation, mu,
         report["status"] = "NO-AXIS-VERTEX"
         return report
 
-    B = perturb(spec.substitute(A, dim_rep.matrix))
+    B = P if A is I else P.substitute(dim_rep.matrix)
 
     items: dict = {}
 

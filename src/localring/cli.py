@@ -253,8 +253,7 @@ def _cmd_reduction(args, f, form, mu) -> tuple[int, dict]:
 def _cmd_perturb(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, mu)
     deltas, source = _deltas(args, f, form, mu, len(I.gens))
-    spec = approx.PerturbationSpec(I, mu, form, deltas, source)
-    return 0, {"generators": approx.perturb(spec).gens}
+    return 0, {"generators": approx.perturb(I, mu, deltas, source).gens}
 
 
 def _cmd_ci(args, f, form, mu) -> tuple[int, dict]:

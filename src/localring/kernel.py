@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from typing import Callable, Mapping, Optional
 
 from . import linalg
@@ -49,7 +49,6 @@ from .order import (
     is_isotropic,
     lvalue,
     min_lvalue,
-    sort_key,
     std_form,
     std_key,
 )
@@ -129,10 +128,9 @@ class PrecisionSeries:
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.terms.get(tuple(exp), _ZERO)
 
-    def sorted_terms(self, L: Optional[LinearForm] = None):
-        """The terms in the order of L, by default the standard order."""
-        key = std_key if L is None else partial(sort_key, L)
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=key)]
+    def sorted_terms(self):
+        """The terms in the standard order."""
+        return [(e, self.terms[e]) for e in sorted(self.terms, key=std_key)]
 
     def __neg__(self):
         return PrecisionSeries(self.n, {e: -c for e, c in self.terms.items()},
@@ -564,10 +562,18 @@ class IdealPresentation:
 
     def substitute(self, M) -> "IdealPresentation":
         """The presentation in the coordinates x -> Mx: each generator by
-        `substitute_linear`, with the source `substituted(self.at, n, M)`."""
+        `substitute_linear`.  Its source expands this presentation on the
+        standard window window / min(w) and substitutes: a linear change
+        keeps total degree and L(e) >= min(w) |e|, so every term left
+        unknown there lies above {L <= window}."""
+        def source(form: LinearForm, window) -> tuple:
+            wide = self.at(std_form(self.n), window / min(form.weights))
+            return tuple([certified_under(substitute_linear(g, M), form, window)
+                          for g in wide])
+
         return IdealPresentation(
             self.n, tuple([substitute_linear(g, M) for g in self.gens]),
-            self.var_names, substituted(self.at, self.n, M))
+            self.var_names, source)
 
 
 def expanded(gens, source, form: LinearForm, window) -> tuple:
@@ -579,16 +585,3 @@ def expanded(gens, source, form: LinearForm, window) -> tuple:
     if source is not None:
         return tuple(source(form, window))
     return tuple([certified_under(g, form, window) for g in gens])
-
-
-def substituted(at: Callable, n: int, M) -> Callable:
-    """The source of the series that `at` expands, in the coordinates
-    x -> Mx.  It expands them on the standard window window / min(w) and
-    substitutes: a linear change keeps total degree and L(e) >= min(w) |e|,
-    so every term left unknown there lies above {L <= window}."""
-    def source(form: LinearForm, window) -> tuple:
-        wide = at(std_form(n), window / min(form.weights))
-        return tuple([certified_under(substitute_linear(g, M), form, window)
-                      for g in wide])
-
-    return source

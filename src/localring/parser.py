@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError
 from .kernel import (
@@ -216,15 +216,11 @@ class IdealFile(NamedTuple):
     def form(self) -> LinearForm:
         return parse_form(self.order_text, self.n)
 
-    def generators(self, form: Optional[LinearForm] = None,
-                   mu=None) -> tuple:
-        form = self.form() if form is None else form
-        mu = self.mu if mu is None else Fraction(mu)
+    def generators(self, form: LinearForm, mu) -> tuple:
         return tuple(parse_expression(src, self.var_names, form, mu)
                      for src in self.gen_sources)
 
-    def presentation(self, form: Optional[LinearForm] = None,
-                     mu=None) -> IdealPresentation:
+    def presentation(self, form: LinearForm, mu) -> IdealPresentation:
         """The generators on (form, mu), with `generators` as the source
         that expands them to any other window."""
         return IdealPresentation(self.n, self.generators(form, mu),

@@ -136,7 +136,7 @@ def test_criterion_4_jet_stability_suite():
     for _ in range(20):
         deltas = tuple(rand_poly(rng, 2, min_order=mu + 1, max_exp=5)
                        for _ in range(2))
-        pert = AP.perturb(AP.PerturbationSpec(base, mu, std2, deltas))
+        pert = AP.perturb(base, mu, deltas)
         vertices = DG.diagram_of(SB.complete(pert, std2, mu)).vertices
         ok &= vertices == base_vertices  # finite complement: full rigidity
     # infinite-complement seeds: window agreement and containment
@@ -145,7 +145,7 @@ def test_criterion_4_jet_stability_suite():
     for _ in range(8):
         deltas = tuple(rand_poly(rng, 2, min_order=mu + 1, max_exp=5)
                        for _ in range(2))
-        pert = AP.perturb(AP.PerturbationSpec(wide, mu, std2, deltas))
+        pert = AP.perturb(wide, mu, deltas)
         D = DG.diagram_of(SB.complete(pert, std2, mu))
         for b in O.iter_sublevel(std2, mu):
             ok &= D.contains(b) == wide_D.contains(b)

@@ -85,29 +85,39 @@ class TestPerturb:
         F1, F2, F3 = AP.example_family(mu).at(std3, 14)
         h3 = K.monomial(3, (0, 0, 1))
         delta = K.mul(K.monomial(3, (0, 2, mu - 2)), h3)
-        spec = AP.PerturbationSpec(
-            K.IdealPresentation(3, (F1, F2, F3)), mu, std3,
-            (K.zero(3), delta, K.zero(3)))
-        out = AP.perturb(spec)
+        out = AP.perturb(K.IdealPresentation(3, (F1, F2, F3)), mu,
+                         (K.zero(3), delta, K.zero(3)))
         # the exponential jet contributes 1/6 at y^2 z^7; the delta adds 1
         assert out.gens[1].coefficient((0, 2, 7)) == F(7, 6)
         assert AP.jet(out.gens[1], std3, mu) == AP.jet(F2, std3, mu)
 
     def test_zero_deltas_identical(self):
         I = K.IdealPresentation(2, (K.variable(2, 0),))
-        spec = AP.PerturbationSpec(I, 4, std2, (K.zero(2),))
-        assert AP.perturb(spec) == I
+        assert AP.perturb(I, 4, (K.zero(2),)) == I
 
     def test_low_order_delta_rejected(self):
+        # a term of standard degree at most mu changes the jet: below mu,
+        # exactly mu, and at the rational mu = 17/2 the CLI accepts, degree 8
         I = K.IdealPresentation(2, (K.variable(2, 0),))
-        with pytest.raises(PrecisionShortfall):
-            AP.PerturbationSpec(I, 4, std2, (K.monomial(2, (2, 0)),))
+        for mu, e in [(4, (2, 0)), (4, (4, 0)), (4, (1, 3)),
+                      (F(17, 2), (8, 0)), (F(17, 2), (3, 5))]:
+            with pytest.raises(PrecisionShortfall, match="the jet would change"):
+                AP.perturb(I, mu, (K.monomial(2, e),))
+
+    def test_refuses_a_wrong_count_or_dimension(self):
+        I = K.IdealPresentation(2, (K.variable(2, 0),))
+        with pytest.raises(PresentationError, match="one delta per generator"):
+            AP.perturb(I, 4, ())
+        with pytest.raises(PresentationError, match="dimension"):
+            AP.perturb(I, 4, (K.zero(3),))
 
     def test_same_jet_membership(self):
+        # degree mu + 1, and degree 9 at mu = 17/2, leave the jet as it is
         I = K.IdealPresentation(1, (K.variable(1, 0),))
-        spec = AP.PerturbationSpec(I, 5, std1, (K.monomial(1, (6,)),))
-        out = AP.perturb(spec)
-        assert out.gens[0].terms == {(1,): F(1), (6,): F(1)}
+        for mu, e in [(5, (6,)), (F(17, 2), (9,))]:
+            out = AP.perturb(I, mu, [K.monomial(1, e)])
+            assert out.gens[0].terms == {(1,): F(1), e: F(1)}
+            assert AP.jet(out.gens[0], std1, mu) == I.gens[0]
 
 
 class TestReductionIdentities:
@@ -119,7 +129,7 @@ class TestReductionIdentities:
         rng = random.Random(4)
         deltas = tuple(rand_poly(rng, 2, min_order=7, max_exp=5)
                        for _ in range(2))
-        pert = AP.perturb(AP.PerturbationSpec(base, 6, std2, deltas))
+        pert = AP.perturb(base, 6, deltas)
         for I in (base, pert):
             for m in (1, 2):
                 res = OR.reduction_identity_check(I, 2, 3, m)

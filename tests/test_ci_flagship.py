@@ -43,7 +43,7 @@ def presentations(mu: int, delta: str) -> tuple:
     I = f.presentation(L, mu)
     deltas = (parse_expression(delta, f.var_names, L, 2 * mu),
               K.zero(f.n), K.zero(f.n))
-    return I, deltas, AP.perturb(AP.PerturbationSpec(I, mu, L, deltas))
+    return I, deltas, AP.perturb(I, mu, deltas)
 
 
 @cache

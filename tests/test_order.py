@@ -136,7 +136,6 @@ def test_sorted_terms_in_zero_and_more_variables():
     assert K.series(0, {(): 3}).sorted_terms() == [((), 3)]
     f = K.series(2, {(0, 2): 1, (1, 1): 2, (2, 0): 3, (1, 0): 4})
     assert [e for e, _ in f.sorted_terms()] == [(1, 0), (2, 0), (1, 1), (0, 2)]
-    assert f.sorted_terms() == f.sorted_terms(std2)
 
 
 # -- the derived slots of a form ----------------------------------------------

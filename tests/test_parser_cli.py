@@ -141,7 +141,7 @@ class TestIdealFile:
 
     def test_presentation_and_regenerator(self):
         f = load_ideal_file(IDEAL_TEXT)
-        I = f.presentation()
+        I = f.presentation(f.form(), f.mu)
         assert I.n == 3
         w = O.weighted_split_form(3, 2, 9)
         gens = f.generators(w, 72)
@@ -412,8 +412,7 @@ class TestCli:
         f = load_ideal_file((SAMPLES / "cm_family.ideal").read_text("utf-8"))
         I = f.presentation(std3, 8)
         delta = parse_expression("x^9*exp(x)", f.var_names, std3, 16)
-        B = AP.perturb(AP.PerturbationSpec(I, 8, std3,
-                                           [delta, K.zero(3), K.zero(3)]))
+        B = AP.perturb(I, 8, [delta, K.zero(3), K.zero(3)])
         hs = rep["items"]["hilbert_samuel"]
         assert hs["table"] == [DG.oracle_jet_quotient_dim(I, e) for e in range(9)]
         assert hs["table_perturbed"] == [DG.oracle_jet_quotient_dim(B, e)

@@ -1,4 +1,4 @@
-"""Contracts of the four validating value classes: what `==`, `hash` and
+"""Contracts of the three validating value classes: what `==`, `hash` and
 `repr` read, and what their constructors refuse or coerce."""
 
 import copy
@@ -7,7 +7,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from localring import approx as AP
 from localring import kernel as K
 from localring import order as O
 from localring.errors import (
@@ -132,36 +131,3 @@ class TestIdealPresentation:
             K.IdealPresentation(2, (K.PrecisionSeries(2, {}, F(4), std2),))
         with pytest.raises(PresentationError):
             K.IdealPresentation(2, (K.variable(2, 0),), ("x",))
-
-
-class TestPerturbationSpec:
-    def _base(self):
-        return K.IdealPresentation(2, (K.variable(2, 0),))
-
-    # a delta inside the window: test_approx.py::test_low_order_delta_rejected
-    def test_coerces_mu_and_deltas(self):
-        spec = AP.PerturbationSpec(self._base(), 4, std2, [K.zero(2)])
-        assert spec.mu == F(4) and type(spec.mu) is F
-        assert spec.deltas == (K.zero(2),) and type(spec.deltas) is tuple
-
-    def test_refuses_a_wrong_count_or_dimension(self):
-        with pytest.raises(PresentationError):
-            AP.PerturbationSpec(self._base(), 4, std2, ())
-        with pytest.raises(PresentationError):
-            AP.PerturbationSpec(self._base(), 4, std2, (K.zero(3),))
-
-    def test_equality_and_hash(self):
-        spec = AP.PerturbationSpec(self._base(), 4, std2, (K.zero(2),))
-        assert spec == AP.PerturbationSpec(self._base(), F(4), std2, [K.zero(2)])
-        assert spec != AP.PerturbationSpec(self._base(), 5, std2, (K.zero(2),))
-        with pytest.raises(TypeError):
-            hash(spec)
-
-    def test_repr(self):
-        spec = AP.PerturbationSpec(self._base(), 4, std2, (K.zero(2),))
-        assert repr(spec) == (
-            "PerturbationSpec(base=IdealPresentation(n=2, gens=("
-            "PrecisionSeries(n=2, {(1, 0):1}, prec=EXACT),), "
-            "var_names=('x1', 'x2')), mu=Fraction(4, 1), "
-            "form=LinearForm(weights=(Fraction(1, 1), Fraction(1, 1))), "
-            "deltas=(PrecisionSeries(n=2, {}, prec=EXACT),))")

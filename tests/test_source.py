@@ -335,14 +335,14 @@ def test_orphan_lint_sees_a_helper_read_only_by_itself(tmp_path):
                                                      "a.py:7:_Record"]
 
 
-#: The classes whose method `at` expands a source, by module.
-SOURCE_READERS = {"kernel.py": "IdealPresentation", "approx.py": "PerturbationSpec"}
+#: The class whose method `at` expands a source, by module.
+SOURCE_READERS = {"kernel.py": "IdealPresentation"}
 
 
 def _source_reads(paths) -> list:
     """Reads of a `.source` attribute anywhere but in the method `at` of
-    `IdealPresentation` in kernel.py (its generators) and of
-    `PerturbationSpec` in approx.py (its deltas)."""
+    `IdealPresentation` in kernel.py.  A perturbation is a presentation
+    too (`approx.perturb`), so no other class reads a source."""
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -359,9 +359,9 @@ def _source_reads(paths) -> list:
 
 
 def test_presentations_expand_only_through_at():
-    # how a presentation or a perturbation's deltas are certified on a
-    # wider window (the source, or else the per-series rule) is decided in
-    # `kernel.expanded`, which only the two `at` methods hand a source
+    # how a presentation is certified on a wider window (the source, or
+    # else the per-series rule) is decided in `kernel.expanded`, which only
+    # `IdealPresentation.at` hands a source
     assert not _source_reads(sorted(SOURCE.glob("*.py")))
 
 
@@ -375,6 +375,8 @@ def test_source_lint_sees_a_read_outside_at(tmp_path):
                       encoding="utf-8")
     other.write_text("def gens(I, L, w):\n    return I.source(L, w)\n",
                      encoding="utf-8")
+    # only kernel.py's `IdealPresentation.at` may read a source: a second
+    # reader class in approx.py, or a class of that name there, may not
     approx = tmp_path / "approx.py"
     approx.write_text("class PerturbationSpec:\n"
                       "    def at(self, form, window):\n"
@@ -384,7 +386,7 @@ def test_source_lint_sees_a_read_outside_at(tmp_path):
                       "        return self.source(form, window)\n",
                       encoding="utf-8")
     assert _source_reads([kernel, other, approx]) == [
-        "kernel.py:6", "diagram.py:2", "approx.py:7"]
+        "kernel.py:6", "diagram.py:2", "approx.py:3", "approx.py:7"]
 
 
 def _dataclass_imports(path: Path) -> list:

@@ -45,16 +45,15 @@ def file_presentation():
     return FILE.presentation(std3, 8)
 
 
+def _deltas(deltas):
+    return [parse_expression(d, FILE.var_names, std3, 16) for d in deltas]
+
+
 def perturbed(deltas=("x^9", "y^2*z^8", "0"), M=None):
-    """The file's perturbation, or with M the perturbation of the file in
-    the coordinates x -> Mx by the deltas changed by M, as
-    `ci_stability_experiment` builds it."""
-    base = file_presentation()
-    deltas = [parse_expression(d, FILE.var_names, std3, 16) for d in deltas]
-    if M is not None:
-        base = base.substitute(M)
-        deltas = [K.substitute_linear(d, M) for d in deltas]
-    return AP.perturb(AP.PerturbationSpec(base, 8, std3, tuple(deltas)))
+    """The file's perturbation, or with M that perturbation in the
+    coordinates x -> Mx, as `ci_stability_experiment` builds it."""
+    P = AP.perturb(file_presentation(), 8, _deltas(deltas))
+    return P if M is None else P.substitute(M)
 
 
 PRESENTATIONS = {
@@ -90,6 +89,21 @@ def test_the_window_the_generators_were_built_on_gives_them_back(name):
     # perturbation's come back with its deltas added
     I = PRESENTATIONS[name]()
     assert I.at(std3, 8) == I.gens
+
+
+@pytest.mark.parametrize("form, window", [
+    (std3, 8), (std3, 12), (split, 72), (O.LinearForm((1, 2, 3)), 20)])
+def test_a_changed_perturbation_is_the_changed_file_plus_changed_deltas(
+        form, window):
+    # a linear change commutes with the sum and keeps standard degree, so
+    # changing the perturbation once equals perturbing the changed file by
+    # the changed deltas
+    ref = AP.perturb(file_presentation().substitute(SHEAR), 8,
+                     [K.substitute_linear(d, SHEAR)
+                      for d in _deltas(("x^9", "y^2*z^8", "0"))])
+    got = perturbed(M=SHEAR)
+    assert got.gens == ref.gens
+    assert got.at(form, window) == ref.at(form, window)
 
 
 @pytest.mark.parametrize("form, window", [(std3, 8), (std3, 13), (split, 72)])
