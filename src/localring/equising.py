@@ -20,8 +20,9 @@ the coefficients, and one Berkowitz pass gives all the minors.  Both steps
 are division-free, so they run on integers: scaling the roots by the lcm d
 of the coefficient denominators makes the coefficients integral and
 multiplies the m x m minor by d^(m(m-1)), which is divided out at the end.
-Numbers and truncated power series take the same loop, with no degree cap,
-both as integer jets: a number is a jet in zero variables.
+The pass reads the polynomial once, split by the degree in its last
+variable.  Numbers and truncated power series take the same loop, with no
+degree cap, both as integer jets: a number is a jet in zero variables.
 
 The pass skips work whose result it knows.  Berkowitz step r needs
 c.H^k c for k < r, H the leading r x r block and c the next column.  (a)
@@ -34,10 +35,15 @@ identities pair only the nonzero coefficients and add k * c_k as a scaled
 copy.  (a)-(c) are identities in every commutative ring, truncation to
 the window is a ring map onto Q[x]/m^(mu+1), and so the minors are those
 of the full pass.  (d) Minors that vanish on the window are not formed.
-With w_i the lowest degree of a_i, every root has order >= theta =
-min w_i / (p - i) (Newton-Puiseux, in t after x -> t x), and D_j sums
-products of m(m-1) root differences, so it is zero on the window once
-m(m-1) theta exceeds the window's top degree.  For y^p only D_p = p is
+With w_i the lowest degree of a_i, the orders of the roots (Newton-Puiseux,
+in t after x -> t x) are read off the lower Newton polygon of the points
+(i, w_i) and (p, 0): an edge of width l and slope -theta carries l roots of
+order theta, and the roots left of the polygon, one per zero a_i below its
+first vertex, are zero, of infinite order.  D_j sums products of the
+m(m-1) ordered differences of m roots, and T_k - T_l has order at least
+min(theta_k, theta_l), so with theta_(1) <= theta_(2) <= ... it is zero on
+the window once 2 * sum_{a <= m} (m - a) theta_(a) exceeds the window's top
+degree.  The orders are scaled by p! to integers.  For y^p only D_p = p is
 formed.
 
 The discriminants run on integer jets {packed exponent: coefficient}
@@ -55,8 +61,10 @@ section 6.2): it runs on the division loop of `division`, and the kernel
 only checks the prepared identity u * P = j on the window, j the jet.
 When x_i^p divides every term of j, as for every univariate j, P = x_i^p
 and u = j / x_i^p, with no division.  This is exact: j = x_i^p * v with
-v(0) != 0, so v is a unit and uniqueness gives P = x_i^p.  The check
-u * P = j runs on every call.
+v(0) != 0, so v is a unit and uniqueness gives P = x_i^p.  When j is
+already distinguished, x_i^p plus terms of x_i-degree below p (off the
+x_i-axis, by the choice of p), P = j and u = 1 by the same uniqueness, again
+with no division.  The check u * P = j runs on every call.
 
 The tower construction iterates: prepare the input list to distinguished
 form in the last variable, take the product, locate the first discriminant
@@ -76,9 +84,11 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .division import (
+    _Packing,
     _divide,
     _member,
     _members,
+    _pack,
     _packed,
     _packing,
     _remainder,
@@ -92,10 +102,10 @@ from .errors import (
     UndecidedAtPrecision,
 )
 from .kernel import (
-    _ZERO,
     PrecisionSeries,
     _admit,
     _as_fraction,
+    _numerators,
     agrees_up_to,
     mul,
     prec_min,
@@ -140,75 +150,122 @@ def _negated(jet: dict) -> dict:
     return {e: -c for e, c in jet.items()}
 
 
-def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> tuple:
-    """(minors, unpack): D_1, ..., D_p at the monic coefficient vector
-    (a_0, ..., a_{p-1}), one pair (jet, scale) each.
+def _level_jets(f: PrecisionSeries, p: int, mu) -> tuple:
+    """(jets, d, top, shift, unpack, vanish): the input of the Hankel pass,
+    read from f = x^p + a_{p-1} x^{p-1} + ... + a_0, x its last variable,
+    in one sweep.
+
+    jets[i] is the integer jet A_i = a_i * d^(p-i) on the window, d the lcm
+    of the denominators of every coefficient of f, the one `_numerators`
+    writes f over (the x^p term has denominator 1 and adds none).  Its keys
+    are the exponents in the other f.n - 1 variables, packed as in
+    `division` with the level above `shift`; top is the window's top
+    level, unpack undoes the packing, and vanish says whether every a_i
+    vanishes at the origin.  In zero variables every exponent packs to 0,
+    the origin, the window is the one level 0, and mu is not read.
+
+    f is checked as a level: a PresentationError when its x^p term is not
+    1 or a term lies above degree p, and in two or more variables the
+    admission rule, for the a_i certified under f's form restricted to
+    them and asked under the standard one.
+    """
+    n_vars = f.n - 1
+    ints, d = _numerators(f)  # the x^p term has numerator d
+    split, rests, vanish = [], {}, True
+    for e, c in ints.items():
+        m, rest = e[-1], e[:-1]
+        if m >= p:
+            if m == p and not any(rest):
+                if c != d:
+                    raise PresentationError("polynomial is not monic")
+                continue
+            raise PresentationError("terms above the distinguished degree")
+        split.append((m, rest, c))
+        rests[rest] = c
+        vanish = vanish and any(rest)
+    if n_vars:
+        # the exponents of the a_i, as one series admitted and packed once
+        L = std_form(n_vars)
+        a = PrecisionSeries(n_vars, rests, f.prec,
+                            f.form_ctx and f.form_ctx.restrict(n_vars))
+        _admit(a, L, mu)
+        pk, top = _packing(L, mu, [a]), L.level_cap(mu)
+    else:  # no slot: every exponent packs to 0
+        pk, top = _Packing(0, 1, (), 0, 0, 0), 0
+    packed = {r: _pack(pk, r) for r in rests}
+    limit = (top + 1) << pk.shift
+    # A_m = (a_m * d) * d^(p-1-m): both factors are integers
+    powers = [d ** (p - 1 - m) for m in range(p)]
+    jets = [{} for _ in range(p)]
+    for m, rest, c in split:
+        e = packed[rest]
+        if e < limit:
+            jets[m][e] = c * powers[m]
+    return jets, d, top, pk.shift, functools.partial(_unpack, pk), vanish
+
+
+def _polygon_size(jets: list, p: int, top: int, shift: int) -> int:
+    """The largest m <= p whose m x m Hankel minor the Newton polygon of the
+    jets A_i (`_level_jets`) lets reach the window's top level: shortcut (d)
+    of the module docstring.  1 when every A_i is zero and p >= 1.
+
+    The root orders, smallest first, are the slopes of the lower Newton
+    polygon of (p, 0) and the (i, w_i), w_i the lowest degree of a nonzero
+    A_i, read leftwards from (p, 0); scaled by p! they are integers.  The
+    roots left of the polygon are zero, of infinite order.
+    """
+    fact = math.factorial(p)
+    points = [(i, min(jet) >> shift) for i, jet in enumerate(jets) if jet]
+    orders, right, w_right = [], p, 0
+    while points and points[0][0] < right:
+        theta, i, w = min([((wk - w_right) * (fact // (right - k)), k, wk)
+                           for k, wk in points if k < right])
+        orders += [theta] * (right - i)
+        right, w_right = i, w
+    # the largest m with 2 * sum_{a <= m} (m - a) theta_(a) <= top
+    size, low, bound = min(p, 1), 0, 0
+    while size < p and size <= len(orders):
+        low += orders[size - 1]
+        bound += 2 * low
+        if bound > top * fact:
+            break
+        size += 1
+    return size
+
+
+def _hankel_discriminants(f: PrecisionSeries, p: int, mu) -> tuple:
+    """(minors, unpack, vanish): D_1, ..., D_p of f = x^p + a_{p-1} x^{p-1}
+    + ... + a_0, x its last variable, one pair (jet, scale) each, and
+    whether every a_i vanishes at the origin.
 
     jet is {packed exponent: integer}, and D_j = {unpack(e): Fraction(c,
-    scale)}, its terms of total degree <= mu in n_vars variables; a minor
-    the pass does not form is ({}, 1).  Numbers are jets in zero variables;
-    series must certify at least mu under the standard form.  The power sums
+    scale)}, its terms of total degree <= mu in the other f.n - 1
+    variables; a minor the pass does not form is (None, 1).  f is read
+    once, by `_level_jets`, which also checks it.  The power sums
     s_0..s_{2p-2} come from Newton's identities, and D_j is the signed
     leading m x m minor of the Hankel matrix [s_{a+b}], m = p - j + 1.  One
     Berkowitz pass yields the characteristic polynomials of all leading
     principal submatrices, whose constant terms are (-1)^m times the minors.
     Every sum of products is one `dot`, and nothing divides.
 
-    The pass runs on integers by scaling the roots.  Let d be the lcm of
-    the denominators of every coefficient, folded from the one
-    `division._packed` writes each jet over.  Then A_i = a_i * d^(p-i) are
-    integer jets, and X^p + A_{p-1} X^{p-1} + ... + A_0 = d^p f(X/d) is the
-    monic polynomial whose roots are d*T_k.  Its power sums are d^k s_k, so
-    its Hankel entry (a, b) is d^(a+b) s_{a+b}, and its leading m x m minor
-    is d^(0+1+...+(m-1)) twice over, that is d^(m(m-1)), times the original
-    one.  Scaling commutes with truncation by degree, so each minor is the
-    integer one divided by d^(m(m-1)), its sign folded into the scale.
+    The pass runs on integers by scaling the roots by d.  Then X^p +
+    A_{p-1} X^{p-1} + ... + A_0 = d^p f(X/d) is the monic polynomial whose
+    roots are d*T_k.  Its power sums are d^k s_k, so its Hankel entry (a,
+    b) is d^(a+b) s_{a+b}, and its leading m x m minor is d^(0+1+...+(m-1))
+    twice over, that is d^(m(m-1)), times the original one.  Scaling
+    commutes with truncation by degree, so each minor is the integer one
+    divided by d^(m(m-1)), its sign folded into the scale.
 
-    Both kinds of input are jets keyed by exponents packed as in
-    `division`: a number c is {0: c}, 0 packing the origin, and its window
-    is the one level 0.  A series is packed whole, and its terms above the
-    window are dropped by the packed level.  `dot` is the truncated
-    `_jet_dot`.  The pass takes the four shortcuts
+    `dot` is the truncated `_jet_dot`.  The pass takes the four shortcuts
     of the module docstring; by (d) it forms only the leading size x size
-    minors.
+    minors, size from `_polygon_size`.
     """
-    p = len(coeffs)
-    if n_vars:
-        L = std_form(n_vars)
-        for c in coeffs:
-            _admit(c, L, mu)
-        pk = _packing(L, mu, coeffs)
-        top, shift = L.level_cap(mu), pk.shift
-        limit = (top + 1) << shift
-        ints = []  # a_i = jet_i / den_i on the window
-        for c in coeffs:
-            jet, den = _packed(c, pk)
-            ints.append(({e: v for e, v in jet.items() if e < limit}, den))
-        unpack = functools.partial(_unpack, pk)
-    else:
-        ints = [({0: c.numerator} if c else {}, c.denominator)
-                for c in map(_as_fraction, coeffs)]
-        top = shift = 0
-        limit = 1
-
-        def unpack(e: int) -> tuple:
-            return ()
-    # fold, not lcm(*...): a star argument builds a tuple per call that lands
-    # in CPython's tuple free lists
-    d = functools.reduce(math.lcm, [den for _, den in ints], 1)
-    # A_i = (a_i * d) * d^(p-1-i): both factors are integers
-    jets = [{e: c * (d // den) * d ** (p - 1 - i) for e, c in jet.items()}
-            for i, (jet, den) in enumerate(ints)]
+    jets, d, top, shift, unpack, vanish = _level_jets(f, p, mu)
+    limit = (top + 1) << shift
+    size = _polygon_size(jets, p, top, shift)
 
     def dot(pairs: list, start: dict) -> dict:
         return _jet_dot(pairs, limit, start) if pairs else start
-
-    # (d) size: the largest m <= p with m(m-1) w_i / (p - i) <= top for a
-    # nonzero a_i, w_i its lowest degree; 1 when every a_i is zero
-    orders = [(min(jet) >> shift, p - i) for i, jet in enumerate(jets) if jet]
-    size = min(p, 1)
-    while size < p and any(size * (size + 1) * w <= top * q for w, q in orders):
-        size += 1
 
     # Newton: s_k = -(k c_k + c_1 s_{k-1} + ... + c_{k-1} s_1) with
     # c_i = A_{p-i}, and c_i = 0 for i > p; only nonzero c_i make pairs
@@ -240,12 +297,14 @@ def _hankel_discriminants(coeffs: Sequence, n_vars: int, mu) -> tuple:
             t.append(_negated(_jet_dot(zip(v[k // 2], v[hi]), limit)))
         ks = [k for k in range(1, len(t)) if t[k]]
         char.append({})                 # char_r[r + 1] = 0
+        # the last step forms only the constant term, the minor it returns
+        rows = range(r + 2) if r + 1 < size else (r + 1,)
         char = [dot([(t[k], char[i - k]) for k in ks if k <= i], char[i])
-                for i in range(r + 2)]
+                for i in rows]
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
         minors.append((char[-1], scale))
-    return [({}, 1) for _ in range(p - size)] + minors[::-1], unpack
+    return [(None, 1)] * (p - size) + minors[::-1], unpack, vanish
 
 
 def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
@@ -253,7 +312,9 @@ def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
     roots); cross-checkable against gcd-based squarefree degree."""
     if len(coeffs) != p:
         raise DimensionMismatch(f"expected {p} coefficients")
-    minors, _ = _hankel_discriminants(coeffs, 0, 0)
+    f = {(m,): a for m, a in enumerate(map(_as_fraction, coeffs)) if a}
+    f[(p,)] = Fraction(1)
+    minors, _, _ = _hankel_discriminants(PrecisionSeries(1, f), p, 0)
     for j, (jet, _) in enumerate(minors):
         if jet:
             return j
@@ -302,7 +363,7 @@ def regular_order(f: PrecisionSeries, i: int) -> Optional[int]:
 def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
     """(P, jet, division): the Weierstrass polynomial P of the mu-jet j of f
     in x_i, certified on (std, mu), j as an exact polynomial, and None when
-    P = x_i^p (module docstring) or else (head, rem, den, pk, cap):
+    P = x_i^p or P = j (module docstring) or else (head, rem, den, pk, cap):
     P = x_i^p - {e: rem[e] / den} on the whole division window, head the
     x_i^p packed by pk, cap the window's top level.
 
@@ -332,6 +393,8 @@ def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
     low = [e for e in ft.terms if e[i] < p]
     if not low:  # x_i^p divides j
         return PrecisionSeries(n, {alpha: Fraction(1)}, mu, L), jet, None
+    if len(low) + 1 == len(jet.terms) and jet.terms[alpha] == 1:
+        return ft, jet, None  # j is distinguished
     W = max([(p - e[i]) // (sum(e) - e[i]) + 1 for e in low])
     Lw = L if W == 1 else LinearForm(
         tuple([1 if k == i else W for k in range(n)]))
@@ -359,18 +422,21 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     Contract: P is the Weierstrass polynomial of the mu-jet j of f,
     certified on (std, mu), and u is the unit of j, certified on (std,
     mu - ord P): u * P = j on the window determines u only that far.  When
-    P = x_i^p, u is j / x_i^p; otherwise u is the quotient of j by P on the
-    whole division window, the one use of P's division record.  P cut to
-    total degree mu would not do when ord P < p: the tail of P lowers the
-    total degree, so that division may leave a remainder inside the window
-    (as for y^3 + y^4 + x at mu = 4), and then u * P != j there.  The
-    identity u * P = j is re-verified on the window before returning.
+    P = x_i^p, u is j / x_i^p, and when j is distinguished, P = j and u =
+    1; otherwise u is the quotient of j by P on the whole division window,
+    the one use of P's division record.  P cut to total degree mu would not
+    do when ord P < p: the tail of P lowers the total degree, so that
+    division may leave a remainder inside the window (as for y^3 + y^4 + x
+    at mu = 4), and then u * P != j there.  The identity u * P = j is
+    re-verified on the window before returning.
     """
     mu = _as_fraction(mu)
     P, jet, division = _weierstrass_polynomial(f, i, mu)
     n, L = f.n, std_form(f.n)
     order = min(map(sum, P.terms))
-    if division is None:  # j = x_i^p * u, and order = p
+    if division is None and len(P.terms) > 1:  # P = j
+        u_terms = {(0,) * n: Fraction(1)}
+    elif division is None:  # j = x_i^p * u, and order = p
         u_terms = {(*e[:i], e[i] - order, *e[i + 1:]): c
                    for e, c in jet.terms.items()}
     else:
@@ -394,35 +460,6 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
 
 # -- discriminant towers -----------------------------------------------------
 
-def coefficient_vector(f: PrecisionSeries, i: int, p: int):
-    """Coefficients (a_0, ..., a_{p-1}) of x_i^m in a monic distinguished f.
-
-    For ambient dimension >= 2 the entries are series in the remaining
-    variables (the distinguished variable must be the last one); in one
-    variable they are plain rationals.
-    """
-    n = f.n
-    if i != n - 1:
-        raise DimensionMismatch("coefficients are extracted along the last variable")
-    slots = [dict() for _ in range(p)]
-    for e, c in f.terms.items():
-        m = e[i]
-        if m == p and not any(e[:i]):
-            if c != 1:
-                raise PresentationError("polynomial is not monic")
-            continue
-        if m >= p:
-            raise PresentationError("terms above the distinguished degree")
-        slots[m][e[:i]] = c
-    # tuple() of a list: of a generator it would build a 10-slot tuple and
-    # shrink it, and the shrunk tuples pile up in the interpreter's tuple
-    # free lists of every size p
-    if n == 1:
-        return tuple([s.get((), _ZERO) for s in slots])
-    form = f.form_ctx.restrict(n - 1) if f.form_ctx is not None else None
-    return tuple([PrecisionSeries(n - 1, s, f.prec, form) for s in slots])
-
-
 class TowerLevel(NamedTuple):
     index: int                      # ambient variable count of this level
     is_one: bool
@@ -442,23 +479,25 @@ class Tower(NamedTuple):
     coordinate_changes: tuple       # (ambient_level, matrix) pairs
 
 
-def _first_nonvanishing(coeffs, n_vars: int, mu) -> tuple:
-    """(j, value, certificates): minimal j with D_j not zero up to mu.
+def _first_nonvanishing(f: PrecisionSeries, p: int, mu) -> tuple:
+    """(j, value, certificates, vanish): minimal j with D_j of the level f
+    of degree p not zero up to mu, None in place of the first three when
+    every D_j is, and whether f's coefficients vanish at the origin.
 
-    The value is a rational for numeric coefficients (n_vars == 0) and a
-    series certified to mu under the standard form otherwise.
+    The value is a rational for a univariate f and a series in the other
+    variables certified to mu under the standard form otherwise.
     """
+    n_vars = f.n - 1
     # a series value is known only on the window, a number exactly
     cert = "zero-up-to-mu" if n_vars else "exact-zero"
-    minors, unpack = _hankel_discriminants(coeffs, n_vars, mu)
+    minors, unpack, vanish = _hankel_discriminants(f, p, mu)
     for j, (jet, scale) in enumerate(minors, start=1):
         if jet:
             d = {unpack(e): Fraction(c, scale) for e, c in jet.items()}
             val = d[()] if n_vars == 0 else PrecisionSeries(
                 n_vars, d, _as_fraction(mu), std_form(n_vars))
-            return j, val, (cert,) * (j - 1)
-    raise UndecidedAtPrecision(
-        "every generalized discriminant vanished up to the working precision")
+            return j, val, (cert,) * (j - 1), vanish
+    return None, None, None, vanish
 
 
 def _at_origin(value):
@@ -540,8 +579,10 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
             raise PrecisionShortfall(
                 f"the level in {dim} variables has no pure power of its last "
                 f"variable on the window {mu}: its degree lies beyond the window")
-        coeffs = coefficient_vector(current, dim - 1, p)
-        j, disc_val, certs = _first_nonvanishing(coeffs, dim - 1, mu)
+        j, disc_val, certs, _ = _first_nonvanishing(current, p, mu)
+        if j is None:
+            raise UndecidedAtPrecision("every generalized discriminant "
+                                       "vanished up to the working precision")
         const = _at_origin(disc_val)
         if const:
             levels.append(TowerLevel(dim, False, current, p, j, certs,
@@ -569,32 +610,28 @@ def _level_checks(lvl: TowerLevel, below: Optional[TowerLevel], mu) -> dict:
     """The checks of one level that is not constant one."""
     idx, f = lvl.index, lvl.poly
     try:
-        coeffs = coefficient_vector(f, idx - 1, lvl.degree)
-    except PresentationError:
-        coeffs = None
-    monic = f.coefficient(tuple([0 if t < idx - 1 else lvl.degree
-                                 for t in range(idx)])) == 1
+        j, disc_val, certs, vanish = _first_nonvanishing(f, lvl.degree, mu)
+    except PresentationError:  # not monic, or a term above the degree
+        j, vanish, monic = None, False, False
+    else:
+        monic = f.coefficient(tuple([0 if t < idx - 1 else lvl.degree
+                                     for t in range(idx)])) == 1
     cert_ok = unit_ok = False
-    if coeffs is not None:
-        try:
-            j, disc_val, certs = _first_nonvanishing(coeffs, idx - 1, mu)
-        except UndecidedAtPrecision:
-            pass
-        else:
-            cert_ok = (j, certs) == (lvl.disc_index, lvl.vanish_certificates)
-            if below is None or below.is_one:
-                # the discriminant is the unit: its constant term is recorded
-                const = _at_origin(disc_val)
-                unit_ok = bool(const) and lvl.unit_constant == const
-            elif lvl.unit_below is not None:
-                u0 = _at_origin(lvl.unit_below)
-                prod = mul(lvl.unit_below, below.poly)
-                unit_ok = (bool(u0) and lvl.unit_constant == u0
-                           and agrees_up_to(disc_val, prod, std_form(idx - 1),
-                                            prec_min(mu, prod.prec)))
+    if j is not None:
+        cert_ok = (j, certs) == (lvl.disc_index, lvl.vanish_certificates)
+        if below is None or below.is_one:
+            # the discriminant is the unit: its constant term is recorded
+            const = _at_origin(disc_val)
+            unit_ok = bool(const) and lvl.unit_constant == const
+        elif lvl.unit_below is not None:
+            u0 = _at_origin(lvl.unit_below)
+            prod = mul(lvl.unit_below, below.poly)
+            unit_ok = (bool(u0) and lvl.unit_constant == u0
+                       and agrees_up_to(disc_val, prod, std_form(idx - 1),
+                                        prec_min(mu, prod.prec)))
     return {
-        "distinguished_form": f.n == idx and coeffs is not None and monic,
-        "coefficients_vanish": coeffs is None or not any(map(_at_origin, coeffs)),
+        "distinguished_form": f.n == idx and monic,
+        "coefficients_vanish": vanish,
         "discriminant_certificates": cert_ok,
         "unit_factorization": unit_ok,
     }

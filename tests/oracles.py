@@ -9,8 +9,11 @@ independent, degree-capped oracle for the tests.  It runs on exact kernel
 series (`mul`, `power`, `add`), which the Hankel route of `equising`
 never calls.  Beyond its cap, `berkowitz_discriminants` runs Newton's
 identities and a plain Berkowitz pass on the same kernel series, forming
-every product that the Hankel route skips.  `hankel_minors` reads the
-Hankel route's integer minors as the rational jets the oracles return.
+every product that the Hankel route skips.  The oracles take coefficient
+vectors, and the Hankel route the monic level polynomial:
+`monic_polynomial` builds it from a vector, `coefficient_vector` reads the
+vector back, and `hankel_minors` reads the Hankel route's integer minors as
+the rational jets the oracles return.
 
 `plain_rank` is the dense elimination that `diagram.ExactRowReducer`, with
 its sparse rows and pivots, is held to.
@@ -166,12 +169,61 @@ def evaluate_at_series(red: SymmetricReduction, coeffs: Sequence[PrecisionSeries
     return truncate(total, L, mu)
 
 
+def monic_polynomial(coeffs: Sequence, n_vars: int) -> PrecisionSeries:
+    """X^p + a_{p-1} X^{p-1} + ... + a_0 for the vector (a_0, ..., a_{p-1}),
+    X the last of n_vars + 1 variables: the a_i are numbers when n_vars is
+    0 and series in n_vars variables otherwise.  The polynomial is
+    certified to the least bound of the a_i, under the form of the first
+    certified one with weight 1 on X."""
+    p = len(coeffs)
+    terms = {(0,) * n_vars + (p,): Fraction(1)}
+    prec = form = None
+    for m, a in enumerate(coeffs):
+        if not n_vars:
+            if a:
+                terms[(m,)] = Fraction(a)
+            continue
+        terms.update({(*e, m): c for e, c in a.terms.items()})
+        if a.prec is not None:
+            prec = a.prec if prec is None else min(prec, a.prec)
+            form = form or LinearForm(a.form_ctx.weights + (1,))
+    return PrecisionSeries(n_vars + 1, terms, prec, form)
+
+
+def coefficient_vector(f: PrecisionSeries, i: int, p: int):
+    """Coefficients (a_0, ..., a_{p-1}) of x_i^m in a monic distinguished f.
+
+    For ambient dimension >= 2 the entries are series in the remaining
+    variables (the distinguished variable must be the last one); in one
+    variable they are plain rationals.
+    """
+    n = f.n
+    if i != n - 1:
+        raise DimensionMismatch("coefficients are extracted along the last variable")
+    slots = [dict() for _ in range(p)]
+    for e, c in f.terms.items():
+        m = e[i]
+        if m == p and not any(e[:i]):
+            if c != 1:
+                raise PresentationError("polynomial is not monic")
+            continue
+        if m >= p:
+            raise PresentationError("terms above the distinguished degree")
+        slots[m][e[:i]] = c
+    if n == 1:
+        return tuple([s.get((), Fraction(0)) for s in slots])
+    form = f.form_ctx.restrict(n - 1) if f.form_ctx is not None else None
+    return tuple([PrecisionSeries(n - 1, s, f.prec, form) for s in slots])
+
+
 def hankel_minors(coeffs: Sequence, n_vars: int, mu) -> list:
-    """D_1, ..., D_p of `equising._hankel_discriminants`, every one as the
-    jet {exponent: Fraction} that its integer minor and scale stand for;
-    the command path converts only the minor it keeps."""
-    minors, unpack = _hankel_discriminants(coeffs, n_vars, mu)
-    return [{unpack(e): Fraction(c, scale) for e, c in jet.items()}
+    """D_1, ..., D_p of `equising._hankel_discriminants` at the vector
+    (a_0, ..., a_{p-1}), every one as the jet {exponent: Fraction} that its
+    integer minor and scale stand for, and a minor the pass does not form
+    as the zero jet; the command path converts only the minor it keeps."""
+    minors, unpack, _ = _hankel_discriminants(
+        monic_polynomial(coeffs, n_vars), len(coeffs), mu)
+    return [{unpack(e): Fraction(c, scale) for e, c in (jet or {}).items()}
             for jet, scale in minors]
 
 

@@ -149,7 +149,8 @@ class TestHankelDiscriminants:
                 roots.append((r, m))
                 left -= m
             vec = _monic_with_roots(roots)
-            j, value, certs = E._first_nonvanishing(vec, 0, 0)
+            j, value, certs, _ = E._first_nonvanishing(
+                OR.monic_polynomial(vec, 0), p, 0)
             assert j == E.squarefree_defect(vec, p) + 1 == p - len(roots) + 1
             assert value and certs == ("exact-zero",) * (j - 1)
 
@@ -259,17 +260,17 @@ class TestWeierstrass:
 class TestCoefficientVector:
     def test_cusp(self):
         f = K.series(2, {(0, 2): 1, (3, 0): -1})
-        a = E.coefficient_vector(f, 1, 2)
+        a = OR.coefficient_vector(f, 1, 2)
         assert a[0].terms == {(3,): F(-1)}
         assert a[1].is_zero_up_to_prec or a[1].is_exact_zero
 
     def test_univariate(self):
         f = K.series(1, {(3,): 1, (1,): 2})
-        assert E.coefficient_vector(f, 0, 3) == (F(0), F(2), F(0))
+        assert OR.coefficient_vector(f, 0, 3) == (F(0), F(2), F(0))
 
     def test_non_monic_rejected(self):
         with pytest.raises(PresentationError):
-            E.coefficient_vector(K.series(2, {(0, 2): 2}), 1, 2)
+            OR.coefficient_vector(K.series(2, {(0, 2): 2}), 1, 2)
 
 
 class TestTower:
@@ -353,6 +354,23 @@ class TestTower:
         report = E.validate_tower(tampered)
         assert not report["all_pass"]
         assert not report["levels"][1]["coefficients_vanish"]
+
+    @pytest.mark.parametrize("extra", [
+        {(1, 4): 1},  # x*y^4: a term above the degree 3
+        {(0, 3): 1},  # 2*y^3: not monic
+    ])
+    def test_a_level_that_cannot_be_read_passes_no_check(self, extra):
+        # y^3 + x^5 at mu 8; a level whose coefficients cannot be read
+        # must not report that they vanish at the origin
+        good = E.build_tower([K.series(2, {(0, 3): 1, (5, 0): 1})], 8)
+        top, *rest = good.levels
+        bad = top._replace(poly=K.add(top.poly, K.series(2, extra)))
+        report = E.validate_tower(good._replace(levels=(bad, *rest)))
+        assert E.validate_tower(good)["all_pass"]
+        assert not report["all_pass"]
+        assert report["levels"][2] == dict.fromkeys(
+            ("distinguished_form", "coefficients_vanish",
+             "discriminant_certificates", "unit_factorization"), False)
 
     def test_needs_coordinate_change(self):
         # xy is not regular in y: a recorded change must fix it

@@ -286,6 +286,58 @@ def test_prepare_of_a_power_times_a_unit_divides_nothing(case):
     assert K.agrees_up_to(u, u_ref, L, u.prec)
 
 
+@st.composite
+def distinguished_jets(draw):
+    """(f, i, mu): x_i^p plus terms of x_i-degree below p off the x_i-axis,
+    in n = 2..3 variables, p = 1..4, so that the mu-jet of f is already a
+    Weierstrass polynomial; f exact or certified."""
+    n = draw(st.integers(2, 3))
+    i = draw(st.integers(0, n - 1))
+    p = draw(st.integers(1, 4))
+    mu = draw(st.integers(p, p + (5 if n == 2 else 3)))
+    terms = {tuple(p if k == i else 0 for k in range(n)): F(1)}
+    for _ in range(draw(st.integers(1, 4))):
+        e = tuple(draw(st.integers(0, 3)) for _ in range(n))
+        if e[i] < p < sum(e) + p - e[i]:  # below x_i^p, off the axis
+            terms[e] = draw(coefficient)
+    f = K.series(n, terms)
+    if draw(st.booleans()):
+        f = K.truncate(f, O.std_form(n), mu + draw(st.integers(0, 2)))
+    return f, i, mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(distinguished_jets())
+@example((K.series(2, {(0, 3): 1, (2, 1): F(-1, 2), (5, 0): 3}), 1, 6))
+def test_a_distinguished_jet_prepares_to_itself_with_no_division(case):
+    # P = j and u = 1 by uniqueness; 2j has the head 2 x_i^p and goes the
+    # division route, to the same P and the unit 2
+    f, i, mu = case
+    with mock.patch.object(E, "_divide", wraps=E._divide) as divide:
+        P, u = E.weierstrass_prepare(f, i, mu)
+    assert not divide.called
+    assert P == K.truncate(f, O.std_form(f.n), mu)
+    assert u.terms == {(0,) * f.n: 1}
+    assert (P, u) == reference_prepare(f, i, mu)
+    with mock.patch.object(E, "_divide", wraps=E._divide) as divide:
+        P2, u2 = E.weierstrass_prepare(K.scale(f, 2), i, mu)
+    assert divide.called == (len(P.terms) > 1)  # else j = x_i^p
+    assert P2 == P and u2 == K.scale(u, 2)
+
+
+@pytest.mark.parametrize("f", [
+    K.series(2, {(0, 3): 2, (2, 1): 1, (5, 0): 3}),             # 2 y^3
+    K.series(2, {(0, 3): 1, (1, 3): 1, (2, 1): 1, (5, 0): 3}),  # y^3 (1 + x)
+    K.series(2, {(0, 3): 1, (0, 4): 1, (2, 1): 1, (5, 0): 3}),  # y^3 + y^4
+])
+def test_a_near_miss_of_a_distinguished_jet_still_divides(f):
+    with mock.patch.object(E, "_divide", wraps=E._divide) as divide:
+        P, u = E.weierstrass_prepare(f, 1, 6)
+    assert divide.called
+    assert (P, u) == reference_prepare(f, 1, 6)
+    assert u.terms != {(0, 0): 1}
+
+
 def test_prepared_unit_does_not_change_on_its_window_when_mu_grows():
     # ord P = 3, so u is certified only to degree 8 - 3 = 5; its term -2 at
     # x^5*y lies beyond that window at mu = 8 and inside it at mu = 20
@@ -357,7 +409,7 @@ def test_unit_prepares_to_one_and_itself():
 
 @pytest.mark.xfail(strict=True, reason="a level certified to degree mu knows "
                    "its coefficient a_m only to degree mu - m, but "
-                   "`coefficient_vector` certifies every a_m to mu")
+                   "`equising._level_jets` certifies every a_m to mu")
 def test_discriminant_certificates_do_not_over_claim():
     # f = y^4 + x^5 + x^7*y^2 has D_3 = 8x^7: mu = 9 and mu = 10 find it and
     # record disc_index 3, while mu = 8 certifies D_3 zero and records 4

@@ -253,7 +253,8 @@ def test_first_nonvanishing_converts_one_minor(coeffs, mu, j):
     # the pass returns integer minors, and only the one returned becomes a
     # jet of `Fraction`s: one per term of the value
     with mock.patch.object(E, "Fraction", wraps=F) as fraction:
-        got, value, _ = E._first_nonvanishing(coeffs, 1, mu)
+        got, value, _, _ = E._first_nonvanishing(
+            OR.monic_polynomial(coeffs, 1), len(coeffs), mu)
     assert got == j
     assert value.terms == OR.hankel_minors(coeffs, 1, mu)[j - 1]
     assert fraction.call_count == len(value.terms) == 1
@@ -290,6 +291,73 @@ def test_minors_match_the_plain_berkowitz_oracle_beyond_the_cap(case):
     L = O.std_form(coeffs[0].n)
     want = OR.berkowitz_discriminants(coeffs, L, mu)
     assert OR.hankel_minors(coeffs, coeffs[0].n, mu) == [d.terms for d in want]
+
+
+@st.composite
+def polygon_levels(draw):
+    """(coefficients, mu): y^p + a_{p-1} y^{p-1} + ... + a_0, p = 3..6, in
+    1..2 other variables, whose lower Newton polygon of (p, 0) and the
+    points (i, w_i), w_i the lowest degree of a_i, has a zero low block
+    a_0 = ... = a_{k-1} = 0 or two edges of different slopes.  a_{i1} has
+    lowest degree w1 and a_k lowest degree w2; without a zero block, w2 is
+    drawn so that (i1, w1) is a vertex, w1 / (p - i1) < (w2 - w1) / (i1 -
+    k).  Every other a_i is zero or has lowest degree >= max(w1, w2), on or
+    above the polygon."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(3, 6))
+    mu = draw(st.integers(2, 9))
+    k = draw(st.integers(0, p - 2))
+    i1 = draw(st.integers(k + 1, p - 1))
+    w1 = draw(st.integers(1, 4))
+    steeper = w1 + w1 * (i1 - k) // (p - i1) + 1
+    w2 = draw(st.integers(1 if k else steeper, steeper + 4))
+
+    def terms(low: int) -> dict:
+        out = {}
+        for d in [low] + draw(st.lists(st.integers(low, low + 2), max_size=2)):
+            a = draw(st.integers(0, d))
+            out[(d,) if n == 1 else (a, d - a)] = draw(st.sampled_from(COEFFS))
+        return out
+
+    coeffs = [K.zero(n)] * p
+    coeffs[k], coeffs[i1] = K.series(n, terms(w2)), K.series(n, terms(w1))
+    for i in range(k + 1, p):
+        if i != i1 and draw(st.booleans()):
+            coeffs[i] = K.series(n, terms(max(w1, w2) + draw(st.integers(0, 2))))
+    return coeffs, mu
+
+
+@settings(max_examples=80, deadline=None)
+@given(polygon_levels())
+# y^4 + x*y^2 + x^8 at mu 8: roots of orders 1/2, 1/2, 7/2, 7/2, so the
+# 4 x 4 minor has order >= 12 and is not formed; the 3 x 3 one, D_2 =
+# 8x^3, has order >= 3
+@example(([K.series(1, {(8,): 1}), K.zero(1), K.series(1, {(1,): 1}),
+           K.zero(1)], 8))
+# y^5 + x^2*y^3 at mu 6: a zero low block of 3, so only the minors of
+# sizes <= 3 can be nonzero
+@example(([K.zero(1)] * 3 + [K.series(1, {(2,): 1}), K.zero(1)], 6))
+def test_the_polygon_bound_leaves_out_only_minors_zero_on_the_window(case):
+    coeffs, mu = case
+    n, p = coeffs[0].n, len(coeffs)
+    minors, unpack, _ = E._hankel_discriminants(
+        OR.monic_polynomial(coeffs, n), p, mu)
+    want = OR.berkowitz_discriminants(coeffs, O.std_form(n), mu)
+    for (jet, scale), D in zip(minors, want):
+        if jet is None:  # not formed
+            assert not D.terms
+        else:
+            assert {unpack(e): F(c, scale) for e, c in jet.items()} == D.terms
+
+
+def test_the_polygon_bound_reads_every_edge():
+    # y^4 + x*y^2 + x^8 at mu 8: the smallest root order alone, 1/2, would
+    # bound the 4 x 4 minor by 12 * 1/2 = 6 <= 8 and form it; the polygon
+    # bounds it by 2 * (3/2 + 2/2 + 7/2) = 12 > 8
+    coeffs = [K.series(1, {(8,): 1}), K.zero(1), K.series(1, {(1,): 1}),
+              K.zero(1)]
+    minors, _, _ = E._hankel_discriminants(OR.monic_polynomial(coeffs, 1), 4, 8)
+    assert [jet is None for jet, _ in minors] == [True, False, False, False]
 
 
 # -- root counts beyond the symbolic cap ---------------------------------------

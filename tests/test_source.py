@@ -171,12 +171,17 @@ def _fraction_calls(path: Path, functions) -> list:
             for node in ast.walk(fn) if _is_fraction_call(node)]
 
 
+#: the discriminant pass, with the functions that read its input off the
+#: level polynomial and bound the minors it forms
+HANKEL_PASS = ("_hankel_discriminants", "_jet_dot", "_level_jets",
+               "_polygon_size")
+
+
 def test_the_hankel_pass_builds_no_fraction():
     # the discriminant pass runs on integers (equising's docstring): it
     # returns integer minors with their scales, and the caller converts
     # only the minor it keeps
-    found = _fraction_calls(SOURCE / "equising.py",
-                            ("_hankel_discriminants", "_jet_dot"))
+    found = _fraction_calls(SOURCE / "equising.py", HANKEL_PASS)
     assert not found, found
 
 
@@ -206,10 +211,14 @@ def test_fraction_call_lint_sees_a_planted_call(tmp_path):
                     "        return fractions.Fraction(e)\n"
                     "    return unpack\n\n"
                     "def _first_nonvanishing(a):\n"
-                    "    return Fraction(a)\n",
+                    "    return Fraction(a)\n\n"
+                    "def _level_jets(f):\n"
+                    "    return [c * Fraction(1) for c in f]\n\n"
+                    "def _polygon_size(w):\n"
+                    "    return min(Fraction(v, 2) for v in w)\n",
                     encoding="utf-8")
-    assert _fraction_calls(path, ("_hankel_discriminants", "_jet_dot")) == [
-        "equising.py:2", "equising.py:6"]
+    assert _fraction_calls(path, HANKEL_PASS) == [
+        "equising.py:2", "equising.py:6", "equising.py:13", "equising.py:16"]
 
 
 def _package_imports(path: Path) -> set:
