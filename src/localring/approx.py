@@ -23,7 +23,9 @@ from .diagram import (
     flatness_weight_search,
     _reduction_exponent,
     hilbert_samuel,
+    oracle_jet_quotient_table,
     oracle_quotient_dim_mod_tail_power,
+    tail_monomials,
 )
 from .errors import PrecisionShortfall, PresentationError
 from .kernel import (
@@ -176,8 +178,10 @@ def ci_stability_experiment(I: IdealPresentation, mu,
         quotients = {}
         eta = int(mu)
         for m in (1, 2):
-            qa = oracle_quotient_dim_mod_tail_power(A, k, m, eta)
-            qa_prev = oracle_quotient_dim_mod_tail_power(A, k, m, eta - 1)
+            # one reduction gives eta - 1 too; eta >= 1, as k axis vertices
+            # lie on the window
+            *_, qa_prev, qa = oracle_jet_quotient_table(
+                A, eta, tail_monomials(A.n, k, eta, 0, m))
             qb = oracle_quotient_dim_mod_tail_power(B, k, m, eta)
             quotients[m] = {"dim": qa, "dim_perturbed": qb,
                             "stabilized": qa == qa_prev, "equal": qa == qb}

@@ -207,7 +207,7 @@ def _cmd_oracle(args, f, form, mu) -> tuple[int, dict]:
     eta = _eta(args)
     mu = max(f.mu, eta)
     I = f.presentation(form, mu)
-    values = [diagram.oracle_jet_quotient_dim(I, e) for e in range(eta + 1)]
+    values = diagram.oracle_jet_quotient_table(I, eta)
     return 0, {"window": _window(form, mu), "eta_max": eta, "values": values}
 
 

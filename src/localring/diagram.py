@@ -7,9 +7,14 @@ staircase on {L <= mu} and says nothing beyond.  Complement counts and
 Hilbert-Samuel tables are read off the numerator of the staircase's weighted
 Hilbert series, which is built from the vertices alone, so their cost does
 not grow with the number of points outside the staircase.  The oracle
-section computes jet-space dimensions by exact rational row reduction over
-the monomial basis, independently of the division machinery, and is used to
-cross-check it.
+section computes jet-space dimensions by exact row reduction over the
+monomial basis, independently of the division machinery, and is used to
+cross-check it.  It eliminates on integers: a row enters as its numerators
+over the lcm of its denominators and is reduced fraction-free against
+primitive pivots.  The column order is graded, so a pivot has no term of
+lower degree than its column, and a whole table of jet-space dimensions,
+one per degree e <= eta, is read from one reduction at eta by counting
+the pivots of degree <= e.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from functools import reduce
+from itertools import accumulate, chain, combinations_with_replacement
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import linalg
@@ -32,11 +38,10 @@ from .errors import (
     UnverifiedBasis,
 )
 from .kernel import (
-    _ZERO,
     IdealPresentation,
     PrecisionSeries,
     _admit,
-    _window,
+    _numerators,
     evaluate_tail_zero,
     prec_at_least,
 )
@@ -45,7 +50,6 @@ from .order import (
     LinearForm,
     is_standard,
     iter_sublevel,
-    lvalue,
     std_form,
     std_key,
     weighted_split_form,
@@ -336,54 +340,69 @@ def _axis_vertex_search(I: IdealPresentation, mu, trials: int, seed: int
 # -- exact row-reduction oracle --------------------------------------------
 
 class ExactRowReducer:
-    """Incremental Gaussian elimination over Q with sparse dict rows.
+    """Incremental fraction-free Gaussian elimination with sparse dict rows.
 
     Columns are exponents in n variables, ordered by the standard order
-    (degree, reversed tuple); rows are reduced against the stored pivots on
-    insertion.  Monomial rows become pivots in O(1) and immediately shorten
-    later rows.
+    (degree, reversed tuple); each column's key is computed once per
+    reducer.  A row enters as the numerators of its coefficients over the
+    lcm of their denominators and is reduced on insertion: while its
+    leading column holds a pivot, it becomes a*row - b*pivot, with a and b
+    the two leading entries divided by their gcd, so that no rational
+    number is formed (fraction-free elimination, as in Bareiss 1968).  A
+    pivot is stored primitive, with a positive leading entry.  Each step
+    scales a row by a nonzero integer, so ranks and memberships are those
+    over Q.
+
+    A pivot has no term below its column, so none of lower degree.  Cut to
+    degree <= e, the pivots of degree <= e keep their leading columns and
+    stay independent, and the others vanish.  So when the rows span a
+    subspace of the jet space of order eta whose cut to degree e is the
+    subspace asked at e, its dimension there is the number of pivots of
+    degree <= e (`oracle_jet_quotient_table`).
     """
 
     def __init__(self):
         self.pivots: dict = {}
+        self._keys: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: dict) -> dict:
-        row = {e: Fraction(c) for e, c in row.items() if c}
+    def _reduce(self, row: dict) -> tuple:
+        """(r, col): the row on integers, reduced until its leading column
+        col holds no pivot; r is empty when the row is in the span."""
+        den = reduce(math.lcm, [c.denominator for c in row.values()], 1)
+        row = {e: c.numerator * (den // c.denominator) for e, c in row.items() if c}
+        keys, pivots = self._keys, self.pivots
+        keys.update({e: std_key(e) for e in row if e not in keys})
         while row:
-            col = min(row, key=std_key)
-            pivot = self.pivots.get(col)
+            col = min(row, key=keys.__getitem__)
+            pivot = pivots.get(col)
             if pivot is None:
-                return row
-            factor = row[col]
+                return row, col
+            g = math.gcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            if a != 1:
+                row = {e: a * c for e, c in row.items()}
             for e, c in pivot.items():
-                s = row.get(e, _ZERO) - factor * c
+                s = row.pop(e, 0) - b * c
                 if s:
                     row[e] = s
-                else:
-                    row.pop(e, None)
-        return row
+        return row, None
 
     def add(self, row: dict) -> bool:
-        """Insert a row; True if it increased the rank."""
-        row = self.reduce(row)
+        """Insert a row {exponent: int or Fraction}; True if it increased
+        the rank."""
+        row, col = self._reduce(row)
         if not row:
             return False
-        col = min(row, key=std_key)
-        lead = row[col]
-        self.pivots[col] = {e: c / lead for e, c in row.items()}
+        g = reduce(math.gcd, row.values(), 0) * (1 if row[col] > 0 else -1)
+        self.pivots[col] = {e: c // g for e, c in row.items()}
         return True
 
-    def add_monomials(self, exponents: Iterable[Exponent]) -> None:
-        for e in exponents:
-            if e not in self.pivots:
-                self.add({e: Fraction(1)})
-
     def member(self, row: dict) -> bool:
-        return not self.reduce(row)
+        return not self._reduce(row)[0]
 
 
 def ideal_span_rows(gens: Sequence[PrecisionSeries], eta,
@@ -391,21 +410,26 @@ def ideal_span_rows(gens: Sequence[PrecisionSeries], eta,
     """Rows spanning the image of the ideal in the L-sublevel jet space.
 
     For each generator g and monomial x^c with L(c) <= eta - ord_L(g),
-    yields the coefficient row of x^c * g truncated to {L <= eta}.
-    Generators must be known at least to level eta under L (the default L
-    is the standard form).
+    yields the row of x^c * g cut to {L <= eta}, on integers: g's
+    numerators over the lcm of its denominators (`kernel._numerators`),
+    read once per generator, so that each row is a nonzero multiple of the
+    rational one.  A term x^e is kept when level(e) + level(c) is at most
+    the level cap of eta.  Generators must be known at least to level eta
+    under L (the default L is the standard form).
     """
     for g in gens:
         form = std_form(g.n) if L is None else L
         _admit(g, form, eta)
         if g.is_zero_up_to_prec:
             continue
-        o = min(lvalue(form, e) for e in g.terms)
-        for gamma in iter_sublevel(form, eta - o):
-            row = _window({(*map(operator.add, e, gamma),): c
-                           for e, c in g.terms.items()}, form, eta)
-            if row:
-                yield row
+        if g.n != form.n:
+            raise DimensionMismatch(f"series in {g.n} variables vs form on {form.n}")
+        level, cap = form.level, form.level_cap(eta)
+        terms = [(level(e), e, c) for e, c in _numerators(g)[0].items()]
+        for gamma in iter_sublevel(form, eta, min(terms)[0]):
+            room = cap - level(gamma)
+            yield {(*map(operator.add, e, gamma),): c
+                   for up, e, c in terms if up <= room}
 
 
 def _span(gens: Sequence[PrecisionSeries], eta, L: Optional[LinearForm] = None,
@@ -413,8 +437,7 @@ def _span(gens: Sequence[PrecisionSeries], eta, L: Optional[LinearForm] = None,
     """A reducer holding the given monomials and the ideal image rows of
     `ideal_span_rows(gens, eta, L)`."""
     reducer = ExactRowReducer()
-    reducer.add_monomials(monomials)
-    for row in ideal_span_rows(gens, eta, L):
+    for row in chain([{e: 1} for e in monomials], ideal_span_rows(gens, eta, L)):
         reducer.add(row)
     return reducer
 
@@ -423,21 +446,32 @@ def jet_space_dim(n: int, eta: int) -> int:
     return math.comb(n + eta, n)
 
 
-def oracle_jet_quotient_dim(I: IdealPresentation, eta: int) -> int:
-    """dim of (jet space of order eta) / (ideal image), by row reduction.
+def oracle_jet_quotient_table(I: IdealPresentation, eta: int,
+                              monomials: Iterable[Exponent] = ()) -> list:
+    """dim of (jet space of order e) / (ideal image + the given monomials of
+    degree <= e), for e = 0, ..., eta, from one reduction at eta.
 
     Independent oracle for the staircase-complement count: no division, no
-    standard bases, just exact linear algebra over the monomial basis.
+    standard bases, just exact linear algebra over the monomial basis.  Cut
+    to degree e, each row at eta is the row at e or zero, so the rank at e
+    is the number of pivots of degree <= e (`ExactRowReducer`).
     """
-    return jet_space_dim(I.n, eta) - _span(I.gens, eta).rank
+    degrees = [*map(sum, _span(I.gens, eta, monomials=monomials).pivots)]
+    ranks = accumulate(map(degrees.count, range(eta + 1)))
+    return [jet_space_dim(I.n, e) - r for e, r in enumerate(ranks)]
+
+
+def oracle_jet_quotient_dim(I: IdealPresentation, eta: int) -> int:
+    """dim of (jet space of order eta) / (ideal image): the last entry of
+    `oracle_jet_quotient_table`."""
+    return oracle_jet_quotient_table(I, eta)[-1]
 
 
 def oracle_sublevel_quotient_dim(I: IdealPresentation, L: LinearForm,
                                  eta) -> int:
     """The weighted analogue: dim of the span of {L <= eta} monomials modulo
     the ideal image, cross-checking complement counts under any form."""
-    total = sum(1 for _ in iter_sublevel(L, eta))
-    return total - _span(I.gens, eta, L).rank
+    return sum(1 for _ in iter_sublevel(L, eta)) - _span(I.gens, eta, L).rank
 
 
 def tail_monomials(n: int, k: int, eta: int, min_total: int, min_tail: int):
@@ -483,21 +517,16 @@ def _reduction_exponent(I: IdealPresentation, k: int,
     eta = d + 1
     reducer = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, d + 1, 1))
     checks = []
-    all_ok = True
     for combo in combinations_with_replacement(range(k), d + 1):
-        beta = [0] * I.n
-        for var in combo:
-            beta[var] += 1
-        beta = tuple(beta)
-        ok = reducer.member({beta: Fraction(1)})
-        checks.append((beta, ok))
-        all_ok = all_ok and ok
-    return ReductionReport(k, tuple(degrees), d, eta, tuple(checks), all_ok)
+        beta = (*map(combo.count, range(I.n)),)
+        checks.append((beta, reducer.member({beta: 1})))
+    return ReductionReport(k, tuple(degrees), d, eta, tuple(checks),
+                           all(ok for _, ok in checks))
 
 
 def oracle_quotient_dim_mod_tail_power(I: IdealPresentation, k: int, m: int,
                                        eta: int) -> int:
     """dim of jet space / (I + (tail)^m) at order eta (stabilizes when the
-    true quotient is finite-dimensional)."""
-    tail = _span(I.gens, eta, monomials=tail_monomials(I.n, k, eta, 0, m))
-    return jet_space_dim(I.n, eta) - tail.rank
+    true quotient is finite-dimensional): the last entry of
+    `oracle_jet_quotient_table` with the monomials of tail degree >= m."""
+    return oracle_jet_quotient_table(I, eta, tail_monomials(I.n, k, eta, 0, m))[-1]

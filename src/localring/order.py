@@ -192,12 +192,14 @@ def min_lvalue(L: LinearForm, f: "PrecisionSeries") -> Fraction:
     return f.prec
 
 
-def iter_sublevel(L: LinearForm, eta) -> Iterator[Exponent]:
-    """All exponents with L(b) <= eta, in lexicographic generation order.
+def iter_sublevel(L: LinearForm, eta, offset: int = 0) -> Iterator[Exponent]:
+    """All exponents with L(b) <= eta, in lexicographic generation order;
+    with an integer `offset`, those whose level plus `offset` is at most
+    the level cap of eta, so that no rational bound is formed.
 
     Finite because every weight is positive.
     """
-    cap = L.level_cap(eta)
+    cap = L.level_cap(eta) - offset
     n = L.n
 
     def rec(i: int, budget: int, prefix: tuple[int, ...]):

@@ -15,8 +15,11 @@ vectors, and the Hankel route the monic level polynomial:
 vector back, and `hankel_minors` reads the Hankel route's integer minors as
 the rational jets the oracles return.
 
-`plain_rank` is the dense elimination that `diagram.ExactRowReducer`, with
-its sparse rows and pivots, is held to.
+`plain_rank` is the dense `Fraction` elimination that
+`diagram.ExactRowReducer`, with its sparse integer rows and primitive
+pivots, is held to on rows scaled by random rationals.  A table that
+`diagram.oracle_jet_quotient_table` reads from one reduction is held to
+one `plain_rank` per degree (`tests/test_diagram.py`).
 
 `walk_complement_levels` counts a staircase complement per level by
 visiting every complement point, the way `diagram._complement_levels` did

@@ -12,8 +12,13 @@ the dimension search picks a matrix that is not the identity; the changed
 presentation (`IdealPresentation.substitute`) expands itself from the file
 all the same.  Its Hilbert-Samuel table and its staircase under the split
 form are checked against the row-reduction oracle on that presentation.
+
+A run reads each tail quotient at mu and at mu - 1 from one reduction;
+both are checked against reductions of their own, on the two samples, on
+a random exact family and at the smallest window.
 """
 
+import random
 from functools import cache
 from pathlib import Path
 
@@ -25,6 +30,7 @@ from localring import diagram as DG
 from localring import kernel as K
 from localring import order as O
 from localring.parser import load_ideal_file, parse_expression
+from conftest import rand_poly
 
 SAMPLES = Path(__file__).resolve().parent.parent / "sample_ideals"
 CM_FAMILY = SAMPLES / "cm_family.ideal"
@@ -80,6 +86,12 @@ def test_cli_run_keeps_the_hilbert_samuel_function(mu, delta, guaranteed):
     assert hs["table_perturbed"] == list(perturbed)
 
 
+def changed_run(I, mu, deltas) -> tuple:
+    """The library run on I, with I in the coordinates it picked."""
+    rep = AP.ci_stability_experiment(I, mu, deltas)
+    return rep, I.substitute(rep["matrix"])
+
+
 @cache
 def space_curve_run() -> tuple:
     """The library run of `ci-experiment --mu 8 --delta x^9` on the space
@@ -89,8 +101,7 @@ def space_curve_run() -> tuple:
     I = f.presentation(L, 8)
     deltas = (parse_expression("x^9", f.var_names, L, 16),
               K.zero(f.n), K.zero(f.n))
-    rep = AP.ci_stability_experiment(I, 8, deltas)
-    return rep, I.substitute(rep["matrix"])
+    return changed_run(I, 8, deltas)
 
 
 def test_space_curve_in_general_coordinates_keeps_the_hilbert_samuel_function():
@@ -124,3 +135,37 @@ def test_cli_run_in_general_coordinates():
     assert rep["all_equal"] is True
     table = space_curve_run()[0]["items"]["hilbert_samuel"]["table"]
     assert rep["items"]["hilbert_samuel"]["table"] == list(table)
+
+
+def random_exact_family() -> tuple:
+    """Two random exact generators in three variables (seed 7), perturbed
+    by z^6 at mu 5: the run changes coordinates, and one tail quotient
+    stabilizes while the other does not."""
+    rng = random.Random(7)
+    I = K.IdealPresentation(3, tuple(rand_poly(rng, 3, max_exp=3, min_order=1)
+                                     for _ in range(2)))
+    return changed_run(I, 5, (K.monomial(3, (0, 0, 6)), K.zero(3)))
+
+
+#: runs whose tail quotients are checked; at mu 1, the smallest window
+#: with an axis vertex, the table of the reduction has two entries
+TAIL_RUNS = {
+    "cm_family": lambda: changed_run(presentations(8, "x^9")[0], 8,
+                                     presentations(8, "x^9")[1]),
+    "space_curve_exp": space_curve_run,
+    "random": random_exact_family,
+    "x-at-mu-1": lambda: changed_run(K.IdealPresentation(2, (K.variable(2, 0),)),
+                                     1, (K.monomial(2, (0, 3)),)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_RUNS))
+def test_stabilized_is_read_from_the_reduction_at_eta(name):
+    # the run reads the quotient at eta - 1 off the pivots of its reduction
+    # at eta; here each value comes from a reduction of its own
+    rep, A = TAIL_RUNS[name]()
+    k, eta = rep["k"], int(rep["mu"])
+    for m, q in rep["items"]["tail_quotients"].items():
+        dim = DG.oracle_quotient_dim_mod_tail_power(A, k, m, eta)
+        before = DG.oracle_quotient_dim_mod_tail_power(A, k, m, eta - 1)
+        assert (q["dim"], q["stabilized"]) == (dim, dim == before)

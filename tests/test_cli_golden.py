@@ -20,11 +20,15 @@ A change that is meant to alter a report regenerates the table with
 and says in its description which reports changed and why.  The script
 prints the command line of every row it adds, changes or removes against
 the table it overwrites.
+
+The table is also replayed in one `python -O` process, which strips
+assert statements: the reports must not depend on them.
 """
 
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -124,6 +128,29 @@ def test_the_table_covers_every_command_line():
 def test_report_matches_the_frozen_table(expected, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert row(expected["argv"]) == expected
+
+
+#: Replays the command lines read from stdin with `row`, and prints the rows
+#: with the interpreter's optimization level.
+REPLAY = ("import json, sys\n"
+          "from test_cli_golden import row\n"
+          "rows = [row(argv) for argv in json.load(sys.stdin)]\n"
+          "json.dump({'optimize': sys.flags.optimize, 'rows': rows}, sys.stdout)\n")
+
+
+def test_the_table_holds_under_python_O():
+    # `python -O` strips assert statements, so every invariant check on
+    # the command path must raise instead; one child process replays the
+    # whole table
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    path = os.pathsep.join([str(ROOT / "src"), str(TABLE.parent)])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", REPLAY], cwd=ROOT, capture_output=True,
+        input=json.dumps([r["argv"] for r in table]), text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": path}, check=True)
+    replay = json.loads(out.stdout)
+    assert replay["optimize"] == 1
+    assert replay["rows"] == table
 
 
 def table_changes(old: list, new: list) -> dict:

@@ -1,8 +1,10 @@
 import operator
 import random
 from fractions import Fraction as F
+from functools import reduce
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,8 +22,11 @@ from localring.errors import (
     TrivialEvaluation,
     UnverifiedBasis,
 )
+from localring.parser import load_ideal_file
 from conftest import rand_poly
 import oracles as OR
+
+SAMPLES = Path(__file__).resolve().parent.parent / "sample_ideals"
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)
@@ -282,18 +287,87 @@ def sparse_rows(draw):
     return rows, queries
 
 
+#: a nonzero rational, by which a row enters the reducer
+NONZERO = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
 @settings(max_examples=80, deadline=None)
-@given(sparse_rows())
-def test_row_reducer_matches_plain_elimination(data):
+@given(sparse_rows(), st.data())
+def test_row_reducer_matches_plain_elimination(data, draws):
+    # each row and query enters scaled by a nonzero rational: that moves
+    # the lcm of its denominators and the content of its numerators, which
+    # the reducer clears, but not the span it adds to
     rows, queries = data
+
+    def scaled(row):
+        s = draws.draw(NONZERO)
+        return {e: s * c for e, c in row.items()}
+
     reducer = DG.ExactRowReducer()
     for k, row in enumerate(rows):
         grew = OR.plain_rank(rows[:k + 1]) > OR.plain_rank(rows[:k])
-        assert reducer.add(row) == grew
+        assert reducer.add(scaled(row)) == grew
     rank = OR.plain_rank(rows)
     assert reducer.rank == rank
     for q in queries:
-        assert reducer.member(q) == (OR.plain_rank([*rows, q]) == rank)
+        assert reducer.member(scaled(q)) == (OR.plain_rank([*rows, q]) == rank)
+    # a pivot leads at its column in the standard order, and is a
+    # primitive integer row with a positive leading entry
+    for col, pivot in reducer.pivots.items():
+        assert min(pivot, key=O.std_key) == col and pivot[col] > 0
+        assert all(type(c) is int for c in pivot.values())
+        assert reduce(gcd, pivot.values(), 0) == 1
+
+
+def reference_table(I, eta, monomials=()) -> list:
+    """dim of the jet space of order e modulo the rows of x^c * g cut to
+    degree e and the given monomials of degree <= e, for e = 0..eta: one
+    dense elimination (`oracles.plain_rank`) of rational rows per e."""
+    table = []
+    for e in range(eta + 1):
+        rows = [{b: 1} for b in monomials if sum(b) <= e]
+        rows += [{(*map(operator.add, a, c),): v for a, v in g.terms.items()
+                  if sum(a) + sum(c) <= e}
+                 for g in I.gens for c in O.iter_sublevel(O.std_form(I.n), e)]
+        table.append(comb(I.n + e, e) - OR.plain_rank(rows))
+    return table
+
+
+@st.composite
+def exact_ideals(draw):
+    """(I, eta, monomials): an exact ideal of one to three rational
+    generators of order >= 1 in one to three variables, a degree, and no
+    monomials or those of tail degree >= m after the first k variables."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    terms = st.lists(st.dictionaries(exponent, coeff, min_size=1, max_size=4),
+                     min_size=1, max_size=3)
+    I = K.IdealPresentation(n, tuple(K.series(n, t) for t in draw(terms)))
+    eta = draw(st.integers(0, 5 if n < 3 else 4))
+    k, m = draw(st.integers(1, n)), draw(st.integers(1, 2))
+    monomials = draw(st.sampled_from([(), (*DG.tail_monomials(n, k, eta, 0, m),)]))
+    return I, eta, monomials
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_ideals())
+def test_one_reduction_reads_the_whole_table(case):
+    # the table at every e <= eta is read from the pivots of one reduction
+    # at eta; the reference eliminates afresh at each e
+    I, eta, monomials = case
+    assert (DG.oracle_jet_quotient_table(I, eta, monomials)
+            == reference_table(I, eta, monomials))
+
+
+@pytest.mark.parametrize("name, eta", [
+    ("cm_family", 6), ("cusp", 8), ("plane_monomial", 8), ("space_curve_exp", 6)])
+def test_one_reduction_reads_the_whole_table_on_the_samples(name, eta):
+    f = load_ideal_file((SAMPLES / f"{name}.ideal").read_text(encoding="utf-8"))
+    I = f.presentation(O.std_form(f.n), eta)
+    for monomials in ((), (*DG.tail_monomials(f.n, f.n - 1, eta, 0, 2),)):
+        assert (DG.oracle_jet_quotient_table(I, eta, monomials)
+                == reference_table(I, eta, monomials))
 
 
 class TestEvaluatedIdeal:

@@ -163,11 +163,12 @@ def test_fraction_default_lint_sees_every_form(tmp_path):
 
 
 def _fraction_calls(path: Path, functions) -> list:
-    """Calls Fraction(...) inside the named top-level functions, nested
-    functions included."""
+    """Calls Fraction(...) inside the named top-level functions and
+    classes, nested definitions included."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     return [f"{path.name}:{node.lineno}" for fn in tree.body
-            if isinstance(fn, ast.FunctionDef) and fn.name in functions
+            if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+            and fn.name in functions
             for node in ast.walk(fn) if _is_fraction_call(node)]
 
 
@@ -219,6 +220,120 @@ def test_fraction_call_lint_sees_a_planted_call(tmp_path):
                     encoding="utf-8")
     assert _fraction_calls(path, HANKEL_PASS) == [
         "equising.py:2", "equising.py:6", "equising.py:13", "equising.py:16"]
+
+
+#: the row-reduction oracle's elimination and the rows it is given
+ORACLE_ROWS = ("ExactRowReducer", "ideal_span_rows")
+
+#: the kernel helpers that build a `Fraction` per call: an L-value, a
+#: window cut by L-values, the rational zero
+RATIONAL_HELPERS = {"lvalue", "min_lvalue", "_window", "_ZERO"}
+
+
+def test_the_oracle_rows_build_no_fraction():
+    # the oracle eliminates on integers and reads each generator's
+    # numerators once (diagram's docstring); a rational row that a caller
+    # adds enters as its numerators over the lcm of its denominators
+    path = SOURCE / "diagram.py"
+    found = _fraction_calls(path, ORACLE_ROWS)
+    found += _reads(path, ORACLE_ROWS, RATIONAL_HELPERS)
+    assert not found, found
+
+
+def test_fraction_lints_see_a_planted_call_in_the_oracle(tmp_path):
+    path = tmp_path / "diagram.py"
+    path.write_text("class ExactRowReducer:\n"
+                    "    def add(self, row):\n"
+                    "        return {e: Fraction(c) for e, c in row.items()}\n\n"
+                    "def ideal_span_rows(gens, eta):\n"
+                    "    o = min(lvalue(L, e) for e in gens[0].terms)\n"
+                    "    return _window(gens[0].terms, L, eta - o)\n\n"
+                    "def complement_count(D, L, eta):\n"
+                    "    return Fraction(eta) + lvalue(L, D)\n",
+                    encoding="utf-8")
+    assert _fraction_calls(path, ORACLE_ROWS) == ["diagram.py:3"]
+    assert _reads(path, ORACLE_ROWS, RATIONAL_HELPERS) == [
+        "diagram.py:6:lvalue", "diagram.py:7:_window"]
+
+
+def _reads(path: Path, definitions, names) -> list:
+    """Reads of the given names inside the named top-level functions and
+    classes, nested definitions included."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [(node.lineno, node.id) for fn in tree.body
+             if getattr(fn, "name", None) in definitions
+             for node in ast.walk(fn) if isinstance(node, ast.Name)
+             and isinstance(node.ctx, ast.Load) and node.id in names]
+    return [f"{path.name}:{line}:{name}" for line, name in sorted(found)]
+
+
+def _imported_from(path: Path, modules) -> set:
+    """The names a module binds by importing the given package modules or
+    from them."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if (node.module or "") in modules:
+                names.update(a.asname or a.name for a in node.names)
+            elif not node.module:
+                names.update(a.asname or a.name for a in node.names
+                             if a.name in modules)
+    return names
+
+
+def _reached(path: Path, roots) -> list:
+    """The top-level definitions of a module that the named ones read,
+    in turn, the named ones included, in source order."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached, todo = set(), [name for name in roots if name in defs]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            todo += [node.id for node in ast.walk(defs[name])
+                     if isinstance(node, ast.Name) and node.id in defs]
+    return [name for name in defs if name in reached]
+
+
+#: the row-reduction oracle: the public functions that compute with it
+ORACLE = ("ExactRowReducer", "ideal_span_rows", "jet_space_dim",
+          "oracle_jet_quotient_table", "oracle_jet_quotient_dim",
+          "oracle_sublevel_quotient_dim", "oracle_quotient_dim_mod_tail_power")
+
+
+def test_the_oracle_shares_no_code_with_division_and_completion():
+    # the oracle cross-checks division and completion, so neither it nor
+    # any diagram helper it reads uses a name that diagram imports from them
+    path = SOURCE / "diagram.py"
+    found = _reads(path, _reached(path, ORACLE),
+                   _imported_from(path, {"division", "stdbasis"}))
+    assert not found, found
+
+
+def test_independence_lint_sees_a_planted_use(tmp_path):
+    path = tmp_path / "diagram.py"
+    path.write_text("from . import division as dv, kernel\n"
+                    "from .stdbasis import complete as done, CertifiedBasis\n\n"
+                    "def _span(I, eta):\n"
+                    "    return done(I, eta)\n\n"
+                    "def oracle_jet_quotient_table(I, eta):\n"
+                    "    return _span(I, eta)\n\n"
+                    "class ExactRowReducer:\n"
+                    "    def add(self, row):\n"
+                    "        return dv.hironaka_divide(row)\n\n"
+                    "def reduction_exponent(I):\n"
+                    "    return done(I, kernel)\n",
+                    encoding="utf-8")
+    assert _imported_from(path, {"division", "stdbasis"}) == {
+        "dv", "done", "CertifiedBasis"}
+    assert _reached(path, ORACLE) == [
+        "_span", "oracle_jet_quotient_table", "ExactRowReducer"]
+    assert _reads(path, _reached(path, ORACLE),
+                  _imported_from(path, {"division", "stdbasis"})) == [
+        "diagram.py:5:done", "diagram.py:12:dv"]
 
 
 def _package_imports(path: Path) -> set:
