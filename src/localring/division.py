@@ -137,9 +137,16 @@ class _Packing(NamedTuple):
 def _packing(L: LinearForm, mu, series: Sequence[PrecisionSeries]) -> _Packing:
     """The packing for a computation on the window {L <= mu} whose dividend
     and divisors are among `series`."""
+    return _slots(L, mu, max([max(e, default=0) for f in series
+                              for e in f.terms], default=0))
+
+
+def _slots(L: LinearForm, mu, B: int) -> _Packing:
+    """The packing for the window {L <= mu} of exponents whose components
+    are at most B: slots with room for capc + max(B, capc) (module
+    docstring)."""
     n = L.n
     capc = max(L.level_cap(mu), 0) // min(L.int_weights)
-    B = max([max(e, default=0) for f in series for e in f.terms], default=0)
     width = (capc + max(B, capc)).bit_length() + 1
     guard = 0
     for k in range(n):

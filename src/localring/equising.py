@@ -52,7 +52,13 @@ packs them (Monagan and Pearce), under the standard form, where the packed
 level is the total degree: a product term is the sum of two ints, and one
 compare with (top + 1) << shift tests its degree.  The jets are multiplied
 with one degree-truncated product, `_jet_dot`, and only the minor a tower
-keeps is unpacked and built as `Fraction`s.
+keeps is unpacked and built as `Fraction`s.  A tower's top level, the
+product of its prepared generators, is the same kind of product
+(`_prepared_product`): the generators packed once, multiplied with no term
+above the window formed, and the level built with one `Fraction` per term
+it keeps.  A level is read for the pass (`_level_jets`) in one sweep of its
+numerators, which also finds the largest component that the packing must
+hold, so no series stands in for its coefficients.
 
 Weierstrass preparation is Weierstrass division, that is Hironaka division
 by one series under a form that makes x_i^p its head (Grauert and Remmert;
@@ -88,14 +94,15 @@ from .division import (
     _divide,
     _member,
     _members,
-    _pack,
     _packed,
     _packing,
     _remainder,
+    _slots,
     _unpack,
 )
 from .errors import (
     DimensionMismatch,
+    InvariantViolation,
     NotRegular,
     PrecisionShortfall,
     PresentationError,
@@ -167,11 +174,12 @@ def _level_jets(f: PrecisionSeries, p: int, mu) -> tuple:
     f is checked as a level: a PresentationError when its x^p term is not
     1 or a term lies above degree p, and in two or more variables the
     admission rule, for the a_i certified under f's form restricted to
-    them and asked under the standard one.
+    them and asked under the standard one.  The packing is `_packing`'s for
+    the a_i, with `_pack`'s check of every component.
     """
     n_vars = f.n - 1
     ints, d = _numerators(f)  # the x^p term has numerator d
-    split, rests, vanish = [], {}, True
+    split, B, vanish = [], 0, True
     for e, c in ints.items():
         m, rest = e[-1], e[:-1]
         if m >= p:
@@ -181,24 +189,30 @@ def _level_jets(f: PrecisionSeries, p: int, mu) -> tuple:
                 continue
             raise PresentationError("terms above the distinguished degree")
         split.append((m, rest, c))
-        rests[rest] = c
+        for k in rest:  # B, the largest component, bounds the slot width
+            if k > B:
+                B = k
         vanish = vanish and any(rest)
     if n_vars:
-        # the exponents of the a_i, as one series admitted and packed once
+        # the admission rule reads only the bound: a stand-in with no terms
         L = std_form(n_vars)
-        a = PrecisionSeries(n_vars, rests, f.prec,
-                            f.form_ctx and f.form_ctx.restrict(n_vars))
-        _admit(a, L, mu)
-        pk, top = _packing(L, mu, [a]), L.level_cap(mu)
+        _admit(PrecisionSeries(n_vars, {}, f.prec,
+                               f.form_ctx and f.form_ctx.restrict(n_vars)),
+               L, mu)
+        pk, top = _slots(L, mu, B), L.level_cap(mu)
     else:  # no slot: every exponent packs to 0
         pk, top = _Packing(0, 1, (), 0, 0, 0), 0
-    packed = {r: _pack(pk, r) for r in rests}
-    limit = (top + 1) << pk.shift
+    limit, width, slot = (top + 1) << pk.shift, pk.width, pk.top
     # A_m = (a_m * d) * d^(p-1-m): both factors are integers
     powers = [d ** (p - 1 - m) for m in range(p)]
     jets = [{} for _ in range(p)]
     for m, rest, c in split:
-        e = packed[rest]
+        e = sum(rest)  # `_pack` under the standard form
+        for k in reversed(rest):
+            if not 0 <= k <= slot:
+                raise InvariantViolation(
+                    f"component {k} of {rest} does not fit a {width}-bit slot")
+            e = e << width | k
         if e < limit:
             jets[m][e] = c * powers[m]
     return jets, d, top, pk.shift, functools.partial(_unpack, pk), vanish
@@ -531,6 +545,26 @@ def _ensure_regular(polys: Sequence[PrecisionSeries], i: int, mu,
     raise NotRegular(f"no sampled change made the series regular in x_{i + 1}")
 
 
+def _prepared_product(prepared: Sequence[PrecisionSeries], mu) -> tuple:
+    """(jet, den, pk): the product of the prepared generators on the window
+    {std <= mu}, {unpack(pk, e): jet[e] / den}, as one truncated integer
+    product over one packing.
+
+    Each generator is certified to mu and has no constant term, so the
+    product is certified beyond mu and its terms of degree <= mu are the
+    truncated products of the terms the generators store; no term above
+    mu is formed.
+    """
+    L = std_form(prepared[0].n)
+    pk = _packing(L, mu, prepared)
+    limit = (L.level_cap(mu) + 1) << pk.shift
+    jet, den = _packed(prepared[0], pk)
+    for P in prepared[1:]:
+        terms, d = _packed(P, pk)
+        jet, den = _jet_dot([(jet, terms)], limit), den * d
+    return jet, den, pk
+
+
 def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
     """Construct the discriminant tower of the product of the inputs.
 
@@ -569,12 +603,17 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
         changes.append((n, M))
     prepared = [_weierstrass_polynomial(g, n - 1, mu)[0] for g in gens]
     current = prepared[0]
-    for P in prepared[1:]:
-        current = truncate(mul(current, P), std_form(n), mu)
+    if prepared[1:]:
+        jet, den, pk = _prepared_product(prepared, mu)
+        current = PrecisionSeries(
+            n, {_unpack(pk, e): Fraction(c, den) for e, c in jet.items()},
+            mu, std_form(n))
 
     levels = []
     for dim in range(n, 0, -1):
-        p = regular_order(truncate(current, std_form(dim), mu), dim - 1)
+        # every level is built on the window: the product, a prepared
+        # discriminant, or one of them after a linear change
+        p = regular_order(current, dim - 1)
         if p is None:
             raise PrecisionShortfall(
                 f"the level in {dim} variables has no pure power of its last "

@@ -271,10 +271,32 @@ def _product_bound(prec: Fraction, form: LinearForm,
                     prec.denominator * form.den)
 
 
+def _shift(f: PrecisionSeries, alpha: Exponent, c: Fraction, prec: Prec,
+           form: Optional[LinearForm]) -> PrecisionSeries:
+    """f times the exact term c x^alpha, certified to prec under form: the
+    one shift rule of `mul` and `mul_monomial`.  Each term e: v of f moves
+    to e + alpha with coefficient c * v, or v itself when c = 1, and a
+    certified product keeps the term only when level(e) + level(alpha) is
+    within the level cap of prec, the window test of `mul`."""
+    terms = f.terms
+    if prec is not EXACT:
+        room, level = form.level_cap(prec) - form.level(alpha), form.level
+        terms = {e: v for e, v in terms.items() if level(e) <= room}
+    plus = operator.add
+    if c == 1:
+        out = {(*map(plus, e, alpha),): v for e, v in terms.items()}
+    else:
+        out = {(*map(plus, e, alpha),): c * v for e, v in terms.items()}
+    return PrecisionSeries(f.n, out, prec, form)
+
+
 def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
     """Convolution product under the documented precision rule.
 
-    Fraction-free: with da and db the lcms of the denominators of a and b,
+    When a factor has one term c x^alpha, the product is the other factor
+    shifted by alpha (`_shift`): the same bound and window test, with no
+    integer numerators, and no new `Fraction` when c = 1.  Otherwise it is
+    fraction-free: with da and db the lcms of the denominators of a and b,
     the integer numerators c * da and c * db are multiplied and summed, and
     each surviving term is built once as a `Fraction` over da * db.
     """
@@ -290,6 +312,10 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
         if b.prec is not EXACT:
             bounds.append(_product_bound(b.prec, form, a))
         prec = min(bounds)
+    if len(b.terms) == 1 or len(a.terms) == 1:
+        f, g = (a, b) if len(b.terms) == 1 else (b, a)
+        [(alpha, c)] = g.terms.items()
+        return _shift(f, alpha, c, prec, form)
     if prec is not EXACT:
         # a product term is in the window when level(e1) + level(e2) <= cap
         cap, level = form.level_cap(prec), form.level
@@ -312,19 +338,18 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
 
 
 def mul_monomial(f: PrecisionSeries, exp: Exponent, coeff=1) -> PrecisionSeries:
-    """Fast path for multiplying by a single exact term."""
+    """Fast path for multiplying by a single exact term: `mul`'s shift
+    rule, certified to f's bound plus the term's L-value."""
     coeff = Fraction(coeff)
     if not coeff:
         return zero(f.n)
     exp = tuple(exp)
     if len(exp) != f.n:
         raise DimensionMismatch(f"monomial {exp} in dimension {f.n}")
-    plus = operator.add
-    out = {(*map(plus, e, exp),): coeff * c for e, c in f.terms.items()}
     prec = f.prec
     if prec is not EXACT:
         prec = prec + lvalue(f.form_ctx, exp)
-    return PrecisionSeries(f.n, out, prec, f.form_ctx)
+    return _shift(f, exp, coeff, prec, f.form_ctx)
 
 
 def power(f: PrecisionSeries, k: int) -> PrecisionSeries:

@@ -24,6 +24,12 @@ one `plain_rank` per degree (`tests/test_diagram.py`).
 `walk_complement_levels` counts a staircase complement per level by
 visiting every complement point, the way `diagram._complement_levels` did
 before it read the counts off the Hilbert-series numerator.
+
+`fraction_product` is the `Fraction` loop that `kernel.mul` replaced; the
+fraction-free product and the shift for a one-term factor are both held
+to it.  `truncated_product` multiplies prepared generators the way
+`equising.build_tower` did before its one truncated integer product: one
+`mul` and one `truncate` per generator (`tests/test_packed_products.py`).
 """
 
 from __future__ import annotations
@@ -37,10 +43,11 @@ from typing import NamedTuple, Optional, Sequence
 from localring.diagram import _span, tail_monomials
 from localring.equising import _hankel_discriminants
 from localring.errors import BudgetExceeded, DimensionMismatch, PresentationError
-from localring.kernel import (IdealPresentation, PrecisionSeries, add, monomial, mul,
+from localring.kernel import (EXACT, IdealPresentation, PrecisionSeries, _join_forms,
+                              add, monomial, mul,
                               one, power, scale, series, sub, truncate, variable,
                               zero)
-from localring.order import LinearForm
+from localring.order import LinearForm, min_lvalue, std_form
 
 #: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
 #: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
@@ -272,6 +279,52 @@ def berkowitz_discriminants(coeffs: Sequence[PrecisionSeries], L: LinearForm,
         m = r + 1
         minors.append(scale(char[-1], (-1) ** (m * (m + 1) // 2)))
     return minors[::-1]
+
+
+def fraction_product(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
+    """The product of a and b by the `Fraction` loop that `kernel.mul`
+    replaced: every pair of terms multiplied as rationals, the bound by the
+    `min_lvalue` rule, and a term kept when its two levels sum to at most
+    the level cap of the bound."""
+    form = _join_forms(a, b)
+    if a.is_exact_zero or b.is_exact_zero:
+        return zero(a.n)
+    if a.prec is EXACT and b.prec is EXACT:
+        prec = EXACT
+    else:
+        bounds = []
+        if a.prec is not EXACT:
+            bounds.append(a.prec + min_lvalue(form, b))
+        if b.prec is not EXACT:
+            bounds.append(b.prec + min_lvalue(form, a))
+        prec = min(bounds)
+    if prec is not EXACT:
+        cap, level = form.level_cap(prec), form.level
+        b_levels = {e2: level(e2) for e2 in b.terms}
+    plus = operator.add
+    out = {}
+    for e1, c1 in a.terms.items():
+        room = None if prec is EXACT else cap - level(e1)
+        for e2, c2 in b.terms.items():
+            if room is not None and b_levels[e2] > room:
+                continue
+            e = (*map(plus, e1, e2),)
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return PrecisionSeries(a.n, out, prec, form if prec is not EXACT else None)
+
+
+def truncated_product(prepared: Sequence[PrecisionSeries], mu) -> PrecisionSeries:
+    """The product of the prepared generators by the route
+    `equising.build_tower` took before `_prepared_product`: one `mul` per
+    generator, each product truncated to the window {std <= mu}."""
+    current = prepared[0]
+    for P in prepared[1:]:
+        current = truncate(mul(current, P), std_form(current.n), mu)
+    return current
 
 
 def print_series(f: PrecisionSeries, var_names: Sequence[str]) -> str:

@@ -360,6 +360,19 @@ def test_one_reduction_reads_the_whole_table(case):
             == reference_table(I, eta, monomials))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, n + 1), st.integers(-1, 7), st.integers(-1, 9),
+    st.integers(-1, 9))))
+@example((3, 2, 12, 12, 1))  # `reduction --file cm_family.ideal --k 2`
+def test_tail_monomials_are_the_filtered_ball(case):
+    # only the kept exponents are visited, in the order of the ball's walk
+    n, k, eta, min_total, min_tail = case
+    want = [b for b in O.iter_sublevel(O.std_form(n), eta)
+            if sum(b) >= min_total and sum(b[k:]) >= min_tail]
+    assert list(DG.tail_monomials(n, k, eta, min_total, min_tail)) == want
+
+
 @pytest.mark.parametrize("name, eta", [
     ("cm_family", 6), ("cusp", 8), ("plane_monomial", 8), ("space_curve_exp", 6)])
 def test_one_reduction_reads_the_whole_table_on_the_samples(name, eta):

@@ -1,9 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from localring import kernel as K
@@ -223,6 +224,35 @@ def test_substitute_linear_matches_powers_of_rows(problem):
             term = K.mul(term, K.power(rows[i], b))
         want = K.add(want, term)
     assert K.substitute_linear(f, M) == want
+
+
+def leibniz_det(M) -> F:
+    """sum over permutations s of sign(s) * prod_i M[i][s(i)]."""
+    n, total = len(M), F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(F(M[i][perm[i]])
+                                                for i in range(n))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4)
+             | st.just(F(0)), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@example([[1, 2], [2, 4]])            # singular
+@example([[0, 1, 0], [1, 0, 0], [0, 0, F(-1, 2)]])  # a row swap
+def test_det_matches_the_leibniz_expansion(M):
+    got = linalg.det(M)
+    assert got == leibniz_det(M) and type(got) is F
+
+
+def test_seeded_unimodular_draws_have_determinant_one():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 3, 4):
+        assert abs(leibniz_det(linalg.seeded_unimodular(rng, n))) == 1
 
 
 class TestEvaluateTailZero:

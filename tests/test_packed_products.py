@@ -3,8 +3,11 @@
 `equising._jet_dot` multiplies jets keyed by exponents packed as in
 `division`; it is compared with a product on exponent tuples.  `kernel.mul`
 multiplies integer numerators over the product of the operands' common
-denominators; it is compared with a copy of the `Fraction` loop it
-replaced, kept here as the reference.  Root counts of numbers run on plain
+denominators, or shifts the other factor when one has a single term; both
+are compared with the `Fraction` loop it replaced, kept in `oracles` as
+`fraction_product`.  The top level of a tower, one truncated integer
+product of the prepared generators, is compared with the `mul` and
+`truncate` route it replaced.  Root counts of numbers run on plain
 ints; they are compared with the gcd oracle beyond the symbolic cap, and
 the minors themselves with determinants of Hankel matrices of power sums.
 The minors that the Newton-polygon cut leaves out are compared, beyond the
@@ -12,12 +15,12 @@ cap, with a plain Berkowitz pass over kernel series.
 """
 
 import math
-import operator
+import random
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from localring import division as DIV
@@ -25,6 +28,7 @@ from localring import equising as E
 from localring import kernel as K
 from localring import linalg
 from localring import order as O
+from localring.errors import LocalRingError
 import oracles as OR
 
 COEFFS = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 3), F(5, 6), F(-7, 4)]
@@ -110,40 +114,6 @@ def test_overflowing_sums_are_dropped_by_the_limit():
 
 # -- the fraction-free kernel product ------------------------------------------
 
-def reference_mul(a, b):
-    """The `Fraction` loop `kernel.mul` replaced, kept as the reference."""
-    form = K._join_forms(a, b)
-    if a.is_exact_zero or b.is_exact_zero:
-        return K.zero(a.n)
-    if a.prec is K.EXACT and b.prec is K.EXACT:
-        prec = K.EXACT
-    else:
-        bounds = []
-        if a.prec is not K.EXACT:
-            bounds.append(a.prec + O.min_lvalue(form, b))
-        if b.prec is not K.EXACT:
-            bounds.append(b.prec + O.min_lvalue(form, a))
-        prec = min(bounds)
-    if prec is not K.EXACT:
-        cap, level = form.level_cap(prec), form.level
-        b_levels = {e2: level(e2) for e2 in b.terms}
-    plus = operator.add
-    out = {}
-    for e1, c1 in a.terms.items():
-        room = None if prec is K.EXACT else cap - level(e1)
-        for e2, c2 in b.terms.items():
-            if room is not None and b_levels[e2] > room:
-                continue
-            e = (*map(plus, e1, e2),)
-            s = out.get(e, F(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-    return K.PrecisionSeries(a.n, out, prec,
-                             form if prec is not K.EXACT else None)
-
-
 @st.composite
 def operand_pairs(draw):
     """Two series in 1..3 variables under one std or weighted form, each
@@ -175,8 +145,101 @@ def operand_pairs(draw):
 def test_mul_matches_the_fraction_loop(case):
     a, b = case
     got = K.mul(a, b)
-    assert got == reference_mul(a, b)
+    assert got == OR.fraction_product(a, b)
     assert all(type(c) is F and c for c in got.terms.values())
+
+
+@st.composite
+def one_term_products(draw):
+    """(a, b, c_is_one): a product in 1..3 variables under one std or
+    weighted form in which one factor, on either side, is a single term c
+    x^alpha, c = 1 or not; each factor is EXACT or certified, the other one
+    possibly zero up to its bound."""
+    n = draw(st.integers(1, 3))
+    L = draw(st.one_of(
+        st.just(O.std_form(n)),
+        st.lists(st.sampled_from(WEIGHTS), min_size=n, max_size=n)
+        .map(lambda ws: O.LinearForm(tuple(ws)))))
+    exponent = st.lists(st.integers(0, 4), min_size=n, max_size=n).map(tuple)
+    bounds = st.sampled_from([F(0), F(2), F(7, 2), F(6)])
+    other = K.series(n, draw(st.dictionaries(exponent, st.sampled_from(COEFFS),
+                                             max_size=6)))
+    if draw(st.booleans()):
+        other = K.truncate(other, L, draw(bounds))
+    alpha, c_is_one = draw(exponent), draw(st.booleans())
+    term = K.monomial(n, alpha, 1 if c_is_one else draw(
+        st.sampled_from(COEFFS[1:])))
+    if draw(st.booleans()):  # certified, the term on its window
+        term = K.truncate(term, L, O.lvalue(L, alpha) + draw(bounds))
+    pair = (term, other) if draw(st.booleans()) else (other, term)
+    return pair[0], pair[1], c_is_one
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_products())
+# x * (x + x^3) certified to 2: the product is certified to 3, so x^4 drops
+@example((K.truncate(K.series(1, {(1,): 1}), O.std_form(1), 2),
+          K.series(1, {(1,): 1, (3,): 1}), True))
+@example((K.series(2, {(1, 2): F(-1, 3), (0, 1): 2}),
+          K.truncate(K.series(2, {(2, 0): F(5, 6)}), O.std_form(2), 3), False))
+def test_a_one_term_factor_shifts_the_other(case):
+    a, b, c_is_one = case
+    got = K.mul(a, b)
+    assert got == OR.fraction_product(a, b)
+    assert all(type(c) is F and c for c in got.terms.values())
+    if c_is_one and len(a.terms) + len(b.terms) != 2:
+        # the other factor's coefficients, no new Fraction (of two single
+        # terms, either may be the one shifted)
+        kept = {id(c) for f in (a, b) for c in f.terms.values()}
+        assert all(id(c) in kept for c in got.terms.values())
+
+
+@st.composite
+def tower_generators(draw):
+    """(gens, mu, seed): one to three generators in n = 2 or 3 variables,
+    each x^b times a rational, mostly plus z^a (a < b) times another, z the
+    last variable, and up to two more terms without a constant one; a
+    generator with no power of z alone needs a coordinate change."""
+    n = draw(st.sampled_from([2, 3]))
+    mu = draw(st.integers(4, 8) if n == 2 else st.integers(4, 6))
+    exponent = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        tuple).filter(any)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(st.integers(1, 3 if n == 2 else 2))
+        terms = {(a + draw(st.integers(1, 2)),) + (0,) * (n - 1):
+                 draw(st.sampled_from(COEFFS))}
+        if draw(st.sampled_from([True, True, False])):
+            terms[(0,) * (n - 1) + (a,)] = draw(st.sampled_from(COEFFS))
+        for _ in range(draw(st.integers(0, 2))):
+            terms.setdefault(draw(exponent), draw(st.sampled_from(COEFFS)))
+        gens.append(K.series(n, terms))
+    return gens, F(mu), draw(st.integers(0, 99))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_generators())
+@example(([K.series(2, {(0, 2): 1, (3, 0): -1}),
+           K.series(2, {(0, 1): F(1, 2), (2, 0): F(-7, 4), (1, 1): 3}),
+           K.series(2, {(0, 3): F(5, 6), (4, 0): 2})], F(6), 0))
+def test_the_top_level_is_the_truncated_product(case):
+    # the generators are made regular and prepared as build_tower does it;
+    # the changes it draws at lower levels re-express the top level too
+    gens, mu, seed = case
+    n = gens[0].n
+    try:
+        T = E.build_tower(gens, mu, seed)
+    except LocalRingError:
+        assume(False)
+    regular, _ = E._ensure_regular(gens, n - 1, mu, random.Random(seed))
+    want = OR.truncated_product(
+        [E._weierstrass_polynomial(g, n - 1, mu)[0] for g in regular], mu)
+    for level, M in T.coordinate_changes:
+        if level < n:
+            want = K.substitute_linear(want, E._embed_change(M, n))
+    top = T.levels[0].poly
+    assert top == want
+    assert all(type(c) is F and c for c in top.terms.values())
 
 
 # -- what the Hankel route calls -----------------------------------------------

@@ -186,6 +186,28 @@ def test_the_hankel_pass_builds_no_fraction():
     assert not found, found
 
 
+#: the product of a tower's prepared generators, its top level
+TOWER_PRODUCT = ("_prepared_product",)
+
+
+def test_the_tower_product_builds_no_fraction():
+    # the prepared generators are multiplied as packed integer jets
+    # (equising's docstring); build_tower builds one Fraction per term of
+    # the level it keeps
+    found = _fraction_calls(SOURCE / "equising.py", TOWER_PRODUCT)
+    assert not found, found
+
+
+def test_fraction_call_lint_sees_a_planted_call_in_the_tower_product(tmp_path):
+    path = tmp_path / "equising.py"
+    path.write_text("def _prepared_product(prepared, mu):\n"
+                    "    return [Fraction(c) for c in prepared], mu\n\n"
+                    "def build_tower(gens, mu):\n"
+                    "    return Fraction(mu)\n",
+                    encoding="utf-8")
+    assert _fraction_calls(path, TOWER_PRODUCT) == ["equising.py:2"]
+
+
 def test_the_pair_loop_builds_no_fraction():
     # completion forms each s-series on integers, windowed by the integer
     # level caps of the member records (stdbasis's docstring)
