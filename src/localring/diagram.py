@@ -476,29 +476,11 @@ def oracle_sublevel_quotient_dim(I: IdealPresentation, L: LinearForm,
 
 def tail_monomials(n: int, k: int, eta: int, min_total: int, min_tail: int):
     """Exponents with |b| in [min_total, eta] and tail degree (the degree
-    in the variables from index k on) >= min_tail, in the lexicographic
-    order of `iter_sublevel`.
-
-    Only these are visited: a head variable leaves the tail the degree it
-    still lacks, and the last variable starts at the degree that the total
-    and the tail still lack.
-    """
-    if eta < 0 or (k >= n and min_tail > 0):
-        return
-    last = n - 1
-
-    def rec(i: int, room: int, total: int, tail: int, prefix: tuple):
-        # room: the degree left under eta; total, tail: the degrees lacking
-        if i == last:
-            for b in range(max(total, tail if i >= k else 0), room + 1):
-                yield prefix + (b,)
-            return
-        head = i < k
-        for b in range((room - tail if head else room) + 1):
-            yield from rec(i + 1, room - b, max(total - b, 0),
-                           tail if head else max(tail - b, 0), prefix + (b,))
-
-    yield from rec(0, eta, max(min_total, 0), max(min_tail, 0), ())
+    in the variables from index k on) >= min_tail, in the order of
+    `iter_sublevel`."""
+    for beta in iter_sublevel(std_form(n), eta):
+        if sum(beta) >= min_total and sum(beta[k:]) >= min_tail:
+            yield beta
 
 
 class ReductionReport(NamedTuple):

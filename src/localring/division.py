@@ -19,10 +19,11 @@ records: each divisor admitted once on the window (`kernel._admit`) and
 converted once to a primitive integer multiple with a positive integer head
 a, its tail sorted in the order of L.  A record also carries the level cap
 of the divisor's certified bound (EXACT for an exact divisor), so nothing
-downstream reads head, level or bound from the series again.  This module is
-the one place where a series becomes integer terms: `_packed` writes it as
-numerators over the lcm of its denominators (`kernel._numerators`) on
-packed exponents, and `_member` builds a record from such terms.
+downstream reads head, level or bound from the series again.  A series
+becomes integer terms here in `_packed`, which writes it as numerators over
+the lcm of its denominators (`kernel._numerators`) on packed exponents, and
+`_member` builds a record from such terms (`equising._level_jets` and
+`diagram.ideal_span_rows` read `kernel._numerators` themselves).
 `hironaka_divide` and standard-basis completion build the records through
 `_members`; completion hands each integer s-series to the same loop, and
 builds the record of an adjoined remainder straight from the loop's packed
@@ -98,20 +99,10 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DimensionMismatch, InvariantViolation, ZeroUpToPrecision
 from .kernel import EXACT, PrecisionSeries, _admit, _numerators
-from .order import Exponent, LinearForm
+from .order import Exponent, LinearForm, lvalue
 
 #: Region index returned for exponents outside every divisor cone.
 COMPLEMENT = None
-
-
-def _region(alphas: Sequence[Exponent], beta: Exponent) -> Optional[int]:
-    """The index of the first head whose cone holds beta, or COMPLEMENT."""
-    for i, alpha in enumerate(alphas):
-        if len(alpha) != len(beta):
-            raise DimensionMismatch(f"{beta} against head {alpha}")
-        if all(map(operator.ge, beta, alpha)):
-            return i
-    return COMPLEMENT
 
 
 class RegionPartition(NamedTuple):
@@ -120,7 +111,13 @@ class RegionPartition(NamedTuple):
     alphas: tuple
 
     def region_of(self, beta: Exponent) -> Optional[int]:
-        return _region(self.alphas, beta)
+        """The index of the first head whose cone holds beta, or COMPLEMENT."""
+        for i, alpha in enumerate(self.alphas):
+            if len(alpha) != len(beta):
+                raise DimensionMismatch(f"{beta} against head {alpha}")
+            if all(map(operator.ge, beta, alpha)):
+                return i
+        return COMPLEMENT
 
 
 class _Packing(NamedTuple):
@@ -265,8 +262,6 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
                               quotients)
     add = operator.add
     partition = RegionPartition(tuple([m.alpha for m in members]))
-    # quotient i is certified to mu - L(alpha_i) = (mu * den - level_i) / den
-    top, bottom = mu.numerator * L.den, mu.denominator * L.den
     out_q = []
     for i, (packed, m) in enumerate(zip(quotients, members)):
         qterms = {}
@@ -275,8 +270,7 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
             if partition.region_of((*map(add, e, m.alpha),)) != i:
                 raise InvariantViolation(f"quotient {i} left its region")
             qterms[e] = c
-        bound = EXACT if exact else Fraction(top - m.level * mu.denominator,
-                                             bottom)
+        bound = EXACT if exact else mu - lvalue(L, m.alpha)
         out_q.append(PrecisionSeries(n, qterms, bound, L))
     remainder = _remainder(rem, den, pk, partition.alphas)
     rem_series = PrecisionSeries(n, remainder, EXACT if exact else mu, L)

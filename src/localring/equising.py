@@ -57,8 +57,8 @@ product of its prepared generators, is the same kind of product
 (`_prepared_product`): the generators packed once, multiplied with no term
 above the window formed, and the level built with one `Fraction` per term
 it keeps.  A level is read for the pass (`_level_jets`) in one sweep of its
-numerators, which also finds the largest component that the packing must
-hold, so no series stands in for its coefficients.
+numerators, so no series stands in for its coefficients, and it skips a
+term above the window before packing: every packing here is the window's own.
 
 Weierstrass preparation is Weierstrass division, that is Hironaka division
 by one series under a form that makes x_i^p its head (Grauert and Remmert;
@@ -95,7 +95,6 @@ from .division import (
     _member,
     _members,
     _packed,
-    _packing,
     _remainder,
     _slots,
     _unpack,
@@ -171,50 +170,47 @@ def _level_jets(f: PrecisionSeries, p: int, mu) -> tuple:
     vanishes at the origin.  In zero variables every exponent packs to 0,
     the origin, the window is the one level 0, and mu is not read.
 
-    f is checked as a level: a PresentationError when its x^p term is not
-    1 or a term lies above degree p, and in two or more variables the
-    admission rule, for the a_i certified under f's form restricted to
-    them and asked under the standard one.  The packing is `_packing`'s for
-    the a_i, with `_pack`'s check of every component.
+    f is checked as a level: a PresentationError when it has no x^p term
+    with coefficient 1 or a term lies above degree p, and in two or more
+    variables the admission rule, for the a_i certified under f's form
+    restricted to them and asked under the standard one.  A term above the
+    window is skipped before it is packed, so every packed component is at
+    most top and fits the window's own slots; the packing still checks it.
     """
     n_vars = f.n - 1
-    ints, d = _numerators(f)  # the x^p term has numerator d
-    split, B, vanish = [], 0, True
+    ints, d = _numerators(f)
+    if ints.get((0,) * n_vars + (p,)) != d:  # the x^p term is d / d
+        raise PresentationError("polynomial is not monic")
+    if n_vars:
+        L = std_form(n_vars)
+        pk, top = _slots(L, mu, 0), L.level_cap(mu)
+    else:  # no slot: every exponent packs to 0
+        pk, top = _Packing(0, 1, (), 0, 0, 0), 0
+    width, slot = pk.width, pk.top
+    # A_m = (a_m * d) * d^(p-1-m): both factors are integers
+    powers = [d ** (p - 1 - m) for m in range(p)]
+    jets, vanish = [{} for _ in range(p)], True
     for e, c in ints.items():
         m, rest = e[-1], e[:-1]
         if m >= p:
             if m == p and not any(rest):
-                if c != d:
-                    raise PresentationError("polynomial is not monic")
                 continue
             raise PresentationError("terms above the distinguished degree")
-        split.append((m, rest, c))
-        for k in rest:  # B, the largest component, bounds the slot width
-            if k > B:
-                B = k
         vanish = vanish and any(rest)
-    if n_vars:
-        # the admission rule reads only the bound: a stand-in with no terms
-        L = std_form(n_vars)
-        _admit(PrecisionSeries(n_vars, {}, f.prec,
-                               f.form_ctx and f.form_ctx.restrict(n_vars)),
-               L, mu)
-        pk, top = _slots(L, mu, B), L.level_cap(mu)
-    else:  # no slot: every exponent packs to 0
-        pk, top = _Packing(0, 1, (), 0, 0, 0), 0
-    limit, width, slot = (top + 1) << pk.shift, pk.width, pk.top
-    # A_m = (a_m * d) * d^(p-1-m): both factors are integers
-    powers = [d ** (p - 1 - m) for m in range(p)]
-    jets = [{} for _ in range(p)]
-    for m, rest, c in split:
-        e = sum(rest)  # `_pack` under the standard form
+        level = sum(rest)  # `_pack` under the standard form
+        if level > top:
+            continue
         for k in reversed(rest):
             if not 0 <= k <= slot:
                 raise InvariantViolation(
                     f"component {k} of {rest} does not fit a {width}-bit slot")
-            e = e << width | k
-        if e < limit:
-            jets[m][e] = c * powers[m]
+            level = level << width | k
+        jets[m][level] = c * powers[m]
+    if n_vars:
+        # the admission rule reads only the bound: a stand-in with no terms
+        _admit(PrecisionSeries(n_vars, {}, f.prec,
+                               f.form_ctx and f.form_ctx.restrict(n_vars)),
+               L, mu)
     return jets, d, top, pk.shift, functools.partial(_unpack, pk), vanish
 
 
@@ -328,12 +324,9 @@ def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
         raise DimensionMismatch(f"expected {p} coefficients")
     f = {(m,): a for m, a in enumerate(map(_as_fraction, coeffs)) if a}
     f[(p,)] = Fraction(1)
-    minors, _, _ = _hankel_discriminants(PrecisionSeries(1, f), p, 0)
-    for j, (jet, _) in enumerate(minors):
-        if jet:
-            return j
+    j, _, _, _ = _first_nonvanishing(PrecisionSeries(1, f), p, 0)
     # D_p = s_0 = p vanishes only for p = 0: the polynomial 1 has no roots
-    return p
+    return p if j is None else j - 1
 
 
 def squarefree_defect(coeffs: Sequence, p: int) -> int:
@@ -397,7 +390,7 @@ def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
     L = std_form(n)
     ft = truncate(f, L, mu)
     p = regular_order(ft, i)
-    if p is None or p > mu:
+    if p is None:
         raise NotRegular(
             f"not regular in variable {i} at precision {mu}; "
             "apply a linear change of coordinates and retry")
@@ -413,7 +406,7 @@ def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
     Lw = L if W == 1 else LinearForm(
         tuple([1 if k == i else W for k in range(n)]))
     cap = W * top + p
-    pk = _packing(Lw, cap, [jet])
+    pk = _slots(Lw, cap, 0)  # j's components are at most top <= cap
     [divisor] = _members([jet], Lw, cap, pk)
     # only the window is wanted (prec `cap`, not EXACT): terms above it are
     # dropped at once, and the quotient q is not built
@@ -553,10 +546,11 @@ def _prepared_product(prepared: Sequence[PrecisionSeries], mu) -> tuple:
     Each generator is certified to mu and has no constant term, so the
     product is certified beyond mu and its terms of degree <= mu are the
     truncated products of the terms the generators store; no term above
-    mu is formed.
+    mu is formed.  A prepared generator lies on the window, so its
+    components are at most floor(mu) and the window's slots hold them.
     """
     L = std_form(prepared[0].n)
-    pk = _packing(L, mu, prepared)
+    pk = _slots(L, mu, 0)
     limit = (L.level_cap(mu) + 1) << pk.shift
     jet, den = _packed(prepared[0], pk)
     for P in prepared[1:]:
@@ -650,11 +644,9 @@ def _level_checks(lvl: TowerLevel, below: Optional[TowerLevel], mu) -> dict:
     idx, f = lvl.index, lvl.poly
     try:
         j, disc_val, certs, vanish = _first_nonvanishing(f, lvl.degree, mu)
+        monic = True
     except PresentationError:  # not monic, or a term above the degree
         j, vanish, monic = None, False, False
-    else:
-        monic = f.coefficient(tuple([0 if t < idx - 1 else lvl.degree
-                                     for t in range(idx)])) == 1
     cert_ok = unit_ok = False
     if j is not None:
         cert_ok = (j, certs) == (lvl.disc_index, lvl.vanish_certificates)

@@ -358,6 +358,7 @@ class TestTower:
     @pytest.mark.parametrize("extra", [
         {(1, 4): 1},  # x*y^4: a term above the degree 3
         {(0, 3): 1},  # 2*y^3: not monic
+        {(0, 3): -1},  # no y^3: not monic
     ])
     def test_a_level_that_cannot_be_read_passes_no_check(self, extra):
         # y^3 + x^5 at mu 8; a level whose coefficients cannot be read
@@ -371,6 +372,13 @@ class TestTower:
         assert report["levels"][2] == dict.fromkeys(
             ("distinguished_form", "coefficients_vanish",
              "discriminant_certificates", "unit_factorization"), False)
+
+    def test_the_hankel_read_refuses_a_level_without_its_x_p_term(self):
+        # the cusp y^3 - x^5 at mu 8 with y^3 removed from its top level
+        top = E.build_tower([K.series(2, {(0, 3): 1, (5, 0): -1})], 8).levels[0]
+        bad = K.add(top.poly, K.series(2, {(0, 3): -1}))
+        with pytest.raises(PresentationError, match="polynomial is not monic"):
+            E._hankel_discriminants(bad, 3, 8)
 
     def test_needs_coordinate_change(self):
         # xy is not regular in y: a recorded change must fix it

@@ -423,6 +423,52 @@ def test_the_polygon_bound_reads_every_edge():
     assert [jet is None for jet, _ in minors] == [True, False, False, False]
 
 
+@st.composite
+def levels_with_terms_above_the_window(draw):
+    """(coefficients, above, mu): a_0, ..., a_{p-1} of an exact level
+    y^p + ... + a_0 in 2 or 3 variables, every term on the window {std <=
+    mu}, and for each a_i terms of degree above mu to add to it, one of
+    them with a component beyond any slot the window needs."""
+    n = draw(st.integers(1, 2))
+    p = draw(st.integers(1, 4))
+    mu = draw(st.integers(1, 8))
+
+    def jet(low: int, high: int, count: int) -> dict:
+        # count terms of degree in [low, high]
+        out = {}
+        for _ in range(count):
+            d = draw(st.integers(low, high))
+            a = draw(st.integers(0, d))
+            out[(d,) if n == 1 else (a, d - a)] = draw(st.sampled_from(COEFFS))
+        return out
+
+    coeffs = [K.series(n, jet(0, mu, draw(st.integers(0, 3))))
+              for _ in range(p)]
+    above = [jet(mu + 1, 3 * mu, draw(st.integers(0, 2))) for _ in range(p)]
+    far = [0] * n
+    far[draw(st.integers(0, n - 1))] = draw(st.integers(4 * mu + 4, 128))
+    above[draw(st.integers(0, p - 1))][tuple(far)] = 1
+    return coeffs, [K.series(n, t) for t in above], mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(levels_with_terms_above_the_window())
+# y^2 + x^3 + x^100 at mu 8: the slots of the window hold components up
+# to 31, and x^100 is skipped before it is packed
+@example(([K.series(1, {(3,): 1}), K.zero(1)],
+          [K.series(1, {(100,): 1}), K.zero(1)], 8))
+def test_terms_above_the_window_never_reach_the_packing(case):
+    coeffs, above, mu = case
+    n, p = coeffs[0].n, len(coeffs)
+    grown = [K.add(a, b) for a, b in zip(coeffs, above)]
+    assert OR.hankel_minors(grown, n, mu) == OR.hankel_minors(coeffs, n, mu)
+    _, unpack, vanish = E._hankel_discriminants(
+        OR.monic_polynomial(grown, n), p, mu)
+    _, want_unpack, want_vanish = E._hankel_discriminants(
+        OR.monic_polynomial(coeffs, n), p, mu)
+    assert unpack.args == want_unpack.args and vanish == want_vanish
+
+
 # -- root counts beyond the symbolic cap ---------------------------------------
 
 @st.composite
