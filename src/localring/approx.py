@@ -203,7 +203,10 @@ def ci_stability_experiment(I: IdealPresentation, mu,
     else:
         mu0 = max(mu1, mu2_vertices, mu2_complement)
     report["mu0"] = mu0
-    report["regime_guaranteed"] = mu0 is not None and mu >= mu0
+    # the stability theorem is for complete intersections: without one
+    # witnessed, no window guarantees the regime
+    report["regime_guaranteed"] = (report["ci_witnessed"] and mu0 is not None
+                                   and mu >= mu0)
     report["items"] = items
     report["all_equal"] = all(
         entry["equal"] for name, entry in items.items() if name != "tail_quotients"

@@ -22,15 +22,17 @@ of the divisor's certified bound (EXACT for an exact divisor), so nothing
 downstream reads head, level or bound from the series again.  A series
 becomes integer terms here in `_packed`, which writes it as numerators over
 the lcm of its denominators (`kernel._numerators`) on packed exponents, and
-`_member` builds a record from such terms (`equising._level_jets` and
+`_member` builds a record from such terms (`equising._level` and
 `diagram.ideal_span_rows` read `kernel._numerators` themselves).
 `hironaka_divide` and standard-basis completion build the records through
-`_members`; completion hands each integer s-series to the same loop, and
-builds the record of an adjoined remainder straight from the loop's packed
-output.  The running series is held as Python integers over one common
-denominator.  Processing a term w (over the denominator) scales the running
-series by a / gcd(w, a) when that is not 1, then subtracts w / gcd(w, a)
-times the shifted integer tail.  The loop reads from the dividend's bound
+`_members`, and `equising._weierstrass_polynomial` builds its one record,
+of an exact jet, with `_packed` and `_member`; completion hands each
+integer s-series to the same loop, and builds the record of an adjoined
+remainder straight from the loop's packed output.  The running series is
+held as Python integers over one common denominator.  Processing a term w
+(over the denominator) scales the running series by a / gcd(w, a) when
+that is not 1, then subtracts w / gcd(w, a) times the shifted integer
+tail.  The loop reads from the dividend's bound
 and the records' caps whether the division may turn out exact; unless it
 may, a term above the window is dropped at once.  Each call lists the routes
 (packed head, a, tail, index) of the members once, in list order, and

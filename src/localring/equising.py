@@ -43,8 +43,9 @@ first vertex, are zero, of infinite order.  D_j sums products of the
 m(m-1) ordered differences of m roots, and T_k - T_l has order at least
 min(theta_k, theta_l), so with theta_(1) <= theta_(2) <= ... it is zero on
 the window once 2 * sum_{a <= m} (m - a) theta_(a) exceeds the window's top
-degree.  The orders are scaled by p! to integers.  For y^p only D_p = p is
-formed.
+degree.  The orders are scaled by p! to integers.  When only the 1 x 1
+minor reaches the window, as for y^p, D_p = s_0 = p is returned with no
+Newton or Berkowitz step.
 
 The discriminants run on integer jets {packed exponent: coefficient}
 truncated to the window.  The exponents are packed into ints as `division`
@@ -52,13 +53,21 @@ packs them (Monagan and Pearce), under the standard form, where the packed
 level is the total degree: a product term is the sum of two ints, and one
 compare with (top + 1) << shift tests its degree.  The jets are multiplied
 with one degree-truncated product, `_jet_dot`, and only the minor a tower
-keeps is unpacked and built as `Fraction`s.  A tower's top level, the
-product of its prepared generators, is the same kind of product
-(`_prepared_product`): the generators packed once, multiplied with no term
-above the window formed, and the level built with one `Fraction` per term
-it keeps.  A level is read for the pass (`_level_jets`) in one sweep of its
-numerators, so no series stands in for its coefficients, and it skips a
-term above the window before packing: every packing here is the window's own.
+keeps is unpacked and built as `Fraction`s.  A tower hands each step the
+integers the last one holds, so no polynomial is built as `Fraction`s only
+to be re-read: `_ensure_regular` passes on the mu-jets it truncated to
+test regularity, with their orders; `_weierstrass_polynomial` returns the
+prepared polynomial as integer numerators over a denominator in lowest
+terms; the top level, the product of the prepared generators, is the same
+kind of product as the pass's (`_prepared_product`), the generators packed
+once and no term above the window formed; and a prepared discriminant's
+integers are the next level's.  A `Fraction` is built only for a
+polynomial the tower keeps, one per term.  A level (`_Level`) is read for
+the pass (`_level_jets`) in one sweep of its numerators over any common
+denominator d, since the minors are scaled back by the same d; a caller
+that holds only a series passes its `_numerators` (`_level`).  The read
+skips a term above the window before packing: every packing here is the
+window's own.
 
 Weierstrass preparation is Weierstrass division, that is Hironaka division
 by one series under a form that makes x_i^p its head (Grauert and Remmert;
@@ -70,7 +79,11 @@ and u = j / x_i^p, with no division.  This is exact: j = x_i^p * v with
 v(0) != 0, so v is a unit and uniqueness gives P = x_i^p.  When j is
 already distinguished, x_i^p plus terms of x_i-degree below p (off the
 x_i-axis, by the choice of p), P = j and u = 1 by the same uniqueness, again
-with no division.  The check u * P = j runs on every call.
+with no division.  `_weierstrass_polynomial` takes j already truncated and
+its x_i-order p, and truncates nothing and recomputes no order; it checks
+every term of the remainder to lie outside the cone of x_i^p.  The public
+`weierstrass_prepare` truncates its input once, and the unit divides the
+jet packed once for P's division.  The check u * P = j runs on every call.
 
 The tower construction iterates: prepare the input list to distinguished
 form in the last variable, take the product, locate the first discriminant
@@ -93,9 +106,8 @@ from .division import (
     _Packing,
     _divide,
     _member,
-    _members,
+    _pack,
     _packed,
-    _remainder,
     _slots,
     _unpack,
 )
@@ -108,6 +120,8 @@ from .errors import (
     UndecidedAtPrecision,
 )
 from .kernel import (
+    EXACT,
+    Prec,
     PrecisionSeries,
     _admit,
     _as_fraction,
@@ -156,14 +170,40 @@ def _negated(jet: dict) -> dict:
     return {e: -c for e, c in jet.items()}
 
 
-def _level_jets(f: PrecisionSeries, p: int, mu) -> tuple:
+def _lowest_terms(ints: dict, den: int) -> tuple:
+    """(ints, den) for {e: ints[e] / den} over the lcm of its reduced
+    denominators: divided by the gcd of den and every numerator."""
+    g = functools.reduce(math.gcd, ints.values(), den)
+    if g == 1:
+        return ints, den
+    return {e: c // g for e, c in ints.items()}, den // g
+
+
+class _Level(NamedTuple):
+    """A level f = {e: ints[e] / d} in n variables with integer ints[e] and
+    any common denominator d > 0, certified to prec under form (None when
+    exact): what `_level_jets` reads."""
+
+    n: int
+    ints: dict
+    d: int
+    prec: Prec
+    form: Optional[LinearForm]
+
+
+def _level(f: PrecisionSeries) -> _Level:
+    """The level f, its coefficients as `_numerators` writes them."""
+    ints, d = _numerators(f)
+    return _Level(f.n, ints, d, f.prec, f.form_ctx)
+
+
+def _level_jets(f: _Level, p: int, mu) -> tuple:
     """(jets, d, top, shift, unpack, vanish): the input of the Hankel pass,
     read from f = x^p + a_{p-1} x^{p-1} + ... + a_0, x its last variable,
-    in one sweep.
+    in one sweep of its numerators.
 
-    jets[i] is the integer jet A_i = a_i * d^(p-i) on the window, d the lcm
-    of the denominators of every coefficient of f, the one `_numerators`
-    writes f over (the x^p term has denominator 1 and adds none).  Its keys
+    jets[i] is the integer jet A_i = a_i * d^(p-i) on the window, d the
+    level's common denominator (the x^p term has numerator d).  Its keys
     are the exponents in the other f.n - 1 variables, packed as in
     `division` with the level above `shift`; top is the window's top
     level, unpack undoes the packing, and vanish says whether every a_i
@@ -177,8 +217,7 @@ def _level_jets(f: PrecisionSeries, p: int, mu) -> tuple:
     window is skipped before it is packed, so every packed component is at
     most top and fits the window's own slots; the packing still checks it.
     """
-    n_vars = f.n - 1
-    ints, d = _numerators(f)
+    n_vars, ints, d = f.n - 1, f.ints, f.d
     if ints.get((0,) * n_vars + (p,)) != d:  # the x^p term is d / d
         raise PresentationError("polynomial is not monic")
     if n_vars:
@@ -209,8 +248,7 @@ def _level_jets(f: PrecisionSeries, p: int, mu) -> tuple:
     if n_vars:
         # the admission rule reads only the bound: a stand-in with no terms
         _admit(PrecisionSeries(n_vars, {}, f.prec,
-                               f.form_ctx and f.form_ctx.restrict(n_vars)),
-               L, mu)
+                               f.form and f.form.restrict(n_vars)), L, mu)
     return jets, d, top, pk.shift, functools.partial(_unpack, pk), vanish
 
 
@@ -243,7 +281,7 @@ def _polygon_size(jets: list, p: int, top: int, shift: int) -> int:
     return size
 
 
-def _hankel_discriminants(f: PrecisionSeries, p: int, mu) -> tuple:
+def _hankel_discriminants(f: _Level, p: int, mu) -> tuple:
     """(minors, unpack, vanish): D_1, ..., D_p of f = x^p + a_{p-1} x^{p-1}
     + ... + a_0, x its last variable, one pair (jet, scale) each, and
     whether every a_i vanishes at the origin.
@@ -256,23 +294,27 @@ def _hankel_discriminants(f: PrecisionSeries, p: int, mu) -> tuple:
     leading m x m minor of the Hankel matrix [s_{a+b}], m = p - j + 1.  One
     Berkowitz pass yields the characteristic polynomials of all leading
     principal submatrices, whose constant terms are (-1)^m times the minors.
-    Every sum of products is one `dot`, and nothing divides.
+    Every sum of products is one `dot`, and nothing divides.  When only the
+    1 x 1 minor reaches the window, D_p = s_0 = p is returned with no pass.
 
-    The pass runs on integers by scaling the roots by d.  Then X^p +
-    A_{p-1} X^{p-1} + ... + A_0 = d^p f(X/d) is the monic polynomial whose
-    roots are d*T_k.  Its power sums are d^k s_k, so its Hankel entry (a,
-    b) is d^(a+b) s_{a+b}, and its leading m x m minor is d^(0+1+...+(m-1))
-    twice over, that is d^(m(m-1)), times the original one.  Scaling
-    commutes with truncation by degree, so each minor is the integer one
-    divided by d^(m(m-1)), its sign folded into the scale.
+    The pass runs on integers by scaling the roots by d, the level's common
+    denominator.  Then X^p + A_{p-1} X^{p-1} + ... + A_0 = d^p f(X/d) is
+    the monic polynomial whose roots are d*T_k.  Its power sums are d^k
+    s_k, so its Hankel entry (a, b) is d^(a+b) s_{a+b}, and its leading m x
+    m minor is d^(0+1+...+(m-1)) twice over, that is d^(m(m-1)), times the
+    original one.  Scaling commutes with truncation by degree, so each
+    minor is the integer one divided by d^(m(m-1)), its sign folded into
+    the scale.
 
     `dot` is the truncated `_jet_dot`.  The pass takes the four shortcuts
     of the module docstring; by (d) it forms only the leading size x size
     minors, size from `_polygon_size`.
     """
     jets, d, top, shift, unpack, vanish = _level_jets(f, p, mu)
-    limit = (top + 1) << shift
     size = _polygon_size(jets, p, top, shift)
+    if size == 1:  # only D_p = s_0 = p reaches the window, as for y^p
+        return [(None, 1)] * (p - 1) + [({0: p}, 1)], unpack, vanish
+    limit = (top + 1) << shift
 
     def dot(pairs: list, start: dict) -> dict:
         return _jet_dot(pairs, limit, start) if pairs else start
@@ -324,7 +366,7 @@ def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
         raise DimensionMismatch(f"expected {p} coefficients")
     f = {(m,): a for m, a in enumerate(map(_as_fraction, coeffs)) if a}
     f[(p,)] = Fraction(1)
-    j, _, _, _ = _first_nonvanishing(PrecisionSeries(1, f), p, 0)
+    j, _, _, _ = _first_nonvanishing(_level(PrecisionSeries(1, f)), p, 0)
     # D_p = s_0 = p vanishes only for p = 0: the polynomial 1 has no roots
     return p if j is None else j - 1
 
@@ -367,56 +409,94 @@ def regular_order(f: PrecisionSeries, i: int) -> Optional[int]:
     return min(pure) if pure else None
 
 
-def _weierstrass_polynomial(f: PrecisionSeries, i: int, mu: Fraction) -> tuple:
-    """(P, jet, division): the Weierstrass polynomial P of the mu-jet j of f
-    in x_i, certified on (std, mu), j as an exact polynomial, and None when
-    P = x_i^p or P = j (module docstring) or else (head, rem, den, pk, cap):
-    P = x_i^p - {e: rem[e] / den} on the whole division window, head the
-    x_i^p packed by pk, cap the window's top level.
+def _weierstrass_polynomial(jet: PrecisionSeries, p: int, i: int,
+                            mu: Fraction) -> tuple:
+    """(ints, den, division): the Weierstrass polynomial P = {e: ints[e] /
+    den} in x_i of the mu-jet j = `jet` of x_i-order p, certified on (std,
+    mu), with integer ints[e] in lowest terms over den > 0; division is None
+    when P = x_i^p or P = j (module docstring), and else (terms, jden, head,
+    rem, rden, pk, cap): j = {s: terms[s] / jden} packed by pk, P = x_i^p -
+    {s: rem[s] / rden} on the whole division window, head the x_i^p packed
+    by pk, cap the window's top level.
 
-    Let p be the x_i-order of j, Lw the form with weight 1 on x_i and W on
-    every other variable, W the least integer above (p - b) / |a| over the
-    terms x'^a x_i^b of j with b < p (each has |a| >= 1, by the choice of
-    p).  Then x_i^p is the Lw-head of j, and Hironaka division by j under
-    Lw is Weierstrass division: x_i^p = q * j + r with r of x_i-degree below
-    p, and P = x_i^p - r = q * j.  A term of total degree at most mu has Lw
-    at most W * floor(mu), so the window {Lw <= W * floor(mu) + p}
-    certifies P on (std, mu), and a quotient by P on the standard window as
-    well.
+    j is the series truncated to (std, mu) and p = `regular_order`(j, i);
+    neither is recomputed here.  Let Lw be the form with weight 1 on x_i and
+    W on every other variable, W the least integer above (p - b) / |a| over
+    the terms x'^a x_i^b of j with b < p (each has |a| >= 1, by the choice
+    of p).  Then x_i^p is the Lw-head of j, and Hironaka division by j
+    under Lw is Weierstrass division: x_i^p = q * j + r with r of
+    x_i-degree below p, and P = x_i^p - r = q * j.  A term of total degree
+    at most mu has Lw at most W * floor(mu), so the window {Lw <= W *
+    floor(mu) + p} certifies P on (std, mu), and a quotient by P on the
+    standard window as well.  Every term of r is checked to lie outside the
+    cone of x_i^p.
     """
-    n = f.n
-    if not 0 <= i < n:
-        raise DimensionMismatch(f"variable index {i} out of range for n={n}")
-    L = std_form(n)
-    ft = truncate(f, L, mu)
-    p = regular_order(ft, i)
-    if p is None:
-        raise NotRegular(
-            f"not regular in variable {i} at precision {mu}; "
-            "apply a linear change of coordinates and retry")
-    top = int(mu)
-    jet = PrecisionSeries(n, ft.terms)  # exact, so admitted under Lw
+    n, top = jet.n, int(mu)
     alpha = tuple([p if k == i else 0 for k in range(n)])
-    low = [e for e in ft.terms if e[i] < p]
+    low = [e for e in jet.terms if e[i] < p]
     if not low:  # x_i^p divides j
-        return PrecisionSeries(n, {alpha: Fraction(1)}, mu, L), jet, None
+        return {alpha: 1}, 1, None
     if len(low) + 1 == len(jet.terms) and jet.terms[alpha] == 1:
-        return ft, jet, None  # j is distinguished
+        ints, den = _numerators(jet)
+        return ints, den, None  # j is distinguished
     W = max([(p - e[i]) // (sum(e) - e[i]) + 1 for e in low])
-    Lw = L if W == 1 else LinearForm(
+    Lw = std_form(n) if W == 1 else LinearForm(
         tuple([1 if k == i else W for k in range(n)]))
     cap = W * top + p
     pk = _slots(Lw, cap, 0)  # j's components are at most top <= cap
-    [divisor] = _members([jet], Lw, cap, pk)
+    terms, jden = _packed(jet, pk)
+    divisor = _member(terms, jden, EXACT, pk)  # j is exact under Lw
     # only the window is wanted (prec `cap`, not EXACT): terms above it are
     # dropped at once, and the quotient q is not built
     rem, den, _ = _divide({divisor.head: 1}, 1, cap, [divisor], pk, cap)
-    P = {alpha: Fraction(1)}
-    for e, c in _remainder(rem, -den, pk, [alpha]).items():
+    ints = {alpha: den}
+    for s, w in rem.items():
+        e = _unpack(pk, s)
+        if e[i] >= p:
+            raise InvariantViolation("remainder term outside the complement")
         if sum(e) <= top:
-            P[e] = c
-    return (PrecisionSeries(n, P, mu, L), jet,
-            (divisor.head, rem, den, pk, cap))
+            ints[e] = -w
+    return (*_lowest_terms(ints, den),
+            (terms, jden, divisor.head, rem, den, pk, cap))
+
+
+def _series(n: int, ints: dict, den: int, mu) -> PrecisionSeries:
+    """{e: ints[e] / den}, certified to mu under the standard form."""
+    return PrecisionSeries(n, {e: Fraction(c, den) for e, c in ints.items()},
+                           mu, std_form(n))
+
+
+def _prepare(jet: PrecisionSeries, p: int, i: int, mu: Fraction) -> tuple:
+    """(P, u, ints, den): `weierstrass_prepare` of the mu-jet `jet` of
+    x_i-order p, and P = {e: ints[e] / den} as `_weierstrass_polynomial`
+    gives it."""
+    n, L = jet.n, std_form(jet.n)
+    ints, den, division = _weierstrass_polynomial(jet, p, i, mu)
+    order = min(map(sum, ints))
+    distinguished = division is None and len(ints) > 1
+    P = jet if distinguished else _series(n, ints, den, mu)
+    if distinguished:  # P = j
+        u_terms = {(0,) * n: Fraction(1)}
+    elif division is None:  # j = x_i^p * u, and order = p
+        u_terms = {(*e[:i], e[i] - order, *e[i + 1:]): c
+                   for e, c in jet.terms.items()}
+    else:
+        terms, jden, head, rem, rden, pk, cap = division
+        record = _member({head: rden, **{e: -w for e, w in rem.items()}},
+                         rden, cap, pk)
+        quotient: list = [{}]
+        _divide(terms, jden, cap, [record], pk, cap, quotient)
+        top = int(mu) - order
+        u_terms = {}
+        for s, c in quotient[0].items():
+            e = _unpack(pk, s)
+            if sum(e) <= top:
+                u_terms[e] = c
+    u = PrecisionSeries(n, u_terms, mu - order, L)
+    check = mul(u, P)
+    if not agrees_up_to(check, jet, L, prec_min(mu, check.prec)):
+        raise PresentationError("preparation identity failed; this is a bug")
+    return P, u, ints, den
 
 
 def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
@@ -431,39 +511,24 @@ def weierstrass_prepare(f: PrecisionSeries, i: int, mu) -> tuple:
     mu - ord P): u * P = j on the window determines u only that far.  When
     P = x_i^p, u is j / x_i^p, and when j is distinguished, P = j and u =
     1; otherwise u is the quotient of j by P on the whole division window,
-    the one use of P's division record.  P cut to total degree mu would not
-    do when ord P < p: the tail of P lowers the total degree, so that
-    division may leave a remainder inside the window (as for y^3 + y^4 + x
-    at mu = 4), and then u * P != j there.  The identity u * P = j is
-    re-verified on the window before returning.
+    the one use of P's division record, which divides the jet packed for
+    that record.  P cut to total degree mu would not do when ord P < p: the
+    tail of P lowers the total degree, so that division may leave a
+    remainder inside the window (as for y^3 + y^4 + x at mu = 4), and then
+    u * P != j there.  The identity u * P = j is re-verified on the window
+    before returning.
     """
     mu = _as_fraction(mu)
-    P, jet, division = _weierstrass_polynomial(f, i, mu)
-    n, L = f.n, std_form(f.n)
-    order = min(map(sum, P.terms))
-    if division is None and len(P.terms) > 1:  # P = j
-        u_terms = {(0,) * n: Fraction(1)}
-    elif division is None:  # j = x_i^p * u, and order = p
-        u_terms = {(*e[:i], e[i] - order, *e[i + 1:]): c
-                   for e, c in jet.terms.items()}
-    else:
-        head, rem, den, pk, cap = division
-        record = _member({head: den, **{e: -w for e, w in rem.items()}}, den,
-                         cap, pk)
-        quotient: list = [{}]
-        terms, jden = _packed(jet, pk)
-        _divide(terms, jden, cap, [record], pk, cap, quotient)
-        top = int(mu) - order
-        u_terms = {}
-        for s, c in quotient[0].items():
-            e = _unpack(pk, s)
-            if sum(e) <= top:
-                u_terms[e] = c
-    u = PrecisionSeries(n, u_terms, mu - order, L)
-    check = mul(u, P)
-    if not agrees_up_to(check, jet, L, prec_min(mu, check.prec)):
-        raise PresentationError("preparation identity failed; this is a bug")
-    return P, u
+    n = f.n
+    if not 0 <= i < n:
+        raise DimensionMismatch(f"variable index {i} out of range for n={n}")
+    jet = truncate(f, std_form(n), mu)
+    p = regular_order(jet, i)
+    if p is None:
+        raise NotRegular(
+            f"not regular in variable {i} at precision {mu}; "
+            "apply a linear change of coordinates and retry")
+    return _prepare(jet, p, i, mu)[:2]
 
 # -- discriminant towers -----------------------------------------------------
 
@@ -486,7 +551,7 @@ class Tower(NamedTuple):
     coordinate_changes: tuple       # (ambient_level, matrix) pairs
 
 
-def _first_nonvanishing(f: PrecisionSeries, p: int, mu) -> tuple:
+def _first_nonvanishing(f: _Level, p: int, mu) -> tuple:
     """(j, value, certificates, vanish): minimal j with D_j of the level f
     of degree p not zero up to mu, None in place of the first three when
     every D_j is, and whether f's coefficients vanish at the origin.
@@ -524,24 +589,33 @@ def _embed_change(M, n: int) -> tuple:
 
 def _ensure_regular(polys: Sequence[PrecisionSeries], i: int, mu,
                     rng: random.Random) -> tuple:
-    """(series, matrix): the listed series, all regular in variable i, and
-    the change of the first i+1 variables that made them so (None when they
-    already were).  Draws up to COORDINATE_CHANGE_RETRIES seeded changes."""
+    """(jets, orders, matrix): the mu-jets on (std, mu) of the listed
+    series, all regular in variable i, their x_i-orders (`regular_order`),
+    and the change of the first i+1 variables that made them so (None when
+    they already were).  Draws up to COORDINATE_CHANGE_RETRIES seeded
+    changes."""
     n = polys[0].n
+    L = std_form(n)
     draws = (_embed_change(linalg.seeded_unimodular(rng, i + 1), n)
              for _ in range(COORDINATE_CHANGE_RETRIES))
     for M in chain([None], draws):
-        candidate = [f if M is None else substitute_linear(f, M) for f in polys]
-        if all(regular_order(truncate(f, std_form(n), mu), i) is not None
-               for f in candidate):
-            return candidate, M
+        jets, orders = [], []
+        for f in polys:
+            jet = truncate(f if M is None else substitute_linear(f, M), L, mu)
+            orders.append(regular_order(jet, i))
+            if orders[-1] is None:
+                break
+            jets.append(jet)
+        else:
+            return jets, orders, M
     raise NotRegular(f"no sampled change made the series regular in x_{i + 1}")
 
 
-def _prepared_product(prepared: Sequence[PrecisionSeries], mu) -> tuple:
-    """(jet, den, pk): the product of the prepared generators on the window
-    {std <= mu}, {unpack(pk, e): jet[e] / den}, as one truncated integer
-    product over one packing.
+def _prepared_product(n: int, prepared: Sequence[tuple], mu) -> tuple:
+    """(ints, den): the product of the prepared generators {e: ints_k[e] /
+    den_k} in n variables (`_weierstrass_polynomial`) on the window {std <=
+    mu}, {e: ints[e] / den} in lowest terms, as one truncated integer
+    product over one packing; one generator is its own product.
 
     Each generator is certified to mu and has no constant term, so the
     product is certified beyond mu and its terms of degree <= mu are the
@@ -549,14 +623,16 @@ def _prepared_product(prepared: Sequence[PrecisionSeries], mu) -> tuple:
     mu is formed.  A prepared generator lies on the window, so its
     components are at most floor(mu) and the window's slots hold them.
     """
-    L = std_form(prepared[0].n)
+    if not prepared[1:]:
+        return prepared[0]
+    L = std_form(n)
     pk = _slots(L, mu, 0)
     limit = (L.level_cap(mu) + 1) << pk.shift
-    jet, den = _packed(prepared[0], pk)
-    for P in prepared[1:]:
-        terms, d = _packed(P, pk)
+    (jet, den), *rest = [({_pack(pk, e): c for e, c in ints.items()}, d)
+                         for ints, d in prepared]
+    for terms, d in rest:
         jet, den = _jet_dot([(jet, terms)], limit), den * d
-    return jet, den, pk
+    return _lowest_terms({_unpack(pk, e): c for e, c in jet.items()}, den)
 
 
 def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
@@ -592,16 +668,15 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
                 f"generator {k} has no term on the window {mu}: its order "
                 "lies beyond the window")
 
-    gens, M = _ensure_regular(gens, n - 1, mu, rng)
+    jets, orders, M = _ensure_regular(gens, n - 1, mu, rng)
     if M is not None:
         changes.append((n, M))
-    prepared = [_weierstrass_polynomial(g, n - 1, mu)[0] for g in gens]
-    current = prepared[0]
-    if prepared[1:]:
-        jet, den, pk = _prepared_product(prepared, mu)
-        current = PrecisionSeries(
-            n, {_unpack(pk, e): Fraction(c, den) for e, c in jet.items()},
-            mu, std_form(n))
+    # the levels are handed down as integers over a common denominator, read
+    # by `_level_jets` as they are; a Fraction is built only for a kept level
+    prepared = [_weierstrass_polynomial(jet, p, n - 1, mu)[:2]
+                for jet, p in zip(jets, orders)]
+    ints, den = _prepared_product(n, prepared, mu)
+    current = _series(n, ints, den, mu)
 
     levels = []
     for dim in range(n, 0, -1):
@@ -612,7 +687,8 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
             raise PrecisionShortfall(
                 f"the level in {dim} variables has no pure power of its last "
                 f"variable on the window {mu}: its degree lies beyond the window")
-        j, disc_val, certs, _ = _first_nonvanishing(current, p, mu)
+        j, disc_val, certs, _ = _first_nonvanishing(
+            _Level(dim, ints, den, current.prec, current.form_ctx), p, mu)
         if j is None:
             raise UndecidedAtPrecision("every generalized discriminant "
                                        "vanished up to the working precision")
@@ -623,7 +699,7 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
             levels += [TowerLevel(i, True, None, None, None, (), None, None)
                        for i in range(dim - 1, 0, -1)]
             break
-        (disc_val,), M = _ensure_regular([disc_val], dim - 2, mu, rng)
+        (jet,), (q,), M = _ensure_regular([disc_val], dim - 2, mu, rng)
         if M is not None:
             changes.append((dim - 1, M))
             current = substitute_linear(current, _embed_change(M, dim))
@@ -632,7 +708,7 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
                 unit_below=substitute_linear(
                     lvl.unit_below, _embed_change(M, lvl.index - 1)))
                 for lvl in levels]
-        P, u = weierstrass_prepare(disc_val, dim - 2, mu)
+        P, u, ints, den = _prepare(jet, q, dim - 2, mu)
         levels.append(TowerLevel(dim, False, current, p, j, certs, u,
                                  _at_origin(u)))
         current = P
@@ -643,7 +719,8 @@ def _level_checks(lvl: TowerLevel, below: Optional[TowerLevel], mu) -> dict:
     """The checks of one level that is not constant one."""
     idx, f = lvl.index, lvl.poly
     try:
-        j, disc_val, certs, vanish = _first_nonvanishing(f, lvl.degree, mu)
+        j, disc_val, certs, vanish = _first_nonvanishing(
+            _level(f), lvl.degree, mu)
         monic = True
     except PresentationError:  # not monic, or a term above the degree
         j, vanish, monic = None, False, False

@@ -41,7 +41,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from localring.diagram import _span, tail_monomials
-from localring.equising import _hankel_discriminants
+from localring.equising import _hankel_discriminants, _level
 from localring.errors import BudgetExceeded, DimensionMismatch, PresentationError
 from localring.kernel import (EXACT, IdealPresentation, PrecisionSeries, _join_forms,
                               add, monomial, mul,
@@ -232,7 +232,7 @@ def hankel_minors(coeffs: Sequence, n_vars: int, mu) -> list:
     integer minor and scale stand for, and a minor the pass does not form
     as the zero jet; the command path converts only the minor it keeps."""
     minors, unpack, _ = _hankel_discriminants(
-        monic_polynomial(coeffs, n_vars), len(coeffs), mu)
+        _level(monic_polynomial(coeffs, n_vars)), len(coeffs), mu)
     return [{unpack(e): Fraction(c, scale) for e, c in (jet or {}).items()}
             for jet, scale in minors]
 

@@ -151,6 +151,20 @@ class TestCiExperiment:
         assert rep["items"]["reduction"]["cor_membership_ok"]
         assert rep["items"]["hilbert_samuel"]["equal"]
 
+    def test_no_guarantee_without_a_witnessed_complete_intersection(self):
+        # (x^2, x*y) is not Cohen-Macaulay: its HS function and that of the
+        # perturbation by (0, y^10) part at degree 19, beyond the window,
+        # so the comparisons on it agree; with k = 1 for two generators
+        # no complete intersection is witnessed, and mu >= mu0 = 2 alone
+        # guarantees nothing
+        I = K.IdealPresentation(2, (K.monomial(2, (2, 0)),
+                                    K.monomial(2, (1, 1))), ("x", "y"))
+        deltas = (K.zero(2), K.monomial(2, (0, 10)))
+        rep = AP.ci_stability_experiment(I, 9, deltas)
+        assert (rep["k"], rep["ci_witnessed"], rep["mu0"]) == (1, False, 2)
+        assert rep["all_equal"]
+        assert rep["regime_guaranteed"] is False
+
     def test_agreeing_pipelines_imply_equal_hs(self):
         # stability scenario: whenever the flatness verdicts and the
         # tail-quotient dimensions agree, the tables must agree too

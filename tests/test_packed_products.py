@@ -217,6 +217,23 @@ def tower_generators(draw):
     return gens, F(mu), draw(st.integers(0, 99))
 
 
+def prepared_integers(gens, mu, seed) -> list:
+    """The prepared generators of `build_tower`, each (numerators, den)."""
+    n = gens[0].n
+    jets, orders, _ = E._ensure_regular(gens, n - 1, mu, random.Random(seed))
+    return [E._weierstrass_polynomial(jet, p, n - 1, mu)[:2]
+            for jet, p in zip(jets, orders)]
+
+
+def prepared_series(gens, mu, seed) -> list:
+    """The prepared generators as series on (std, mu), built from their
+    integers here, with no `equising` helper."""
+    n = gens[0].n
+    return [K.truncate(K.series(n, {e: F(c, den) for e, c in ints.items()}),
+                       O.std_form(n), mu)
+            for ints, den in prepared_integers(gens, mu, seed)]
+
+
 @settings(max_examples=100, deadline=None)
 @given(tower_generators())
 @example(([K.series(2, {(0, 2): 1, (3, 0): -1}),
@@ -231,15 +248,49 @@ def test_the_top_level_is_the_truncated_product(case):
         T = E.build_tower(gens, mu, seed)
     except LocalRingError:
         assume(False)
-    regular, _ = E._ensure_regular(gens, n - 1, mu, random.Random(seed))
-    want = OR.truncated_product(
-        [E._weierstrass_polynomial(g, n - 1, mu)[0] for g in regular], mu)
+    want = OR.truncated_product(prepared_series(gens, mu, seed), mu)
     for level, M in T.coordinate_changes:
         if level < n:
             want = K.substitute_linear(want, E._embed_change(M, n))
     top = T.levels[0].poly
     assert top == want
     assert all(type(c) is F and c for c in top.terms.values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(tower_generators())
+@example(([K.series(2, {(0, 2): 1, (3, 0): -1}),
+           K.series(2, {(0, 1): F(1, 2), (2, 0): F(-7, 4), (1, 1): 3}),
+           K.series(2, {(0, 3): F(5, 6), (4, 0): 2})], F(6), 0))
+# the prepared generators have denominators 6 and 7, and the product's
+# coefficients the lcm 7: their product 42 is a common denominator, not
+# the lcm
+@example(([K.series(2, {(4, 0): F(5, 6), (0, 2): 1, (2, 0): 1}),
+           K.series(2, {(5, 0): -2, (0, 3): F(-7, 4), (2, 0): 1})], F(5), 69))
+def test_the_top_level_reads_the_same_from_its_integers(case):
+    # build_tower reads its top level from the integer product; the series
+    # it keeps reads the same, and so do the integers over any common
+    # denominator: the minors are scaled back by the same d
+    gens, mu, seed = case
+    n = gens[0].n
+    try:
+        T = E.build_tower(gens, mu, seed)
+    except LocalRingError:
+        assume(False)
+    # a change drawn at a lower level re-expresses the kept top level
+    assume(all(level == n for level, _ in T.coordinate_changes))
+    prepared = prepared_integers(gens, mu, seed)
+    ints, den = E._prepared_product(n, prepared, mu)
+    assert den == K._numerators(T.levels[0].poly)[1]  # the lowest terms
+    top = T.levels[0]
+    want = E._first_nonvanishing(E._level(top.poly), top.degree, mu)
+    assert (want[0], want[2]) == (top.disc_index, top.vanish_certificates)
+    # the product of the prepared denominators, before `_lowest_terms`
+    product_den = math.prod([d for _, d in prepared])
+    for d in (den, 6 * den, product_den):
+        level = E._Level(n, {e: d // den * c for e, c in ints.items()}, d,
+                         mu, O.std_form(n))
+        assert E._first_nonvanishing(level, top.degree, mu) == want
 
 
 # -- what the Hankel route calls -----------------------------------------------
@@ -263,15 +314,28 @@ def test_hankel_route_never_calls_kernel_mul(monkeypatch):
 def test_zero_series_vector_stops_at_the_structural_zero():
     # y^14 over one variable, and over the numbers: every coefficient is
     # zero, so no root difference has a finite order and only the 1 x 1
-    # minor D_p = p reaches the window; the one Berkowitz step makes the
-    # one product t_1 * char_0, and Newton runs no step
+    # minor D_p = s_0 = p reaches the window; it is returned with no
+    # Newton or Berkowitz step, so no product is formed
     p = 14
     zero = [K.truncate(K.series(1, {}), O.std_form(1), p)] * p
     for coeffs, n_vars, origin in ((zero, 1, (0,)), ([0] * p, 0, ())):
         with mock.patch.object(E, "_jet_dot", wraps=E._jet_dot) as dot:
             minors = OR.hankel_minors(coeffs, n_vars, p)
-        assert dot.call_count == 1
+        assert dot.call_count == 0
         assert minors == [{}] * (p - 1) + [{origin: F(p)}]
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 14])
+def test_a_pure_power_has_first_discriminant_p(p):
+    # X^p over the numbers and y^p over one variable: D_1 .. D_{p-1}
+    # vanish, and D_p = s_0 = p
+    number = E._level(K.series(1, {(p,): 1}))
+    assert E._first_nonvanishing(number, p, 0) == (
+        p, F(p), ("exact-zero",) * (p - 1), True)
+    level = E._level(K.truncate(K.series(2, {(0, p): 1}), O.std_form(2), p))
+    j, value, certs, vanish = E._first_nonvanishing(level, p, p)
+    assert (j, certs, vanish) == (p, ("zero-up-to-mu",) * (p - 1), True)
+    assert value == K.truncate(K.series(1, {(0,): p}), O.std_form(1), p)
 
 
 # -- the Newton-polygon cut ----------------------------------------------------
@@ -317,7 +381,7 @@ def test_first_nonvanishing_converts_one_minor(coeffs, mu, j):
     # jet of `Fraction`s: one per term of the value
     with mock.patch.object(E, "Fraction", wraps=F) as fraction:
         got, value, _, _ = E._first_nonvanishing(
-            OR.monic_polynomial(coeffs, 1), len(coeffs), mu)
+            E._level(OR.monic_polynomial(coeffs, 1)), len(coeffs), mu)
     assert got == j
     assert value.terms == OR.hankel_minors(coeffs, 1, mu)[j - 1]
     assert fraction.call_count == len(value.terms) == 1
@@ -404,7 +468,7 @@ def test_the_polygon_bound_leaves_out_only_minors_zero_on_the_window(case):
     coeffs, mu = case
     n, p = coeffs[0].n, len(coeffs)
     minors, unpack, _ = E._hankel_discriminants(
-        OR.monic_polynomial(coeffs, n), p, mu)
+        E._level(OR.monic_polynomial(coeffs, n)), p, mu)
     want = OR.berkowitz_discriminants(coeffs, O.std_form(n), mu)
     for (jet, scale), D in zip(minors, want):
         if jet is None:  # not formed
@@ -419,7 +483,8 @@ def test_the_polygon_bound_reads_every_edge():
     # bounds it by 2 * (3/2 + 2/2 + 7/2) = 12 > 8
     coeffs = [K.series(1, {(8,): 1}), K.zero(1), K.series(1, {(1,): 1}),
               K.zero(1)]
-    minors, _, _ = E._hankel_discriminants(OR.monic_polynomial(coeffs, 1), 4, 8)
+    minors, _, _ = E._hankel_discriminants(
+        E._level(OR.monic_polynomial(coeffs, 1)), 4, 8)
     assert [jet is None for jet, _ in minors] == [True, False, False, False]
 
 
@@ -463,9 +528,9 @@ def test_terms_above_the_window_never_reach_the_packing(case):
     grown = [K.add(a, b) for a, b in zip(coeffs, above)]
     assert OR.hankel_minors(grown, n, mu) == OR.hankel_minors(coeffs, n, mu)
     _, unpack, vanish = E._hankel_discriminants(
-        OR.monic_polynomial(grown, n), p, mu)
+        E._level(OR.monic_polynomial(grown, n)), p, mu)
     _, want_unpack, want_vanish = E._hankel_discriminants(
-        OR.monic_polynomial(coeffs, n), p, mu)
+        E._level(OR.monic_polynomial(coeffs, n)), p, mu)
     assert unpack.args == want_unpack.args and vanish == want_vanish
 
 

@@ -186,12 +186,15 @@ def test_the_hankel_pass_builds_no_fraction():
     assert not found, found
 
 
-#: the product of a tower's prepared generators, its top level
-TOWER_PRODUCT = ("_prepared_product",)
+#: the steps that hand a tower's generators to its top level: the mu-jets
+#: and their orders, the Weierstrass polynomials as integers over a
+#: denominator, and their product
+TOWER_PRODUCT = ("_ensure_regular", "_weierstrass_polynomial",
+                 "_prepared_product")
 
 
 def test_the_tower_product_builds_no_fraction():
-    # the prepared generators are multiplied as packed integer jets
+    # the prepared generators are handed on and multiplied as integer jets
     # (equising's docstring); build_tower builds one Fraction per term of
     # the level it keeps
     found = _fraction_calls(SOURCE / "equising.py", TOWER_PRODUCT)
@@ -200,12 +203,27 @@ def test_the_tower_product_builds_no_fraction():
 
 def test_fraction_call_lint_sees_a_planted_call_in_the_tower_product(tmp_path):
     path = tmp_path / "equising.py"
-    path.write_text("def _prepared_product(prepared, mu):\n"
+    path.write_text("def _prepared_product(n, prepared, mu):\n"
                     "    return [Fraction(c) for c in prepared], mu\n\n"
                     "def build_tower(gens, mu):\n"
                     "    return Fraction(mu)\n",
                     encoding="utf-8")
     assert _fraction_calls(path, TOWER_PRODUCT) == ["equising.py:2"]
+
+
+def test_fraction_call_lint_sees_a_planted_call_in_the_preparation(tmp_path):
+    path = tmp_path / "equising.py"
+    path.write_text("def _ensure_regular(polys, i, mu, rng):\n"
+                    "    return polys, [Fraction(i)], None\n\n"
+                    "def _weierstrass_polynomial(jet, p, i, mu):\n"
+                    "    def one(e):\n"
+                    "        return fractions.Fraction(1)\n"
+                    "    return {e: one(e) for e in jet}, 1, None\n\n"
+                    "def weierstrass_prepare(f, i, mu):\n"
+                    "    return Fraction(mu)\n",
+                    encoding="utf-8")
+    assert _fraction_calls(path, TOWER_PRODUCT) == [
+        "equising.py:2", "equising.py:6"]
 
 
 def test_the_pair_loop_builds_no_fraction():
