@@ -22,7 +22,8 @@ of the divisor's certified bound (EXACT for an exact divisor), so nothing
 downstream reads head, level or bound from the series again.  A series
 becomes integer terms here in `_packed`, which writes it as numerators over
 the lcm of its denominators (`kernel._numerators`) on packed exponents, and
-`_member` builds a record from such terms (`equising._level` and
+`_member` builds a record from such terms (`equising._level`, which also
+admits a tower level that arrives as a series, and
 `diagram.ideal_span_rows` read `kernel._numerators` themselves).
 `hironaka_divide` and standard-basis completion build the records through
 `_members`, and `equising._weierstrass_polynomial` builds its one record,

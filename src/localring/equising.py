@@ -61,13 +61,14 @@ prepared polynomial as integer numerators over a denominator in lowest
 terms; the top level, the product of the prepared generators, is the same
 kind of product as the pass's (`_prepared_product`), the generators packed
 once and no term above the window formed; and a prepared discriminant's
-integers are the next level's.  A `Fraction` is built only for a
-polynomial the tower keeps, one per term.  A level (`_Level`) is read for
-the pass (`_level_jets`) in one sweep of its numerators over any common
-denominator d, since the minors are scaled back by the same d; a caller
-that holds only a series passes its `_numerators` (`_level`).  The read
-skips a term above the window before packing: every packing here is the
-window's own.
+integers are the next level's, its x_i-order the next level's degree.  A
+`Fraction` is built only for a polynomial the tower keeps, one per term.
+A level (`_Level`) is read for the pass (`_level_jets`) in one sweep of
+its numerators over any common denominator d, since the minors are scaled
+back by the same d.  A level that arrives as a series is admitted once,
+where its `_numerators` are taken (`_level`); the levels a tower builds
+lie on the window by construction.  The read skips a term above the
+window before packing: every packing here is the window's own.
 
 Weierstrass preparation is Weierstrass division, that is Hironaka division
 by one series under a form that makes x_i^p its head (Grauert and Remmert;
@@ -121,7 +122,6 @@ from .errors import (
 )
 from .kernel import (
     EXACT,
-    Prec,
     PrecisionSeries,
     _admit,
     _as_fraction,
@@ -181,41 +181,46 @@ def _lowest_terms(ints: dict, den: int) -> tuple:
 
 class _Level(NamedTuple):
     """A level f = {e: ints[e] / d} in n variables with integer ints[e] and
-    any common denominator d > 0, certified to prec under form (None when
-    exact): what `_level_jets` reads."""
+    any common denominator d > 0: what `_level_jets` reads."""
 
     n: int
     ints: dict
     d: int
-    prec: Prec
-    form: Optional[LinearForm]
 
 
-def _level(f: PrecisionSeries) -> _Level:
-    """The level f, its coefficients as `_numerators` writes them."""
+def _level(f: PrecisionSeries, mu) -> _Level:
+    """The level f, its coefficients as `_numerators` writes them, once f
+    is admitted on the window mu: in two or more variables the admission
+    rule, for the a_i certified under f's form restricted to them and
+    asked under the standard one."""
+    n_vars = f.n - 1
+    if n_vars:
+        # the admission rule reads only the bound: a stand-in with no terms
+        _admit(PrecisionSeries(n_vars, {}, f.prec,
+                               f.form_ctx and f.form_ctx.restrict(n_vars)),
+               std_form(n_vars), mu)
     ints, d = _numerators(f)
-    return _Level(f.n, ints, d, f.prec, f.form_ctx)
+    return _Level(f.n, ints, d)
 
 
 def _level_jets(f: _Level, p: int, mu) -> tuple:
-    """(jets, d, top, shift, unpack, vanish): the input of the Hankel pass,
-    read from f = x^p + a_{p-1} x^{p-1} + ... + a_0, x its last variable,
-    in one sweep of its numerators.
+    """(jets, d, top, shift, unpack): the input of the Hankel pass, read
+    from f = x^p + a_{p-1} x^{p-1} + ... + a_0, x its last variable, in one
+    sweep of its numerators.
 
     jets[i] is the integer jet A_i = a_i * d^(p-i) on the window, d the
     level's common denominator (the x^p term has numerator d).  Its keys
     are the exponents in the other f.n - 1 variables, packed as in
     `division` with the level above `shift`; top is the window's top
-    level, unpack undoes the packing, and vanish says whether every a_i
-    vanishes at the origin.  In zero variables every exponent packs to 0,
-    the origin, the window is the one level 0, and mu is not read.
+    level, and unpack undoes the packing.  In zero variables every
+    exponent packs to 0, the origin, the window is the one level 0, and mu
+    is not read.
 
     f is checked as a level: a PresentationError when it has no x^p term
-    with coefficient 1 or a term lies above degree p, and in two or more
-    variables the admission rule, for the a_i certified under f's form
-    restricted to them and asked under the standard one.  A term above the
-    window is skipped before it is packed, so every packed component is at
-    most top and fits the window's own slots; the packing still checks it.
+    with coefficient 1 or a term lies above degree p.  Its admission on
+    the window is the caller's (`_level`).  A term above the window is
+    skipped before it is packed, so every packed component is at most top
+    and fits the window's own slots; the packing still checks it.
     """
     n_vars, ints, d = f.n - 1, f.ints, f.d
     if ints.get((0,) * n_vars + (p,)) != d:  # the x^p term is d / d
@@ -228,14 +233,13 @@ def _level_jets(f: _Level, p: int, mu) -> tuple:
     width, slot = pk.width, pk.top
     # A_m = (a_m * d) * d^(p-1-m): both factors are integers
     powers = [d ** (p - 1 - m) for m in range(p)]
-    jets, vanish = [{} for _ in range(p)], True
+    jets = [{} for _ in range(p)]
     for e, c in ints.items():
         m, rest = e[-1], e[:-1]
         if m >= p:
             if m == p and not any(rest):
                 continue
             raise PresentationError("terms above the distinguished degree")
-        vanish = vanish and any(rest)
         level = sum(rest)  # `_pack` under the standard form
         if level > top:
             continue
@@ -245,11 +249,7 @@ def _level_jets(f: _Level, p: int, mu) -> tuple:
                     f"component {k} of {rest} does not fit a {width}-bit slot")
             level = level << width | k
         jets[m][level] = c * powers[m]
-    if n_vars:
-        # the admission rule reads only the bound: a stand-in with no terms
-        _admit(PrecisionSeries(n_vars, {}, f.prec,
-                               f.form and f.form.restrict(n_vars)), L, mu)
-    return jets, d, top, pk.shift, functools.partial(_unpack, pk), vanish
+    return jets, d, top, pk.shift, functools.partial(_unpack, pk)
 
 
 def _polygon_size(jets: list, p: int, top: int, shift: int) -> int:
@@ -282,9 +282,8 @@ def _polygon_size(jets: list, p: int, top: int, shift: int) -> int:
 
 
 def _hankel_discriminants(f: _Level, p: int, mu) -> tuple:
-    """(minors, unpack, vanish): D_1, ..., D_p of f = x^p + a_{p-1} x^{p-1}
-    + ... + a_0, x its last variable, one pair (jet, scale) each, and
-    whether every a_i vanishes at the origin.
+    """(minors, unpack): D_1, ..., D_p of f = x^p + a_{p-1} x^{p-1} + ...
+    + a_0, x its last variable, one pair (jet, scale) each.
 
     jet is {packed exponent: integer}, and D_j = {unpack(e): Fraction(c,
     scale)}, its terms of total degree <= mu in the other f.n - 1
@@ -310,10 +309,10 @@ def _hankel_discriminants(f: _Level, p: int, mu) -> tuple:
     of the module docstring; by (d) it forms only the leading size x size
     minors, size from `_polygon_size`.
     """
-    jets, d, top, shift, unpack, vanish = _level_jets(f, p, mu)
+    jets, d, top, shift, unpack = _level_jets(f, p, mu)
     size = _polygon_size(jets, p, top, shift)
     if size == 1:  # only D_p = s_0 = p reaches the window, as for y^p
-        return [(None, 1)] * (p - 1) + [({0: p}, 1)], unpack, vanish
+        return [(None, 1)] * (p - 1) + [({0: p}, 1)], unpack
     limit = (top + 1) << shift
 
     def dot(pairs: list, start: dict) -> dict:
@@ -356,7 +355,7 @@ def _hankel_discriminants(f: _Level, p: int, mu) -> tuple:
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
         minors.append((char[-1], scale))
-    return [(None, 1)] * (p - size) + minors[::-1], unpack, vanish
+    return [(None, 1)] * (p - size) + minors[::-1], unpack
 
 
 def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
@@ -366,7 +365,7 @@ def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
         raise DimensionMismatch(f"expected {p} coefficients")
     f = {(m,): a for m, a in enumerate(map(_as_fraction, coeffs)) if a}
     f[(p,)] = Fraction(1)
-    j, _, _, _ = _first_nonvanishing(_level(PrecisionSeries(1, f)), p, 0)
+    j, _, _ = _first_nonvanishing(_level(PrecisionSeries(1, f), 0), p, 0)
     # D_p = s_0 = p vanishes only for p = 0: the polynomial 1 has no roots
     return p if j is None else j - 1
 
@@ -552,9 +551,8 @@ class Tower(NamedTuple):
 
 
 def _first_nonvanishing(f: _Level, p: int, mu) -> tuple:
-    """(j, value, certificates, vanish): minimal j with D_j of the level f
-    of degree p not zero up to mu, None in place of the first three when
-    every D_j is, and whether f's coefficients vanish at the origin.
+    """(j, value, certificates): minimal j with D_j of the level f of
+    degree p not zero up to mu, or three Nones when every D_j is.
 
     The value is a rational for a univariate f and a series in the other
     variables certified to mu under the standard form otherwise.
@@ -562,14 +560,14 @@ def _first_nonvanishing(f: _Level, p: int, mu) -> tuple:
     n_vars = f.n - 1
     # a series value is known only on the window, a number exactly
     cert = "zero-up-to-mu" if n_vars else "exact-zero"
-    minors, unpack, vanish = _hankel_discriminants(f, p, mu)
+    minors, unpack = _hankel_discriminants(f, p, mu)
     for j, (jet, scale) in enumerate(minors, start=1):
         if jet:
             d = {unpack(e): Fraction(c, scale) for e, c in jet.items()}
             val = d[()] if n_vars == 0 else PrecisionSeries(
                 n_vars, d, _as_fraction(mu), std_form(n_vars))
-            return j, val, (cert,) * (j - 1), vanish
-    return None, None, None, vanish
+            return j, val, (cert,) * (j - 1)
+    return None, None, None
 
 
 def _at_origin(value):
@@ -615,7 +613,7 @@ def _prepared_product(n: int, prepared: Sequence[tuple], mu) -> tuple:
     """(ints, den): the product of the prepared generators {e: ints_k[e] /
     den_k} in n variables (`_weierstrass_polynomial`) on the window {std <=
     mu}, {e: ints[e] / den} in lowest terms, as one truncated integer
-    product over one packing; one generator is its own product.
+    product over one packing.
 
     Each generator is certified to mu and has no constant term, so the
     product is certified beyond mu and its terms of degree <= mu are the
@@ -623,8 +621,6 @@ def _prepared_product(n: int, prepared: Sequence[tuple], mu) -> tuple:
     mu is formed.  A prepared generator lies on the window, so its
     components are at most floor(mu) and the window's slots hold them.
     """
-    if not prepared[1:]:
-        return prepared[0]
     L = std_form(n)
     pk = _slots(L, mu, 0)
     limit = (L.level_cap(mu) + 1) << pk.shift
@@ -675,20 +671,22 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
     # by `_level_jets` as they are; a Fraction is built only for a kept level
     prepared = [_weierstrass_polynomial(jet, p, n - 1, mu)[:2]
                 for jet, p in zip(jets, orders)]
+    # the prepared generators' lower coefficients vanish at the origin, so
+    # the product's one pure power of x_n is x_n^p, p the sum of the orders
+    p = sum(orders)
+    if p > mu:
+        raise PrecisionShortfall(
+            f"the level in {n} variables has no pure power of its last "
+            f"variable on the window {mu}: its degree lies beyond the window")
     ints, den = _prepared_product(n, prepared, mu)
     current = _series(n, ints, den, mu)
 
     levels = []
     for dim in range(n, 0, -1):
         # every level is built on the window: the product, a prepared
-        # discriminant, or one of them after a linear change
-        p = regular_order(current, dim - 1)
-        if p is None:
-            raise PrecisionShortfall(
-                f"the level in {dim} variables has no pure power of its last "
-                f"variable on the window {mu}: its degree lies beyond the window")
-        j, disc_val, certs, _ = _first_nonvanishing(
-            _Level(dim, ints, den, current.prec, current.form_ctx), p, mu)
+        # discriminant, or one of them after a linear change, which moves
+        # only the first dim - 1 variables and so keeps the degree p
+        j, disc_val, certs = _first_nonvanishing(_Level(dim, ints, den), p, mu)
         if j is None:
             raise UndecidedAtPrecision("every generalized discriminant "
                                        "vanished up to the working precision")
@@ -711,19 +709,21 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
         P, u, ints, den = _prepare(jet, q, dim - 2, mu)
         levels.append(TowerLevel(dim, False, current, p, j, certs, u,
                                  _at_origin(u)))
-        current = P
+        current, p = P, q
     return Tower(n, mu, seed, tuple(levels), tuple(changes))
 
 
 def _level_checks(lvl: TowerLevel, below: Optional[TowerLevel], mu) -> dict:
     """The checks of one level that is not constant one."""
-    idx, f = lvl.index, lvl.poly
+    idx, f, p = lvl.index, lvl.poly, lvl.degree
     try:
-        j, disc_val, certs, vanish = _first_nonvanishing(
-            _level(f), lvl.degree, mu)
+        j, disc_val, certs = _first_nonvanishing(_level(f, mu), p, mu)
         monic = True
     except PresentationError:  # not monic, or a term above the degree
-        j, vanish, monic = None, False, False
+        j, monic = None, False
+    # every a_i vanishes at the origin: each term of x_n-degree below p
+    # has a positive degree in the other variables
+    vanish = monic and all([sum(e) > e[-1] for e in f.terms if e[-1] < p])
     cert_ok = unit_ok = False
     if j is not None:
         cert_ok = (j, certs) == (lvl.disc_index, lvl.vanish_certificates)

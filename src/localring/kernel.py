@@ -47,7 +47,6 @@ from .order import (
     LinearForm,
     form_label,
     is_isotropic,
-    lvalue,
     min_lvalue,
     std_form,
     std_key,
@@ -252,11 +251,8 @@ def sub(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
 
 
 def scale(f: PrecisionSeries, c) -> PrecisionSeries:
-    c = Fraction(c)
-    if not c:
-        return zero(f.n)
-    return PrecisionSeries(f.n, {e: c * v for e, v in f.terms.items()},
-                           f.prec, f.form_ctx)
+    """c * f: `mul` by the constant c."""
+    return mul(f, monomial(f.n, (0,) * f.n, c))
 
 
 def _product_bound(prec: Fraction, form: LinearForm,
@@ -274,7 +270,7 @@ def _product_bound(prec: Fraction, form: LinearForm,
 def _shift(f: PrecisionSeries, alpha: Exponent, c: Fraction, prec: Prec,
            form: Optional[LinearForm]) -> PrecisionSeries:
     """f times the exact term c x^alpha, certified to prec under form: the
-    one shift rule of `mul` and `mul_monomial`.  Each term e: v of f moves
+    product of `mul` when a factor has one term.  Each term e: v of f moves
     to e + alpha with coefficient c * v, or v itself when c = 1, and a
     certified product keeps the term only when level(e) + level(alpha) is
     within the level cap of prec, the window test of `mul`."""
@@ -338,18 +334,11 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
 
 
 def mul_monomial(f: PrecisionSeries, exp: Exponent, coeff=1) -> PrecisionSeries:
-    """Fast path for multiplying by a single exact term: `mul`'s shift
-    rule, certified to f's bound plus the term's L-value."""
-    coeff = Fraction(coeff)
-    if not coeff:
-        return zero(f.n)
-    exp = tuple(exp)
-    if len(exp) != f.n:
-        raise DimensionMismatch(f"monomial {exp} in dimension {f.n}")
-    prec = f.prec
-    if prec is not EXACT:
-        prec = prec + lvalue(f.form_ctx, exp)
-    return _shift(f, exp, coeff, prec, f.form_ctx)
+    """f times the exact term coeff x^exp: `mul` by `monomial`(f.n, exp,
+    coeff).  The term is checked as `series` checks one, so a negative or
+    non-integral exponent is refused, and the product is certified by
+    `mul`'s rule, to f's bound plus the term's L-value."""
+    return mul(f, monomial(f.n, exp, coeff))
 
 
 def power(f: PrecisionSeries, k: int) -> PrecisionSeries:

@@ -231,8 +231,8 @@ def hankel_minors(coeffs: Sequence, n_vars: int, mu) -> list:
     (a_0, ..., a_{p-1}), every one as the jet {exponent: Fraction} that its
     integer minor and scale stand for, and a minor the pass does not form
     as the zero jet; the command path converts only the minor it keeps."""
-    minors, unpack, _ = _hankel_discriminants(
-        _level(monic_polynomial(coeffs, n_vars)), len(coeffs), mu)
+    minors, unpack = _hankel_discriminants(
+        _level(monic_polynomial(coeffs, n_vars), mu), len(coeffs), mu)
     return [{unpack(e): Fraction(c, scale) for e, c in (jet or {}).items()}
             for jet, scale in minors]
 

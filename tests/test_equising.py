@@ -149,8 +149,8 @@ class TestHankelDiscriminants:
                 roots.append((r, m))
                 left -= m
             vec = _monic_with_roots(roots)
-            j, value, certs, _ = E._first_nonvanishing(
-                E._level(OR.monic_polynomial(vec, 0)), p, 0)
+            j, value, certs = E._first_nonvanishing(
+                E._level(OR.monic_polynomial(vec, 0), 0), p, 0)
             assert j == E.squarefree_defect(vec, p) + 1 == p - len(roots) + 1
             assert value and certs == ("exact-zero",) * (j - 1)
 
@@ -378,7 +378,7 @@ class TestTower:
         top = E.build_tower([K.series(2, {(0, 3): 1, (5, 0): -1})], 8).levels[0]
         bad = K.add(top.poly, K.series(2, {(0, 3): -1}))
         with pytest.raises(PresentationError, match="polynomial is not monic"):
-            E._hankel_discriminants(E._level(bad), 3, 8)
+            E._hankel_discriminants(E._level(bad, 8), 3, 8)
 
     def test_needs_coordinate_change(self):
         # xy is not regular in y: a recorded change must fix it

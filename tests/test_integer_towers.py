@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from localring import equising as E
 from localring import kernel as K
 from localring import order as O
-from localring.errors import InvariantViolation, NotRegular
+from localring.errors import InvariantViolation, NotRegular, PrecisionShortfall
 import oracles as OR
 
 #: mixed denominators, so that d is a genuine lcm
@@ -405,6 +405,34 @@ def test_unit_prepares_to_one_and_itself():
     P, u = E.weierstrass_prepare(f, 1, 4)
     assert P.terms == {(0, 0): 1}
     assert u.terms == f.terms and u.prec == 4
+
+
+def test_a_tower_hands_each_level_its_degree(monkeypatch):
+    # the cusp y^2 - x^3 at mu 8: one x_i-order for the generator and one
+    # for its discriminant -4x^3, and none read off a level
+    original, orders = E.regular_order, []
+
+    def regular_order(f, i):
+        orders.append(i)
+        return original(f, i)
+
+    monkeypatch.setattr(E, "regular_order", regular_order)
+    T = E.build_tower([K.series(2, {(0, 2): 1, (3, 0): -1})], 8)
+    assert len(orders) == 2
+    assert [level.degree for level in T.levels] == [2, 3]
+    assert E.validate_tower(T)["all_pass"]
+
+
+def test_a_top_level_above_the_window_is_refused():
+    # y^2 - x^3 and y^3 - x^2 are regular of orders 2 and 3 at mu 4, and
+    # their product has degree 5 > 4 in y
+    gens = [K.series(2, {(0, 2): 1, (3, 0): -1}),
+            K.series(2, {(0, 3): 1, (2, 0): -1})]
+    with pytest.raises(PrecisionShortfall, match=(
+            r"^the level in 2 variables has no pure power of its last "
+            r"variable on the window 4: its degree lies beyond the window$")):
+        E.build_tower(gens, 4)
+    assert E.build_tower(gens, 5).levels[0].degree == 5
 
 
 @pytest.mark.xfail(strict=True, reason="a level certified to degree mu knows "

@@ -17,7 +17,7 @@ from localring.errors import (
     PresentationError,
     SingularMatrix,
 )
-from oracles import print_series
+from oracles import fraction_product, print_series
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)
@@ -147,6 +147,47 @@ def test_product_bound_is_the_min_lvalue_rule(case):
         want.append(b.prec + O.min_lvalue(form, a))
     got = K.mul(a, b).prec
     assert got == min(want) and type(got) is F
+
+
+@st.composite
+def series_and_monomials(draw):
+    """(f, exp, coeff): f in n = 1..3 variables, exact or certified under
+    the standard form or one with rational weights, and a term coeff x^exp
+    whose coefficient may be zero."""
+    n = draw(st.integers(1, 3))
+    weight = st.builds(F, st.integers(1, 9), st.integers(1, 4))
+    form = draw(st.just(O.std_form(n))
+                | st.lists(weight, min_size=n, max_size=n).map(
+                    lambda ws: O.LinearForm(tuple(ws))))
+    coefficient = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    f = K.series(n, draw(st.dictionaries(exponents(n), coefficient,
+                                         max_size=4)))
+    if draw(st.booleans()):
+        f = K.truncate(f, form, draw(st.builds(F, st.integers(0, 30),
+                                               st.integers(1, 4))))
+    return f, draw(exponents(n)), draw(coefficient)
+
+
+class TestMulMonomial:
+    @pytest.mark.parametrize("exp", [(-1, 0), (1.5, 0)])
+    def test_negative_and_non_integral_exponents_refused(self, exp):
+        # the exponent is read as `monomial` reads it, never shifted in
+        y = K.variable(2, 1)
+        with pytest.raises(PresentationError):
+            K.mul_monomial(y, exp)
+        with pytest.raises(PresentationError):
+            K.mul_monomial(K.truncate(y, std2, 4), exp, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(series_and_monomials())
+    def test_one_term_products_are_the_fraction_product(self, case):
+        # terms, bound and form of the plain product by the monomial
+        f, exp, c = case
+        want = fraction_product(f, K.monomial(f.n, exp, c))
+        assert K.mul_monomial(f, exp, c) == want
+        assert K.mul(f, K.monomial(f.n, exp, c)) == want
+        constant = fraction_product(f, K.monomial(f.n, (0,) * f.n, c))
+        assert K.scale(f, c) == constant
 
 
 @settings(max_examples=60)

@@ -283,13 +283,12 @@ def test_the_top_level_reads_the_same_from_its_integers(case):
     ints, den = E._prepared_product(n, prepared, mu)
     assert den == K._numerators(T.levels[0].poly)[1]  # the lowest terms
     top = T.levels[0]
-    want = E._first_nonvanishing(E._level(top.poly), top.degree, mu)
+    want = E._first_nonvanishing(E._level(top.poly, mu), top.degree, mu)
     assert (want[0], want[2]) == (top.disc_index, top.vanish_certificates)
     # the product of the prepared denominators, before `_lowest_terms`
     product_den = math.prod([d for _, d in prepared])
     for d in (den, 6 * den, product_den):
-        level = E._Level(n, {e: d // den * c for e, c in ints.items()}, d,
-                         mu, O.std_form(n))
+        level = E._Level(n, {e: d // den * c for e, c in ints.items()}, d)
         assert E._first_nonvanishing(level, top.degree, mu) == want
 
 
@@ -329,12 +328,12 @@ def test_zero_series_vector_stops_at_the_structural_zero():
 def test_a_pure_power_has_first_discriminant_p(p):
     # X^p over the numbers and y^p over one variable: D_1 .. D_{p-1}
     # vanish, and D_p = s_0 = p
-    number = E._level(K.series(1, {(p,): 1}))
+    number = E._level(K.series(1, {(p,): 1}), 0)
     assert E._first_nonvanishing(number, p, 0) == (
-        p, F(p), ("exact-zero",) * (p - 1), True)
-    level = E._level(K.truncate(K.series(2, {(0, p): 1}), O.std_form(2), p))
-    j, value, certs, vanish = E._first_nonvanishing(level, p, p)
-    assert (j, certs, vanish) == (p, ("zero-up-to-mu",) * (p - 1), True)
+        p, F(p), ("exact-zero",) * (p - 1))
+    level = E._level(K.truncate(K.series(2, {(0, p): 1}), O.std_form(2), p), p)
+    j, value, certs = E._first_nonvanishing(level, p, p)
+    assert (j, certs) == (p, ("zero-up-to-mu",) * (p - 1))
     assert value == K.truncate(K.series(1, {(0,): p}), O.std_form(1), p)
 
 
@@ -380,8 +379,8 @@ def test_first_nonvanishing_converts_one_minor(coeffs, mu, j):
     # the pass returns integer minors, and only the one returned becomes a
     # jet of `Fraction`s: one per term of the value
     with mock.patch.object(E, "Fraction", wraps=F) as fraction:
-        got, value, _, _ = E._first_nonvanishing(
-            E._level(OR.monic_polynomial(coeffs, 1)), len(coeffs), mu)
+        got, value, _ = E._first_nonvanishing(
+            E._level(OR.monic_polynomial(coeffs, 1), mu), len(coeffs), mu)
     assert got == j
     assert value.terms == OR.hankel_minors(coeffs, 1, mu)[j - 1]
     assert fraction.call_count == len(value.terms) == 1
@@ -467,8 +466,8 @@ def polygon_levels(draw):
 def test_the_polygon_bound_leaves_out_only_minors_zero_on_the_window(case):
     coeffs, mu = case
     n, p = coeffs[0].n, len(coeffs)
-    minors, unpack, _ = E._hankel_discriminants(
-        E._level(OR.monic_polynomial(coeffs, n)), p, mu)
+    minors, unpack = E._hankel_discriminants(
+        E._level(OR.monic_polynomial(coeffs, n), mu), p, mu)
     want = OR.berkowitz_discriminants(coeffs, O.std_form(n), mu)
     for (jet, scale), D in zip(minors, want):
         if jet is None:  # not formed
@@ -483,8 +482,8 @@ def test_the_polygon_bound_reads_every_edge():
     # bounds it by 2 * (3/2 + 2/2 + 7/2) = 12 > 8
     coeffs = [K.series(1, {(8,): 1}), K.zero(1), K.series(1, {(1,): 1}),
               K.zero(1)]
-    minors, _, _ = E._hankel_discriminants(
-        E._level(OR.monic_polynomial(coeffs, 1)), 4, 8)
+    minors, _ = E._hankel_discriminants(
+        E._level(OR.monic_polynomial(coeffs, 1), 8), 4, 8)
     assert [jet is None for jet, _ in minors] == [True, False, False, False]
 
 
@@ -527,11 +526,11 @@ def test_terms_above_the_window_never_reach_the_packing(case):
     n, p = coeffs[0].n, len(coeffs)
     grown = [K.add(a, b) for a, b in zip(coeffs, above)]
     assert OR.hankel_minors(grown, n, mu) == OR.hankel_minors(coeffs, n, mu)
-    _, unpack, vanish = E._hankel_discriminants(
-        E._level(OR.monic_polynomial(grown, n)), p, mu)
-    _, want_unpack, want_vanish = E._hankel_discriminants(
-        E._level(OR.monic_polynomial(coeffs, n)), p, mu)
-    assert unpack.args == want_unpack.args and vanish == want_vanish
+    _, unpack = E._hankel_discriminants(
+        E._level(OR.monic_polynomial(grown, n), mu), p, mu)
+    _, want_unpack = E._hankel_discriminants(
+        E._level(OR.monic_polynomial(coeffs, n), mu), p, mu)
+    assert unpack.args == want_unpack.args
 
 
 # -- root counts beyond the symbolic cap ---------------------------------------
