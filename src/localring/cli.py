@@ -98,16 +98,12 @@ def _mu(args, f: IdealFile) -> Fraction:
     return mu
 
 
-def _trials(args) -> int:
-    if args.trials < 1:
-        raise UsageError(f"argument --trials: must be at least 1: {args.trials}")
-    return args.trials
-
-
-def _eta(args) -> int:
-    if args.eta < 0:
-        raise UsageError(f"argument --eta: must be at least 0: {args.eta}")
-    return args.eta
+def _at_least(args, name: str, low: int) -> int:
+    """The integer option --name, refused when it is below low."""
+    value = getattr(args, name)
+    if value < low:
+        raise UsageError(f"argument --{name}: must be at least {low}: {value}")
+    return value
 
 
 def _weights(args) -> tuple:
@@ -197,14 +193,14 @@ def _cmd_diagram(args, f, form, mu) -> tuple[int, dict]:
 
 
 def _cmd_hs(args, f, form, mu) -> tuple[int, dict]:
-    eta = _eta(args)
+    eta = _at_least(args, "eta", 0)
     basis = stdbasis.complete(f.presentation(form, mu), form, mu)
     return 0, {"eta_max": eta,
                "values": diagram.hilbert_samuel(basis, eta).values}
 
 
 def _cmd_oracle(args, f, form, mu) -> tuple[int, dict]:
-    eta = _eta(args)
+    eta = _at_least(args, "eta", 0)
     mu = max(f.mu, eta)
     I = f.presentation(form, mu)
     values = diagram.oracle_jet_quotient_table(I, eta)
@@ -224,8 +220,8 @@ def _cmd_flat(args, f, form, mu) -> tuple[int, dict]:
 
 def _cmd_dim(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, mu)
-    rep = diagram.axis_vertex_dimension(I, mu, trials=_trials(args),
-                                        seed=args.seed)
+    rep = diagram.axis_vertex_dimension(
+        I, mu, trials=_at_least(args, "trials", 1), seed=args.seed)
     return 0, {
         "seed": rep.seed,
         "trials": rep.trials,
@@ -259,8 +255,9 @@ def _cmd_perturb(args, f, form, mu) -> tuple[int, dict]:
 def _cmd_ci(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, mu)
     deltas, source = _deltas(args, f, form, mu, len(I.gens))
-    rep = approx.ci_stability_experiment(I, mu, deltas, seed=args.seed,
-                                         trials=_trials(args), source=source)
+    rep = approx.ci_stability_experiment(
+        I, mu, deltas, seed=args.seed,
+        trials=_at_least(args, "trials", 1), source=source)
     return (0 if rep.get("all_equal") else 2), rep
 
 

@@ -75,7 +75,7 @@ built only for emitted terms, where the usual checks run on them.
 The packing has a second user: `equising` keys the jets of its discriminant
 towers by these ints, under the standard form, and relies on the sum and
 window-test properties above.  Its Weierstrass preparation is this loop,
-run through `_members` and `_divide` as completion runs it.
+run through `_packed`, `_member` and `_divide` as completion runs it.
 
 The slot width.  Let cap be the window's top level, capc = cap //
 min(int_weights) and B the largest component of the dividend and of the

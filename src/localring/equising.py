@@ -114,11 +114,11 @@ from .division import (
 )
 from .errors import (
     DimensionMismatch,
+    FormMismatch,
     InvariantViolation,
     NotRegular,
     PrecisionShortfall,
     PresentationError,
-    UndecidedAtPrecision,
 )
 from .kernel import (
     EXACT,
@@ -685,11 +685,9 @@ def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:
     for dim in range(n, 0, -1):
         # every level is built on the window: the product, a prepared
         # discriminant, or one of them after a linear change, which moves
-        # only the first dim - 1 variables and so keeps the degree p
+        # only the first dim - 1 variables and so keeps the degree p; and
+        # p >= 1, so D_p = s_0 = p is nonzero and j is always found
         j, disc_val, certs = _first_nonvanishing(_Level(dim, ints, den), p, mu)
-        if j is None:
-            raise UndecidedAtPrecision("every generalized discriminant "
-                                       "vanished up to the working precision")
         const = _at_origin(disc_val)
         if const:
             levels.append(TowerLevel(dim, False, current, p, j, certs,
@@ -719,7 +717,8 @@ def _level_checks(lvl: TowerLevel, below: Optional[TowerLevel], mu) -> dict:
     try:
         j, disc_val, certs = _first_nonvanishing(_level(f, mu), p, mu)
         monic = True
-    except PresentationError:  # not monic, or a term above the degree
+    except (PresentationError, PrecisionShortfall, FormMismatch):
+        # not monic, a term above the degree, or not admitted on the window
         j, monic = None, False
     # every a_i vanishes at the origin: each term of x_n-degree below p
     # has a positive degree in the other variables

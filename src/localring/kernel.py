@@ -47,7 +47,6 @@ from .order import (
     LinearForm,
     form_label,
     is_isotropic,
-    min_lvalue,
     std_form,
     std_key,
 )
@@ -134,15 +133,6 @@ class PrecisionSeries:
     def __neg__(self):
         return PrecisionSeries(self.n, {e: -c for e, c in self.terms.items()},
                                self.prec, self.form_ctx)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, -other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __repr__(self):
         head = ", ".join(
@@ -435,8 +425,6 @@ def embed(f: PrecisionSeries, n_new: int, var_map: tuple[int, ...],
         for i, j in enumerate(var_map):
             new_e[j] = e[i]
         out[tuple(new_e)] = c
-    if f.prec is EXACT:
-        return PrecisionSeries(n_new, out)
     return PrecisionSeries(n_new, out, f.prec, new_form)
 
 
@@ -447,18 +435,15 @@ def _builtin_jet(u: PrecisionSeries, L: LinearForm, mu, coeff_of_k) -> Precision
     if u.coefficient((0,) * u.n):
         raise ZeroUpToPrecision("builtin argument must have zero constant term")
     ut = truncate(u, L, mu)
-    acc = one(u.n)
-    term = one(u.n)
-    if ut.terms:
-        o = min_lvalue(L, ut)
-        k = 1
-        while o * k <= mu:
-            term = truncate(mul(term, ut), L, mu)
-            if term.is_zero_up_to_prec:
-                break
-            acc = add(acc, scale(term, coeff_of_k(k)))
-            k += 1
-    return truncate(acc, L, mu)
+    acc = term = one(u.n)
+    k = 0
+    # u has no constant term, so each power raises the order and the last
+    # one leaves the window; the first sum already certifies acc to mu
+    while term.terms:
+        k += 1
+        term = truncate(mul(term, ut), L, mu)
+        acc = add(acc, scale(term, coeff_of_k(k)))
+    return acc
 
 
 def exp_jet(u: PrecisionSeries, L: LinearForm, mu) -> PrecisionSeries:

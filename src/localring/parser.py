@@ -82,7 +82,6 @@ def _tokenize(src: str):
 
 class _Parser:
     def __init__(self, src: str, var_names: Sequence[str], form: LinearForm, mu):
-        self.src = src
         self.tokens = _tokenize(src)
         self.k = 0
         self.depth = 0

@@ -16,7 +16,6 @@ from localring.errors import (
     NotRegular,
     PrecisionShortfall,
     PresentationError,
-    UndecidedAtPrecision,
 )
 import oracles as OR
 
@@ -373,6 +372,25 @@ class TestTower:
             ("distinguished_form", "coefficients_vanish",
              "discriminant_certificates", "unit_factorization"), False)
 
+    @pytest.mark.parametrize("recertify", [
+        # certified to 6, short of the tower's window 8
+        lambda f: K.truncate(f, std2, 6),
+        # certified under w:2,1, not under the standard form
+        lambda f: K.reweight(f, O.LinearForm((F(2), F(1)))),
+    ], ids=["short", "other-form"])
+    def test_a_level_not_admitted_on_the_window_passes_no_check(self,
+                                                                 recertify):
+        # the read refuses the level (PrecisionShortfall, FormMismatch), and
+        # validation reports it instead of raising
+        good = E.build_tower([K.series(2, {(0, 3): 1, (5, 0): 1})], 8)
+        top, *rest = good.levels
+        bad = top._replace(poly=recertify(top.poly))
+        report = E.validate_tower(good._replace(levels=(bad, *rest)))
+        assert not report["all_pass"]
+        assert report["levels"][2] == dict.fromkeys(
+            ("distinguished_form", "coefficients_vanish",
+             "discriminant_certificates", "unit_factorization"), False)
+
     def test_the_hankel_read_refuses_a_level_without_its_x_p_term(self):
         # the cusp y^3 - x^5 at mu 8 with y^3 removed from its top level
         top = E.build_tower([K.series(2, {(0, 3): 1, (5, 0): -1})], 8).levels[0]
@@ -403,15 +421,14 @@ class TestTower:
 
     def test_seeded_plane_curves_all_validate(self):
         from conftest import rand_poly
-        from localring.errors import (BudgetExceeded, NotRegular,
-                                      UndecidedAtPrecision)
+        from localring.errors import BudgetExceeded, NotRegular
         rng = random.Random(123)
         built = 0
         while built < 25:
             g = rand_poly(rng, 2, max_terms=4, max_exp=2, min_order=1)
             try:
                 T = E.build_tower([g], 5, seed=rng.randrange(1000))
-            except (NotRegular, BudgetExceeded, UndecidedAtPrecision):
+            except (NotRegular, BudgetExceeded):
                 continue
             assert E.validate_tower(T)["all_pass"], dict(g.terms)
             built += 1
@@ -433,8 +450,7 @@ class TestTower:
                 gens.append(K.series(4, terms))
             try:
                 T = E.build_tower(gens, 6, seed=rng.randrange(1000))
-            except (NotRegular, PrecisionShortfall, PresentationError,
-                    UndecidedAtPrecision):
+            except (NotRegular, PrecisionShortfall, PresentationError):
                 continue
             assert E.validate_tower(T)["all_pass"], [g.terms for g in gens]
             built += 1

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 from fractions import Fraction as F
@@ -213,6 +216,20 @@ class TestCli:
         assert "Exit codes: 0 = success" in text
         assert "single --seed flag" in text
         assert "handler" not in text
+
+    @pytest.mark.parametrize("module", ["localring", "localring.cli"])
+    def test_module_entry_points_print_the_report(self, monomial_file, module):
+        # `python -m localring` and `python -m localring.cli` print the
+        # report of `run` and exit with its code
+        argv = ["hs", "--file", monomial_file, "--eta", "-1"]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", module, *argv],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": path})
+        code, rep = cli.run(argv)
+        assert (out.returncode, json.loads(out.stdout)) == (code, rep)
+        assert code == 1
 
     def test_hs_table(self, monomial_file):
         code, rep = cli.run(["hs", "--file", monomial_file, "--eta", "4"])

@@ -10,11 +10,13 @@ takes one, on a wider window.  Every output of a rerun must have the
 first run's terms on the window the first run claims, and must claim no
 lower bound.
 
-Covered: `add`, `mul`, `mul_monomial`, `truncate` and `substitute_linear`
-(isotropic forms); `hironaka_divide`, its quotient i on mu - L(alpha_i)
-and its remainder; the vertices of `complete` and, under the standard
-form, `hilbert_samuel`; and `weierstrass_prepare` on inputs with ord f =
-p.  Tower levels are left out: a level certified to mu knows its
+Covered: `add`, `mul`, `mul_monomial`, `truncate`, `reweight`, `embed`,
+`evaluate_tail_zero`, the builtin jets `exp_jet` and `geom_jet`, and
+`substitute_linear` (isotropic forms); `hironaka_divide`, its quotient i
+on mu - L(alpha_i) and its remainder; the vertices of `complete`, the
+verdict of `becker_check` and, under the standard form, `hilbert_samuel`;
+the report of `flatness_weight_search`; and `weierstrass_prepare` on
+inputs with ord f = p.  Tower levels are left out: a level certified to mu knows its
 coefficient a_m only to mu - m, which the strict xfail
 `test_discriminant_certificates_do_not_over_claim` pins.
 """
@@ -22,16 +24,22 @@ coefficient a_m only to mu - m, which the strict xfail
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from localring import kernel as K
 from localring import linalg
 from localring import order as O
-from localring.diagram import diagram_of, hilbert_samuel
+from localring.diagram import (
+    diagram_of,
+    flatness_weight_search,
+    hilbert_samuel,
+)
 from localring.division import hironaka_divide
 from localring.equising import weierstrass_prepare
-from localring.stdbasis import complete
+from localring.errors import PrecisionShortfall
+from localring.stdbasis import becker_check, complete
 
 COEFFS = [F(1), F(-1), F(2), F(-3), F(1, 2), F(-2, 3), F(5, 4)]
 
@@ -142,6 +150,79 @@ def test_truncation_keeps_its_window(case, data):
 
 
 @st.composite
+def reweightings(draw):
+    """(a, A, new): a certified operand, its grown version, and a positive
+    form on its variables, often its own."""
+    n = draw(st.integers(1, 3))
+    L = draw(forms(n))
+    a = certified(draw, L, F(draw(st.integers(0, 4 * L.den)), L.den))
+    return a, grow(draw, a), draw(st.just(L) | forms(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reweightings())
+def test_reweighting_keeps_its_window(case):
+    a, A, new = case
+    claimed(K.reweight(a, new), K.reweight(A, new))
+
+
+@st.composite
+def embeddings(draw):
+    """(a, A, n_new, var_map, form): a certified operand, its grown version,
+    and an embedding into n_new variables with a form that keeps the
+    weights of the mapped variables."""
+    n = draw(st.integers(1, 2))
+    L = draw(forms(n))
+    a = certified(draw, L, F(draw(st.integers(0, 4 * L.den)), L.den))
+    n_new = n + draw(st.integers(0, 2))
+    var_map = tuple(draw(st.permutations(range(n_new)))[:n])
+    weights = draw(st.lists(st.sampled_from([F(1), F(2), F(1, 2)]),
+                            min_size=n_new, max_size=n_new))
+    for i, j in enumerate(var_map):
+        weights[j] = L.weights[i]
+    return a, grow(draw, a), n_new, var_map, O.LinearForm(tuple(weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(embeddings())
+def test_embedding_keeps_its_window(case):
+    a, A, n_new, var_map, form = case
+    claimed(K.embed(a, n_new, var_map, form), K.embed(A, n_new, var_map, form))
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_operands(), st.data())
+def test_evaluation_at_zero_keeps_its_window(case, data):
+    a, _, A, _, _ = case
+    assume(a.n > 1)
+    k = data.draw(st.integers(1, a.n - 1))
+    claimed(K.evaluate_tail_zero(a, k), K.evaluate_tail_zero(A, k))
+
+
+@st.composite
+def builtin_arguments(draw):
+    """(u, U, L): u certified under L with no constant term and its grown
+    version."""
+    n = draw(st.integers(1, 2))
+    L = draw(forms(n))
+    mu = F(draw(st.integers(min(L.int_weights), 3 * L.den)), L.den)
+    u = certified(draw, L, mu, low=1, max_terms=3)
+    return u, grow(draw, u), L
+
+
+@settings(max_examples=100, deadline=None)
+@given(builtin_arguments())
+def test_builtin_jets_keep_their_window(case):
+    # the jet stops when a power of u leaves the window, so the wider
+    # rerun takes more powers than the first
+    u, U, L = case
+    for jet in (K.exp_jet, K.geom_jet):
+        base = jet(u, L, u.prec)
+        claimed(base, jet(U, L, u.prec))
+        claimed(base, jet(U, L, U.prec))
+
+
+@st.composite
 def linear_changes(draw):
     """(a, A, M): a certified operand under an isotropic form, its grown
     version, and a unimodular integer matrix."""
@@ -203,6 +284,19 @@ def test_completion_keeps_its_staircase(case):
     assert vertices(complete(J, L, wider(grown)), L, mu) == base
 
 
+@settings(max_examples=100, deadline=None)
+@given(ideals(), st.data())
+def test_the_s_series_check_keeps_its_verdict(case, data):
+    gens, grown, L, mu = case
+    if data.draw(st.booleans()):  # a standard basis, whose check passes
+        gens = complete(K.IdealPresentation(L.n, gens), L, mu).gens
+        grown = [grow(data.draw, g) for g in gens]
+    base = becker_check(gens, L, mu)
+    other = becker_check(grown, L, mu)
+    assert (other.verified, other.heads, other.pair_checks) == (
+        base.verified, base.heads, base.pair_checks)
+
+
 @settings(max_examples=80, deadline=None)
 @given(ideals(standard=True))
 def test_hilbert_samuel_keeps_its_table(case):
@@ -211,6 +305,45 @@ def test_hilbert_samuel_keeps_its_table(case):
     base = hilbert_samuel(complete(I, L, mu), mu)
     assert hilbert_samuel(complete(J, L, mu), mu) == base
     assert hilbert_samuel(complete(J, L, wider(grown)), mu) == base
+
+
+@st.composite
+def split_ideals(draw):
+    """(gens, grown, k, mu): two generators in 3 variables with terms of
+    degree 1..mu, each with a pure power of x_1, certified to 12 under the
+    standard form, and their grown versions.  The search's staircase
+    vertices then have degree at most mu, so l0 * mu <= mu * (mu + 1) <= 12
+    and every window it asks is certified.  The pure powers keep every
+    evaluated generator nonzero on the window; one that is zero there is
+    the known defect of the next test."""
+    L, mu = O.std_form(3), draw(st.integers(2, 3))
+    gens = []
+    for _ in range(2):
+        terms = certified(draw, L, mu, low=1, max_terms=3).terms
+        terms[(draw(st.integers(1, mu)), 0, 0)] = F(1)
+        gens.append(K.series(3, terms, F(12), L))
+    return gens, [grow(draw, g) for g in gens], draw(st.integers(1, 2)), mu
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_ideals())
+def test_flatness_search_keeps_its_report(case):
+    gens, grown, k, mu = case
+    base = flatness_weight_search(K.IdealPresentation(3, gens), k, mu)
+    assert flatness_weight_search(K.IdealPresentation(3, grown), k, mu) == base
+
+
+@pytest.mark.xfail(raises=PrecisionShortfall, strict=True)
+def test_flatness_search_ignores_an_evaluation_zero_on_the_window():
+    # z is zero on {z = 0} up to its bound 12, so the evaluated ideal drops
+    # it; a term x^8 y^5 above the bound makes it a nonzero evaluation,
+    # which completion on the window 2 refuses for its head (8, 5)
+    L = O.std_form(3)
+    gens = [K.series(3, {(1, 0, 0): 1, (0, 0, 1): 1}, F(12), L),
+            K.series(3, {(0, 0, 1): 1}, F(12), L)]
+    grown = [gens[0], K.series(3, {(0, 0, 1): 1, (8, 5, 0): 1}, F(13), L)]
+    base = flatness_weight_search(K.IdealPresentation(3, gens), 2, 2)
+    assert flatness_weight_search(K.IdealPresentation(3, grown), 2, 2) == base
 
 
 # -- Weierstrass preparation -------------------------------------------------
