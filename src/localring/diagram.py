@@ -44,6 +44,7 @@ from .kernel import (
     _numerators,
     evaluate_tail_zero,
     prec_at_least,
+    truncate,
 )
 from .order import (
     Exponent,
@@ -249,12 +250,15 @@ def flatness_weight_search(I: IdealPresentation, k: int, mu,
     asked of the presentation (`IdealPresentation.at`): a presentation
     with a source expands its generators to it, and one without passes
     exact generators and refuses a certified one that the form cannot
-    carry to the window, with PrecisionShortfall.
+    carry to the window, with PrecisionShortfall.  The evaluated ideal is
+    that of the generators cut to (std, mu), the same as each evaluation
+    cut to (std_k, mu): an evaluation zero on the window is dropped,
+    whatever terms it has above it.
     """
     mu = Fraction(mu)
-    n = I.n
-    ev = evaluated_ideal(
-        IdealPresentation(n, I.at(std_form(n), mu), I.var_names), k)
+    n, L = I.n, std_form(I.n)
+    ev = evaluated_ideal(IdealPresentation(
+        n, tuple([truncate(g, L, mu) for g in I.at(L, mu)]), I.var_names), k)
     base_basis = complete(ev, std_form(k), mu)
     base_D = diagram_of(base_basis)
     l0 = 1 + max(int(sum(v)) for v in base_D.vertices)

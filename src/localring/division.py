@@ -14,12 +14,14 @@ unprocessed level exceeds the requested bound mu.
 Quotients and remainder are unique (the greedy routing is forced), and the
 listing order of the divisors is significant: the API never re-sorts it.
 
-There is one division loop, and it is fraction-free.  It runs on member
-records: each divisor admitted once on the window (`kernel._admit`) and
-converted once to a primitive integer multiple with a positive integer head
-a, its tail sorted in the order of L.  A record also carries the level cap
-of the divisor's certified bound (EXACT for an exact divisor), so nothing
-downstream reads head, level or bound from the series again.  A series
+There is one division loop, and it holds integers alone.  It runs on
+member records: each divisor admitted once on the window (`kernel._admit`)
+and converted once to a primitive integer multiple with a positive integer
+head a, its tail sorted in the order of L.  A record holds the head
+exponent, a, the packed head (whose top bits are the head's level), the
+packed integer tail and the level cap of the divisor's certified bound
+(EXACT for an exact divisor), so nothing downstream reads head, level or
+bound from the series again; it holds no rational.  A series
 becomes integer terms here in `_packed`, which writes it as numerators over
 the lcm of its denominators (`kernel._numerators`) on packed exponents, and
 `_member` builds a record from such terms (`equising._level`, which also
@@ -33,15 +35,19 @@ remainder straight from the loop's packed output.  The running series is
 held as Python integers over one common denominator.  Processing a term w
 (over the denominator) scales the running series by a / gcd(w, a) when
 that is not 1, then subtracts w / gcd(w, a) times the shifted integer
-tail.  The loop reads from the dividend's bound
-and the records' caps whether the division may turn out exact; unless it
-may, a term above the window is dropped at once.  Each call lists the routes
+tail.  The loop reads from its caller's flag for the dividend and the
+records' caps whether the division may turn out exact; unless it may, a
+term above the window is dropped at once.  Each call lists the routes
 (packed head, a, tail, index) of the members once, in list order, and
 windows its dividend once; it skips the gcd when a = 1.  A processed term
 beta shifts a tail by s = beta - alpha, and the tail is sorted, so the
 shifted tail leaves the window at its first term e >= limit - s, where
 limit packs the first level above the window: an inexact division reads no
-tail past that integer.  Rationals are built only for what is emitted, and a
+tail past that integer.  The loop builds no rational: a quotient term comes
+back as the integer pair (w, den) of the step that routed it, the remainder
+as numerators over one denominator.  Only the callers that emit series
+build `Fraction`s: `hironaka_divide`, which divides w / den by the head
+coefficient of the divisor, `_adjoined` and `equising._prepare`.  A
 remainder term is checked against the head tuples, outside every cone, as
 it is unpacked.  By uniqueness the results equal those of the plain rational
 loop, and dividing a rational multiple of a series gives the same multiple
@@ -87,8 +93,10 @@ term the loop creates is a shift plus a member term, at most capc + M; an
 s-series is the same kind of sum (the lcm of two heads in the window, minus
 a head, plus a member term).  So one packing with room for capc + M serves a
 whole `hironaka_divide`, `complete` or `becker_check` call, including every
-member completion adjoins.  `_pack` checks every component it packs against
-the slot and raises `InvariantViolation` if it does not fit.
+member completion adjoins.  Two heads in the window have components at most
+capc, so their sum fits as well: completion reads coprime heads off it.
+`_pack` checks every component it packs against the slot and raises
+`InvariantViolation` if it does not fit.
 """
 
 from __future__ import annotations
@@ -176,31 +184,30 @@ def _unpack(pk: _Packing, p: int) -> Exponent:
 
 
 class _Member(NamedTuple):
-    """A divisor g in integer form: g = (lead / a) * (a x^alpha + tail)."""
+    """A divisor g in integer form: g is a rational multiple of
+    a x^alpha + tail.  The head's level is that of the packed head, and the
+    rational factor is read from g by the one caller that emits quotients,
+    `hironaka_divide`."""
 
     alpha: Exponent  # the head exponent
-    level: int  # its integer level
-    lead: Fraction  # the head coefficient of g
     a: int  # the positive integer head
     head: int  # the packed head exponent
     tail: list  # (packed exponent, integer coefficient) in increasing order
     cap: Optional[int]  # the level cap of g's certified bound, or EXACT
 
 
-def _member(terms: dict, den: int, cap: Optional[int],
-            pk: _Packing) -> _Member:
-    """The record of the nonzero series {p: terms[p] / den}, with packed
-    exponents p and integer terms[p], certified to the levels <= cap (EXACT
-    when it is exact): its primitive integer multiple with a positive
-    head."""
+def _member(terms: dict, cap: Optional[int], pk: _Packing) -> _Member:
+    """The record of a nonzero series with integer terms[p] on packed
+    exponents p (over any denominator), certified to the levels <= cap
+    (EXACT when it is exact): its primitive integer multiple with a
+    positive head."""
     # packed exponents are distinct, so the sort never compares coefficients
     (head, w0), *rest = sorted(terms.items())
     content = reduce(math.gcd, terms.values())
     if w0 < 0:
         content = -content
-    return _Member(_unpack(pk, head), head >> pk.shift, Fraction(w0, den),
-                   w0 // content, head, [(p, c // content) for p, c in rest],
-                   cap)
+    return _Member(_unpack(pk, head), w0 // content, head,
+                   [(p, c // content) for p, c in rest], cap)
 
 
 def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
@@ -213,9 +220,8 @@ def _members(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
             raise ZeroUpToPrecision(
                 "a divisor or basis member is zero up to its precision")
         _admit(g, L, mu)
-        terms, den = _packed(g, pk)
         cap = EXACT if g.prec is EXACT else L.level_cap(g.prec)
-        members.append(_member(terms, den, cap, pk))
+        members.append(_member(_packed(g, pk)[0], cap, pk))
     return members
 
 
@@ -261,18 +267,21 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
     members = _members(divisors, L, mu, pk)
     terms, den = _packed(F, pk)
     quotients: list[dict] = [dict() for _ in members]
-    rem, den, exact = _divide(terms, den, F.prec, members, pk, L.level_cap(mu),
-                              quotients)
+    rem, den, exact = _divide(terms, den, F.prec is EXACT, members, pk,
+                              L.level_cap(mu), quotients)
     add = operator.add
     partition = RegionPartition(tuple([m.alpha for m in members]))
     out_q = []
-    for i, (packed, m) in enumerate(zip(quotients, members)):
+    for i, (packed, m, g) in enumerate(zip(quotients, members, divisors)):
+        # a term w over den comes back as the quotient term (w / den) / lead
+        # of g, lead the head coefficient of g
+        lead = g.terms[m.alpha]
         qterms = {}
-        for s, c in packed.items():
+        for s, (w, d) in packed.items():
             e = _unpack(pk, s)
             if partition.region_of((*map(add, e, m.alpha),)) != i:
                 raise InvariantViolation(f"quotient {i} left its region")
-            qterms[e] = c
+            qterms[e] = Fraction(w * lead.denominator, d * lead.numerator)
         bound = EXACT if exact else mu - lvalue(L, m.alpha)
         out_q.append(PrecisionSeries(n, qterms, bound, L))
     remainder = _remainder(rem, den, pk, partition.alphas)
@@ -306,24 +315,25 @@ def _adjoined(rem: dict, exact: bool, members: Sequence[_Member],
     w0 = next(iter(rem.values()))  # `_divide` emits in increasing order
     terms = _remainder(rem, w0, pk, [m.alpha for m in members])
     prec, cap = (EXACT, EXACT) if exact else (mu, L.level_cap(mu))
-    return PrecisionSeries(L.n, terms, prec, L), _member(rem, w0, cap, pk)
+    return PrecisionSeries(L.n, terms, prec, L), _member(rem, cap, pk)
 
 
-def _divide(terms: dict, den: int, prec, members: Sequence[_Member],
+def _divide(terms: dict, den: int, exact: bool, members: Sequence[_Member],
             pk: _Packing, cap: int, quotients: Optional[list] = None) -> tuple:
     """The division loop: divide {p: terms[p] / den}, with packed exponents
     p and integer terms[p], by the member records, on the levels <= cap.
-    Of the dividend's bound `prec` (a bound or a level cap) only whether it
-    is EXACT is read.
+    `exact` says whether the dividend is exact.
 
     Returns (remainder, den, exact): the remainder maps packed exponents, in
     increasing order, to integer numerators over the returned den, and exact
     says whether the division is exact: the dividend and every member are
     exact, and nothing is left above the window.  With `quotients`, a list
-    of one dict per member, quotient i gets {packed shift: Fraction};
-    without it no quotient is built.
+    of one dict per member, quotient i gets {packed shift: (w, d)}: the
+    term w / d of the running series routed to member i, over the
+    denominator d of that step.  The quotient term of a divisor whose head
+    coefficient is c is w / (d * c).  Without it no quotient is built.
     """
-    exact = prec is EXACT and all(m.cap is EXACT for m in members)
+    exact = exact and all(m.cap is EXACT for m in members)
     limit = (cap + 1) << pk.shift  # p < limit exactly when level(p) <= cap
     guard = pk.guard
     # the routes in list order, so the first dividing head wins
@@ -356,9 +366,7 @@ def _divide(terms: dict, den: int, prec, members: Sequence[_Member],
             continue
         shift = beta - head
         if quotients is not None:
-            lead = members[i].lead
-            quotients[i][shift] = Fraction(w * lead.denominator,
-                                           den * lead.numerator)
+            quotients[i][shift] = (w, den)
         # subtract w / (den * a) times x^shift times the integer divisor,
         # over the new denominator den * a / g
         if a != 1:

@@ -444,10 +444,10 @@ def _weierstrass_polynomial(jet: PrecisionSeries, p: int, i: int,
     cap = W * top + p
     pk = _slots(Lw, cap, 0)  # j's components are at most top <= cap
     terms, jden = _packed(jet, pk)
-    divisor = _member(terms, jden, EXACT, pk)  # j is exact under Lw
-    # only the window is wanted (prec `cap`, not EXACT): terms above it are
-    # dropped at once, and the quotient q is not built
-    rem, den, _ = _divide({divisor.head: 1}, 1, cap, [divisor], pk, cap)
+    divisor = _member(terms, EXACT, pk)  # j is exact under Lw
+    # only the window is wanted (the dividend passed as inexact): terms above
+    # it are dropped at once, and the quotient q is not built
+    rem, den, _ = _divide({divisor.head: 1}, 1, False, [divisor], pk, cap)
     ints = {alpha: den}
     for s, w in rem.items():
         e = _unpack(pk, s)
@@ -482,15 +482,15 @@ def _prepare(jet: PrecisionSeries, p: int, i: int, mu: Fraction) -> tuple:
     else:
         terms, jden, head, rem, rden, pk, cap = division
         record = _member({head: rden, **{e: -w for e, w in rem.items()}},
-                         rden, cap, pk)
+                         cap, pk)
         quotient: list = [{}]
-        _divide(terms, jden, cap, [record], pk, cap, quotient)
+        _divide(terms, jden, False, [record], pk, cap, quotient)
         top = int(mu) - order
         u_terms = {}
-        for s, c in quotient[0].items():
+        for s, (w, d) in quotient[0].items():
             e = _unpack(pk, s)
             if sum(e) <= top:
-                u_terms[e] = c
+                u_terms[e] = Fraction(w, d)  # P is monic
     u = PrecisionSeries(n, u_terms, mu - order, L)
     check = mul(u, P)
     if not agrees_up_to(check, jet, L, prec_min(mu, check.prec)):

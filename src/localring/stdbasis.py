@@ -15,11 +15,11 @@ exponents qualify.
 Completion and `becker_check` choose one exponent packing per call (see
 `division`: it has room for every member completion can adjoin), admit and
 convert each member once, when it enters the basis, into the integer record
-of `division` (head, level, primitive integer head a, packed head, packed
-integer tail in increasing order and the level cap of its certified bound),
-and read heads and caps from the records.  An adjoined member's record is
-built from the packed integer remainder itself, and the division loop alone
-decides exactness.  The s-series of members i and j is formed on integers
+of `division` (head, primitive integer head a, packed head, packed integer
+tail in increasing order and the level cap of its certified bound), and
+read heads, levels and caps from the records: a level is the top bits of a
+packed head.  An adjoined member's record is built from the packed integer
+remainder itself, and the division loop alone decides exactness.  The s-series of members i and j is formed on integers
 and packed exponents,
 
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j,
@@ -31,7 +31,8 @@ k) = floor(x * den) + k for an integer k, its level cap is the least
 
     cap_r + level(m) - level(alpha_r)
 
-on integers, with cap_r the record's cap: no rational is formed per pair.
+on integers, with cap_r the record's cap and level(m) - level(alpha_r) the
+level of the packed shift m - alpha_r: no rational is formed per pair.
 It is a nonzero rational multiple of `s_series(g_i, g_j)`, so by linearity
 and uniqueness of division its remainder is the same multiple of that
 s-series' remainder: the pair statuses, the adjoined head-monic members and
@@ -61,13 +62,16 @@ above the lcm whose s-series produced it), so a skip rests only on pairs
 that left before it, and three pairs sharing one lcm cannot excuse each
 other.
 
-Both criteria are read from small per-call tables, not from exponent tuples.
-Each member has a support bitmask, bit k set when x_k divides its head, and
-two heads are coprime (Buchberger's product criterion) when their masks
-share no bit.  Each member i also has the set left[i] of the partners k
-whose pair (i, k) has left the queue, so the candidates of the chain
-criterion are left[i] & left[j], and h_k divides the packed lcm when
-subtracting the packed head borrows into no guard bit (see `division`).
+Both criteria are read from packed heads, not from exponent tuples.  Two
+heads are coprime (Buchberger's product criterion) exactly when their lcm is
+their sum, and on packed heads that is the integer test m_ij == h_i + h_j:
+both heads lie in the window, so their components are at most capc (the
+window's top level over the least integer weight), and the packing gives
+every slot room for 2 * capc (see `division`), so the packed sum carries
+into no other slot.  Each member i also has the set
+left[i] of the partners k whose pair (i, k) has left the queue, so the
+candidates of the chain criterion are left[i] & left[j], and h_k divides the
+packed lcm when subtracting the packed head borrows into no guard bit.
 
 The criterion keeps the staircase but not the basis: a skipped pair might
 have adjoined a redundant member.  `sbasis complete` prints the heads, the
@@ -156,20 +160,14 @@ def s_series(F: PrecisionSeries, G: PrecisionSeries, L: LinearForm) -> Precision
     return sub(left, right)
 
 
-def _support(alpha) -> int:
-    """The bitmask of the variables in x^alpha: two heads are coprime, and
-    Buchberger's product criterion applies, when their masks share no bit."""
-    return sum([1 << k for k, c in enumerate(alpha) if c])
-
-
 def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> tuple:
     """(packing, records) of the members, once they are admitted and their
     heads lie in the window."""
     pk = _packing(L, mu, gens)
     members = _members(gens, L, mu, pk)
-    cap = L.level_cap(mu)
+    limit = (L.level_cap(mu) + 1) << pk.shift
     for m in members:
-        if m.level > cap:
+        if m.head >= limit:  # its level is above the window
             raise PrecisionShortfall(
                 f"head {m.alpha} lies beyond the verification window {mu}")
     return pk, members
@@ -184,9 +182,9 @@ def _integer_s_series(ri, rj, lcm: int, pk: _Packing) -> tuple:
     levels <= cap, the level cap of the bound of `s_series(g_i, g_j, L)`
     (EXACT when that is exact).
     """
-    # the shift lcm - alpha raises every level by level(lcm) - level(alpha)
-    lcm_level = lcm >> pk.shift
-    cap = min([r.cap + lcm_level - r.level for r in (ri, rj)
+    # the shift lcm - alpha raises every level by level(lcm) - level(alpha),
+    # the level of the packed shift
+    cap = min([r.cap + ((lcm - r.head) >> pk.shift) for r in (ri, rj)
                if r.cap is not EXACT], default=EXACT)
     limit = None if cap is EXACT else (cap + 1) << pk.shift
     terms: dict = {}
@@ -215,17 +213,18 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
     gens = tuple(gens)
     pk, members = _check_ready(gens, L, mu)
     cap = L.level_cap(mu)
-    support = [_support(m.alpha) for m in members]
     checks = []
     verified = True
     for i, ri in enumerate(members):
         for j in range(i + 1, len(gens)):
-            if use_coprime_skip and not support[i] & support[j]:
+            rj = members[j]
+            lcm = _pack(pk, (*map(max, ri.alpha, rj.alpha),))
+            if use_coprime_skip and lcm == ri.head + rj.head:
                 checks.append(PairCheck(i, j, "skipped-coprime"))
                 continue
-            lcm = _pack(pk, (*map(max, ri.alpha, members[j].alpha),))
-            terms, scap = _integer_s_series(ri, members[j], lcm, pk)
-            ok = not terms or not _divide(terms, 1, scap, members, pk, cap)[0]
+            terms, scap = _integer_s_series(ri, rj, lcm, pk)
+            ok = not terms or not _divide(terms, 1, scap is EXACT, members,
+                                          pk, cap)[0]
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
     return CertifiedBasis(gens, L, mu, verified,
@@ -252,7 +251,6 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     basis = list(I.gens)
     pk, members = _check_ready(basis, L, mu)
     cap, guard = L.level_cap(mu), pk.guard
-    support = [_support(m.alpha) for m in members]
     left: list = [set() for _ in members]  # left[i]: k with (i, k) popped
     steps = []
     queue: list = []
@@ -272,7 +270,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
         lcm, i, j = heapq.heappop(queue)
         left[i].add(j)
         left[j].add(i)
-        if use_coprime_skip and not support[i] & support[j]:
+        if use_coprime_skip and lcm == members[i].head + members[j].head:
             continue
         # the chain criterion: h_k divides the lcm when subtracting it
         # borrows into no guard bit
@@ -282,7 +280,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
         terms, scap = _integer_s_series(members[i], members[j], lcm, pk)
         if not terms:
             continue
-        rem, _, exact = _divide(terms, 1, scap, members, pk, cap)
+        rem, _, exact = _divide(terms, 1, scap is EXACT, members, pk, cap)
         if not rem:
             steps.append(CompletionStep(i, j, len(basis), None))
             continue
@@ -298,7 +296,6 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
         series, member = _adjoined(rem, exact, members, pk, L, mu)
         basis.append(series)
         members.append(member)
-        support.append(_support(member.alpha))
         left.append(set())
         steps.append(CompletionStep(i, j, len(basis) - 1, len(basis) - 1))
         push_pairs(len(basis) - 1)

@@ -372,7 +372,7 @@ def reduction_identity_check(I: IdealPresentation, k: int, d: int, m: int,
 
 def heads_coprime(a, b) -> bool:
     """Disjoint supports: lcm == product, Buchberger's product criterion;
-    completion tests it on support bitmasks."""
+    completion tests it as packed lcm == sum of the packed heads."""
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 

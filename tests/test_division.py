@@ -164,7 +164,7 @@ def test_uniqueness_against_term_order():
 
 def planted_record(pk, alpha, head, tail=()):
     """An exact record claiming the head `alpha`, packed with `head`."""
-    return DIV._Member(alpha, sum(alpha), F(1), 1, DIV._pack(pk, head),
+    return DIV._Member(alpha, 1, DIV._pack(pk, head),
                        [(DIV._pack(pk, e), c) for e, c in tail], K.EXACT)
 
 
@@ -179,7 +179,7 @@ class TestPlantedRecords:
         # the packed head y^2 does not divide xy, but the claimed head x does
         liar = planted_record(self.pk, (1, 0), (0, 2))
         rem, _, exact = DIV._divide({DIV._pack(self.pk, (1, 1)): 1}, 1,
-                                    K.EXACT, [liar], self.pk, 4)
+                                    True, [liar], self.pk, 4)
         assert rem
         with pytest.raises(InvariantViolation, match="outside the complement"):
             DIV._adjoined(rem, exact, [liar], self.pk, std2, F(4))
@@ -188,7 +188,7 @@ class TestPlantedRecords:
         # x^2 - y: reducing x^2 yields y, which lies below x^2
         bad = planted_record(self.pk, (2, 0), (2, 0), [((0, 1), -1)])
         with pytest.raises(InvariantViolation, match="strict progress"):
-            DIV._divide({DIV._pack(self.pk, (2, 0)): 1}, 1, K.EXACT, [bad],
+            DIV._divide({DIV._pack(self.pk, (2, 0)): 1}, 1, True, [bad],
                         self.pk, 4)
 
     def test_a_quotient_outside_its_region_raises(self, monkeypatch):

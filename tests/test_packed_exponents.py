@@ -17,6 +17,7 @@ from localring import division as DIV
 from localring import kernel as K
 from localring import order as O
 from localring.errors import DimensionMismatch, InvariantViolation
+from oracles import heads_coprime
 from test_integer_levels import outcome, reference_divide, series_data
 
 WEIGHTS = (F(1, 2), F(2, 3), F(1), F(3, 2), F(3))
@@ -92,6 +93,45 @@ def test_unpacking_inverts_packing(problem):
         p = DIV._pack(pk, e)
         assert DIV._unpack(pk, p) == e
         assert p >> pk.shift == L.level(e)
+
+
+@st.composite
+def window_heads(draw):
+    """(packing, heads): heads in the window {L <= mu}, each component at
+    most capc, and the packing `_slots` chooses for that window and a
+    bound B on the given components."""
+    n = draw(st.integers(1, 4))
+    # weighted forms include integer ones with a weight of 1, whose
+    # variable reaches capc = cap in the window
+    unit = st.lists(st.integers(1, 3), min_size=n, max_size=n).map(
+        lambda ws: O.LinearForm((1, *ws[1:])))
+    L = draw(st.one_of(forms(n), unit))
+    mu = draw(st.sampled_from([F(1), F(5, 2), F(4), F(7)]))
+    cap = L.level_cap(mu)
+    pk = DIV._slots(L, mu, draw(st.integers(0, 3 * capc(L, mu))))
+    heads = []
+    for _ in range(draw(st.integers(2, 6))):
+        e, room = [0] * n, cap
+        for k in draw(st.permutations(range(n))):
+            e[k] = draw(st.integers(0, room // L.int_weights[k]))
+            room -= e[k] * L.int_weights[k]
+        heads.append(tuple(e))
+    return pk, heads
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_heads())
+def test_packed_lcm_is_the_sum_exactly_for_coprime_heads(problem):
+    # completion skips a pair as coprime when the packed lcm of its heads
+    # is the sum of the packed heads; that holds because the slots have
+    # room for the sum of two heads in the window, so it carries nowhere
+    pk, heads = problem
+    for a in heads:
+        for b in heads:
+            total = DIV._pack(pk, a) + DIV._pack(pk, b)
+            assert total == DIV._pack(pk, (*map(operator.add, a, b),))
+            lcm = DIV._pack(pk, (*map(max, a, b),))
+            assert (lcm == total) == heads_coprime(a, b)
 
 
 @st.composite

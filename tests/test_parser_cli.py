@@ -348,6 +348,20 @@ class TestCli:
         code, rep = cli.run(["flat", "--file", monomial_file, "--k", "1"])
         assert code == 2 and rep["verdict"] == "NOT-FLAT-AT-MU"
 
+    def test_flat_ignores_an_evaluation_zero_on_the_window(self, tmp_path):
+        # both evaluated ideals are (x) on the window 2: z + x^8*y^5
+        # evaluates to x^8*y^5, which is zero there
+        printed = []
+        for name, gen in (("plain", "z"), ("grown", "z + x^8*y^5")):
+            path = tmp_path / f"{name}.ideal"
+            path.write_text(f"vars: x y z\nprec: 2\ngen: x + z\ngen: {gen}\n",
+                            encoding="utf-8")
+            code, rep = cli.run(["flat", "--file", str(path), "--k", "2",
+                                 "--mu", "2"])
+            printed.append((code, json.dumps(rep, indent=2, sort_keys=True)))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 2 and '"NOT-FLAT-AT-MU"' in printed[0][1]
+
     def test_dim(self, ideal_file):
         code, rep = cli.run(["dim", "--file", ideal_file, "--trials", "2"])
         assert code == 0

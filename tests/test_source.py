@@ -243,6 +243,35 @@ def test_fraction_call_lint_sees_a_planted_call_in_the_pair_loop(tmp_path):
     assert _fraction_calls(path, ("_integer_s_series",)) == ["stdbasis.py:2"]
 
 
+#: the division loop and the builders of its member records
+DIVISION_LOOP = ("_divide", "_member", "_members")
+
+
+def test_the_division_loop_builds_no_fraction():
+    # the loop and its records hold integers; a quotient term comes back as
+    # an integer pair, and only the callers that emit series build
+    # rationals (division's docstring)
+    found = _fraction_calls(SOURCE / "division.py", DIVISION_LOOP)
+    assert not found, found
+
+
+def test_fraction_call_lint_sees_a_planted_call_in_the_division_loop(tmp_path):
+    path = tmp_path / "division.py"
+    path.write_text("def _member(terms, cap, pk):\n"
+                    "    return Fraction(min(terms.values()))\n\n"
+                    "def _divide(terms, den, exact, members):\n"
+                    "    def emit(w):\n"
+                    "        return fractions.Fraction(w, den)\n"
+                    "    return emit\n\n"
+                    "def _members(gens, L, mu, pk):\n"
+                    "    return [Fraction(g) for g in gens]\n\n"
+                    "def hironaka_divide(F, divisors, L, mu):\n"
+                    "    return Fraction(mu)\n",
+                    encoding="utf-8")
+    assert _fraction_calls(path, DIVISION_LOOP) == [
+        "division.py:2", "division.py:6", "division.py:10"]
+
+
 def test_fraction_call_lint_sees_a_planted_call(tmp_path):
     path = tmp_path / "equising.py"
     path.write_text("def _jet_dot(a):\n"
