@@ -58,11 +58,12 @@ integers the last one holds, so no polynomial is built as `Fraction`s only
 to be re-read: `_ensure_regular` passes on the mu-jets it truncated to
 test regularity, with their orders; `_weierstrass_polynomial` returns the
 prepared polynomial as integer numerators over a denominator in lowest
-terms; the top level, the product of the prepared generators, is the same
-kind of product as the pass's (`_prepared_product`), the generators packed
-once and no term above the window formed; and a prepared discriminant's
-integers are the next level's, its x_i-order the next level's degree.  A
-`Fraction` is built only for a polynomial the tower keeps, one per term.
+terms; the top level, the product of the prepared generators, is the
+kernel's windowed integer product of their numerators (`_prepared_product`
+by `kernel._int_product`), no term above the window formed; and a prepared
+discriminant's integers are the next level's, its x_i-order the next
+level's degree.  A `Fraction` is built only for a polynomial the tower
+keeps, one per term.
 A level (`_Level`) is read for the pass (`_level_jets`) in one sweep of
 its numerators over any common denominator d, since the minors are scaled
 back by the same d.  A level that arrives as a series is admitted once,
@@ -107,7 +108,6 @@ from .division import (
     _Packing,
     _divide,
     _member,
-    _pack,
     _packed,
     _slots,
     _unpack,
@@ -125,6 +125,7 @@ from .kernel import (
     PrecisionSeries,
     _admit,
     _as_fraction,
+    _int_product,
     _numerators,
     agrees_up_to,
     mul,
@@ -612,23 +613,19 @@ def _ensure_regular(polys: Sequence[PrecisionSeries], i: int, mu,
 def _prepared_product(n: int, prepared: Sequence[tuple], mu) -> tuple:
     """(ints, den): the product of the prepared generators {e: ints_k[e] /
     den_k} in n variables (`_weierstrass_polynomial`) on the window {std <=
-    mu}, {e: ints[e] / den} in lowest terms, as one truncated integer
-    product over one packing.
+    mu}, {e: ints[e] / den} in lowest terms, as one `_int_product` of the
+    numerators per further generator, windowed by the level cap of mu.
 
     Each generator is certified to mu and has no constant term, so the
     product is certified beyond mu and its terms of degree <= mu are the
     truncated products of the terms the generators store; no term above
-    mu is formed.  A prepared generator lies on the window, so its
-    components are at most floor(mu) and the window's slots hold them.
+    mu is formed.
     """
     L = std_form(n)
-    pk = _slots(L, mu, 0)
-    limit = (L.level_cap(mu) + 1) << pk.shift
-    (jet, den), *rest = [({_pack(pk, e): c for e, c in ints.items()}, d)
-                         for ints, d in prepared]
+    (ints, den), *rest = prepared
     for terms, d in rest:
-        jet, den = _jet_dot([(jet, terms)], limit), den * d
-    return _lowest_terms({_unpack(pk, e): c for e, c in jet.items()}, den)
+        ints, den = _int_product(ints, terms, L, L.level_cap(mu)), den * d
+    return _lowest_terms(ints, den)
 
 
 def build_tower(gens: Sequence[PrecisionSeries], mu, seed: int = 0) -> Tower:

@@ -276,6 +276,30 @@ def _shift(f: PrecisionSeries, alpha: Exponent, c: Fraction, prec: Prec,
     return PrecisionSeries(f.n, out, prec, form)
 
 
+def _int_product(a: dict, b: dict, form: Optional[LinearForm], cap) -> dict:
+    """The product of the integer polynomials a and b {exponent: int},
+    with its zero terms dropped: the one fraction-free product loop.
+
+    With cap None every pair of terms is multiplied; otherwise a pair is
+    when level(e1) + level(e2) <= cap under form, so no term above the
+    window {level <= cap} is formed.  b's levels are read once.
+    """
+    if cap is not None:
+        level = form.level
+        b_levels = {e2: level(e2) for e2 in b}
+    plus = operator.add
+    out: dict = {}
+    get = out.get
+    for e1, n1 in a.items():
+        room = None if cap is None else cap - level(e1)
+        for e2, n2 in b.items():
+            if room is not None and b_levels[e2] > room:
+                continue
+            e = (*map(plus, e1, e2),)
+            out[e] = get(e, 0) + n1 * n2
+    return {e: c for e, c in out.items() if c}
+
+
 def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
     """Convolution product under the documented precision rule.
 
@@ -283,8 +307,9 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
     shifted by alpha (`_shift`): the same bound and window test, with no
     integer numerators, and no new `Fraction` when c = 1.  Otherwise it is
     fraction-free: with da and db the lcms of the denominators of a and b,
-    the integer numerators c * da and c * db are multiplied and summed, and
-    each surviving term is built once as a `Fraction` over da * db.
+    `_int_product` multiplies the integer numerators c * da and c * db on
+    the window of the bound, and each term it returns is built once as a
+    `Fraction` over da * db.
     """
     form = _join_forms(a, b)
     if a.is_exact_zero or b.is_exact_zero:
@@ -302,24 +327,12 @@ def mul(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:
         f, g = (a, b) if len(b.terms) == 1 else (b, a)
         [(alpha, c)] = g.terms.items()
         return _shift(f, alpha, c, prec, form)
-    if prec is not EXACT:
-        # a product term is in the window when level(e1) + level(e2) <= cap
-        cap, level = form.level_cap(prec), form.level
-        b_levels = {e2: level(e2) for e2 in b.terms}
+    cap = None if prec is EXACT else form.level_cap(prec)
     a_ints, da = _numerators(a)
     b_ints, db = _numerators(b)
-    plus = operator.add
-    out: dict = {}
-    get = out.get
-    for e1, n1 in a_ints.items():
-        room = None if prec is EXACT else cap - level(e1)
-        for e2, n2 in b_ints.items():
-            if room is not None and b_levels[e2] > room:
-                continue
-            e = (*map(plus, e1, e2),)
-            out[e] = get(e, 0) + n1 * n2
     den = da * db
-    out = {e: Fraction(c, den) for e, c in out.items() if c}
+    out = {e: Fraction(c, den)
+           for e, c in _int_product(a_ints, b_ints, form, cap).items()}
     return PrecisionSeries(a.n, out, prec, form)
 
 
@@ -462,6 +475,12 @@ def substitute_linear(f: PrecisionSeries, M) -> PrecisionSeries:
     Exact on polynomials.  A certified series keeps its bound, which is only
     sound when the form weighs every variable equally (a linear change
     preserves total degree but nothing finer); anisotropic forms are refused.
+
+    Fraction-free: f's numerators over their one denominator (`_numerators`)
+    are composed with the rows of M and their cached powers by
+    `_int_product`, and each result term is built once as a `Fraction` over
+    that denominator.  An integer M keeps every product on integers; a
+    rational M is composed the same way on its entries.
     """
     n = f.n
     if len(M) != n or any(len(row) != n for row in M):
@@ -472,29 +491,26 @@ def substitute_linear(f: PrecisionSeries, M) -> PrecisionSeries:
         raise FormMismatch(
             "linear substitution keeps precision only for equal-weight forms")
     units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
-    rows = [series(n, {units[j]: M[i][j] for j in range(n) if M[i][j]})
-            for i in range(n)]
-    powers = [[one(n)] for _ in range(n)]  # powers[i][k] = rows[i]^k
-
-    def row_power(i: int, k: int) -> PrecisionSeries:
-        known = powers[i]
-        while len(known) <= k:  # each power from the one below it
-            known.append(mul(known[-1], rows[i]))
-        return known[k]
-
+    rows = [{units[j]: M[i][j] for j in range(n) if M[i][j]} for i in range(n)]
+    powers = [[{(0,) * n: 1}] for _ in range(n)]  # powers[i][k] = rows[i]^k
+    ints, den = _numerators(f)
     total: dict = {}
-    for e, c in f.terms.items():
-        prod = one(n)
+    for e, c in ints.items():
+        prod = {(0,) * n: c}
         for i, b in enumerate(e):
             if b:
-                prod = mul(prod, row_power(i, b))
-        for pe, pc in prod.terms.items():
-            s = total.get(pe, _ZERO) + c * pc
+                known = powers[i]
+                while len(known) <= b:  # each power from the one below it
+                    known.append(_int_product(known[-1], rows[i], None, None))
+                prod = _int_product(prod, known[b], None, None)
+        for pe, pc in prod.items():
+            s = total.get(pe, 0) + pc
             if s:
                 total[pe] = s
             else:
                 del total[pe]
-    return PrecisionSeries(n, total, f.prec, f.form_ctx)
+    return PrecisionSeries(n, {e: Fraction(c, den) for e, c in total.items()},
+                           f.prec, f.form_ctx)
 
 
 def evaluate_tail_zero(f: PrecisionSeries, k: int) -> PrecisionSeries:

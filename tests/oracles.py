@@ -30,6 +30,9 @@ fraction-free product and the shift for a one-term factor are both held
 to it.  `truncated_product` multiplies prepared generators the way
 `equising.build_tower` did before its one truncated integer product: one
 `mul` and one `truncate` per generator (`tests/test_packed_products.py`).
+`series_substitute` composes a series with a linear change the way
+`kernel.substitute_linear` did before it composed integer numerators: row
+powers and products as `Fraction` series by `mul` (`tests/test_kernel.py`).
 """
 
 from __future__ import annotations
@@ -325,6 +328,38 @@ def truncated_product(prepared: Sequence[PrecisionSeries], mu) -> PrecisionSerie
     for P in prepared[1:]:
         current = truncate(mul(current, P), std_form(current.n), mu)
     return current
+
+
+def series_substitute(f: PrecisionSeries, M) -> PrecisionSeries:
+    """f composed with x -> Mx by the route `kernel.substitute_linear`
+    took before it composed integers: each row of M a `series`, its powers
+    cached as series, every product a `mul` on `Fraction`s, and f's
+    coefficients summed in as rationals.  A certified f keeps its bound."""
+    n = f.n
+    units = [(0,) * j + (1,) + (0,) * (n - 1 - j) for j in range(n)]
+    rows = [series(n, {units[j]: M[i][j] for j in range(n) if M[i][j]})
+            for i in range(n)]
+    powers = [[one(n)] for _ in range(n)]  # powers[i][k] = rows[i]^k
+
+    def row_power(i: int, k: int) -> PrecisionSeries:
+        known = powers[i]
+        while len(known) <= k:  # each power from the one below it
+            known.append(mul(known[-1], rows[i]))
+        return known[k]
+
+    total: dict = {}
+    for e, c in f.terms.items():
+        prod = one(n)
+        for i, b in enumerate(e):
+            if b:
+                prod = mul(prod, row_power(i, b))
+        for pe, pc in prod.terms.items():
+            s = total.get(pe, Fraction(0)) + c * pc
+            if s:
+                total[pe] = s
+            else:
+                del total[pe]
+    return PrecisionSeries(n, total, f.prec, f.form_ctx)
 
 
 def print_series(f: PrecisionSeries, var_names: Sequence[str]) -> str:

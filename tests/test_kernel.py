@@ -17,7 +17,7 @@ from localring.errors import (
     PresentationError,
     SingularMatrix,
 )
-from oracles import fraction_product, print_series
+from oracles import fraction_product, print_series, series_substitute
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)
@@ -265,6 +265,69 @@ def test_substitute_linear_matches_powers_of_rows(problem):
             term = K.mul(term, K.power(rows[i], b))
         want = K.add(want, term)
     assert K.substitute_linear(f, M) == want
+
+
+#: non-integral coefficients, so that f's numerators share a denominator
+RATIONALS = [F(1, 2), F(-2, 3), F(5, 4), F(-7, 6), F(3, 5), F(-1, 10)]
+
+
+@st.composite
+def integer_changes(draw):
+    """(f, M): f exact with non-integral coefficients, or certified under
+    the standard form or under (1/2, ..., 1/2), in n = 1..3 variables; M
+    an integer matrix with entries in -3..3 and det != 0, unimodular or
+    not."""
+    n = draw(st.integers(1, 3))
+    M = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    assume(linalg.det(M) != 0)
+    coefficient = st.sampled_from(RATIONALS)
+    f = K.series(n, draw(st.dictionaries(exponents(n), coefficient, max_size=5)))
+    half = O.LinearForm((F(1, 2),) * n)
+    L = draw(st.sampled_from([None, O.std_form(n), half]))
+    if L is not None:
+        f = K.truncate(f, L, F(draw(st.integers(0, 8)), L.den))
+    return f, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_changes())
+@example((K.series(2, {(2, 1): F(1, 2), (0, 2): F(-2, 3)}),
+          [[2, 1], [1, -1]]))  # det -3
+@example((K.truncate(K.series(3, {(1, 1, 1): F(5, 4), (0, 0, 2): F(3, 5)}),
+                     O.LinearForm((F(1, 2),) * 3), F(3, 2)),
+          [[1, 0, 2], [0, 3, 0], [1, 1, 1]]))  # det 3, certified to 3/2
+def test_substitute_linear_matches_the_fraction_composition(case):
+    f, M = case
+    got = K.substitute_linear(f, M)
+    assert got == series_substitute(f, M)
+    assert all(type(c) is F and c for c in got.terms.values())
+
+
+def integer_inverse(M) -> tuple:
+    """The inverse of a unimodular integer matrix by Gauss-Jordan
+    elimination on `Fraction`s; det M = +-1 makes its entries integers."""
+    n = len(M)
+    rows = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)]
+            for i, row in enumerate(M)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            factor = rows[r][c]
+            if r != c and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[c])]
+    assert all(x.denominator == 1 for row in rows for x in row[n:])
+    return tuple(tuple(int(x) for x in row[n:]) for row in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_changes(), st.integers(0, 999))
+def test_a_unimodular_change_is_undone_by_its_inverse(case, seed):
+    f = case[0]
+    M = linalg.seeded_unimodular(random.Random(seed), f.n)
+    assert K.substitute_linear(K.substitute_linear(f, M), integer_inverse(M)) == f
 
 
 def leibniz_det(M) -> F:

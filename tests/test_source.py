@@ -226,6 +226,28 @@ def test_fraction_call_lint_sees_a_planted_call_in_the_preparation(tmp_path):
         "equising.py:2", "equising.py:6"]
 
 
+#: the kernel's one fraction-free product loop: `mul`, `substitute_linear`
+#: and the tower's top level (`equising._prepared_product`) call it
+KERNEL_PRODUCT = ("_int_product",)
+
+
+def test_the_kernel_product_builds_no_fraction():
+    # the loop multiplies integer numerators; each caller builds the
+    # `Fraction`s of the terms it returns (kernel's `mul` docstring)
+    found = _fraction_calls(SOURCE / "kernel.py", KERNEL_PRODUCT)
+    assert not found, found
+
+
+def test_fraction_call_lint_sees_a_planted_call_in_the_kernel_product(tmp_path):
+    path = tmp_path / "kernel.py"
+    path.write_text("def _int_product(a, b, form, cap):\n"
+                    "    return {e: Fraction(c) for e, c in a.items()}\n\n"
+                    "def mul(a, b):\n"
+                    "    return Fraction(1)\n",
+                    encoding="utf-8")
+    assert _fraction_calls(path, KERNEL_PRODUCT) == ["kernel.py:2"]
+
+
 def test_the_pair_loop_builds_no_fraction():
     # completion forms each s-series on integers, windowed by the integer
     # level caps of the member records (stdbasis's docstring)

@@ -8,7 +8,8 @@ the first level above it, and the bound raised to cover them.  The
 operation reruns on the grown inputs, on the same window and, where it
 takes one, on a wider window.  Every output of a rerun must have the
 first run's terms on the window the first run claims, and must claim no
-lower bound.
+lower bound; and a certified output of the first run must store no term
+above its own bound, since nothing is claimed there.
 
 Covered: `add`, `mul`, `mul_monomial`, `truncate`, `reweight`, `embed`,
 `evaluate_tail_zero`, the builtin jets `exp_jet` and `geom_jet`, and
@@ -91,10 +92,12 @@ def grow(draw, f: K.PrecisionSeries) -> K.PrecisionSeries:
 
 def claimed(base: K.PrecisionSeries, other: K.PrecisionSeries) -> None:
     """other claims no lower bound than base, under the same form, and has
-    base's terms on base's window."""
+    base's terms on base's window; a certified base stores nothing above
+    its own bound."""
     if base.prec is K.EXACT:
         assert other == base
         return
+    assert K._window(base.terms, base.form_ctx, base.prec) == base.terms
     # `agrees_up_to` admits other on base's window: form and bound
     assert K.agrees_up_to(base, other, base.form_ctx, base.prec)
 
