@@ -223,11 +223,7 @@ def _cmd_dim(args, f, form, mu) -> tuple[int, dict]:
     rep = diagram.axis_vertex_dimension(
         I, mu, trials=_at_least(args, "trials", 1), seed=args.seed)
     return 0, {
-        "seed": rep.seed,
-        "trials": rep.trials,
-        "matrix": rep.matrix,
-        "k_best": rep.k_best,
-        "dim_upper_bound": rep.upper_bound,
+        **rep._asdict(),
         "note": "probabilistic upper bound; tightness depends on sampled changes",
     }
 
@@ -235,15 +231,7 @@ def _cmd_dim(args, f, form, mu) -> tuple[int, dict]:
 def _cmd_reduction(args, f, form, mu) -> tuple[int, dict]:
     I = f.presentation(form, mu)
     rep = diagram.reduction_exponent(I, args.k, mu)
-    code = 0 if rep.all_ok else 2
-    return code, {
-        "k": rep.k,
-        "axis_degrees": rep.axis_degrees,
-        "d": rep.d,
-        "eta": rep.eta,
-        "memberships": rep.monomial_checks,
-        "all_ok": rep.all_ok,
-    }
+    return (0 if rep.all_ok else 2), rep._asdict()
 
 
 def _cmd_perturb(args, f, form, mu) -> tuple[int, dict]:

@@ -10,11 +10,12 @@ not grow with the number of points outside the staircase.  The oracle
 section computes jet-space dimensions by exact row reduction over the
 monomial basis, independently of the division machinery, and is used to
 cross-check it.  It eliminates on integers: a row enters as its numerators
-over the lcm of its denominators and is reduced fraction-free against
-primitive pivots.  The column order is graded, so a pivot has no term of
-lower degree than its column, and a whole table of jet-space dimensions,
-one per degree e <= eta, is read from one reduction at eta by counting
-the pivots of degree <= e.
+over the lcm of its denominators, each column named by its exponent's
+standard order key, and is reduced fraction-free against primitive pivots.
+The order is graded, and a key's first entry is its degree, so a pivot has
+no term of lower degree than its column, and a whole table of jet-space
+dimensions, one per degree e <= eta, is read from one reduction at eta by
+counting the pivots of degree <= e.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ def flatness_weight_search(I: IdealPresentation, k: int, mu,
 
 class DimensionReport(NamedTuple):
     k_best: int
-    upper_bound: int
+    dim_upper_bound: int
     matrix: tuple
     seed: int
     trials: int
@@ -346,42 +347,43 @@ def _axis_vertex_search(I: IdealPresentation, mu, trials: int, seed: int
 class ExactRowReducer:
     """Incremental fraction-free Gaussian elimination with sparse dict rows.
 
-    Columns are exponents in n variables, ordered by the standard order
-    (degree, reversed tuple); each column's key is computed once per
-    reducer.  A row enters as the numerators of its coefficients over the
-    lcm of their denominators and is reduced on insertion: while its
-    leading column holds a pivot, it becomes a*row - b*pivot, with a and b
-    the two leading entries divided by their gcd, so that no rational
-    number is formed (fraction-free elimination, as in Bareiss 1968).  A
-    pivot is stored primitive, with a positive leading entry.  Each step
-    scales a row by a nonzero integer, so ranks and memberships are those
-    over Q.
+    Rows are given on exponents in n variables.  Inside, each column is
+    its exponent's standard order key `std_key(e)` = (degree, reversed
+    tuple), so the leading column of a row is its least key, and `pivots`
+    maps a leading column's key to its pivot row, keyed the same way.  A
+    row enters as the numerators of its coefficients over the lcm of their
+    denominators and is reduced on insertion: while its leading column
+    holds a pivot, it becomes a*row - b*pivot, with a and b the two leading
+    entries divided by their gcd, so that no rational number is formed
+    (fraction-free elimination, as in Bareiss 1968).  A pivot is stored
+    primitive, with a positive leading entry.  Each step scales a row by a
+    nonzero integer, so ranks and memberships are those over Q.
 
     A pivot has no term below its column, so none of lower degree.  Cut to
-    degree <= e, the pivots of degree <= e keep their leading columns and
-    stay independent, and the others vanish.  So when the rows span a
-    subspace of the jet space of order eta whose cut to degree e is the
-    subspace asked at e, its dimension there is the number of pivots of
-    degree <= e (`oracle_jet_quotient_table`).
+    degree <= e, the pivots of degree <= e (key[0] <= e) keep their
+    leading columns and stay independent, and the others vanish.  So when
+    the rows span a subspace of the jet space of order eta whose cut to
+    degree e is the subspace asked at e, its dimension there is the number
+    of pivots of degree <= e (`oracle_jet_quotient_table`).
     """
 
     def __init__(self):
         self.pivots: dict = {}
-        self._keys: dict = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def _reduce(self, row: dict) -> tuple:
-        """(r, col): the row on integers, reduced until its leading column
-        col holds no pivot; r is empty when the row is in the span."""
+        """(r, col): the row on integers and order keys, reduced until its
+        leading column col holds no pivot; r is empty when the row is in
+        the span."""
         den = reduce(math.lcm, [c.denominator for c in row.values()], 1)
-        row = {e: c.numerator * (den // c.denominator) for e, c in row.items() if c}
-        keys, pivots = self._keys, self.pivots
-        keys.update({e: std_key(e) for e in row if e not in keys})
+        row = {std_key(e): c.numerator * (den // c.denominator)
+               for e, c in row.items() if c}
+        pivots = self.pivots
         while row:
-            col = min(row, key=keys.__getitem__)
+            col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
                 return row, col
@@ -460,7 +462,7 @@ def oracle_jet_quotient_table(I: IdealPresentation, eta: int,
     to degree e, each row at eta is the row at e or zero, so the rank at e
     is the number of pivots of degree <= e (`ExactRowReducer`).
     """
-    degrees = [*map(sum, _span(I.gens, eta, monomials=monomials).pivots)]
+    degrees = [key[0] for key in _span(I.gens, eta, monomials=monomials).pivots]
     ranks = accumulate(map(degrees.count, range(eta + 1)))
     return [jet_space_dim(I.n, e) - r for e, r in enumerate(ranks)]
 
@@ -492,7 +494,7 @@ class ReductionReport(NamedTuple):
     axis_degrees: tuple
     d: int
     eta: int
-    monomial_checks: tuple  # ((exponent, bool), ...)
+    memberships: tuple  # ((exponent, bool), ...)
     all_ok: bool
 
 

@@ -247,8 +247,9 @@ def scale(f: PrecisionSeries, c) -> PrecisionSeries:
 
 def _product_bound(prec: Fraction, form: LinearForm,
                    g: PrecisionSeries) -> Fraction:
-    """prec + `min_lvalue(form, g)`, the bound a factor certified to prec
-    gives its product with g, built as one `Fraction` from g's integer
+    """prec + ord(g), the bound a factor certified to prec gives its
+    product with g, where ord(g) is the least L-value of g's terms, or g's
+    own bound when it stores none; built as one `Fraction` from g's integer
     minimum level m: prec + m / den = (prec * den + m) / den."""
     if not g.terms:
         return prec + g.prec

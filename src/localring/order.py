@@ -179,19 +179,6 @@ def initial_term(L: LinearForm, f: "PrecisionSeries") -> tuple[Exponent, Fractio
     return e, f.terms[e]
 
 
-def min_lvalue(L: LinearForm, f: "PrecisionSeries") -> Fraction:
-    """Lower bound for the L-order of the true series behind f.
-
-    For a series with stored terms this is L(inexp); for a series that is
-    zero up to its bound it is the bound itself.
-    """
-    if f.terms:
-        return Fraction(min(map(L.level, f.terms)), L.den)
-    if f.prec is None:
-        raise ZeroUpToPrecision("exact zero has no L-order")
-    return f.prec
-
-
 def iter_sublevel(L: LinearForm, eta, offset: int = 0) -> Iterator[Exponent]:
     """All exponents with L(b) <= eta, in lexicographic generation order;
     with an integer `offset`, those whose level plus `offset` is at most

@@ -1,5 +1,5 @@
-"""A mutation gate for the window rules: one-line mutants that the tests
-must kill.
+"""A mutation gate for the window rules and the row-reduction oracle:
+one-line mutants that the tests must kill.
 
     python tests/mutants.py              # every mutant; exit 1 if one survives
     python tests/mutants.py --self-test  # a planted no-op mutant; exits 1
@@ -46,6 +46,7 @@ class Mutant(NamedTuple):
 
 KERNEL = "src/localring/kernel.py"
 DIVISION = "src/localring/division.py"
+DIAGRAM = "src/localring/diagram.py"
 
 MUTANTS = (
     Mutant("_window keeps the window's top level out", KERNEL,
@@ -82,6 +83,11 @@ MUTANTS = (
            "src/localring/equising.py",
            "_int_product(ints, terms, L, L.level_cap(mu))",
            "_int_product(ints, terms, L, L.level_cap(mu) + 1)"),
+    Mutant("the oracle leads a row at its largest column", DIAGRAM,
+           "col = min(row)", "col = max(row)"),
+    Mutant("the oracle's table reads a pivot's degree from its last "
+           "variable", DIAGRAM,
+           "degrees = [key[0] for key", "degrees = [key[1] for key"),
 )
 
 #: a mutant that changes nothing, so the tests pass and it must survive

@@ -27,7 +27,9 @@ before it read the counts off the Hilbert-series numerator.
 
 `fraction_product` is the `Fraction` loop that `kernel.mul` replaced; the
 fraction-free product and the shift for a one-term factor are both held
-to it.  `truncated_product` multiplies prepared generators the way
+to it.  Its bound rule reads `min_lvalue`, the L-order lower bound as a
+`Fraction`, which `kernel._product_bound` forms from an integer level.
+`truncated_product` multiplies prepared generators the way
 `equising.build_tower` did before its one truncated integer product: one
 `mul` and one `truncate` per generator (`tests/test_packed_products.py`).
 `series_substitute` composes a series with a linear change the way
@@ -45,12 +47,13 @@ from typing import NamedTuple, Optional, Sequence
 
 from localring.diagram import _span, tail_monomials
 from localring.equising import _hankel_discriminants, _level
-from localring.errors import BudgetExceeded, DimensionMismatch, PresentationError
+from localring.errors import (BudgetExceeded, DimensionMismatch, PresentationError,
+                               ZeroUpToPrecision)
 from localring.kernel import (EXACT, IdealPresentation, PrecisionSeries, _join_forms,
                               add, monomial, mul,
                               one, power, scale, series, sub, truncate, variable,
                               zero)
-from localring.order import LinearForm, min_lvalue, std_form
+from localring.order import LinearForm, std_form
 
 #: Budget of the symbolic oracle `generalized_discriminant`: p = 4 reduces
 #: in well under a second, p = 5 in a few seconds, p = 6 in many minutes.
@@ -282,6 +285,19 @@ def berkowitz_discriminants(coeffs: Sequence[PrecisionSeries], L: LinearForm,
         m = r + 1
         minors.append(scale(char[-1], (-1) ** (m * (m + 1) // 2)))
     return minors[::-1]
+
+
+def min_lvalue(L: LinearForm, f: PrecisionSeries) -> Fraction:
+    """Lower bound for the L-order of the true series behind f.
+
+    For a series with stored terms this is L(inexp); for a series that is
+    zero up to its bound it is the bound itself.
+    """
+    if f.terms:
+        return Fraction(min(map(L.level, f.terms)), L.den)
+    if f.prec is None:
+        raise ZeroUpToPrecision("exact zero has no L-order")
+    return f.prec
 
 
 def fraction_product(a: PrecisionSeries, b: PrecisionSeries) -> PrecisionSeries:

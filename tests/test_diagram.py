@@ -311,10 +311,10 @@ def test_row_reducer_matches_plain_elimination(data, draws):
     assert reducer.rank == rank
     for q in queries:
         assert reducer.member(scaled(q)) == (OR.plain_rank([*rows, q]) == rank)
-    # a pivot leads at its column in the standard order, and is a
-    # primitive integer row with a positive leading entry
+    # a pivot's columns are standard order keys and it leads at its least
+    # one, and it is a primitive integer row with a positive leading entry
     for col, pivot in reducer.pivots.items():
-        assert min(pivot, key=O.std_key) == col and pivot[col] > 0
+        assert min(pivot) == col and pivot[col] > 0
         assert all(type(c) is int for c in pivot.values())
         assert reduce(gcd, pivot.values(), 0) == 1
 
@@ -466,17 +466,17 @@ class TestAxisVertexDimension:
     def test_monomial_plane(self):
         I = K.IdealPresentation(2, (K.monomial(2, (2, 0)), K.monomial(2, (0, 3))))
         rep = DG.axis_vertex_dimension(I, 8, trials=3, seed=0)
-        assert rep.k_best == 2 and rep.upper_bound == 0
+        assert rep.k_best == 2 and rep.dim_upper_bound == 0
 
     def test_example(self):
         I = example_family(8)
         rep = DG.axis_vertex_dimension(I, 8, trials=3, seed=0)
-        assert rep.k_best == 2 and rep.upper_bound == 1
+        assert rep.k_best == 2 and rep.dim_upper_bound == 1
 
     def test_xy_needs_generic_change(self):
         I = K.IdealPresentation(2, (K.monomial(2, (1, 1)),))
         rep = DG.axis_vertex_dimension(I, 6, trials=6, seed=1)
-        assert rep.k_best == 1 and rep.upper_bound == 1
+        assert rep.k_best == 1 and rep.dim_upper_bound == 1
         assert rep.matrix is not None
 
 

@@ -17,7 +17,7 @@ from localring.errors import (
     PresentationError,
     SingularMatrix,
 )
-from oracles import fraction_product, print_series, series_substitute
+from oracles import fraction_product, min_lvalue, print_series, series_substitute
 
 std1 = O.std_form(1)
 std2 = O.std_form(2)
@@ -142,9 +142,9 @@ def test_product_bound_is_the_min_lvalue_rule(case):
     assume(not a.is_exact_zero and not b.is_exact_zero)
     want = []
     if a.prec is not K.EXACT:
-        want.append(a.prec + O.min_lvalue(form, b))
+        want.append(a.prec + min_lvalue(form, b))
     if b.prec is not K.EXACT:
-        want.append(b.prec + O.min_lvalue(form, a))
+        want.append(b.prec + min_lvalue(form, a))
     got = K.mul(a, b).prec
     assert got == min(want) and type(got) is F
 
@@ -472,7 +472,7 @@ def builtin_problems(draw):
 
 def _reference_jet(u, L, mu, coeff_of_k):
     ut = K.truncate(u, L, mu)
-    top = mu // O.min_lvalue(L, ut) if ut.terms else 0
+    top = mu // min_lvalue(L, ut) if ut.terms else 0
     acc = K.truncate(K.one(2), L, mu)
     for k in range(1, top + 1):
         acc = K.add(acc, K.scale(K.truncate(K.power(ut, k), L, mu),

@@ -385,6 +385,37 @@ class TestCli:
         assert code == 0
         assert rep["d"] == 3 and rep["all_ok"] is True
 
+    @pytest.mark.parametrize("argv, record, extra", [
+        (["flat", "--k", "2"], DG.FlatnessReport, set()),
+        (["dim"], DG.DimensionReport, {"note"}),
+        (["reduction", "--k", "2"], DG.ReductionReport, set()),
+    ], ids=["flat", "dim", "reduction"])
+    def test_records_are_the_reports(self, argv, record, extra):
+        # each of these reports is its record's fields plus what `run` adds,
+        # so a renamed field fails here by name
+        code, rep = cli.run([*argv, "--file",
+                             str(SAMPLES / "cm_family.ideal")])
+        assert code in (0, 2)
+        assert set(rep) == {*record._fields, "command", "window", *extra}
+
+    @pytest.mark.xfail(strict=True, reason="`stdbasis._check_ready` refuses "
+                       "an exact generator that lies in m^(mu+1), although "
+                       "it adds nothing to the ideal on the window")
+    def test_hs_does_not_depend_on_a_member_beyond_the_window(self, tmp_path):
+        # y^6 = (x + y^6) - x lies in the ideal, and the oracle reads
+        # [1, ..., 6] from both files
+        printed = []
+        for name, extra in (("plain", ""), ("with-member", "gen: y^6\n")):
+            path = tmp_path / f"{name}.ideal"
+            path.write_text("vars: x y\nprec: 5\ngen: x + y^6\ngen: x\n"
+                            + extra, encoding="utf-8")
+            code, rep = cli.run(["oracle", "hs", "--file", str(path),
+                                 "--eta", "5"])
+            assert (code, rep["values"]) == (0, [1, 2, 3, 4, 5, 6])
+            code, rep = cli.run(["hs", "--file", str(path), "--eta", "5"])
+            printed.append((code, json.dumps(rep, indent=2, sort_keys=True)))
+        assert printed[0] == printed[1]
+
     def test_example82_exit_codes(self):
         code, rep = cli.run(["example82", "--mu", "8", "--h", "z"])
         assert code == 0 and rep["all_pass"] is True

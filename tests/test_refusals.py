@@ -113,9 +113,6 @@ CASES = {
     "initial-exponent-form": (
         lambda: O.initial_exponent(std2, K.truncate(x(), wt21, 3)),
         FormMismatch, "asked under"),
-    "min-lvalue-exact-zero": (
-        lambda: O.min_lvalue(std2, K.zero(2)),
-        ZeroUpToPrecision, "exact zero has no L-order"),
     "split-form-without-k-l": (
         lambda: O.parse_form("split:k=1", 3),
         FormMismatch, "split form needs k= and l="),

@@ -318,7 +318,7 @@ ORACLE_ROWS = ("ExactRowReducer", "ideal_span_rows")
 
 #: the kernel helpers that build a `Fraction` per call: an L-value, a
 #: window cut by L-values, the rational zero
-RATIONAL_HELPERS = {"lvalue", "min_lvalue", "_window", "_ZERO"}
+RATIONAL_HELPERS = {"lvalue", "_window", "_ZERO"}
 
 
 def test_the_oracle_rows_build_no_fraction():

@@ -17,7 +17,10 @@ Covered: `add`, `mul`, `mul_monomial`, `truncate`, `reweight`, `embed`,
 on mu - L(alpha_i) and its remainder; the vertices of `complete`, the
 verdict of `becker_check` and, under the standard form, `hilbert_samuel`;
 the report of `flatness_weight_search`; and `weierstrass_prepare` on
-inputs with ord f = p.  Tower levels are left out: a level certified to mu knows its
+inputs with ord f = p.  A companion property asks the same of the
+presentation: the staircase of an exact ideal, and under the standard form
+its Hilbert-Samuel table, which the row-reduction oracle recounts, do not
+change when its generators are reordered, multiplied by a unit or combined.  Tower levels are left out: a level certified to mu knows its
 coefficient a_m only to mu - m, which the strict xfail
 `test_discriminant_certificates_do_not_over_claim` pins.
 """
@@ -35,6 +38,7 @@ from localring.diagram import (
     diagram_of,
     flatness_weight_search,
     hilbert_samuel,
+    oracle_jet_quotient_table,
 )
 from localring.division import hironaka_divide
 from localring.equising import weierstrass_prepare
@@ -306,6 +310,59 @@ def test_hilbert_samuel_keeps_its_table(case):
     base = hilbert_samuel(complete(I, L, mu), mu)
     assert hilbert_samuel(complete(J, L, mu), mu) == base
     assert hilbert_samuel(complete(J, L, wider(grown)), mu) == base
+
+
+# -- the companion property: presentations of one ideal -----------------------
+
+@st.composite
+def exact_ideals(draw):
+    """(gens, L, mu): two or three exact polynomials in 2 or 3 variables,
+    each of order >= 1 with its terms on the window mu = 5, under the
+    standard form or the rational weights (3/2, 1, 2)."""
+    n = draw(st.integers(2, 3))
+    L = draw(st.sampled_from([O.std_form(n),
+                              O.LinearForm((F(3, 2), F(1), F(2))[:n])]))
+    mu = F(5)
+    gens = [K.series(n, certified(draw, L, mu, low=1, max_terms=3).terms)
+            for _ in range(draw(st.integers(2, 3)))]
+    return gens, L, mu
+
+
+def presentations(gens: list, L: O.LinearForm):
+    """gens and other generators of the same ideal: gens reversed, g_1
+    times the unit 1 + x_1, g_1 + g_2 appended, and g_2 replaced by
+    g_2 + x_2 g_1."""
+    g1, g2, *rest = gens
+    x2 = (0, 1) + (0,) * (L.n - 2)
+    unit = K.add(K.one(L.n), K.variable(L.n, 0))
+    return [gens, gens[::-1], [K.mul(g1, unit), g2, *rest],
+            [*gens, K.add(g1, g2)],
+            [g1, K.add(g2, K.mul_monomial(g1, x2, 1)), *rest]]
+
+
+def heads_on_window(gens: list, L: O.LinearForm, mu) -> bool:
+    """Every generator has a head on the window, as `complete` asks; a sum
+    may cancel its summands' heads and leave a head above it, or none."""
+    cap = L.level_cap(mu)
+    return all(g.terms and L.level(O.initial_exponent(L, g)) <= cap
+               for g in gens)
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_ideals())
+def test_the_staircase_does_not_depend_on_the_presentation(case):
+    gens, L, mu = case
+    staircases = set()
+    for other in presentations(gens, L):
+        if not heads_on_window(other, L, mu):
+            continue
+        I = K.IdealPresentation(L.n, other)
+        basis = complete(I, L, mu)
+        staircases.add(diagram_of(basis).vertices)
+        if L == O.std_form(L.n):  # the oracle counts under the standard form
+            assert (list(hilbert_samuel(basis, mu).values)
+                    == oracle_jet_quotient_table(I, int(mu)))
+    assert len(staircases) == 1
 
 
 @st.composite
