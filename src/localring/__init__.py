@@ -23,7 +23,6 @@ from .errors import (
     PresentationError,
     SingularMatrix,
     TrivialEvaluation,
-    UndecidedAtPrecision,
     UnverifiedBasis,
     ZeroUpToPrecision,
 )

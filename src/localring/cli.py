@@ -1,9 +1,9 @@
 """Batch command-line interface with structured JSON reports.
 
-Exit codes: 0 = success / claims pass; 2 = UNDECIDED-AT-MU or claims fail
-(distinguished in the JSON); 1 = usage or parse error.  Every report carries
-the certification window, and the seed and coordinate-change matrix when
-randomness was involved.  All randomness flows from a single --seed flag.
+Exit codes: 0 = success / claims pass; 2 = a definite claims-fail; 1 =
+usage or parse error.  Every report carries the certification window, and
+the seed and coordinate-change matrix when randomness was involved.  All
+randomness flows from a single --seed flag.
 
 `run` checks a command line in one order: argparse, then (for every command
 but `example82`, which reads no file) the file, the form and `--mu`, which
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import approx, diagram, equising, stdbasis
 from .division import hironaka_divide
-from .errors import LocalRingError, ParseError, UndecidedAtPrecision
+from .errors import LocalRingError, ParseError
 from .kernel import EXACT, PrecisionSeries
 from .order import LinearForm, form_label, parse_form, std_form
 from .parser import IdealFile, load_ideal_file, parse_expression
@@ -376,8 +376,6 @@ def run(argv) -> tuple[int, dict]:
         return code, jsonable(report)
     except UsageError as exc:
         return 1, {"error": "usage", "detail": str(exc)}
-    except UndecidedAtPrecision as exc:
-        return 2, {"error": "UNDECIDED-AT-MU", "detail": str(exc)}
     except ParseError as exc:
         return 1, {"error": "parse", "detail": str(exc), "position": exc.pos}
     except (LocalRingError, OSError) as exc:

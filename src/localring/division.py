@@ -65,8 +65,10 @@ linear in e and every slot holds its component without carry:
 - integers compare as `order.sort_key` does: level first, then the
   components from the last one down;
 - adding two packed ints packs the sum of the exponents;
-- the window test level(e) <= cap is p < (cap + 1) << n*w.  It stays
-  exact for a sum whose slots overflowed: a term of level at most cap has
+- the window test level(e) <= cap is p < (cap + 1) << n*w, the packing's
+  `limit`: a packing records the top level cap of the window it was sized
+  for, so no caller restates the window beside it.  The test stays exact
+  for a sum whose slots overflowed: a term of level at most cap has
   components that fit (see below), and a term of higher level packs to at
   least (cap + 1) << n*w whatever its slots hold, so the loop may form a sum
   first and drop it by this test;
@@ -83,20 +85,21 @@ towers by these ints, under the standard form, and relies on the sum and
 window-test properties above.  Its Weierstrass preparation is this loop,
 run through `_packed`, `_member` and `_divide` as completion runs it.
 
-The slot width.  Let cap be the window's top level, capc = cap //
-min(int_weights) and B the largest component of the dividend and of the
-divisors as given.  A processed term lies in the window, so its components
-are at most capc, and so is every shift beta - alpha it produces.  A member
-is a divisor (components at most B) or a remainder adjoined by completion
-(its terms were processed, so at most capc); write M = max(B, capc).  Every
-term the loop creates is a shift plus a member term, at most capc + M; an
-s-series is the same kind of sum (the lcm of two heads in the window, minus
-a head, plus a member term).  So one packing with room for capc + M serves a
-whole `hironaka_divide`, `complete` or `becker_check` call, including every
-member completion adjoins.  Two heads in the window have components at most
-capc, so their sum fits as well: completion reads coprime heads off it.
-`_pack` checks every component it packs against the slot and raises
-`InvariantViolation` if it does not fit.
+The slot width.  Let cap be the window's top level (the packing's `cap`),
+capc = cap // min(int_weights) and B the largest component of the dividend
+and of the divisors as given.  A processed term lies in the window, so its
+components are at most capc, and so is every shift beta - alpha it
+produces.  A member is a divisor (components at most B) or a remainder
+adjoined by completion (its terms were processed, so at most capc); write
+M = max(B, capc).  Every term the loop creates is a shift plus a member
+term, at most capc + M; an s-series is the same kind of sum (the lcm of two
+heads in the window, minus a head, plus a member term).  So one packing
+with room for capc + M serves a whole `hironaka_divide`, `complete` or
+`becker_check` call, including every member completion adjoins, and that
+call reads its window from the packing.  Two heads in the window have
+components at most capc, so their sum fits as well: completion reads
+coprime heads off it.  `_pack` checks every component it packs against the
+slot and raises `InvariantViolation` if it does not fit.
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ class RegionPartition(NamedTuple):
 
 
 class _Packing(NamedTuple):
-    """How exponents in n variables are packed into ints (module docstring)."""
+    """How exponents in n variables are packed into ints, for the window
+    of the levels <= cap (module docstring)."""
 
     n: int
     width: int  # bits per slot, the guard bit included
@@ -140,6 +144,13 @@ class _Packing(NamedTuple):
     top: int  # the largest component a slot holds
     guard: int  # the guard bit of every slot
     shift: int  # n * width, the position of the level
+    cap: int  # the window's top level
+
+    @property
+    def limit(self) -> int:
+        """The least packed int above the window: level(p) <= cap exactly
+        when p < limit."""
+        return (self.cap + 1) << self.shift
 
 
 def _packing(L: LinearForm, mu, series: Sequence[PrecisionSeries]) -> _Packing:
@@ -153,14 +164,14 @@ def _slots(L: LinearForm, mu, B: int) -> _Packing:
     """The packing for the window {L <= mu} of exponents whose components
     are at most B: slots with room for capc + max(B, capc) (module
     docstring)."""
-    n = L.n
-    capc = max(L.level_cap(mu), 0) // min(L.int_weights)
+    n, cap = L.n, L.level_cap(mu)
+    capc = max(cap, 0) // min(L.int_weights)
     width = (capc + max(B, capc)).bit_length() + 1
     guard = 0
     for k in range(n):
         guard |= 1 << (k * width + width - 1)
     return _Packing(n, width, L.int_weights, (1 << (width - 1)) - 1, guard,
-                    n * width)
+                    n * width, cap)
 
 
 def _pack(pk: _Packing, e: Exponent) -> int:
@@ -268,7 +279,7 @@ def hironaka_divide(F: PrecisionSeries, divisors: Sequence[PrecisionSeries],
     terms, den = _packed(F, pk)
     quotients: list[dict] = [dict() for _ in members]
     rem, den, exact = _divide(terms, den, F.prec is EXACT, members, pk,
-                              L.level_cap(mu), quotients)
+                              quotients)
     add = operator.add
     partition = RegionPartition(tuple([m.alpha for m in members]))
     out_q = []
@@ -314,15 +325,15 @@ def _adjoined(rem: dict, exact: bool, members: Sequence[_Member],
     record is built from the packed remainder itself."""
     w0 = next(iter(rem.values()))  # `_divide` emits in increasing order
     terms = _remainder(rem, w0, pk, [m.alpha for m in members])
-    prec, cap = (EXACT, EXACT) if exact else (mu, L.level_cap(mu))
+    prec, cap = (EXACT, EXACT) if exact else (mu, pk.cap)
     return PrecisionSeries(L.n, terms, prec, L), _member(rem, cap, pk)
 
 
 def _divide(terms: dict, den: int, exact: bool, members: Sequence[_Member],
-            pk: _Packing, cap: int, quotients: Optional[list] = None) -> tuple:
+            pk: _Packing, quotients: Optional[list] = None) -> tuple:
     """The division loop: divide {p: terms[p] / den}, with packed exponents
-    p and integer terms[p], by the member records, on the levels <= cap.
-    `exact` says whether the dividend is exact.
+    p and integer terms[p], by the member records, on the window pk was
+    sized for.  `exact` says whether the dividend is exact.
 
     Returns (remainder, den, exact): the remainder maps packed exponents, in
     increasing order, to integer numerators over the returned den, and exact
@@ -334,8 +345,7 @@ def _divide(terms: dict, den: int, exact: bool, members: Sequence[_Member],
     coefficient is c is w / (d * c).  Without it no quotient is built.
     """
     exact = exact and all(m.cap is EXACT for m in members)
-    limit = (cap + 1) << pk.shift  # p < limit exactly when level(p) <= cap
-    guard = pk.guard
+    limit, guard = pk.limit, pk.guard
     # the routes in list order, so the first dividing head wins
     routes = [(m.head, m.a, m.tail, i) for i, m in enumerate(members)]
     # A term above the window only ever feeds terms above it.  Such terms are

@@ -50,13 +50,14 @@ Newton or Berkowitz step.
 The discriminants run on integer jets {packed exponent: coefficient}
 truncated to the window.  The exponents are packed into ints as `division`
 packs them (Monagan and Pearce), under the standard form, where the packed
-level is the total degree: a product term is the sum of two ints, and one
-compare with (top + 1) << shift tests its degree.  The jets are multiplied
-with one degree-truncated product, `_jet_dot`, and only the minor a tower
-keeps is unpacked and built as `Fraction`s.  A tower hands each step the
-integers the last one holds, so no polynomial is built as `Fraction`s only
-to be re-read: `_ensure_regular` passes on the mu-jets it truncated to
-test regularity, with their orders; `_weierstrass_polynomial` returns the
+level is the total degree, by a packing that holds the window's top
+degree: a product term is the sum of two ints, and one compare with the
+packing's `limit` tests its degree.  The jets are multiplied with one
+degree-truncated product, `_jet_dot`, and only the minor a tower keeps is
+unpacked and built as `Fraction`s.  A tower hands each step the integers
+the last one holds, so no polynomial is built as `Fraction`s only to be
+re-read: `_ensure_regular` passes on the mu-jets it truncated to test
+regularity, with their orders; `_weierstrass_polynomial` returns the
 prepared polynomial as integer numerators over a denominator in lowest
 terms; the top level, the product of the prepared generators, is the
 kernel's windowed integer product of their numerators (`_prepared_product`
@@ -146,10 +147,11 @@ def _jet_dot(pairs, limit: int, start: Optional[dict] = None) -> dict:
 
     The exponents are packed as in `division`, under the standard form, so
     the packed level is the total degree: a product term packs to the sum
-    e1 + e2, and with limit = (top + 1) << shift the test e1 + e2 < limit
-    keeps exactly the terms of degree <= top, even when a slot of the sum
-    overflowed.  Each b is sorted once, so the inner loop stops at the
-    first term beyond the room a term of a leaves.
+    e1 + e2, and with `limit` the packing's, whose window holds the degrees
+    <= cap, the test e1 + e2 < limit keeps exactly the terms of degree
+    <= cap, even when a slot of the sum overflowed.  Each b is sorted once,
+    so the inner loop stops at the first term beyond the room a term of a
+    leaves.
     """
     out = dict(start) if start else {}
     get = out.get
@@ -205,33 +207,31 @@ def _level(f: PrecisionSeries, mu) -> _Level:
 
 
 def _level_jets(f: _Level, p: int, mu) -> tuple:
-    """(jets, d, top, shift, unpack): the input of the Hankel pass, read
-    from f = x^p + a_{p-1} x^{p-1} + ... + a_0, x its last variable, in one
-    sweep of its numerators.
+    """(jets, d, pk): the input of the Hankel pass, read from f = x^p +
+    a_{p-1} x^{p-1} + ... + a_0, x its last variable, in one sweep of its
+    numerators.
 
     jets[i] is the integer jet A_i = a_i * d^(p-i) on the window, d the
     level's common denominator (the x^p term has numerator d).  Its keys
-    are the exponents in the other f.n - 1 variables, packed as in
-    `division` with the level above `shift`; top is the window's top
-    level, and unpack undoes the packing.  In zero variables every
-    exponent packs to 0, the origin, the window is the one level 0, and mu
-    is not read.
+    are the exponents in the other f.n - 1 variables, packed by pk as in
+    `division`, under the standard form; pk holds the window's top level.
+    In zero variables every exponent packs to 0, the origin, the window is
+    the one level 0, and mu is not read.
 
     f is checked as a level: a PresentationError when it has no x^p term
     with coefficient 1 or a term lies above degree p.  Its admission on
     the window is the caller's (`_level`).  A term above the window is
-    skipped before it is packed, so every packed component is at most top
-    and fits the window's own slots; the packing still checks it.
+    skipped before it is packed, so every packed component is at most the
+    window's top level and fits the window's own slots; the packing still
+    checks it.
     """
     n_vars, ints, d = f.n - 1, f.ints, f.d
     if ints.get((0,) * n_vars + (p,)) != d:  # the x^p term is d / d
         raise PresentationError("polynomial is not monic")
-    if n_vars:
-        L = std_form(n_vars)
-        pk, top = _slots(L, mu, 0), L.level_cap(mu)
-    else:  # no slot: every exponent packs to 0
-        pk, top = _Packing(0, 1, (), 0, 0, 0), 0
-    width, slot = pk.width, pk.top
+    # in zero variables there is no slot: every exponent packs to 0
+    pk = _slots(std_form(n_vars), mu, 0) if n_vars else _Packing(
+        0, 1, (), 0, 0, 0, 0)
+    width, slot, cap = pk.width, pk.top, pk.cap
     # A_m = (a_m * d) * d^(p-1-m): both factors are integers
     powers = [d ** (p - 1 - m) for m in range(p)]
     jets = [{} for _ in range(p)]
@@ -242,7 +242,7 @@ def _level_jets(f: _Level, p: int, mu) -> tuple:
                 continue
             raise PresentationError("terms above the distinguished degree")
         level = sum(rest)  # `_pack` under the standard form
-        if level > top:
+        if level > cap:
             continue
         for k in reversed(rest):
             if not 0 <= k <= slot:
@@ -250,20 +250,21 @@ def _level_jets(f: _Level, p: int, mu) -> tuple:
                     f"component {k} of {rest} does not fit a {width}-bit slot")
             level = level << width | k
         jets[m][level] = c * powers[m]
-    return jets, d, top, pk.shift, functools.partial(_unpack, pk)
+    return jets, d, pk
 
 
-def _polygon_size(jets: list, p: int, top: int, shift: int) -> int:
+def _polygon_size(jets: list, p: int, pk: _Packing) -> int:
     """The largest m <= p whose m x m Hankel minor the Newton polygon of the
-    jets A_i (`_level_jets`) lets reach the window's top level: shortcut (d)
-    of the module docstring.  1 when every A_i is zero and p >= 1.
+    jets A_i (`_level_jets`, packed by pk) lets reach the window's top level
+    pk.cap: shortcut (d) of the module docstring.  1 when every A_i is zero
+    and p >= 1.
 
     The root orders, smallest first, are the slopes of the lower Newton
     polygon of (p, 0) and the (i, w_i), w_i the lowest degree of a nonzero
     A_i, read leftwards from (p, 0); scaled by p! they are integers.  The
     roots left of the polygon are zero, of infinite order.
     """
-    fact = math.factorial(p)
+    fact, shift = math.factorial(p), pk.shift
     points = [(i, min(jet) >> shift) for i, jet in enumerate(jets) if jet]
     orders, right, w_right = [], p, 0
     while points and points[0][0] < right:
@@ -271,31 +272,32 @@ def _polygon_size(jets: list, p: int, top: int, shift: int) -> int:
                            for k, wk in points if k < right])
         orders += [theta] * (right - i)
         right, w_right = i, w
-    # the largest m with 2 * sum_{a <= m} (m - a) theta_(a) <= top
+    # the largest m with 2 * sum_{a <= m} (m - a) theta_(a) <= pk.cap
     size, low, bound = min(p, 1), 0, 0
     while size < p and size <= len(orders):
         low += orders[size - 1]
         bound += 2 * low
-        if bound > top * fact:
+        if bound > pk.cap * fact:
             break
         size += 1
     return size
 
 
 def _hankel_discriminants(f: _Level, p: int, mu) -> tuple:
-    """(minors, unpack): D_1, ..., D_p of f = x^p + a_{p-1} x^{p-1} + ...
-    + a_0, x its last variable, one pair (jet, scale) each.
+    """(minors, pk): D_1, ..., D_p of f = x^p + a_{p-1} x^{p-1} + ... +
+    a_0, x its last variable, one pair (jet, scale) each.
 
-    jet is {packed exponent: integer}, and D_j = {unpack(e): Fraction(c,
-    scale)}, its terms of total degree <= mu in the other f.n - 1
-    variables; a minor the pass does not form is (None, 1).  f is read
-    once, by `_level_jets`, which also checks it.  The power sums
-    s_0..s_{2p-2} come from Newton's identities, and D_j is the signed
-    leading m x m minor of the Hankel matrix [s_{a+b}], m = p - j + 1.  One
-    Berkowitz pass yields the characteristic polynomials of all leading
-    principal submatrices, whose constant terms are (-1)^m times the minors.
-    Every sum of products is one `dot`, and nothing divides.  When only the
-    1 x 1 minor reaches the window, D_p = s_0 = p is returned with no pass.
+    jet is {packed exponent: integer}, packed by pk, and D_j =
+    {_unpack(pk, e): Fraction(c, scale)}, its terms of total degree <= mu
+    in the other f.n - 1 variables; a minor the pass does not form is
+    (None, 1).  f is read once, by `_level_jets`, which also checks it.
+    The power sums s_0..s_{2p-2} come from Newton's identities, and D_j is
+    the signed leading m x m minor of the Hankel matrix [s_{a+b}], m = p -
+    j + 1.  One Berkowitz pass yields the characteristic polynomials of all
+    leading principal submatrices, whose constant terms are (-1)^m times
+    the minors.  Every sum of products is one `dot`, and nothing divides.
+    When only the 1 x 1 minor reaches the window, D_p = s_0 = p is returned
+    with no pass.
 
     The pass runs on integers by scaling the roots by d, the level's common
     denominator.  Then X^p + A_{p-1} X^{p-1} + ... + A_0 = d^p f(X/d) is
@@ -306,15 +308,15 @@ def _hankel_discriminants(f: _Level, p: int, mu) -> tuple:
     minor is the integer one divided by d^(m(m-1)), its sign folded into
     the scale.
 
-    `dot` is the truncated `_jet_dot`.  The pass takes the four shortcuts
-    of the module docstring; by (d) it forms only the leading size x size
-    minors, size from `_polygon_size`.
+    `dot` is `_jet_dot` truncated to the packing's window.  The pass takes
+    the four shortcuts of the module docstring; by (d) it forms only the
+    leading size x size minors, size from `_polygon_size`.
     """
-    jets, d, top, shift, unpack = _level_jets(f, p, mu)
-    size = _polygon_size(jets, p, top, shift)
+    jets, d, pk = _level_jets(f, p, mu)
+    size = _polygon_size(jets, p, pk)
     if size == 1:  # only D_p = s_0 = p reaches the window, as for y^p
-        return [(None, 1)] * (p - 1) + [({0: p}, 1)], unpack
-    limit = (top + 1) << shift
+        return [(None, 1)] * (p - 1) + [({0: p}, 1)], pk
+    limit = pk.limit
 
     def dot(pairs: list, start: dict) -> dict:
         return _jet_dot(pairs, limit, start) if pairs else start
@@ -356,7 +358,7 @@ def _hankel_discriminants(f: _Level, p: int, mu) -> tuple:
         m = r + 1
         scale = d ** (m * (m - 1)) * (1 if m * (m + 1) // 2 % 2 == 0 else -1)
         minors.append((char[-1], scale))
-    return [(None, 1)] * (p - size) + minors[::-1], unpack
+    return [(None, 1)] * (p - size) + minors[::-1], pk
 
 
 def distinct_root_count_check(coeffs: Sequence, p: int) -> int:
@@ -415,9 +417,9 @@ def _weierstrass_polynomial(jet: PrecisionSeries, p: int, i: int,
     den} in x_i of the mu-jet j = `jet` of x_i-order p, certified on (std,
     mu), with integer ints[e] in lowest terms over den > 0; division is None
     when P = x_i^p or P = j (module docstring), and else (terms, jden, head,
-    rem, rden, pk, cap): j = {s: terms[s] / jden} packed by pk, P = x_i^p -
-    {s: rem[s] / rden} on the whole division window, head the x_i^p packed
-    by pk, cap the window's top level.
+    rem, rden, pk): j = {s: terms[s] / jden} packed by pk, P = x_i^p -
+    {s: rem[s] / rden} on the whole division window, which pk holds, and
+    head the x_i^p packed by pk.
 
     j is the series truncated to (std, mu) and p = `regular_order`(j, i);
     neither is recomputed here.  Let Lw be the form with weight 1 on x_i and
@@ -442,13 +444,12 @@ def _weierstrass_polynomial(jet: PrecisionSeries, p: int, i: int,
     W = max([(p - e[i]) // (sum(e) - e[i]) + 1 for e in low])
     Lw = std_form(n) if W == 1 else LinearForm(
         tuple([1 if k == i else W for k in range(n)]))
-    cap = W * top + p
-    pk = _slots(Lw, cap, 0)  # j's components are at most top <= cap
+    pk = _slots(Lw, W * top + p, 0)  # j's components are at most top
     terms, jden = _packed(jet, pk)
     divisor = _member(terms, EXACT, pk)  # j is exact under Lw
     # only the window is wanted (the dividend passed as inexact): terms above
     # it are dropped at once, and the quotient q is not built
-    rem, den, _ = _divide({divisor.head: 1}, 1, False, [divisor], pk, cap)
+    rem, den, _ = _divide({divisor.head: 1}, 1, False, [divisor], pk)
     ints = {alpha: den}
     for s, w in rem.items():
         e = _unpack(pk, s)
@@ -457,7 +458,7 @@ def _weierstrass_polynomial(jet: PrecisionSeries, p: int, i: int,
         if sum(e) <= top:
             ints[e] = -w
     return (*_lowest_terms(ints, den),
-            (terms, jden, divisor.head, rem, den, pk, cap))
+            (terms, jden, divisor.head, rem, den, pk))
 
 
 def _series(n: int, ints: dict, den: int, mu) -> PrecisionSeries:
@@ -481,11 +482,11 @@ def _prepare(jet: PrecisionSeries, p: int, i: int, mu: Fraction) -> tuple:
         u_terms = {(*e[:i], e[i] - order, *e[i + 1:]): c
                    for e, c in jet.terms.items()}
     else:
-        terms, jden, head, rem, rden, pk, cap = division
+        terms, jden, head, rem, rden, pk = division
         record = _member({head: rden, **{e: -w for e, w in rem.items()}},
-                         cap, pk)
+                         pk.cap, pk)
         quotient: list = [{}]
-        _divide(terms, jden, False, [record], pk, cap, quotient)
+        _divide(terms, jden, False, [record], pk, quotient)
         top = int(mu) - order
         u_terms = {}
         for s, (w, d) in quotient[0].items():
@@ -561,10 +562,10 @@ def _first_nonvanishing(f: _Level, p: int, mu) -> tuple:
     n_vars = f.n - 1
     # a series value is known only on the window, a number exactly
     cert = "zero-up-to-mu" if n_vars else "exact-zero"
-    minors, unpack = _hankel_discriminants(f, p, mu)
+    minors, pk = _hankel_discriminants(f, p, mu)
     for j, (jet, scale) in enumerate(minors, start=1):
         if jet:
-            d = {unpack(e): Fraction(c, scale) for e, c in jet.items()}
+            d = {_unpack(pk, e): Fraction(c, scale) for e, c in jet.items()}
             val = d[()] if n_vars == 0 else PrecisionSeries(
                 n_vars, d, _as_fraction(mu), std_form(n_vars))
             return j, val, (cert,) * (j - 1)

@@ -48,10 +48,6 @@ class NotRegular(LocalRingError):
     """
 
 
-class UndecidedAtPrecision(LocalRingError):
-    """A zero-test could not be decided within the certified window."""
-
-
 class InvariantViolation(LocalRingError):
     """An internal invariant of an algorithm failed; this is a bug."""
 

@@ -13,14 +13,17 @@ in the window and outside all earlier head cones, and only finitely many
 exponents qualify.
 
 Completion and `becker_check` choose one exponent packing per call (see
-`division`: it has room for every member completion can adjoin), admit and
-convert each member once, when it enters the basis, into the integer record
-of `division` (head, primitive integer head a, packed head, packed integer
-tail in increasing order and the level cap of its certified bound), and
-read heads, levels and caps from the records: a level is the top bits of a
-packed head.  An adjoined member's record is built from the packed integer
-remainder itself, and the division loop alone decides exactness.  The s-series of members i and j is formed on integers
-and packed exponents,
+`division`: it has room for every member completion can adjoin, and it
+records the window's top level), admit and convert each member once, when
+it enters the basis, into the integer record of `division` (head,
+primitive integer head a, packed head, packed integer tail in increasing
+order and the level cap of its certified bound), and read heads, levels
+and caps from the records and the window from the packing: a level is the
+top bits of a packed head, and a head lies in the window when it packs
+below the packing's `limit`.  An adjoined member's record is built from
+the packed integer remainder itself, with the packing's cap when it is
+inexact, and the division loop alone decides exactness.  The s-series of
+members i and j is formed on integers and packed exponents,
 
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j,
 
@@ -164,8 +167,7 @@ def _check_ready(gens: Sequence[PrecisionSeries], L: LinearForm, mu) -> tuple:
     """(packing, records) of the members, once they are admitted and their
     heads lie in the window."""
     pk = _packing(L, mu, gens)
-    members = _members(gens, L, mu, pk)
-    limit = (L.level_cap(mu) + 1) << pk.shift
+    members, limit = _members(gens, L, mu, pk), pk.limit
     for m in members:
         if m.head >= limit:  # its level is above the window
             raise PrecisionShortfall(
@@ -180,7 +182,8 @@ def _integer_s_series(ri, rj, lcm: int, pk: _Packing) -> tuple:
     terms maps packed exponents to the integer coefficients of
     a_j x^(m - alpha_i) tail_i - a_i x^(m - alpha_j) tail_j, kept on the
     levels <= cap, the level cap of the bound of `s_series(g_i, g_j, L)`
-    (EXACT when that is exact).
+    (EXACT when that is exact).  That cap is the s-series' own bound, not
+    the packing's window, so its limit is formed here.
     """
     # the shift lcm - alpha raises every level by level(lcm) - level(alpha),
     # the level of the packed shift
@@ -212,7 +215,6 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
     mu = Fraction(mu)
     gens = tuple(gens)
     pk, members = _check_ready(gens, L, mu)
-    cap = L.level_cap(mu)
     checks = []
     verified = True
     for i, ri in enumerate(members):
@@ -224,7 +226,7 @@ def becker_check(gens: Sequence[PrecisionSeries], L: LinearForm, mu,
                 continue
             terms, scap = _integer_s_series(ri, rj, lcm, pk)
             ok = not terms or not _divide(terms, 1, scap is EXACT, members,
-                                          pk, cap)[0]
+                                          pk)[0]
             checks.append(PairCheck(i, j, "pass" if ok else "fail"))
             verified = verified and ok
     return CertifiedBasis(gens, L, mu, verified,
@@ -250,7 +252,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
     mu = Fraction(mu)
     basis = list(I.gens)
     pk, members = _check_ready(basis, L, mu)
-    cap, guard = L.level_cap(mu), pk.guard
+    guard = pk.guard
     left: list = [set() for _ in members]  # left[i]: k with (i, k) popped
     steps = []
     queue: list = []
@@ -280,7 +282,7 @@ def complete(I: IdealPresentation, L: LinearForm, mu,
         terms, scap = _integer_s_series(members[i], members[j], lcm, pk)
         if not terms:
             continue
-        rem, _, exact = _divide(terms, 1, scap is EXACT, members, pk, cap)
+        rem, _, exact = _divide(terms, 1, scap is EXACT, members, pk)
         if not rem:
             steps.append(CompletionStep(i, j, len(basis), None))
             continue

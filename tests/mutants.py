@@ -47,6 +47,7 @@ class Mutant(NamedTuple):
 KERNEL = "src/localring/kernel.py"
 DIVISION = "src/localring/division.py"
 DIAGRAM = "src/localring/diagram.py"
+EQUISING = "src/localring/equising.py"
 
 MUTANTS = (
     Mutant("_window keeps the window's top level out", KERNEL,
@@ -74,15 +75,19 @@ MUTANTS = (
            "bound = EXACT if exact else mu - lvalue(L, m.alpha)",
            "bound = EXACT if exact else mu - lvalue(L, m.alpha)"
            " + Fraction(1, L.den)"),
-    Mutant("_divide keeps one level above the window", DIVISION,
-           "limit = (cap + 1) << pk.shift", "limit = (cap + 2) << pk.shift"),
+    Mutant("the packed window keeps one level above it", DIVISION,
+           "return (self.cap + 1) << self.shift",
+           "return (self.cap + 2) << self.shift"),
     Mutant("_slots drops the guard bit", DIVISION,
            "width = (capc + max(B, capc)).bit_length() + 1",
            "width = (capc + max(B, capc)).bit_length()"),
     Mutant("the tower's top level forms one degree above the window",
-           "src/localring/equising.py",
+           EQUISING,
            "_int_product(ints, terms, L, L.level_cap(mu))",
            "_int_product(ints, terms, L, L.level_cap(mu) + 1)"),
+    Mutant("the Newton-polygon bound leaves out a minor that reaches the "
+           "window", EQUISING,
+           "if bound > pk.cap * fact:", "if bound >= pk.cap * fact:"),
     Mutant("the oracle leads a row at its largest column", DIAGRAM,
            "col = min(row)", "col = max(row)"),
     Mutant("the oracle's table reads a pivot's degree from its last "

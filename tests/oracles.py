@@ -46,6 +46,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from localring.diagram import _span, tail_monomials
+from localring.division import _unpack
 from localring.equising import _hankel_discriminants, _level
 from localring.errors import (BudgetExceeded, DimensionMismatch, PresentationError,
                                ZeroUpToPrecision)
@@ -237,10 +238,10 @@ def hankel_minors(coeffs: Sequence, n_vars: int, mu) -> list:
     (a_0, ..., a_{p-1}), every one as the jet {exponent: Fraction} that its
     integer minor and scale stand for, and a minor the pass does not form
     as the zero jet; the command path converts only the minor it keeps."""
-    minors, unpack = _hankel_discriminants(
+    minors, pk = _hankel_discriminants(
         _level(monic_polynomial(coeffs, n_vars), mu), len(coeffs), mu)
-    return [{unpack(e): Fraction(c, scale) for e, c in (jet or {}).items()}
-            for jet, scale in minors]
+    return [{_unpack(pk, e): Fraction(c, scale)
+             for e, c in (jet or {}).items()} for jet, scale in minors]
 
 
 def berkowitz_discriminants(coeffs: Sequence[PrecisionSeries], L: LinearForm,

@@ -179,7 +179,7 @@ class TestPlantedRecords:
         # the packed head y^2 does not divide xy, but the claimed head x does
         liar = planted_record(self.pk, (1, 0), (0, 2))
         rem, _, exact = DIV._divide({DIV._pack(self.pk, (1, 1)): 1}, 1,
-                                    True, [liar], self.pk, 4)
+                                    True, [liar], self.pk)
         assert rem
         with pytest.raises(InvariantViolation, match="outside the complement"):
             DIV._adjoined(rem, exact, [liar], self.pk, std2, F(4))
@@ -189,7 +189,7 @@ class TestPlantedRecords:
         bad = planted_record(self.pk, (2, 0), (2, 0), [((0, 1), -1)])
         with pytest.raises(InvariantViolation, match="strict progress"):
             DIV._divide({DIV._pack(self.pk, (2, 0)): 1}, 1, True, [bad],
-                        self.pk, 4)
+                        self.pk)
 
     def test_a_quotient_outside_its_region_raises(self, monkeypatch):
         # the first record claims the head x but divides by x^2, so x goes to

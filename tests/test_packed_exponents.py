@@ -69,7 +69,8 @@ def test_guard_mask_is_the_cone_test(problem):
 @given(packings(), st.data())
 def test_sums_and_the_window_test(problem, data):
     L, mu, pk, exps = problem
-    cap, limit = L.level_cap(mu), (L.level_cap(mu) + 1) << pk.shift
+    cap, limit = pk.cap, pk.limit
+    assert cap == L.level_cap(mu)
     # a shift out of the window plus a member term fits its slots
     shift = data.draw(st.tuples(*[st.integers(0, capc(L, mu))] * pk.n))
     for e in exps:

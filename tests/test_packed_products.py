@@ -51,13 +51,14 @@ def reference_dot(pairs, top: int) -> dict:
 
 def tight_packing(n: int, top: int) -> DIV._Packing:
     """The narrowest packing whose slots hold every component of a jet of
-    degree <= top: a sum of two such exponents can overflow its slots."""
+    degree <= top, for the window of the degrees <= top: a sum of two such
+    exponents can overflow its slots."""
     width = top.bit_length() + 1
     guard = 0
     for k in range(n):
         guard |= 1 << (k * width + width - 1)
     return DIV._Packing(n, width, (1,) * n, (1 << (width - 1)) - 1, guard,
-                        n * width)
+                        n * width, top)
 
 
 def packed_dot(pairs, top: int, pk: DIV._Packing) -> dict:
@@ -466,14 +467,15 @@ def polygon_levels(draw):
 def test_the_polygon_bound_leaves_out_only_minors_zero_on_the_window(case):
     coeffs, mu = case
     n, p = coeffs[0].n, len(coeffs)
-    minors, unpack = E._hankel_discriminants(
+    minors, pk = E._hankel_discriminants(
         E._level(OR.monic_polynomial(coeffs, n), mu), p, mu)
     want = OR.berkowitz_discriminants(coeffs, O.std_form(n), mu)
     for (jet, scale), D in zip(minors, want):
         if jet is None:  # not formed
             assert not D.terms
         else:
-            assert {unpack(e): F(c, scale) for e, c in jet.items()} == D.terms
+            assert {DIV._unpack(pk, e): F(c, scale)
+                    for e, c in jet.items()} == D.terms
 
 
 def test_the_polygon_bound_reads_every_edge():
@@ -526,11 +528,11 @@ def test_terms_above_the_window_never_reach_the_packing(case):
     n, p = coeffs[0].n, len(coeffs)
     grown = [K.add(a, b) for a, b in zip(coeffs, above)]
     assert OR.hankel_minors(grown, n, mu) == OR.hankel_minors(coeffs, n, mu)
-    _, unpack = E._hankel_discriminants(
+    _, pk = E._hankel_discriminants(
         E._level(OR.monic_polynomial(grown, n), mu), p, mu)
-    _, want_unpack = E._hankel_discriminants(
+    _, want_pk = E._hankel_discriminants(
         E._level(OR.monic_polynomial(coeffs, n), mu), p, mu)
-    assert unpack.args == want_unpack.args
+    assert pk == want_pk
 
 
 # -- root counts beyond the symbolic cap ---------------------------------------

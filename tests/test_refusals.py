@@ -3,7 +3,7 @@
 One case per refusal or skip that no other test reaches: each runs a call
 that the refusal must stop, and checks the class and a fragment of the
 message.  The CLI cases check that a refusal becomes one report with exit
-code 1, or 2 for the `UNDECIDED-AT-MU` mapping.
+code 1.
 """
 
 from fractions import Fraction as F
@@ -26,7 +26,6 @@ from localring.errors import (
     ParseError,
     PrecisionShortfall,
     PresentationError,
-    UndecidedAtPrecision,
     ZeroUpToPrecision,
 )
 from localring.parser import load_ideal_file
@@ -228,15 +227,3 @@ def test_cli_integer_options_keep_their_messages(tmp_path, argv, detail):
     path.write_text("vars: x y\nprec: 6\ngen: y^2 - x^3\n", encoding="utf-8")
     code, rep = cli.run([argv[0], "--file", str(path), *argv[1:]])
     assert (code, rep) == (1, {"error": "usage", "detail": detail})
-
-
-def test_cli_maps_an_undecided_zero_test_to_exit_2(tmp_path, monkeypatch):
-    def undecided(args, f, form, mu):
-        raise UndecidedAtPrecision("zero-test undecided on the window")
-
-    monkeypatch.setattr(cli, "_cmd_tower", undecided)
-    path = tmp_path / "cusp.ideal"
-    path.write_text("vars: x y\nprec: 6\ngen: y^2 - x^3\n", encoding="utf-8")
-    code, rep = cli.run(["tower", "build", "--file", str(path)])
-    assert (code, rep) == (2, {"error": "UNDECIDED-AT-MU",
-                               "detail": "zero-test undecided on the window"})

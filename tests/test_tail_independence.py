@@ -13,14 +13,17 @@ above its own bound, since nothing is claimed there.
 
 Covered: `add`, `mul`, `mul_monomial`, `truncate`, `reweight`, `embed`,
 `evaluate_tail_zero`, the builtin jets `exp_jet` and `geom_jet`, and
-`substitute_linear` (isotropic forms); `hironaka_divide`, its quotient i
+`substitute_linear` (isotropic forms); the sources of
+`IdealPresentation.substitute` and `approx.perturb`, read by `at` on any
+form and a window the generators reach; `hironaka_divide`, its quotient i
 on mu - L(alpha_i) and its remainder; the vertices of `complete`, the
 verdict of `becker_check` and, under the standard form, `hilbert_samuel`;
 the report of `flatness_weight_search`; and `weierstrass_prepare` on
 inputs with ord f = p.  A companion property asks the same of the
 presentation: the staircase of an exact ideal, and under the standard form
 its Hilbert-Samuel table, which the row-reduction oracle recounts, do not
-change when its generators are reordered, multiplied by a unit or combined.  Tower levels are left out: a level certified to mu knows its
+change when its generators are reordered, multiplied by a unit or
+combined.  Tower levels are left out: a level certified to mu knows its
 coefficient a_m only to mu - m, which the strict xfail
 `test_discriminant_certificates_do_not_over_claim` pins.
 """
@@ -31,6 +34,7 @@ from fractions import Fraction as F
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from localring import approx as AP
 from localring import kernel as K
 from localring import linalg
 from localring import order as O
@@ -243,6 +247,52 @@ def linear_changes(draw):
 def test_linear_substitution_keeps_its_window(case):
     a, A, M = case
     claimed(K.substitute_linear(a, M), K.substitute_linear(A, M))
+
+
+# -- the sources of presentations ----------------------------------------------
+
+@st.composite
+def presentation_sources(draw):
+    """(gens, grown, L, w, mu): two or three generators in 2 or 3 variables
+    certified to mu under the standard form, their grown versions, a form L
+    and a window w with w / min(L.weights) <= mu, so that every generator
+    reaches (L, w)."""
+    n = draw(st.integers(2, 3))
+    std, mu = O.std_form(n), F(draw(st.integers(1, 4)))
+    gens = [certified(draw, std, mu, max_terms=3)
+            for _ in range(draw(st.integers(2, 3)))]
+    L = draw(forms(n))
+    top = mu * min(L.weights) * L.den  # w = k / L.den for k <= top
+    w = F(draw(st.integers(0, int(top))), L.den)
+    return gens, [grow(draw, g) for g in gens], L, w, mu
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentation_sources(), st.integers(0, 999))
+def test_a_substituted_presentation_keeps_its_window(case, seed):
+    gens, grown, L, w, _ = case
+    M = linalg.seeded_unimodular(random.Random(seed), L.n)
+    base = K.IdealPresentation(L.n, gens).substitute(M).at(L, w)
+    other = K.IdealPresentation(L.n, grown).substitute(M).at(L, w)
+    for g, G in zip(base, other, strict=True):
+        claimed(g, G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentation_sources(), st.data())
+def test_a_perturbation_keeps_its_window(case, data):
+    # each delta has standard degree above mu and is certified beyond it
+    gens, grown, L, w, mu = case
+    std = O.std_form(L.n)
+    deltas = [certified(data.draw, std, mu + data.draw(st.integers(1, 2)),
+                        low=std.level_cap(mu) + 1, max_terms=2)
+              for _ in gens]
+    grown_deltas = [grow(data.draw, d) for d in deltas]
+    base = AP.perturb(K.IdealPresentation(L.n, gens), mu, deltas).at(L, w)
+    other = AP.perturb(K.IdealPresentation(L.n, grown), mu,
+                       grown_deltas).at(L, w)
+    for g, G in zip(base, other, strict=True):
+        claimed(g, G)
 
 
 # -- division, completion and Hilbert-Samuel ----------------------------------
